@@ -8,6 +8,7 @@ the single exception of timings.json (wall-clock measurements).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -48,6 +49,11 @@ def _pool_sources(ensemble: cf.SourceEnsemble, image_id: str) -> DetectionSet:
     for src in ensemble.sources:
         boxes.extend(src.for_image(image_id).boxes)
     return DetectionSet(image_id, tuple(boxes))
+
+
+def _check_confidence_threshold(value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"--confidence-threshold must be finite, got {value!r}")
 
 
 def _count_boxes(per_image) -> int:
@@ -242,6 +248,7 @@ def cmd_consensus(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_confidence_threshold(args.confidence_threshold)
     manifest, ensemble, gt = _load(args)
     if gt is None:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
@@ -263,6 +270,7 @@ def cmd_eval(args) -> int:
 def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT_CONF_THRESHOLD,
                  images=None, shapley=False):
     """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree."""
+    _check_confidence_threshold(confidence_threshold)
     scenarios = synth.reference_scenarios()
     if scenario_name not in scenarios:
         raise ConfigError(
@@ -302,14 +310,17 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     data_io.write_pseudo_labels(dataset, os.path.join(cdir, "pseudo_labels.txt"))
     fused_files["ours"] = ours
 
+    timings["evaluation"] = 0.0
     for name in ("ours", "nms", "soft-nms", "wbf", "knowledge-vote"):
         per_image = fused_files[name]
         boxes = {iid: list(ds.boxes) for iid, ds in per_image.items()}
+        t0 = time.perf_counter()
         metrics = evaluate(boxes, gt, confidence_threshold)
+        curve = f1_curve(boxes, gt, DEFAULT_F1_GRID)
+        timings["evaluation"] += time.perf_counter() - t0
         edir = os.path.join(out_dir, f"eval_{name}")
         os.makedirs(edir, exist_ok=True)
         data_io.write_metrics(metrics, os.path.join(edir, "metrics.json"))
-        curve = f1_curve(boxes, gt, DEFAULT_F1_GRID)
         data_io.write_f1_curve(curve, os.path.join(edir, "f1_curve.csv"))
         agg = metrics.aggregate
         comparison.append(

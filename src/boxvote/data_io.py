@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -286,6 +287,13 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ManifestError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{where} must be a number, got {value!r}") from exc
+
+
 def parse_manifest(path) -> EnsembleManifest:
     """Strict manifest parse: unknown keys are rejected to catch typos."""
     try:
@@ -345,10 +353,11 @@ def parse_manifest(path) -> EnsembleManifest:
     for name, g in per_class.items():
         if name not in class_ids:
             raise ManifestError(f"gate references unknown class {name!r}")
-        if not (0.0 <= float(g) <= 1.0):
+        gate = _number(g, f"gate for {name!r}")
+        if not (0.0 <= gate <= 1.0):
             raise ManifestError(f"gate for {name!r} outside [0,1]")
-        gates_map[class_ids[name]] = float(g)
-    default_gate = float(raw_gates.get("default", 0.0))
+        gates_map[class_ids[name]] = gate
+    default_gate = _number(raw_gates.get("default", 0.0), "default gate")
     if not (0.0 <= default_gate <= 1.0):
         raise ManifestError("default gate outside [0,1]")
     gates = ConfidenceGates(gates=gates_map, default_gate=default_gate)
@@ -371,10 +380,12 @@ def parse_manifest(path) -> EnsembleManifest:
     _reject_unknown(raw_fusion, _FUSION_KEYS, "fusion")
     weights = raw_fusion.get("model_weights")
     fusion = FusionParams(
-        iou_threshold=float(raw_fusion.get("iou_threshold", 0.55)),
-        soft_nms_sigma=float(raw_fusion.get("soft_nms_sigma", 0.5)),
-        score_floor=float(raw_fusion.get("score_floor", 0.001)),
-        model_weights=tuple(float(w) for w in weights) if weights else None,
+        iou_threshold=_number(raw_fusion.get("iou_threshold", 0.55), "iou_threshold"),
+        soft_nms_sigma=_number(raw_fusion.get("soft_nms_sigma", 0.5), "soft_nms_sigma"),
+        score_floor=_number(raw_fusion.get("score_floor", 0.001), "score_floor"),
+        model_weights=(
+            tuple(_number(w, "model weight") for w in weights) if weights else None
+        ),
         confidence_rescale=raw_fusion.get("confidence_rescale", "none"),
     )
     if fusion.confidence_rescale not in ("none", "support_ratio"):
@@ -383,6 +394,8 @@ def parse_manifest(path) -> EnsembleManifest:
         )
     if not (0.0 < fusion.iou_threshold < 1.0):
         raise ManifestError("iou_threshold must be in (0,1)")
+    if not (0.0 < fusion.soft_nms_sigma < math.inf):
+        raise ManifestError("soft_nms_sigma must be finite and > 0")
 
     return EnsembleManifest(
         classes=list(classes),

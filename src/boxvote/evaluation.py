@@ -4,11 +4,27 @@ Matching is the standard greedy scheme: detections in confidence order, each
 taking the best still-unmatched ground-truth box at or above the IoU
 threshold. AP is 101-point interpolated; the multi-threshold mAP averages
 IoU thresholds 0.50 to 0.95 in steps of 0.05.
+
+Each `evaluate` or `f1_curve` call matches once. Per (image, class) slice,
+every detection x ground-truth IoU is computed once, and the greedy sweep
+for every IoU threshold reads from those values. The sweep is prefix-stable:
+whether a detection matches depends only on the detections ranked above it
+in its slice (confidence descending, then ingestion order). Keeping the
+detections at or above a confidence keeps a prefix of every slice, so their
+matches are a prefix of the full matches. The F1 curve relies on this: it
+matches all detections once and reads each grid point off cumulative
+true-positive counts over the confidence-sorted rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import EmptyGroundTruthError
 from .geometry import iou
@@ -18,6 +34,7 @@ MAP_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
 DEFAULT_F1_GRID = tuple(
     0.0001 + (1.0 - 0.0001) * k / 199 for k in range(200)
 )
+_RECALL_GRID = np.arange(AP_RECALL_POINTS) / (AP_RECALL_POINTS - 1)
 
 
 @dataclass(frozen=True)
@@ -35,14 +52,10 @@ class GroundTruth:
 
     entries: dict[str, tuple[GroundTruthBox, ...]]
 
-    def classes(self) -> list[int]:
-        present = {b.cls for boxes in self.entries.values() for b in boxes}
-        return sorted(present)
-
-    def num_gt(self, cls: int) -> int:
-        return sum(
-            1 for boxes in self.entries.values() for b in boxes if b.cls == cls
-        )
+    def class_counts(self) -> dict[int, int]:
+        """Number of boxes per class present, in ascending class order."""
+        counts = Counter(b.cls for boxes in self.entries.values() for b in boxes)
+        return dict(sorted(counts.items()))
 
 
 @dataclass
@@ -67,93 +80,104 @@ class F1Curve:
     points: list[tuple[float, dict[int, float], float]]
 
 
+def _rank_slice(dets, gt_boxes):
+    """Confidence order of one image / class slice, and each ranked
+    detection's overlapping ground-truth boxes as (iou, index), best first.
+
+    Confidence ties rank by ingestion order, IoU ties by ground-truth index.
+    """
+    order = sorted(range(len(dets)), key=lambda k: (-dets[k].confidence, k))
+    candidates = []
+    for k in order:
+        d = dets[k]
+        row = []
+        for g, gt in enumerate(gt_boxes):
+            ov = iou(d, gt)
+            if ov > 0.0:
+                row.append((ov, g))
+        row.sort(key=itemgetter(0), reverse=True)
+        candidates.append(row)
+    return order, candidates
+
+
+def _greedy_flags(candidates, num_gt: int, iou_thresh: float) -> list[bool]:
+    """Matched flag per ranked detection: each takes its best untaken
+    ground-truth box if that box's IoU reaches the threshold."""
+    taken = [False] * num_gt
+    flags = []
+    for row in candidates:
+        hit = False
+        for ov, g in row:
+            if not ov >= iou_thresh:
+                break
+            if not taken[g]:
+                taken[g] = hit = True
+                break
+        flags.append(hit)
+    return flags
+
+
 def match_detections(dets, gt_boxes, iou_thresh: float):
     """Greedy confidence-ordered matching for a single image / class slice.
 
     Returns (detection, matched) pairs in confidence-descending order; each
     ground-truth box matches at most once.
     """
-    order = sorted(range(len(dets)), key=lambda k: (-dets[k].confidence, k))
-    taken = [False] * len(gt_boxes)
-    out = []
-    for k in order:
-        d = dets[k]
-        best_iou = 0.0
-        best_g = -1
-        for g, gt in enumerate(gt_boxes):
-            if taken[g]:
-                continue
-            ov = iou(d, gt)
-            if ov > best_iou:
-                best_iou = ov
-                best_g = g
-        if best_g >= 0 and best_iou >= iou_thresh:
-            taken[best_g] = True
-            out.append((d, True))
-        else:
-            out.append((d, False))
-    return out
+    order, candidates = _rank_slice(dets, gt_boxes)
+    flags = _greedy_flags(candidates, len(gt_boxes), iou_thresh)
+    return [(dets[k], m) for k, m in zip(order, flags)]
+
+
+def _running_sum(values) -> float:
+    """Left-to-right float sum; the builtin sum compensates on Python >= 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def average_precision(matched_flags, num_gt: int) -> float:
     """101-point interpolated AP from confidence-sorted match flags."""
-    if num_gt == 0:
+    flags = np.asarray(matched_flags, dtype=bool)
+    if num_gt == 0 or not flags.size:
         return 0.0
-    tp = 0
-    fp = 0
-    precisions = []
-    recalls = []
-    for m in matched_flags:
-        if m:
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / num_gt)
+    tp = np.cumsum(flags)
+    precisions = tp / np.arange(1, len(tp) + 1)
+    recalls = tp / num_gt
     # precision envelope: max precision at or beyond each point
-    envelope = list(precisions)
-    for k in range(len(envelope) - 2, -1, -1):
-        envelope[k] = max(envelope[k], envelope[k + 1])
-    total = 0.0
-    j = 0
-    for step in range(AP_RECALL_POINTS):
-        r = step / (AP_RECALL_POINTS - 1)
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        if j < len(envelope):
-            total += envelope[j]
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    first = np.searchsorted(recalls, _RECALL_GRID, side="left")
+    total = _running_sum(envelope[first[first < len(envelope)]].tolist())
     return total / AP_RECALL_POINTS
 
 
-def _class_match_lists(fused, gt: GroundTruth, iou_thresh: float):
-    """Per class: (conf, matched) across all images, globally confidence-sorted.
+def _by_class(boxes, classes) -> dict[int, list]:
+    out: dict[int, list] = {}
+    for b in boxes:
+        if b.cls in classes:
+            out.setdefault(b.cls, []).append(b)
+    return out
 
-    Ties break by (image id, ingestion order) so metrics are independent of
-    image iteration order.
+
+def _match_rows(fused, gt: GroundTruth, classes, thresholds):
+    """Per class: one (confidence, flag per threshold...) row per detection.
+
+    Rows are sorted by (-confidence, image id, rank in the image's slice):
+    images are visited in id order, each slice appends in rank order, and
+    the confidence sort is stable. So metrics are independent of image
+    iteration order.
     """
-    per_class: dict[int, list[tuple[float, str, int, bool]]] = {
-        c: [] for c in gt.classes()
-    }
-    image_ids = sorted(set(gt.entries) | set(fused))
-    for image_id in image_ids:
-        dets = list(fused.get(image_id, ()))
-        gt_boxes = gt.entries.get(image_id, ())
-        for cls in per_class:
-            cls_dets = [d for d in dets if d.cls == cls]
-            cls_gt = [g for g in gt_boxes if g.cls == cls]
-            matched = match_detections(cls_dets, cls_gt, iou_thresh)
-            for rank, (d, m) in enumerate(matched):
-                per_class[cls].append((d.confidence, image_id, rank, m))
-    for cls in per_class:
-        per_class[cls].sort(key=lambda t: (-t[0], t[1], t[2]))
-    return per_class
-
-
-def _filter_fused(fused, confidence_threshold: float):
-    return {
-        image_id: [d for d in dets if d.confidence >= confidence_threshold]
-        for image_id, dets in fused.items()
-    }
+    rows: dict[int, list[tuple]] = {c: [] for c in classes}
+    for image_id in sorted(fused):
+        gt_by_cls = _by_class(gt.entries.get(image_id, ()), rows)
+        for cls, dets in _by_class(fused[image_id], rows).items():
+            gt_boxes = gt_by_cls.get(cls, ())
+            order, candidates = _rank_slice(dets, gt_boxes)
+            columns = [_greedy_flags(candidates, len(gt_boxes), t) for t in thresholds]
+            rows[cls].extend(zip([dets[k].confidence for k in order], *columns))
+    for cls_rows in rows.values():
+        cls_rows.sort(key=itemgetter(0), reverse=True)
+    return rows
 
 
 def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsReport:
@@ -161,39 +185,34 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
 
     Aggregates are unweighted means over classes present in the ground truth.
     """
-    if not any(gt.entries.values()):
+    counts = gt.class_counts()
+    if not counts:
         raise EmptyGroundTruthError("ground truth contains no boxes")
-    kept = _filter_fused(fused, confidence_threshold)
-    lists_by_thresh = {t: _class_match_lists(kept, gt, t) for t in MAP_IOU_THRESHOLDS}
+    kept = {
+        image_id: [d for d in dets if d.confidence >= confidence_threshold]
+        for image_id, dets in fused.items()
+    }
+    rows = _match_rows(kept, gt, counts, MAP_IOU_THRESHOLDS)
     per_class: dict[int, ClassMetrics] = {}
-    for cls in gt.classes():
-        num_gt = gt.num_gt(cls)
-        flags_50 = [m for _, _, _, m in lists_by_thresh[0.5][cls]]
-        tp = sum(flags_50)
-        n_det = len(flags_50)
-        precision = tp / n_det if n_det else 0.0
-        recall = tp / num_gt if num_gt else 0.0
-        ap50 = average_precision(flags_50, num_gt)
-        ap_sum = ap50
-        for t in MAP_IOU_THRESHOLDS[1:]:
-            flags = [m for _, _, _, m in lists_by_thresh[t][cls]]
-            ap_sum += average_precision(flags, num_gt)
+    for cls, num_gt in counts.items():
+        flags = np.array([r[1:] for r in rows[cls]], dtype=bool)
+        flags = flags.reshape(-1, len(MAP_IOU_THRESHOLDS))  # also when no rows
+        tp = int(flags[:, 0].sum())
+        n_det = len(flags)
+        aps = [average_precision(column, num_gt) for column in flags.T]
         per_class[cls] = ClassMetrics(
-            precision=precision,
-            recall=recall,
-            ap50=ap50,
-            ap5095=ap_sum / len(MAP_IOU_THRESHOLDS),
+            precision=tp / n_det if n_det else 0.0,
+            recall=tp / num_gt,
+            ap50=aps[0],
+            ap5095=_running_sum(aps) / len(MAP_IOU_THRESHOLDS),
         )
-    present = [c for c in per_class if gt.num_gt(c) > 0]
-    if present:
-        agg = ClassMetrics(
-            precision=sum(per_class[c].precision for c in present) / len(present),
-            recall=sum(per_class[c].recall for c in present) / len(present),
-            ap50=sum(per_class[c].ap50 for c in present) / len(present),
-            ap5095=sum(per_class[c].ap5095 for c in present) / len(present),
-        )
-    else:
-        agg = ClassMetrics(0.0, 0.0, 0.0, 0.0)
+    n = len(per_class)
+    agg = ClassMetrics(
+        precision=sum(m.precision for m in per_class.values()) / n,
+        recall=sum(m.recall for m in per_class.values()) / n,
+        ap50=sum(m.ap50 for m in per_class.values()) / n,
+        ap5095=sum(m.ap5095 for m in per_class.values()) / n,
+    )
     return MetricsReport(
         per_class=per_class, aggregate=agg, confidence_threshold=confidence_threshold
     )
@@ -202,24 +221,28 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
 def f1_curve(fused, gt: GroundTruth, grid=DEFAULT_F1_GRID) -> F1Curve:
     """F1 per class and class-mean at every grid confidence.
 
-    Greedy matching is prefix-stable in confidence order, so the matches are
-    computed once and each grid point counts the prefix above it.
+    The detections are matched once; each grid point counts the prefix of
+    confidence-sorted rows at or above it (see the module docstring).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("confidence grid is empty")
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ValueError("confidence grid must be strictly ascending")
-    per_class = _class_match_lists(fused, gt, 0.5)
-    classes = [c for c in per_class if gt.num_gt(c) > 0]
+    counts = gt.class_counts()
+    rows = _match_rows(fused, gt, counts, (0.5,))
+    prefixes = []
+    for cls, num_gt in counts.items():
+        neg_conf = [-conf for conf, _ in rows[cls]]
+        cum_tp = list(accumulate((m for _, m in rows[cls]), initial=0))
+        prefixes.append((cls, num_gt, neg_conf, cum_tp))
     points = []
     for c_thresh in grid:
         f1_by_class: dict[int, float] = {}
-        for cls in classes:
-            rows = [t for t in per_class[cls] if t[0] >= c_thresh]
-            tp = sum(1 for t in rows if t[3])
-            num_gt = gt.num_gt(cls)
-            p = tp / len(rows) if rows else 0.0
+        for cls, num_gt, neg_conf, cum_tp in prefixes:
+            n_kept = bisect_right(neg_conf, -c_thresh)
+            tp = cum_tp[n_kept]
+            p = tp / n_kept if n_kept else 0.0
             r = tp / num_gt
             f1_by_class[cls] = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
         mean = (

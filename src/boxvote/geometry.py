@@ -46,11 +46,11 @@ def validate_box(b: Box) -> Box:
     """Return the box, clamping coordinates within CLAMP_SLOP of [0, 1].
 
     Raises InvalidBoxError on inverted corners, confidence outside [0, 1],
-    or coordinates beyond the slop.
+    or coordinates beyond the slop (NaN and infinities included).
     """
     coords = (b.x1, b.y1, b.x2, b.y2)
     for v in coords:
-        if v < -CLAMP_SLOP or v > 1.0 + CLAMP_SLOP:
+        if not (-CLAMP_SLOP <= v <= 1.0 + CLAMP_SLOP):  # also rejects NaN
             raise InvalidBoxError(f"coordinate {v!r} outside [0,1] beyond slop")
     if not (0.0 <= b.confidence <= 1.0):
         raise InvalidBoxError(f"confidence {b.confidence!r} outside [0,1]")

@@ -155,6 +155,36 @@ def oracle_average_precision(matched_flags, num_gt: int) -> float:
     return total / 101
 
 
+def oracle_match_flags(fused, gt_entries, iou_threshold):
+    """Per ground-truth class: (confidence, matched) for each detection.
+
+    Exhaustive greedy re-derivation over interval_iou. Within each image and
+    class, detections go by confidence descending, then ingestion order; each
+    scans every still-free ground-truth box of its image and class and takes
+    the one of highest IoU (lowest index on ties) if that IoU is positive and
+    reaches the threshold. Rows are returned sorted by confidence descending,
+    then image id, then rank within the image.
+    """
+    classes = sorted({g.cls for boxes in gt_entries.values() for g in boxes})
+    rows = {c: [] for c in classes}
+    for image_id in sorted(fused):
+        for cls in classes:
+            dets = [d for d in fused[image_id] if d.cls == cls]
+            gts = [g for g in gt_entries.get(image_id, ()) if g.cls == cls]
+            ranked = sorted(enumerate(dets), key=lambda t: (-t[1].confidence, t[0]))
+            free = set(range(len(gts)))
+            for rank, (_, d) in enumerate(ranked):
+                best = max(((interval_iou(d, gts[g]), -g) for g in free), default=None)
+                matched = best is not None and 0 < best[0] and best[0] >= iou_threshold
+                if matched:
+                    free.remove(-best[1])
+                rows[cls].append((d.confidence, image_id, rank, matched))
+    return {
+        c: [(t[0], t[3]) for t in sorted(r, key=lambda t: (-t[0], t[1], t[2]))]
+        for c, r in rows.items()
+    }
+
+
 def oracle_weights(sizes, cf_clamped, target_size):
     """Direct evaluation of the two weighting formulas."""
     alpha_ext = target_size / (target_size + sum(sizes.values()))

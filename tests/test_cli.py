@@ -186,3 +186,93 @@ class TestPipeline:
         assert methods == ["ours", "nms", "soft-nms", "wbf", "knowledge-vote"]
         timings = json.loads((out / "timings.json").read_text())
         assert "consensus_over_nms_ratio" in timings
+        assert timings["evaluation"] > 0
+
+
+def absolute_manifest_doc(scenario_dir):
+    """The scenario's manifest as a dict, with every path made absolute."""
+    doc = data_io.manifest_to_dict(data_io.parse_manifest(manifest_path(scenario_dir)))
+    for s in doc["sources"]:
+        s["detections_path"] = os.path.join(str(scenario_dir), s["detections_path"])
+    doc["target"]["ground_truth_path"] = os.path.join(
+        str(scenario_dir), doc["target"]["ground_truth_path"]
+    )
+    return doc
+
+
+def set_gate_default(value):
+    return lambda doc: doc["gates"].update(default=value)
+
+
+def set_fusion(key, value):
+    return lambda doc: doc["fusion"].update({key: value})
+
+
+MANIFEST_MUTATIONS = [
+    ("unchanged", lambda doc: None, 0),
+    ("default gate not a number", set_gate_default("abc"), 2),
+    ("default gate null", set_gate_default(None), 2),
+    ("per-class gate not a number",
+     lambda doc: doc["gates"].update(per_class={"class_0": "abc"}), 2),
+    ("per-class gate a list",
+     lambda doc: doc["gates"].update(per_class={"class_1": [0.5]}), 2),
+    ("soft_nms_sigma zero", set_fusion("soft_nms_sigma", 0), 2),
+    ("soft_nms_sigma negative", set_fusion("soft_nms_sigma", -0.5), 2),
+    ("soft_nms_sigma NaN", set_fusion("soft_nms_sigma", float("nan")), 2),
+    ("soft_nms_sigma infinite", set_fusion("soft_nms_sigma", float("inf")), 2),
+    ("soft_nms_sigma not a number", set_fusion("soft_nms_sigma", "wide"), 2),
+    ("iou_threshold not a number", set_fusion("iou_threshold", "abc"), 2),
+    ("score_floor not a number", set_fusion("score_floor", {}), 2),
+    ("model weight not a number", set_fusion("model_weights", [1, "x", 1]), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,code", [m[1:] for m in MANIFEST_MUTATIONS], ids=[m[0] for m in MANIFEST_MUTATIONS]
+)
+def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, code):
+    doc = absolute_manifest_doc(scenario_dir)
+    mutate(doc)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    rc = main(["fuse", "--manifest", str(mpath), "--algorithm", "soft-nms",
+               "--out", str(tmp_path / "o")])
+    assert rc == code
+    if code == 2:
+        assert "internal error" not in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    def test_nan_detection_coordinate_exit_3(self, scenario_dir, tmp_path):
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 nan 0.1 0.5 0.5 0.9\n")
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    def test_nan_ground_truth_coordinate_exit_3(self, scenario_dir, tmp_path):
+        doc = absolute_manifest_doc(scenario_dir)
+        gt = tmp_path / "gt.txt"
+        gt.write_text("img_00000 0 0.1 0.1 0.5 0.5\nimg_00001 1 0.1 nan 0.5 0.5\n")
+        doc["target"]["ground_truth_path"] = str(gt)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        rc = main(["eval", "--manifest", str(mpath), "--detections", str(dets),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_threshold_exit_2(self, scenario_dir, tmp_path, value):
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        out = tmp_path / "o"
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(out),
+                   f"--confidence-threshold={value}"])
+        assert rc == 2
+        assert not (out / "metrics.json").exists()
+        rc = main(["pipeline", "--scenario", "two_good_one_poison",
+                   "--out", str(tmp_path / "pp"), f"--confidence-threshold={value}"])
+        assert rc == 2

@@ -3,6 +3,8 @@ import pytest
 
 from boxvote.errors import EmptyGroundTruthError
 from boxvote.evaluation import (
+    DEFAULT_F1_GRID,
+    MAP_IOU_THRESHOLDS,
     GroundTruth,
     GroundTruthBox,
     average_precision,
@@ -11,7 +13,7 @@ from boxvote.evaluation import (
     match_detections,
 )
 from boxvote.geometry import Box, iou
-from oracles import oracle_average_precision, random_box
+from oracles import oracle_average_precision, oracle_match_flags, random_box
 
 
 def det(x1, y1, x2, y2, conf, cls=0):
@@ -48,6 +50,24 @@ class TestMatchDetections:
         # but gt1 must have gone to A (its higher-iou choice), not gt2
         out_single = match_detections([a], [gt1, gt2], 0.5)
         assert out_single == [(a, True)]
+
+    def test_iou_equal_to_threshold_matches(self):
+        # dyadic corners: the IoUs are exactly 0.5 and 0.75
+        g = gt_box(0, 0, 1, 1)
+        assert match_detections([det(0, 0, 0.5, 1, 0.9)], [g], 0.5)[0][1] is True
+        assert match_detections([det(0, 0, 0.75, 1, 0.9)], [g], 0.75)[0][1] is True
+        assert match_detections([det(0, 0, 0.75, 1, 0.9)], [g], 0.8)[0][1] is False
+
+    def test_iou_tie_goes_to_lower_index(self):
+        # d overlaps both boxes at exactly 2/3; e overlaps only g1 above 0.6
+        g0 = gt_box(0, 0, 0.75, 1)
+        g1 = gt_box(0.25, 0, 1, 1)
+        d = det(0.25, 0, 0.75, 1, 0.9)
+        e = det(0.25, 0, 1, 1, 0.8)
+        assert iou(d, g0) == iou(d, g1) == 2 / 3
+        assert iou(e, g0) == 0.5
+        assert match_detections([e, d], [g0, g1], 0.6) == [(d, True), (e, True)]
+        assert match_detections([e, d], [g1, g0], 0.6) == [(d, True), (e, False)]
 
 
 class TestAveragePrecision:
@@ -214,3 +234,104 @@ class TestF1Curve:
             f1_curve({}, gt, [0.5, 0.4])
         with pytest.raises(ValueError):
             f1_curve({}, gt, [])
+
+
+TIED_CONFIDENCES = (0.3, 0.5, 0.5, 0.9)
+
+
+def overlapping_fixture(rng, n_images=4):
+    """Ground truth plus detections jittered off it, duplicated, and random,
+    with about half the confidences drawn from a few tied values."""
+    gt, fused = {}, {}
+    for j in range(n_images):
+        iid = f"im{j}"
+        boxes = [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
+        gt[iid] = tuple(
+            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2) for b in boxes
+        )
+        dets = [random_box(rng) for _ in range(int(rng.integers(0, 3)))]
+        for b in boxes:
+            for _ in range(int(rng.integers(0, 4))):
+                dx1, dy1, dx2, dy2 = rng.uniform(-0.06, 0.06, 4)
+                x1 = min(0.998, max(0.0, round(b.x1 + dx1, 3)))
+                y1 = min(0.998, max(0.0, round(b.y1 + dy1, 3)))
+                x2 = min(1.0, max(x1 + 0.001, round(b.x2 + dx2, 3)))
+                y2 = min(1.0, max(y1 + 0.001, round(b.y2 + dy2, 3)))
+                dets.append(Box(cls=b.cls, x1=x1, y1=y1, x2=x2, y2=y2,
+                                confidence=b.confidence))
+        fused[iid] = [
+            d if rng.random() < 0.5
+            else Box(cls=d.cls, x1=d.x1, y1=d.y1, x2=d.x2, y2=d.y2,
+                     confidence=float(rng.choice(TIED_CONFIDENCES)))
+            for d in dets
+        ]
+        if dets and rng.random() < 0.5:  # an exact duplicate, same confidence
+            fused[iid].append(fused[iid][int(rng.integers(0, len(fused[iid])))])
+    return fused, GroundTruth(entries=gt)
+
+
+def above(fused, c):
+    return {k: [d for d in v if d.confidence >= c] for k, v in fused.items()}
+
+
+class TestMatchOnceAgainstOracle:
+    """evaluate and f1_curve against an exhaustive greedy matcher that
+    re-matches from scratch at every threshold and every grid point."""
+
+    def test_evaluate_matches_oracle(self):
+        rng = np.random.default_rng(131)
+        checked = 0
+        for _ in range(80):
+            fused, gt = overlapping_fixture(rng)
+            counts = {}
+            for boxes in gt.entries.values():
+                for b in boxes:
+                    counts[b.cls] = counts.get(b.cls, 0) + 1
+            if not counts:
+                continue
+            for conf in (0.0, 0.3, 0.5, 0.7):
+                kept = above(fused, conf)
+                by_thresh = [oracle_match_flags(kept, gt.entries, t) for t in MAP_IOU_THRESHOLDS]
+                report = evaluate(fused, gt, conf)
+                assert sorted(report.per_class) == sorted(counts)
+                for cls, num_gt in counts.items():
+                    flags = [[m for _, m in rows[cls]] for rows in by_thresh]
+                    n_det = len(flags[0])
+                    tp = sum(flags[0])
+                    aps = [oracle_average_precision(f, num_gt) for f in flags]
+                    got = report.per_class[cls]
+                    assert got.precision == pytest.approx(
+                        tp / n_det if n_det else 0.0, abs=1e-12)
+                    assert got.recall == pytest.approx(tp / num_gt, abs=1e-12)
+                    assert got.ap50 == pytest.approx(aps[0], abs=1e-12)
+                    assert got.ap5095 == pytest.approx(sum(aps) / len(aps), abs=1e-12)
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("grid", [
+        DEFAULT_F1_GRID[::7],
+        sorted({0.05, 0.29999, 0.3, 0.30001, 0.5, 0.7, 0.9, 0.95}),
+    ], ids=["default-grid-subsample", "tied-confidences"])
+    def test_f1_curve_matches_oracle(self, grid):
+        rng = np.random.default_rng(132)
+        for _ in range(40):
+            fused, gt = overlapping_fixture(rng)
+            counts = {}
+            for boxes in gt.entries.values():
+                for b in boxes:
+                    counts[b.cls] = counts.get(b.cls, 0) + 1
+            curve = f1_curve(fused, gt, grid)
+            assert [p[0] for p in curve.points] == list(grid)
+            for c_thresh, f1_by_class, mean in curve.points:
+                rows = oracle_match_flags(above(fused, c_thresh), gt.entries, 0.5)
+                want = {}
+                for cls, num_gt in counts.items():
+                    tp = sum(m for _, m in rows[cls])
+                    p = tp / len(rows[cls]) if rows[cls] else 0.0
+                    r = tp / num_gt
+                    want[cls] = 2 * p * r / (p + r) if p + r > 0 else 0.0
+                assert sorted(f1_by_class) == sorted(want)
+                for cls, f1 in want.items():
+                    assert f1_by_class[cls] == pytest.approx(f1, abs=1e-12)
+                want_mean = sum(want.values()) / len(want) if want else 0.0
+                assert mean == pytest.approx(want_mean, abs=1e-12)

@@ -97,3 +97,11 @@ class TestValidateBox:
             validate_box(box(0, 0, 1, 1, conf=1.5))
         with pytest.raises(InvalidBoxError):
             validate_box(box(0, 0, 1, 1, conf=-0.1))
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", range(4))
+    def test_non_finite_coordinate_rejected(self, v, axis):
+        coords = [0.1, 0.1, 0.9, 0.9]
+        coords[axis] = v
+        with pytest.raises(InvalidBoxError):
+            validate_box(box(*coords))
