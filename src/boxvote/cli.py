@@ -20,8 +20,8 @@ from . import data_io, synth
 from .errors import ConfigError, DataError
 from .evaluation import DEFAULT_F1_GRID, evaluate, f1_curve
 from .fusion import (
-    ConfidenceGates,
     KEEP_ALL,
+    FusionParams,
     apply_gates,
     knowledge_vote,
     nms,
@@ -60,16 +60,25 @@ def _count_boxes(per_image) -> int:
     return sum(len(ds.boxes) for ds in per_image.values())
 
 
-def run_fuse(manifest, ensemble, algorithm, threads=1, report=None, nms_iou=None):
+def _gate_dropped(ensemble: cf.SourceEnsemble, gates, flt) -> int:
+    """Source boxes that the confidence gates and the label filter remove."""
+    return sum(
+        len(ds.boxes) - len(apply_gates(ds, gates, flt).boxes)
+        for image_id in ensemble.target_image_ids
+        for ds in (src.for_image(image_id) for src in ensemble.sources)
+    )
+
+
+def run_fuse(manifest, ensemble, algorithm, threads=1, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
 
     NMS-family algorithms default to NMS_DEFAULT_IOU unless nms_iou overrides
-    it; the manifest's iou_threshold governs WBF clustering.
+    it; the manifest's iou_threshold governs WBF clustering. `consensus-wbf`
+    is the fused output of `run_consensus`.
     """
     params = manifest.fusion
     gates = manifest.gates
     flt = manifest.label_filter
-    gate_dropped = 0
 
     if algorithm in ("nms", "soft-nms"):
         fn = nms if algorithm == "nms" else soft_nms
@@ -83,37 +92,22 @@ def run_fuse(manifest, ensemble, algorithm, threads=1, report=None, nms_iou=None
         results = _pmap(one, ensemble.target_image_ids, threads)
         per_image = {ds.image_id: ds for ds in results}
     elif algorithm in ("wbf", "knowledge-vote"):
-        use_gates = gates if algorithm == "knowledge-vote" else ConfidenceGates()
-        use_flt = flt if algorithm == "knowledge-vote" else KEEP_ALL
-        if algorithm == "knowledge-vote":
-            for image_id in ensemble.target_image_ids:
-                for src in ensemble.sources:
-                    ds = src.for_image(image_id)
-                    gate_dropped += len(ds.boxes) - len(
-                        apply_gates(ds, use_gates, use_flt).boxes
-                    )
 
         def one(image_id):
             per_model = [s.for_image(image_id) for s in ensemble.sources]
-            fused = knowledge_vote(per_model, use_gates, use_flt, params) \
+            fused = knowledge_vote(per_model, gates, flt, params) \
                 if algorithm == "knowledge-vote" else wbf(per_model, params)
             return image_id, fused
 
         results = _pmap(one, ensemble.target_image_ids, threads)
         per_image = data_io.fused_to_detections(dict(results))
     elif algorithm == "consensus-wbf":
-        if report is None:
-            report = cf.consensus_focus_scores(ensemble, gates, flt, params)
-            report = cf.compute_weights(
-                report,
-                {s.source_id: s.dataset_size for s in ensemble.sources},
-                len(ensemble.target_image_ids),
-            )
-        fused = cf.weighted_fusion(ensemble, report, gates, flt, params)
+        _, fused, _ = run_consensus(manifest, ensemble)
         per_image = data_io.fused_to_detections(fused)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {ALGORITHMS}")
 
+    gated = algorithm in ("knowledge-vote", "consensus-wbf")
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),
@@ -121,7 +115,7 @@ def run_fuse(manifest, ensemble, algorithm, threads=1, report=None, nms_iou=None
             _count_boxes(s.detections) for s in ensemble.sources
         ),
         "output_boxes": _count_boxes(per_image),
-        "gate_dropped_boxes": gate_dropped,
+        "gate_dropped_boxes": _gate_dropped(ensemble, gates, flt) if gated else 0,
     }
     return per_image, summary
 
@@ -164,9 +158,7 @@ def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
         ground_truth_path="ground_truth.txt",
         gates=scenario.gates,
         label_filter=KEEP_ALL,
-        fusion=replace(
-            data_io.FusionParams(), model_weights=None
-        ),
+        fusion=FusionParams(),
         base_dir=str(out_dir),
     )
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -194,7 +186,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def run_consensus(manifest, ensemble, shapley=False, threads=1):
+def run_consensus(manifest, ensemble, shapley=False):
     report = cf.consensus_focus_scores(
         ensemble, manifest.gates, manifest.label_filter, manifest.fusion
     )
@@ -230,9 +222,7 @@ def cmd_consensus(args) -> int:
             "a single source takes the whole non-extended weight"
         )
     os.makedirs(args.out, exist_ok=True)
-    report, fused, dataset = run_consensus(
-        manifest, ensemble, shapley=args.shapley, threads=args.threads
-    )
+    report, fused, dataset = run_consensus(manifest, ensemble, shapley=args.shapley)
     data_io.write_contribution_report(
         report, os.path.join(args.out, "contribution_report.json")
     )
@@ -298,7 +288,7 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
         fused_files[algorithm] = per_image
 
     t0 = time.perf_counter()
-    report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley, threads=threads)
+    report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley)
     timings["consensus"] = time.perf_counter() - t0
     cdir = os.path.join(out_dir, "consensus")
     os.makedirs(cdir, exist_ok=True)
@@ -412,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--shapley", action="store_true")
     p.add_argument("--iou-threshold", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_consensus)
 
     p = sub.add_parser("eval", help="score a fused detection file")

@@ -8,6 +8,14 @@ Pseudo-label files append the support count as an eighth column. Ground truth
 uses the same layout without the confidence column. The manifest is a single
 JSON document. All writers are deterministic: sorted keys, floats at 9
 significant digits, so identical inputs produce byte-identical files.
+
+One reader (`_box_lines`) applies the same rules to all three text formats:
+blank lines and lines starting with `#` are skipped; each box line must have
+the format's field count; the class id is an integer >= 0; coordinates and
+confidence are floats in [0, 1], where coordinates up to
+`geometry.CLAMP_SLOP` outside are clamped and stored clamped; corners must
+not be inverted. Any violation raises ParseError naming the file and line
+(CLI exit 3).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .consensus import PseudoLabelDataset, SourceDomain, SourceEnsemble
 from .errors import InvalidBoxError, ManifestError, ParseError
@@ -67,43 +75,56 @@ def write_json(obj, path) -> None:
 # detection / ground-truth text files
 
 
+def _box_lines(path, field_counts, source=0, on_comment=None):
+    """Yield (line number, fields, validated Box) for each box line of a text file.
+
+    The one reader behind the detection, ground-truth and pseudo-label
+    formats (see the module docstring for the rules). `#` lines are passed to
+    `on_comment` as their fields, if given. A line without a confidence
+    column (ground truth) gets confidence 1.0.
+    """
+    where = str(path)
+    expected = " or ".join(map(str, field_counts))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            if parts[0].startswith("#"):
+                if on_comment is not None:
+                    on_comment(parts)
+                continue
+            if len(parts) not in field_counts:
+                raise ParseError(f"expected {expected} fields, got {len(parts)}", where, lineno)
+            try:
+                cls = int(parts[1])
+                x1, y1, x2, y2 = map(float, parts[2:6])
+                conf = float(parts[6]) if len(parts) > 6 else 1.0
+            except ValueError as exc:
+                raise ParseError(str(exc), where, lineno) from exc
+            if cls < 0:
+                raise ParseError(f"negative class id {cls}", where, lineno)
+            try:
+                box = validate_box(Box(cls, x1, y1, x2, y2, conf, source))
+            except InvalidBoxError as exc:
+                raise ParseError(str(exc), where, lineno) from exc
+            yield lineno, parts, box
+
+
 def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
     """Parse a detection file into per-image DetectionSets.
 
-    Zero-area boxes are dropped (with a warning carrying the count); invalid
-    boxes raise with file/line context. An optional eighth column (support
-    count from pseudo-label files) is tolerated and ignored here.
+    Zero-area boxes are dropped (with a warning carrying the count). An
+    optional eighth column (support count from pseudo-label files) is
+    tolerated and ignored here.
     """
     per_image: dict[str, list[Box]] = {}
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (7, 8):
-                raise ParseError(
-                    f"expected 7 or 8 fields, got {len(parts)}", str(path), lineno
-                )
-            try:
-                image_id = parts[0]
-                cls = int(parts[1])
-                x1, y1, x2, y2, conf = (float(v) for v in parts[2:7])
-            except ValueError as exc:
-                raise ParseError(str(exc), str(path), lineno) from exc
-            if cls < 0:
-                raise ParseError(f"negative class id {cls}", str(path), lineno)
-            try:
-                box = validate_box(
-                    Box(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2, confidence=conf, source=source)
-                )
-            except InvalidBoxError as exc:
-                raise ParseError(str(exc), str(path), lineno) from exc
-            if box.area() == 0.0:
-                dropped += 1
-                continue
-            per_image.setdefault(image_id, []).append(box)
+    for _, parts, box in _box_lines(path, (7, 8), source=source):
+        if box.area() == 0.0:
+            dropped += 1
+            continue
+        per_image.setdefault(parts[0], []).append(box)
     if dropped:
         log.warning("%s: dropped %d zero-area box(es)", path, dropped)
     return {
@@ -166,63 +187,32 @@ def write_pseudo_labels(dataset: PseudoLabelDataset, path) -> None:
 def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
     """Parse a pseudo-label file back into fused boxes (members are not stored)."""
     entries: dict[str, list[FusedBox]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) == 3 and parts[1] == "empty":
-                    entries.setdefault(parts[2], [])
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ParseError(
-                    f"expected 8 fields, got {len(parts)}", str(path), lineno
-                )
-            try:
-                image_id = parts[0]
-                cls = int(parts[1])
-                x1, y1, x2, y2, conf = (float(v) for v in parts[2:7])
-                n_b = int(parts[7])
-            except ValueError as exc:
-                raise ParseError(str(exc), str(path), lineno) from exc
-            if n_b < 1:
-                raise ParseError(f"support count {n_b} < 1", str(path), lineno)
-            entries.setdefault(image_id, []).append(
-                FusedBox(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2, confidence=conf,
-                         support_count=n_b, members=())
-            )
+
+    def mark_empty(parts):
+        if len(parts) == 3 and parts[1] == "empty":
+            entries.setdefault(parts[2], [])
+
+    for lineno, parts, b in _box_lines(path, (8,), on_comment=mark_empty):
+        try:
+            n_b = int(parts[7])
+        except ValueError as exc:
+            raise ParseError(str(exc), str(path), lineno) from exc
+        if n_b < 1:
+            raise ParseError(f"support count {n_b} < 1", str(path), lineno)
+        entries.setdefault(parts[0], []).append(
+            FusedBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2,
+                     confidence=b.confidence, support_count=n_b, members=())
+        )
     return entries
 
 
 def parse_ground_truth(path) -> GroundTruth:
     """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line."""
     entries: dict[str, list[GroundTruthBox]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected 6 fields, got {len(parts)}", str(path), lineno
-                )
-            try:
-                image_id = parts[0]
-                cls = int(parts[1])
-                x1, y1, x2, y2 = (float(v) for v in parts[2:6])
-            except ValueError as exc:
-                raise ParseError(str(exc), str(path), lineno) from exc
-            try:
-                validate_box(Box(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2, confidence=1.0))
-            except InvalidBoxError as exc:
-                raise ParseError(str(exc), str(path), lineno) from exc
-            entries.setdefault(image_id, []).append(
-                GroundTruthBox(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2)
-            )
+    for _, parts, b in _box_lines(path, (6,)):
+        entries.setdefault(parts[0], []).append(
+            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
+        )
     return GroundTruth(
         entries={k: tuple(v) for k, v in entries.items()}
     )
@@ -261,10 +251,14 @@ class EnsembleManifest:
     label_filter: LabelSpaceFilter
     fusion: FusionParams
     base_dir: str = "."
-    extra: dict = field(default_factory=dict)
 
     def resolve(self, path: str) -> str:
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
+        return _resolve(self.base_dir, path)
+
+
+def _resolve(base_dir: str, path: str) -> str:
+    """A manifest path relative to the manifest's directory, unless absolute."""
+    return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
 _TOP_KEYS = {"classes", "sources", "target", "gates", "filter", "fusion"}
@@ -281,17 +275,30 @@ _FUSION_KEYS = {
 }
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _object(value, allowed: set, where: str) -> dict:
+    """A manifest section: a JSON object with no keys outside `allowed`."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ManifestError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return value
 
 
 def _number(value, where: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"{where} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ManifestError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _require_file(base_dir: str, path: str, what: str) -> None:
+    resolved = _resolve(base_dir, path)
+    if not os.path.exists(resolved):
+        raise ManifestError(f"{what} file not found: {resolved}")
 
 
 def parse_manifest(path) -> EnsembleManifest:
@@ -303,7 +310,7 @@ def parse_manifest(path) -> EnsembleManifest:
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "manifest")
+    _object(doc, _TOP_KEYS, "manifest")
 
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
@@ -319,7 +326,7 @@ def parse_manifest(path) -> EnsembleManifest:
     sources = []
     seen = set()
     for s in raw_sources:
-        _reject_unknown(s, _SOURCE_KEYS, "source")
+        _object(s, _SOURCE_KEYS, "source")
         name = s.get("name")
         if not name or name in seen:
             raise ManifestError(f"missing or duplicate source name {name!r}")
@@ -327,9 +334,7 @@ def parse_manifest(path) -> EnsembleManifest:
         det_path = s.get("detections_path")
         if not det_path:
             raise ManifestError(f"source {name!r} has no detections_path")
-        resolved = det_path if os.path.isabs(det_path) else os.path.join(base_dir, det_path)
-        if not os.path.exists(resolved):
-            raise ManifestError(f"detections file not found: {resolved}")
+        _require_file(base_dir, det_path, "detections")
         size = s.get("dataset_size", 1)
         if not isinstance(size, int) or size < 1:
             raise ManifestError(f"source {name!r}: dataset_size must be a positive integer")
@@ -337,22 +342,16 @@ def parse_manifest(path) -> EnsembleManifest:
             ManifestSource(name=name, dataset_size=size, detections_path=det_path)
         )
 
-    target = doc.get("target", {})
-    _reject_unknown(target, _TARGET_KEYS, "target")
+    target = _object(doc.get("target", {}), _TARGET_KEYS, "target")
     image_ids = target.get("image_ids")
     gt_path = target.get("ground_truth_path")
     if gt_path is not None:
-        resolved = gt_path if os.path.isabs(gt_path) else os.path.join(base_dir, gt_path)
-        if not os.path.exists(resolved):
-            raise ManifestError(f"ground truth file not found: {resolved}")
+        _require_file(base_dir, gt_path, "ground truth")
 
-    raw_gates = doc.get("gates", {})
-    _reject_unknown(raw_gates, _GATE_KEYS, "gates")
-    per_class = raw_gates.get("per_class", {})
+    raw_gates = _object(doc.get("gates", {}), _GATE_KEYS, "gates")
+    per_class = _object(raw_gates.get("per_class", {}), set(class_ids), "gates.per_class")
     gates_map = {}
     for name, g in per_class.items():
-        if name not in class_ids:
-            raise ManifestError(f"gate references unknown class {name!r}")
         gate = _number(g, f"gate for {name!r}")
         if not (0.0 <= gate <= 1.0):
             raise ManifestError(f"gate for {name!r} outside [0,1]")
@@ -362,8 +361,7 @@ def parse_manifest(path) -> EnsembleManifest:
         raise ManifestError("default gate outside [0,1]")
     gates = ConfidenceGates(gates=gates_map, default_gate=default_gate)
 
-    raw_filter = doc.get("filter", {})
-    _reject_unknown(raw_filter, _FILTER_KEYS, "filter")
+    raw_filter = _object(doc.get("filter", {}), _FILTER_KEYS, "filter")
     mode = raw_filter.get("mode", "keep_all")
     listed = raw_filter.get("classes", [])
     filter_ids = set()
@@ -376,9 +374,10 @@ def parse_manifest(path) -> EnsembleManifest:
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
 
-    raw_fusion = doc.get("fusion", {})
-    _reject_unknown(raw_fusion, _FUSION_KEYS, "fusion")
+    raw_fusion = _object(doc.get("fusion", {}), _FUSION_KEYS, "fusion")
     weights = raw_fusion.get("model_weights")
+    if weights is not None and not isinstance(weights, list):
+        raise ManifestError(f"model_weights must be a list, got {weights!r}")
     fusion = FusionParams(
         iou_threshold=_number(raw_fusion.get("iou_threshold", 0.55), "iou_threshold"),
         soft_nms_sigma=_number(raw_fusion.get("soft_nms_sigma", 0.5), "soft_nms_sigma"),
@@ -394,8 +393,8 @@ def parse_manifest(path) -> EnsembleManifest:
         )
     if not (0.0 < fusion.iou_threshold < 1.0):
         raise ManifestError("iou_threshold must be in (0,1)")
-    if not (0.0 < fusion.soft_nms_sigma < math.inf):
-        raise ManifestError("soft_nms_sigma must be finite and > 0")
+    if fusion.soft_nms_sigma <= 0.0:
+        raise ManifestError("soft_nms_sigma must be > 0")
 
     return EnsembleManifest(
         classes=list(classes),

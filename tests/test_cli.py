@@ -97,6 +97,20 @@ class TestFuse:
         plain = (tmp_path / "wbf" / "fused.txt").read_bytes()
         assert kv == plain
 
+    def test_consensus_wbf_is_consensus_output_with_gate_count(self, scenario_dir, tmp_path):
+        man = manifest_path(scenario_dir)
+        assert main(["consensus", "--manifest", man, "--out", str(tmp_path / "cons")]) == 0
+        for alg in ("consensus-wbf", "knowledge-vote"):
+            assert main(["fuse", "--manifest", man, "--algorithm", alg,
+                         "--out", str(tmp_path / alg)]) == 0
+        fused = (tmp_path / "consensus-wbf" / "fused.txt").read_bytes()
+        assert fused == (tmp_path / "cons" / "fused.txt").read_bytes()
+        dropped = [
+            json.loads((tmp_path / alg / "summary.json").read_text())["gate_dropped_boxes"]
+            for alg in ("consensus-wbf", "knowledge-vote")
+        ]
+        assert dropped[0] == dropped[1] > 0
+
 
 class TestConsensus:
     def test_artifacts_and_poison_min_alpha(self, scenario_dir, tmp_path):
@@ -175,6 +189,20 @@ class TestEval:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_negative_ground_truth_class_exit_3(self, scenario_dir, tmp_path):
+        doc = absolute_manifest_doc(scenario_dir)
+        gt = tmp_path / "gt.txt"
+        gt.write_text("img_00000 0 0.1 0.1 0.5 0.5\nimg_00001 -1 0.1 0.1 0.5 0.5\n")
+        doc["target"]["ground_truth_path"] = str(gt)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        rc = main(["eval", "--manifest", str(mpath), "--detections", str(dets),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert not (tmp_path / "o" / "metrics.json").exists()
+
 
 class TestPipeline:
     def test_comparison_table_has_all_methods(self, tmp_path):
@@ -208,29 +236,42 @@ def set_fusion(key, value):
     return lambda doc: doc["fusion"].update({key: value})
 
 
+# (id, mutation, exit code, text that a code-2 message must contain: the field)
 MANIFEST_MUTATIONS = [
-    ("unchanged", lambda doc: None, 0),
-    ("default gate not a number", set_gate_default("abc"), 2),
-    ("default gate null", set_gate_default(None), 2),
+    ("unchanged", lambda doc: None, 0, None),
+    ("default gate not a number", set_gate_default("abc"), 2, "default gate"),
+    ("default gate null", set_gate_default(None), 2, "default gate"),
     ("per-class gate not a number",
-     lambda doc: doc["gates"].update(per_class={"class_0": "abc"}), 2),
+     lambda doc: doc["gates"].update(per_class={"class_0": "abc"}), 2, "class_0"),
     ("per-class gate a list",
-     lambda doc: doc["gates"].update(per_class={"class_1": [0.5]}), 2),
-    ("soft_nms_sigma zero", set_fusion("soft_nms_sigma", 0), 2),
-    ("soft_nms_sigma negative", set_fusion("soft_nms_sigma", -0.5), 2),
-    ("soft_nms_sigma NaN", set_fusion("soft_nms_sigma", float("nan")), 2),
-    ("soft_nms_sigma infinite", set_fusion("soft_nms_sigma", float("inf")), 2),
-    ("soft_nms_sigma not a number", set_fusion("soft_nms_sigma", "wide"), 2),
-    ("iou_threshold not a number", set_fusion("iou_threshold", "abc"), 2),
-    ("score_floor not a number", set_fusion("score_floor", {}), 2),
-    ("model weight not a number", set_fusion("model_weights", [1, "x", 1]), 2),
+     lambda doc: doc["gates"].update(per_class={"class_1": [0.5]}), 2, "class_1"),
+    ("soft_nms_sigma zero", set_fusion("soft_nms_sigma", 0), 2, "soft_nms_sigma"),
+    ("soft_nms_sigma negative", set_fusion("soft_nms_sigma", -0.5), 2, "soft_nms_sigma"),
+    ("soft_nms_sigma NaN", set_fusion("soft_nms_sigma", float("nan")), 2, "soft_nms_sigma"),
+    ("soft_nms_sigma infinite", set_fusion("soft_nms_sigma", float("inf")), 2,
+     "soft_nms_sigma"),
+    ("soft_nms_sigma not a number", set_fusion("soft_nms_sigma", "wide"), 2,
+     "soft_nms_sigma"),
+    ("iou_threshold not a number", set_fusion("iou_threshold", "abc"), 2, "iou_threshold"),
+    ("score_floor not a number", set_fusion("score_floor", {}), 2, "score_floor"),
+    ("model weight not a number", set_fusion("model_weights", [1, "x", 1]), 2,
+     "model weight"),
+    ("model_weights not a list", set_fusion("model_weights", 5), 2, "model_weights"),
+    ("gates.per_class a list", lambda doc: doc["gates"].update(per_class=[0.5]), 2,
+     "per_class"),
+    ("source not an object", lambda doc: doc["sources"].append(7), 2, "source"),
+    ("score_floor NaN", set_fusion("score_floor", float("nan")), 2, "score_floor"),
+    ("target not an object", lambda doc: doc.update(target=[1]), 2,
+     "target must be an object"),
 ]
 
 
 @pytest.mark.parametrize(
-    "mutate,code", [m[1:] for m in MANIFEST_MUTATIONS], ids=[m[0] for m in MANIFEST_MUTATIONS]
+    "mutate,code,needle",
+    [m[1:] for m in MANIFEST_MUTATIONS],
+    ids=[m[0] for m in MANIFEST_MUTATIONS],
 )
-def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, code):
+def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, code, needle):
     doc = absolute_manifest_doc(scenario_dir)
     mutate(doc)
     mpath = tmp_path / "m.json"
@@ -239,7 +280,9 @@ def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, cod
                "--out", str(tmp_path / "o")])
     assert rc == code
     if code == 2:
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert needle in err
 
 
 class TestNonFiniteInput:

@@ -3,13 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxvote import data_io
 from boxvote.consensus import ContributionReport, PseudoLabelDataset
 from boxvote.errors import ManifestError, ParseError
 from boxvote.evaluation import F1Curve
 from boxvote.fusion import FusedBox
-from boxvote.geometry import Box, DetectionSet
+from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
 
 
@@ -102,6 +104,85 @@ class TestPseudoLabelFiles:
         data_io.write_pseudo_labels(ds, p1)
         data_io.write_pseudo_labels(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "im0 0 nan 0.1 0.5 0.5 0.9 1",
+            "im0 0 0.6 0.1 0.5 0.5 0.9 1",
+            "im0 0 0.1 0.1 0.5 0.5 7.0 1",
+            "im0 -2 0.1 0.1 0.5 0.5 0.9 1",
+        ],
+        ids=["nan coordinate", "inverted corners", "confidence above 1", "negative class"],
+    )
+    def test_invalid_box_rejected(self, tmp_path, line):
+        p = tmp_path / "pl.txt"
+        p.write_text(f"# empty im1\n{line}\n")
+        with pytest.raises(ParseError) as exc:
+            data_io.parse_pseudo_labels(p)
+        assert exc.value.line == 2
+
+
+class TestGroundTruthFiles:
+    def test_coordinate_within_slop_stored_clamped(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("im0 0 -5e-07 0.1 1.0000005 0.5\n")
+        [b] = data_io.parse_ground_truth(p).entries["im0"]
+        assert (b.x1, b.y1, b.x2, b.y2) == (0.0, 0.1, 1.0, 0.5)
+
+
+# Arbitrary text lines, plus box-shaped lines whose fields sit on and around
+# the reader's limits, so that both accepted and rejected lines are common.
+_NUMBER = st.one_of(
+    st.floats(-0.1, 1.1).map(repr),
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "-5e-07", "1.0000005", "1e999", "1_0"]),
+)
+_FIELD = st.one_of(_NUMBER, st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+_LINE = st.one_of(
+    st.lists(_FIELD, max_size=9).map(" ".join),
+    st.tuples(st.integers(-1, 3), st.lists(_NUMBER, min_size=4, max_size=6)).map(
+        lambda t: " ".join(["im0", str(t[0])] + t[1])
+    ),
+    st.sampled_from(["", "#", "# empty im1", "  # note"]),
+)
+
+# What each public parser returns, flattened to Boxes that validate_box can check.
+_PARSED_BOXES = {
+    "detections": (
+        data_io.parse_detections,
+        lambda out: [b for ds in out.values() for b in ds.boxes],
+    ),
+    "ground truth": (
+        data_io.parse_ground_truth,
+        lambda gt: [Box(b.cls, b.x1, b.y1, b.x2, b.y2, 1.0)
+                    for boxes in gt.entries.values() for b in boxes],
+    ),
+    "pseudo-labels": (
+        data_io.parse_pseudo_labels,
+        lambda out: [Box(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence)
+                     for boxes in out.values() for f in boxes],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "lines.txt"
+
+
+@pytest.mark.parametrize("fmt", list(_PARSED_BOXES))
+@settings(max_examples=120, deadline=None)
+@given(lines=st.lists(_LINE, max_size=6))
+def test_reader_accepts_valid_boxes_or_raises_parse_error(fuzz_file, fmt, lines):
+    parse, boxes_of = _PARSED_BOXES[fmt]
+    fuzz_file.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        out = parse(fuzz_file)
+    except ParseError:
+        return
+    for b in boxes_of(out):
+        assert validate_box(b) == b
 
 
 def minimal_manifest(tmp_path, **overrides):
