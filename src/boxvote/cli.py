@@ -1,6 +1,8 @@
 """Command-line driver: simulate -> fuse -> consensus -> eval.
 
 Exit codes: 0 ok, 1 internal fault, 2 config error, 3 data/parse error.
+`--debug` re-raises an internal fault instead of exiting 1; `--log-level`
+sets which log messages (such as dropped zero-area boxes) reach stderr.
 All randomness flows from scenario seeds; artifacts are deterministic, with
 the single exception of timings.json (wall-clock measurements).
 """
@@ -8,6 +10,7 @@ the single exception of timings.json (wall-clock measurements).
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import sys
@@ -31,6 +34,7 @@ from .fusion import (
 from .geometry import DetectionSet
 
 ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote", "consensus-wbf")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 NMS_DEFAULT_IOU = 0.5
 DEFAULT_CONF_THRESHOLD = 0.0001
 
@@ -239,6 +243,8 @@ def cmd_consensus(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
+    if not os.path.isfile(args.detections):
+        raise ConfigError(f"--detections file not found: {args.detections}")
     manifest, ensemble, gt = _load(args)
     if gt is None:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
@@ -380,6 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boxvote",
         description="Detection-ensemble fusion with source contribution weighting",
     )
+    parser.add_argument(
+        "--log-level", type=str.upper, default="WARNING", choices=LOG_LEVELS,
+        help="messages at this level and above go to standard error (default WARNING)",
+    )
+    parser.add_argument(
+        "--debug", action="store_true",
+        help="re-raise an internal fault with its traceback instead of exiting 1",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a pinned synthetic scenario")
@@ -426,6 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the handler lives for this call only, so repeated in-process calls add none
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("boxvote")
+    saved_level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -435,8 +456,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - internal fault -> exit 1
-        print(f"internal error: {exc}", file=sys.stderr)
+        if args.debug:
+            raise
+        print(f"internal error: {exc} (rerun with --debug for the traceback)",
+              file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 if __name__ == "__main__":

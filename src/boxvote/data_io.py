@@ -24,10 +24,11 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .consensus import PseudoLabelDataset, SourceDomain, SourceEnsemble
-from .errors import InvalidBoxError, ManifestError, ParseError
+from .errors import InvalidBoxError, ManifestError, NegativeWeightError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
 from .fusion import ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
 from .geometry import Box, DetectionSet, validate_box
@@ -85,30 +86,35 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
     """
     where = str(path)
     expected = " or ".join(map(str, field_counts))
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0].startswith("#"):
-                if on_comment is not None:
-                    on_comment(parts)
-                continue
-            if len(parts) not in field_counts:
-                raise ParseError(f"expected {expected} fields, got {len(parts)}", where, lineno)
-            try:
-                cls = int(parts[1])
-                x1, y1, x2, y2 = map(float, parts[2:6])
-                conf = float(parts[6]) if len(parts) > 6 else 1.0
-            except ValueError as exc:
-                raise ParseError(str(exc), where, lineno) from exc
-            if cls < 0:
-                raise ParseError(f"negative class id {cls}", where, lineno)
-            try:
-                box = validate_box(Box(cls, x1, y1, x2, y2, conf, source))
-            except InvalidBoxError as exc:
-                raise ParseError(str(exc), where, lineno) from exc
-            yield lineno, parts, box
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                parts = raw.split()
+                if not parts:
+                    continue
+                if parts[0].startswith("#"):
+                    if on_comment is not None:
+                        on_comment(parts)
+                    continue
+                if len(parts) not in field_counts:
+                    raise ParseError(f"expected {expected} fields, got {len(parts)}", where, lineno)
+                try:
+                    cls = int(parts[1])
+                    x1, y1, x2, y2 = map(float, parts[2:6])
+                    conf = float(parts[6]) if len(parts) > 6 else 1.0
+                except ValueError as exc:
+                    raise ParseError(str(exc), where, lineno) from exc
+                if cls < 0:
+                    raise ParseError(f"negative class id {cls}", where, lineno)
+                try:
+                    box = validate_box(Box(cls, x1, y1, x2, y2, conf, source))
+                except InvalidBoxError as exc:
+                    raise ParseError(str(exc), where, lineno) from exc
+                yield lineno, parts, box
+    except UnicodeDecodeError as exc:
+        # text is decoded in chunks, so the bad byte is on this line or a later one
+        raise ParseError(f"not UTF-8 text at line {lineno + 1} or later: {exc}", where) from exc
 
 
 def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
@@ -286,6 +292,9 @@ def _object(value, allowed: set, where: str) -> dict:
 
 
 def _number(value, where: str) -> float:
+    """A finite manifest number; JSON true/false are not numbers here."""
+    if isinstance(value, bool):
+        raise ManifestError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -293,6 +302,22 @@ def _number(value, where: str) -> float:
     if not math.isfinite(number):
         raise ManifestError(f"{where} must be finite, got {value!r}")
     return number
+
+
+def _string_list(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ManifestError(f"{where} must be a list of strings, got {value!r}")
+    return value
+
+
+def _weight(value) -> float:
+    weight = _number(value, "model weight")
+    if weight < 0.0:
+        raise NegativeWeightError(
+            f"model weight in fusion.model_weights must be >= 0 (0 excludes a model), "
+            f"got {value!r}"
+        )
+    return weight
 
 
 def _require_file(base_dir: str, path: str, what: str) -> None:
@@ -306,14 +331,16 @@ def parse_manifest(path) -> EnsembleManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     _object(doc, _TOP_KEYS, "manifest")
 
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not classes:
+    classes = _string_list(doc.get("classes"), "classes")
+    if not classes:
         raise ManifestError("manifest needs a non-empty 'classes' list")
     if len(set(classes)) != len(classes):
         raise ManifestError("class names must be unique")
@@ -328,15 +355,15 @@ def parse_manifest(path) -> EnsembleManifest:
     for s in raw_sources:
         _object(s, _SOURCE_KEYS, "source")
         name = s.get("name")
-        if not name or name in seen:
+        if not isinstance(name, str) or not name or name in seen:
             raise ManifestError(f"missing or duplicate source name {name!r}")
         seen.add(name)
         det_path = s.get("detections_path")
-        if not det_path:
-            raise ManifestError(f"source {name!r} has no detections_path")
+        if not det_path or not isinstance(det_path, str):
+            raise ManifestError(f"source {name!r} has no detections_path string")
         _require_file(base_dir, det_path, "detections")
         size = s.get("dataset_size", 1)
-        if not isinstance(size, int) or size < 1:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise ManifestError(f"source {name!r}: dataset_size must be a positive integer")
         sources.append(
             ManifestSource(name=name, dataset_size=size, detections_path=det_path)
@@ -344,8 +371,15 @@ def parse_manifest(path) -> EnsembleManifest:
 
     target = _object(doc.get("target", {}), _TARGET_KEYS, "target")
     image_ids = target.get("image_ids")
+    if image_ids is not None:
+        _string_list(image_ids, "target.image_ids")
+        repeated = sorted(i for i, n in Counter(image_ids).items() if n > 1)
+        if repeated:
+            raise ManifestError(f"duplicate id(s) {repeated} in target.image_ids")
     gt_path = target.get("ground_truth_path")
     if gt_path is not None:
+        if not isinstance(gt_path, str):
+            raise ManifestError(f"target.ground_truth_path must be a string, got {gt_path!r}")
         _require_file(base_dir, gt_path, "ground truth")
 
     raw_gates = _object(doc.get("gates", {}), _GATE_KEYS, "gates")
@@ -363,7 +397,7 @@ def parse_manifest(path) -> EnsembleManifest:
 
     raw_filter = _object(doc.get("filter", {}), _FILTER_KEYS, "filter")
     mode = raw_filter.get("mode", "keep_all")
-    listed = raw_filter.get("classes", [])
+    listed = _string_list(raw_filter.get("classes", []), "filter.classes")
     filter_ids = set()
     for name in listed:
         if name not in class_ids:
@@ -383,7 +417,7 @@ def parse_manifest(path) -> EnsembleManifest:
         soft_nms_sigma=_number(raw_fusion.get("soft_nms_sigma", 0.5), "soft_nms_sigma"),
         score_floor=_number(raw_fusion.get("score_floor", 0.001), "score_floor"),
         model_weights=(
-            tuple(_number(w, "model weight") for w in weights) if weights else None
+            tuple(_weight(w) for w in weights) if weights else None
         ),
         confidence_rescale=raw_fusion.get("confidence_rescale", "none"),
     )

@@ -44,6 +44,10 @@ class WeightArityMismatchError(ConfigError):
     """model_weights length does not match the number of source models."""
 
 
+class NegativeWeightError(WeightArityMismatchError):
+    """A model weight is negative; a weight of 0 excludes its model."""
+
+
 class EmptySubsetError(ConfigError):
     """Consensus quality requested for an empty source subset."""
 

@@ -3,6 +3,32 @@
 All four map detections for a single image to a fused result. Boxes of
 different classes never interact. Every function is pure; callers may fuse
 different images in parallel freely.
+
+NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
+boxes by class and sorts each group once, by the algorithm's priority; then
+one greedy pass runs over each group:
+
+- NMS keeps a box iff no kept box before it overlaps it beyond the threshold.
+- Soft-NMS repeatedly takes the first maximum confidence of the group, which
+  is kept in (source, index) order, and decays the rest by
+  exp(-iou^2 / sigma) instead of re-sorting after every pick.
+- WBF puts each box into the first cluster whose fused box overlaps it, and
+  keeps running sums per cluster instead of re-summing it on every join.
+
+Overlaps come from one numpy IoU table per class group of at least
+`TABLE_MIN` boxes (`_iou_table`). It uses the same IEEE operations as
+`geometry.iou`, so each entry equals the scalar call bit for bit; it is
+built, used and dropped within the group, and nothing is cached across
+calls. Smaller groups call `iou` per pair as the sweep needs it. Sparse
+detector output has about 3 boxes per class group, and consensus scoring
+fuses such images tens of thousands of times: there, building a table or
+any other per-group numpy work costs more than the few scalar calls it
+saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. The
+crossover measured at about 16 boxes.
+
+Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
+to round like the C library's `exp`, and on dense detector output it gave
+different last bits, which change output bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import WeightArityMismatchError
+import numpy as np
+
+from .errors import NegativeWeightError, WeightArityMismatchError
 from .geometry import Box, DetectionSet, iou
 
 
@@ -83,87 +111,231 @@ def apply_gates(
     return DetectionSet(dets.image_id, kept)
 
 
-def _by_confidence(indexed):
+# Class groups of at least this many boxes read their overlaps from one numpy
+# IoU table; smaller groups call `iou` per pair (see the module docstring).
+TABLE_MIN = 16
+
+
+def _priority(item):
     # deterministic order: confidence desc, then source, then ingestion index
-    return sorted(indexed, key=lambda t: (-t[0].confidence, t[0].source, t[1]))
+    return (-item[0].confidence, item[0].source, item[1])
+
+
+def _source_order(item):
+    return (item[0].source, item[1])
+
+
+def _weighted_priority(item):
+    return (-(item[0].confidence * item[2]), item[0].source, item[1])
+
+
+def _class_groups(weighted_sets, key):
+    """(class, items) for each class in ascending order, each group sorted once by `key`.
+
+    `weighted_sets` holds (boxes, weight) pairs; an item is (box, index of the
+    box in its set, weight).
+    """
+    by_class: dict[int, list] = {}
+    for boxes, w in weighted_sets:
+        for idx, b in enumerate(boxes):
+            by_class.setdefault(b.cls, []).append((b, idx, w))
+    return [(cls, sorted(by_class[cls], key=key)) for cls in sorted(by_class)]
+
+
+def _iou_table(boxes) -> np.ndarray:
+    """Symmetric matrix whose entry [i, j] equals iou(boxes[i], boxes[j]) bit for bit.
+
+    Same IEEE operations as `geometry.iou`: corner max/min, iw * ih,
+    (area_i + area_j) - inter with max(0, .) areas, and 0 where the
+    intersection is empty or the union is not positive.
+    """
+    x1, y1, x2, y2 = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T
+    # in-place steps keep the transient n x n arrays few; the results are the same
+    iw = np.minimum.outer(x2, x2)
+    iw -= np.maximum.outer(x1, x1)
+    ih = np.minimum.outer(y2, y2)
+    ih -= np.maximum.outer(y1, y1)
+    overlap = iw > 0.0
+    overlap &= ih > 0.0
+    iw *= ih  # the intersection area
+    del ih
+    area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
+    union = np.add.outer(area, area)
+    union -= iw
+    overlap &= union > 0.0
+    table = np.zeros_like(iw)
+    np.divide(iw, union, out=table, where=overlap)
+    return table
+
+
+def _nms_keep(boxes, threshold: float) -> list[int]:
+    """Positions of the boxes (in priority order) that greedy suppression keeps."""
+    kept = []
+    if len(boxes) >= TABLE_MIN:
+        over = _iou_table(boxes) > threshold
+        suppressed = np.zeros(len(boxes), dtype=bool)
+        for i in range(len(boxes)):
+            if not suppressed[i]:
+                kept.append(i)
+                suppressed |= over[i]
+        return kept
+    for i, b in enumerate(boxes):
+        for k in kept:
+            if iou(b, boxes[k]) > threshold:
+                break
+        else:
+            kept.append(i)
+    return kept
 
 
 def nms(dets: DetectionSet, params: FusionParams) -> DetectionSet:
     """Greedy per-class suppression at params.iou_threshold."""
-    kept: list[tuple[Box, int]] = []
-    by_class: dict[int, list[tuple[Box, int]]] = {}
-    for idx, b in enumerate(dets.boxes):
-        by_class.setdefault(b.cls, []).append((b, idx))
-    for cls in sorted(by_class):
-        candidates = _by_confidence(by_class[cls])
-        chosen: list[tuple[Box, int]] = []
-        for b, idx in candidates:
-            if all(iou(b, k) <= params.iou_threshold for k, _ in chosen):
-                chosen.append((b, idx))
-        kept.extend(chosen)
-    return DetectionSet(dets.image_id, tuple(b for b, _ in _by_confidence(kept)))
+    kept = []
+    for _, group in _class_groups([(dets.boxes, 1.0)], _priority):
+        boxes = [b for b, _, _ in group]
+        kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
+    kept.sort(key=_priority)
+    return DetectionSet(dets.image_id, tuple(item[0] for item in kept))
+
+
+def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
+    """(position, decayed confidence) of each box soft-NMS keeps, in pick order.
+
+    `boxes` are in (source, index) order, so the first maximum of the
+    confidences is the box that the (-confidence, source, index) order puts
+    first. The first pick is taken before any box is checked against `floor`.
+    """
+    table = _iou_table(boxes) if len(boxes) >= TABLE_MIN else None
+    conf = [b.confidence for b in boxes]
+    alive = list(range(len(boxes)))
+    picks = []
+    while alive:
+        top = max(alive, key=conf.__getitem__)
+        picks.append((top, conf[top]))
+        row = table[top].tolist() if table is not None else None
+        survivors = []
+        for j in alive:
+            if j == top:
+                continue
+            ov = row[j] if row is not None else iou(boxes[top], boxes[j])
+            if ov > 0.0:
+                conf[j] *= math.exp(-(ov * ov) / sigma)
+            if conf[j] >= floor:
+                survivors.append(j)
+        alive = survivors
+    return picks
 
 
 def soft_nms(dets: DetectionSet, params: FusionParams) -> DetectionSet:
     """Gaussian soft-NMS: decay overlapping same-class confidences instead of
     discarding, then drop boxes below params.score_floor."""
-    out: list[tuple[Box, int]] = []
-    by_class: dict[int, list[tuple[Box, int]]] = {}
-    for idx, b in enumerate(dets.boxes):
-        by_class.setdefault(b.cls, []).append((b, idx))
-    for cls in sorted(by_class):
-        remaining = list(by_class[cls])
-        while remaining:
-            remaining.sort(key=lambda t: (-t[0].confidence, t[0].source, t[1]))
-            top, top_idx = remaining.pop(0)
-            out.append((top, top_idx))
-            decayed = []
-            for b, idx in remaining:
-                ov = iou(top, b)
-                if ov > 0.0:
-                    factor = math.exp(-(ov * ov) / params.soft_nms_sigma)
-                    b = replace(b, confidence=b.confidence * factor)
-                if b.confidence >= params.score_floor:
-                    decayed.append((b, idx))
-            remaining = decayed
-    return DetectionSet(dets.image_id, tuple(b for b, _ in _by_confidence(out)))
+    out = []
+    for _, group in _class_groups([(dets.boxes, 1.0)], _source_order):
+        boxes = [b for b, _, _ in group]
+        for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
+            b, idx, _ = group[i]
+            out.append((b if c == b.confidence else replace(b, confidence=c), idx))
+    out.sort(key=_priority)
+    return DetectionSet(dets.image_id, tuple(b for b, _ in out))
 
 
-def _fuse_cluster(members: list[tuple[Box, float, int]]) -> tuple[float, float, float, float, float]:
-    """Fused (x1, y1, x2, y2, confidence) of a cluster of (box, weight, order) members.
+_NO_SUMS = (0.0,) * 7
+
+
+def _add_member(s, item) -> tuple:
+    """Sums (cw, w, cw*x1, cw*y1, cw*x2, cw*y2, w*conf) with a (box, index, weight) item added.
+
+    cw is confidence * weight. Adding the members in order, starting from
+    `_NO_SUMS`, gives the same floats as summing them from scratch.
+    """
+    b, _, w = item
+    cw_sum, w_sum, x1, y1, x2, y2, conf = s
+    cw = b.confidence * w
+    return (
+        cw_sum + cw,
+        w_sum + w,
+        x1 + cw * b.x1,
+        y1 + cw * b.y1,
+        x2 + cw * b.x2,
+        y2 + cw * b.y2,
+        conf + w * b.confidence,
+    )
+
+
+def _fused(s, first: Box) -> tuple[float, float, float, float, float]:
+    """Fused (x1, y1, x2, y2, confidence) of a cluster of two or more members.
 
     Coordinates are the confidence*weight-weighted average; confidence is the
-    weight-weighted mean. A singleton cluster passes its box through exactly.
+    weight-weighted mean. Without positive mass the first member's box is
+    kept at confidence 0.
     """
-    if len(members) == 1:
-        b = members[0][0]
-        return b.x1, b.y1, b.x2, b.y2, b.confidence
-    cw_sum = 0.0
-    w_sum = 0.0
-    x1 = y1 = x2 = y2 = 0.0
-    conf = 0.0
-    for b, w, _ in members:
-        cw = b.confidence * w
-        cw_sum += cw
-        w_sum += w
-        x1 += cw * b.x1
-        y1 += cw * b.y1
-        x2 += cw * b.x2
-        y2 += cw * b.y2
-        conf += w * b.confidence
+    cw_sum, w_sum, x1, y1, x2, y2, conf = s
     if cw_sum <= 0.0 or w_sum <= 0.0:
-        b = members[0][0]
-        return b.x1, b.y1, b.x2, b.y2, 0.0
+        return first.x1, first.y1, first.x2, first.y2, 0.0
     return x1 / cw_sum, y1 / cw_sum, x2 / cw_sum, y2 / cw_sum, conf / w_sum
 
 
-class _FusedView:
-    """Lightweight corner view so iou() can compare against a running cluster."""
+def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
+    """Cluster one class group (in weighted priority order) and append its FusedBoxes.
 
-    __slots__ = ("x1", "y1", "x2", "y2")
-
-    def __init__(self, coords):
-        self.x1, self.y1, self.x2, self.y2 = coords
+    Each item joins the first cluster whose fused box overlaps it beyond
+    params.iou_threshold, else starts a new cluster. A one-member cluster's
+    fused box is its box, so the IoU table answers for it when there is one;
+    a larger cluster keeps running sums (see `_add_member`), and its fused box
+    is built when it is next compared, and compared with `iou`.
+    """
+    threshold = params.iou_threshold
+    table = _iou_table([b for b, _, _ in group]) if len(group) >= TABLE_MIN else None
+    clusters: list[list] = []  # member items, in join order
+    sums: list = []  # running sums of a cluster with two or more members, else None
+    views: list = []  # the box of a one-member cluster, else its fused Box or None
+    leaders: list[int] = []  # group position of a one-member cluster's box, else -1
+    for i, item in enumerate(group):
+        b = item[0]
+        row = table[i].tolist() if table is not None else None
+        for ci, view in enumerate(views):
+            if row is not None and leaders[ci] >= 0:
+                ov = row[leaders[ci]]
+            else:
+                if view is None:
+                    view = views[ci] = Box(cls, *_fused(sums[ci], clusters[ci][0][0]))
+                ov = iou(b, view)
+            if ov > threshold:
+                break
+        else:
+            clusters.append([item])
+            sums.append(None)
+            views.append(b)
+            leaders.append(i)
+            continue
+        members = clusters[ci]
+        members.append(item)
+        if sums[ci] is None:
+            sums[ci] = _add_member(_NO_SUMS, members[0])
+            leaders[ci] = -1
+        sums[ci] = _add_member(sums[ci], item)
+        views[ci] = None
+    for members, s in zip(clusters, sums):
+        first = members[0][0]
+        if s is None:
+            x1, y1, x2, y2, conf = first.x1, first.y1, first.x2, first.y2, first.confidence
+        else:
+            x1, y1, x2, y2, conf = _fused(s, first)
+        n_b = len({b.source for b, _, _ in members})
+        if params.confidence_rescale == "support_ratio":
+            conf = conf * (min(n_b, n_active) / n_active)
+        out.append(
+            FusedBox(
+                cls=cls,
+                x1=x1,
+                y1=y1,
+                x2=x2,
+                y2=y2,
+                confidence=conf,
+                support_count=n_b,
+                members=tuple((b.source, b) for b, _, _ in members),
+            )
+        )
 
 
 def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
@@ -171,7 +343,8 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
 
     Per class, boxes are processed in descending weighted-confidence order;
     each joins the first cluster whose current fused box overlaps it beyond
-    params.iou_threshold, else starts a new cluster.
+    params.iou_threshold, else starts a new cluster. A one-member cluster
+    passes its box through exactly.
     """
     n_models = len(per_model)
     weights = params.model_weights
@@ -181,55 +354,17 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
         raise WeightArityMismatchError(
             f"{len(weights)} weights for {n_models} models"
         )
-    if not any(w > 0.0 for w in weights):
-        raise WeightArityMismatchError("at least one model weight must be positive")
-
     n_active = sum(1 for w in weights if w > 0.0)
-
-    pool: dict[int, list[tuple[Box, float, int]]] = {}
-    for dets, w in zip(per_model, weights):
-        if w <= 0.0:
-            continue  # zero-weight models contribute nothing, including support
-        for idx, b in enumerate(dets.boxes):
-            pool.setdefault(b.cls, []).append((b, w, idx))
+    if n_active == 0:
+        raise WeightArityMismatchError("at least one model weight must be positive")
+    if min(weights) < 0.0:
+        raise NegativeWeightError(f"model weights must be >= 0, got {weights!r}")
+    # zero-weight models contribute nothing, including support
+    weighted = [(dets.boxes, w) for dets, w in zip(per_model, weights) if w > 0.0]
 
     fused: list[FusedBox] = []
-    for cls in sorted(pool):
-        candidates = sorted(
-            pool[cls],
-            key=lambda t: (-(t[0].confidence * t[1]), t[0].source, t[2]),
-        )
-        clusters: list[list[tuple[Box, float, int]]] = []
-        cached: list[tuple[float, float, float, float, float]] = []
-        for cand in candidates:
-            placed = False
-            for ci, coords in enumerate(cached):
-                if iou(cand[0], _FusedView(coords[:4])) > params.iou_threshold:
-                    clusters[ci].append(cand)
-                    cached[ci] = _fuse_cluster(clusters[ci])
-                    placed = True
-                    break
-            if not placed:
-                clusters.append([cand])
-                cached.append(_fuse_cluster(clusters[-1]))
-        for members, coords in zip(clusters, cached):
-            x1, y1, x2, y2, conf = coords
-            sources = {b.source for b, _, _ in members}
-            n_b = len(sources)
-            if params.confidence_rescale == "support_ratio":
-                conf = conf * (min(n_b, n_active) / n_active)
-            fused.append(
-                FusedBox(
-                    cls=cls,
-                    x1=x1,
-                    y1=y1,
-                    x2=x2,
-                    y2=y2,
-                    confidence=conf,
-                    support_count=n_b,
-                    members=tuple((b.source, b) for b, _, _ in members),
-                )
-            )
+    for cls, group in _class_groups(weighted, _weighted_priority):
+        _wbf_class(cls, group, params, n_active, fused)
     fused.sort(key=lambda f: (-f.confidence, f.cls, f.x1, f.y1, f.x2, f.y2))
     return fused
 

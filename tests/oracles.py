@@ -62,6 +62,97 @@ def check_nms_fixpoint(inputs, kept, iou_threshold) -> bool:
     return sorted(expected, key=_box_key) == sorted(kept, key=_box_key)
 
 
+def oracle_soft_nms(boxes, sigma, score_floor):
+    """Gaussian soft-NMS by re-sorting the remaining boxes before every pick.
+
+    Per class: take the first of the remaining boxes by (confidence desc,
+    source, input position), multiply each other remaining box's confidence
+    by exp(-iou^2 / sigma) when it overlaps the pick (interval_iou, math.exp),
+    then drop those below score_floor. Returns the picks with their decayed
+    confidences, sorted by (confidence desc, source, input position).
+    """
+    picks = []
+    for cls in sorted({b.cls for b in boxes}):
+        remaining = [[b.confidence, b, k] for k, b in enumerate(boxes) if b.cls == cls]
+        while remaining:
+            remaining.sort(key=lambda t: (-t[0], t[1].source, t[2]))
+            top = remaining.pop(0)
+            picks.append(top)
+            for t in remaining:
+                ov = interval_iou(top[1], t[1])
+                if ov > 0:
+                    t[0] = t[0] * math.exp(-(ov * ov) / sigma)
+            remaining = [t for t in remaining if t[0] >= score_floor]
+    picks.sort(key=lambda t: (-t[0], t[1].source, t[2]))
+    return [Box(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2, confidence=c,
+                source=b.source) for c, b, _ in picks]
+
+
+def oracle_wbf(per_model, weights, iou_threshold):
+    """Weighted box fusion by first-fit against fused boxes re-summed from scratch.
+
+    Zero-weight models are left out. Per class, boxes go by weighted
+    confidence desc, then source, then position in their model's list; each
+    joins the first cluster whose fused box overlaps it beyond the threshold
+    (interval_iou), and that cluster's fused box is then recomputed from all
+    its members in join order (see `_oracle_fused`). Returns
+    (cls, x1, y1, x2, y2, confidence, support count, members) per cluster,
+    members being (source, box) in join order, sorted by (confidence desc,
+    cls, x1, y1, x2, y2) and otherwise in class, then creation, order.
+    """
+    candidates = [
+        (b, w, k)
+        for boxes, w in zip(per_model, weights)
+        if w > 0
+        for k, b in enumerate(boxes.boxes)
+    ]
+    out = []
+    for cls in sorted({b.cls for b, _, _ in candidates}):
+        ordered = sorted(
+            (t for t in candidates if t[0].cls == cls),
+            key=lambda t: (-(t[0].confidence * t[1]), t[0].source, t[2]),
+        )
+        clusters = []  # [members, fused]
+        for b, w, _ in ordered:
+            for cluster in clusters:
+                fx1, fy1, fx2, fy2, _ = cluster[1]
+                if interval_iou(b, Box(cls, fx1, fy1, fx2, fy2, 0.0)) > iou_threshold:
+                    cluster[0].append((b, w))
+                    cluster[1] = _oracle_fused(cluster[0])
+                    break
+            else:
+                clusters.append([[(b, w)], _oracle_fused([(b, w)])])
+        for members, fused in clusters:
+            support = len({b.source for b, _ in members})
+            out.append((cls, *fused, support, tuple((b.source, b) for b, _ in members)))
+    out.sort(key=lambda f: (-f[5], f[0], f[1], f[2], f[3], f[4]))
+    return out
+
+
+def _oracle_fused(members):
+    """Fused (x1, y1, x2, y2, conf) of (box, weight) members, summed in member order.
+
+    One member passes through. Otherwise coordinates are averaged with weight
+    confidence * weight and the confidence with weight `weight`; with no
+    positive confidence mass the first member's box is kept at confidence 0.
+    """
+    if len(members) == 1:
+        b = members[0][0]
+        return b.x1, b.y1, b.x2, b.y2, b.confidence
+    mass = total_weight = conf = 0.0
+    corners = [0.0, 0.0, 0.0, 0.0]
+    for b, w in members:
+        mass += b.confidence * w
+        total_weight += w
+        for i, v in enumerate((b.x1, b.y1, b.x2, b.y2)):
+            corners[i] += (b.confidence * w) * v
+        conf += w * b.confidence
+    if mass <= 0 or total_weight <= 0:
+        b = members[0][0]
+        return b.x1, b.y1, b.x2, b.y2, 0.0
+    return (*(c / mass for c in corners), conf / total_weight)
+
+
 def _box_key(b):
     return (b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence, b.source)
 

@@ -1,9 +1,10 @@
 import json
+import logging
 import os
 
 import pytest
 
-from boxvote import data_io
+from boxvote import cli, data_io
 from boxvote.cli import main
 
 
@@ -236,6 +237,10 @@ def set_fusion(key, value):
     return lambda doc: doc["fusion"].update({key: value})
 
 
+def set_filter_classes(value):
+    return lambda doc: doc["filter"].update(mode="keep_listed", classes=value)
+
+
 # (id, mutation, exit code, text that a code-2 message must contain: the field)
 MANIFEST_MUTATIONS = [
     ("unchanged", lambda doc: None, 0, None),
@@ -263,6 +268,29 @@ MANIFEST_MUTATIONS = [
     ("score_floor NaN", set_fusion("score_floor", float("nan")), 2, "score_floor"),
     ("target not an object", lambda doc: doc.update(target=[1]), 2,
      "target must be an object"),
+    ("filter.classes not a list", set_filter_classes(5), 2, "filter.classes"),
+    ("filter.classes nested list", set_filter_classes([["class_0"]]), 2, "filter.classes"),
+    ("target.image_ids not a list", lambda doc: doc["target"].update(image_ids=5), 2,
+     "target.image_ids"),
+    ("classes not strings", lambda doc: doc.update(classes=[["a"], ["b"]]), 2, "classes"),
+    ("model weight negative", set_fusion("model_weights", [1, -1, 1]), 2, "model_weights"),
+    ("model weight zero excludes a model", set_fusion("model_weights", [1, 0, 1]), 0, None),
+    ("model weight boolean", set_fusion("model_weights", [1, True, 1]), 2, "model weight"),
+    ("default gate boolean", set_gate_default(True), 2, "default gate"),
+    ("per-class gate boolean",
+     lambda doc: doc["gates"].update(per_class={"class_0": False}), 2, "class_0"),
+    ("iou_threshold boolean", set_fusion("iou_threshold", True), 2, "iou_threshold"),
+    ("duplicate target.image_ids",
+     lambda doc: doc["target"]["image_ids"].append(doc["target"]["image_ids"][0]), 2,
+     "target.image_ids"),
+    ("source name not a string", lambda doc: doc["sources"][0].update(name=["a"]), 2,
+     "source name"),
+    ("detections_path not a string",
+     lambda doc: doc["sources"][0].update(detections_path=5), 2, "detections_path"),
+    ("dataset_size boolean", lambda doc: doc["sources"][0].update(dataset_size=True), 2,
+     "dataset_size"),
+    ("ground_truth_path not a string",
+     lambda doc: doc["target"].update(ground_truth_path=5), 2, "ground_truth_path"),
 ]
 
 
@@ -319,3 +347,73 @@ class TestNonFiniteInput:
         rc = main(["pipeline", "--scenario", "two_good_one_poison",
                    "--out", str(tmp_path / "pp"), f"--confidence-threshold={value}"])
         assert rc == 2
+
+
+class TestBadInputFiles:
+    def test_non_utf8_detections_exit_3(self, scenario_dir, tmp_path, capsys):
+        dets = tmp_path / "d.txt"
+        dets.write_bytes(b"img_00000 0 0.1 0.1 0.5 0.5 0.9\nimg_00000 0 0.1 0.1 0.5 0.5 0.8\xff\n")
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(dets) in err and "UTF-8" in err
+
+    def test_non_utf8_source_file_exit_3(self, scenario_dir, tmp_path):
+        doc = absolute_manifest_doc(scenario_dir)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"img_00000 \xc3\x28 0.1 0.1 0.5 0.5 0.9\n")
+        doc["sources"][0]["detections_path"] = str(bad)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        rc = main(["fuse", "--manifest", str(mpath), "--algorithm", "nms",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+
+    def test_missing_detections_exit_2(self, scenario_dir, tmp_path, capsys):
+        missing = tmp_path / "none.txt"
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(missing), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert str(missing) in err
+
+    def test_missing_manifest_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        rc = main(["fuse", "--manifest", str(missing), "--algorithm", "nms",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+
+class TestObservability:
+    def zero_area_eval(self, scenario_dir, tmp_path, *flags):
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.1 0.5 0.9\nimg_00000 0 0.1 0.1 0.5 0.5 0.8\n")
+        return main([*flags, "eval", "--manifest", manifest_path(scenario_dir),
+                     "--detections", str(dets), "--out", str(tmp_path / "o")])
+
+    def test_log_level_sets_what_reaches_stderr(self, scenario_dir, tmp_path, capsys):
+        handlers = list(logging.getLogger("boxvote").handlers)
+        assert self.zero_area_eval(scenario_dir, tmp_path) == 0
+        err = capsys.readouterr().err
+        assert "WARNING boxvote.data_io:" in err and "dropped 1 zero-area box" in err
+        assert self.zero_area_eval(scenario_dir, tmp_path, "--log-level", "error") == 0
+        assert "zero-area" not in capsys.readouterr().err
+        # each call removes the handler it added
+        assert logging.getLogger("boxvote").handlers == handlers
+
+    def test_debug_reraises_an_internal_fault(self, scenario_dir, tmp_path, capsys,
+                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken fusion")
+
+        monkeypatch.setattr(cli, "run_fuse", broken)
+        argv = ["fuse", "--manifest", manifest_path(scenario_dir), "--algorithm", "nms",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "internal error: broken fusion" in capsys.readouterr().err
+        with pytest.raises(RuntimeError, match="broken fusion"):
+            main(["--debug", *argv])

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from boxvote.errors import WeightArityMismatchError
+from boxvote.errors import NegativeWeightError, WeightArityMismatchError
 from boxvote.fusion import (
+    TABLE_MIN,
     ConfidenceGates,
     FusionParams,
     KEEP_ALL,
     LabelSpaceFilter,
+    _iou_table,
     apply_gates,
     knowledge_vote,
     nms,
@@ -16,7 +18,13 @@ from boxvote.fusion import (
     wbf,
 )
 from boxvote.geometry import Box, DetectionSet, iou
-from oracles import check_nms_fixpoint, fused_box_key, random_box
+from oracles import (
+    check_nms_fixpoint,
+    fused_box_key,
+    oracle_soft_nms,
+    oracle_wbf,
+    random_box,
+)
 
 
 def box(x1, y1, x2, y2, conf, cls=0, source=0):
@@ -172,6 +180,11 @@ class TestWbf:
         with pytest.raises(WeightArityMismatchError):
             wbf(two_model_pair(), FusionParams(model_weights=(0.0, 0.0)))
 
+    def test_negative_weight_rejected_as_weight_error(self):
+        with pytest.raises(NegativeWeightError) as exc:
+            wbf(two_model_pair(), FusionParams(model_weights=(1.0, -1.0)))
+        assert isinstance(exc.value, WeightArityMismatchError)
+
     def test_zero_weight_model_excluded_entirely(self):
         out = wbf(two_model_pair(), FusionParams(model_weights=(1.0, 0.0)))
         assert len(out) == 1
@@ -309,3 +322,133 @@ class TestWbfAlgebra:
                 want = sorted((b.x1, b.y1, b.x2, b.y2, b.confidence, b.cls) for b in boxes)
                 assert got == want
             assert all(f.support_count == 1 for f in out)
+
+
+def table_group(rng, n, cls=0):
+    """n boxes of one class, from 3 sources, mixing the cases a sweep must get right.
+
+    Besides random boxes: confidence ties across sources, exact duplicates,
+    boxes touching an earlier one along an edge (iw == 0), pairs whose IoU
+    is exactly 0.5 (a dyadic box and its lower half), and zero-area boxes.
+    """
+    boxes: list[Box] = []
+    while len(boxes) < n:
+        kind = int(rng.integers(0, 7)) if boxes else 0
+        src = int(rng.integers(0, 3))
+        if kind == 0:
+            boxes.append(random_box(rng, cls=cls, source=src))
+            continue
+        prev = boxes[int(rng.integers(0, len(boxes)))]
+        if kind == 1:  # same box and confidence from another source
+            boxes.append(Box(cls, prev.x1, prev.y1, prev.x2, prev.y2, prev.confidence,
+                             (prev.source + 1) % 3))
+        elif kind == 2:  # exact duplicate
+            boxes.append(prev)
+        elif kind == 3:  # touching: shares prev's right (or left) edge
+            w = 0.125
+            x1, x2 = (prev.x2, prev.x2 + w) if prev.x2 + w <= 1.0 else (prev.x1 - w, prev.x1)
+            if x1 >= 0.0:
+                boxes.append(Box(cls, x1, prev.y1, x2, prev.y2, prev.confidence, src))
+        elif kind == 4:  # IoU exactly 0.5
+            x, y = (int(v) / 64 for v in rng.integers(0, 32, 2))
+            w, h = (int(v) / 64 for v in 2 * rng.integers(1, 16, 2))
+            conf = float(rng.choice([0.25, 0.5, 0.75]))
+            boxes.append(Box(cls, x, y, x + w, y + h, conf, src))
+            boxes.append(Box(cls, x, y, x + w, y + h / 2, conf, (src + 1) % 3))
+        elif kind == 5:  # zero area: a segment or a point
+            x, y = round(float(rng.uniform(0, 0.9)), 3), round(float(rng.uniform(0, 0.9)), 3)
+            x2 = x if rng.integers(0, 2) else x + 0.1
+            boxes.append(Box(cls, x, y, x2, y if x2 != x else y + 0.1,
+                             round(float(rng.uniform(0.01, 1)), 6), src))
+        else:  # confidence tie with prev
+            b = random_box(rng, cls=cls, source=src)
+            boxes.append(Box(cls, b.x1, b.y1, b.x2, b.y2, prev.confidence, src))
+    return boxes[:n]
+
+
+TABLE_SIZES = [TABLE_MIN - 1, TABLE_MIN, 250]
+
+
+def table_boxes(seed, n):
+    """A big class-0 group of n boxes next to a small class-1 group."""
+    rng = np.random.default_rng(seed)
+    return table_group(rng, n) + table_group(rng, 5, cls=1)
+
+
+def by_source(boxes):
+    return [ds(*(b for b in boxes if b.source == s)) for s in range(3)]
+
+
+class TestTablePathAgainstOracles:
+    """Class groups around and far above TABLE_MIN, checked exactly against oracles."""
+
+    def test_groups_hold_the_edge_cases(self):
+        boxes = table_boxes(1, 250)[:250]
+        pairs = [(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]]
+        assert any(iou(a, b) == 0.5 for a, b in pairs)
+        assert any(a.x2 == b.x1 and a.y1 == b.y1 for a, b in pairs)
+        assert any(a == b for a, b in pairs)
+        assert any(a.confidence == b.confidence and a.source != b.source for a, b in pairs)
+        assert any(b.area() == 0.0 for b in boxes)
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_nms_is_the_greedy_fixpoint(self, n, seed):
+        boxes = table_boxes(seed, n)
+        for threshold in (0.5, 0.3):
+            out = nms(ds(*boxes), FusionParams(iou_threshold=threshold))
+            assert check_nms_fixpoint(boxes, list(out.boxes), threshold)
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("sigma,floor", [(0.5, 0.001), (2.0, 0.05), (0.5, 1.0)])
+    def test_soft_nms_equals_oracle(self, n, seed, sigma, floor):
+        boxes = table_boxes(seed, n)
+        out = soft_nms(ds(*boxes), FusionParams(soft_nms_sigma=sigma, score_floor=floor))
+        assert list(out.boxes) == oracle_soft_nms(boxes, sigma, floor)
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (0.0, 1.0, 0.3)])
+    def test_wbf_equals_oracle(self, n, seed, weights):
+        models = by_source(table_boxes(seed, n))
+        out = wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights))
+        got = [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count, f.members)
+               for f in out]
+        assert got == oracle_wbf(models, weights, 0.5)
+
+
+def degenerate_boxes():
+    """Zero-area, touching, identical, full-frame, tiny and signed-zero boxes."""
+    return [
+        box(0.2, 0.2, 0.2, 0.2, 0.5),  # point
+        box(0.2, 0.1, 0.2, 0.6, 0.5),  # vertical segment
+        box(0.1, 0.3, 0.7, 0.3, 0.5),  # horizontal segment
+        box(0.0, 0.0, 1.0, 1.0, 0.5),  # full frame
+        box(0.0, 0.0, 1.0, 1.0, 0.4),  # its duplicate
+        box(0.5, 0.0, 1.0, 1.0, 0.5),  # touches the next along x = 0.5
+        box(0.0, 0.0, 0.5, 1.0, 0.5),
+        box(0.0, 0.5, 1.0, 1.0, 0.5),  # touches the next along y = 0.5
+        box(0.0, 0.0, 1.0, 0.5, 0.5),
+        box(-0.0, -0.0, 0.3, 0.3, 0.5),
+        box(0.3, 0.3, 0.3 + 1e-200, 0.3 + 1e-200, 0.5),  # intersection underflows
+        box(0.3, 0.3, 0.3 + 1e-15, 0.3 + 1e-15, 0.5),
+        box(0.0, 0.0, 5e-324, 5e-324, 0.5),  # subnormal corner
+        box(0.1, 0.1, 0.1 + 2**-52, 0.9, 0.5),
+    ]
+
+
+class TestIouTable:
+    def test_entries_equal_scalar_iou_bit_for_bit(self):
+        rng = np.random.default_rng(77)
+        boxes = degenerate_boxes()
+        for _ in range(60):  # off-grid floats, so rounding differs pair to pair
+            x = np.sort(rng.uniform(0, 1, 2))
+            y = np.sort(rng.uniform(0, 1, 2))
+            boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
+        boxes += [random_box(rng) for _ in range(30)]
+        table = _iou_table(boxes)
+        assert table.shape == (len(boxes), len(boxes))
+        for i, a in enumerate(boxes):
+            for j, b in enumerate(boxes):
+                assert float(table[i, j]).hex() == iou(a, b).hex(), (i, j)
