@@ -171,9 +171,15 @@ def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
 
 
 def _load(args):
+    iou_threshold = getattr(args, "iou_threshold", None)
+    # the manifest's rule for fusion.iou_threshold; NaN fails the comparison too
+    if iou_threshold is not None and not 0.0 < iou_threshold < 1.0:
+        raise ConfigError(
+            f"--iou-threshold must be a finite number in (0, 1), got {iou_threshold!r}"
+        )
     manifest = data_io.parse_manifest(args.manifest)
-    if getattr(args, "iou_threshold", None) is not None:
-        manifest.fusion = replace(manifest.fusion, iou_threshold=args.iou_threshold)
+    if iou_threshold is not None:
+        manifest.fusion = replace(manifest.fusion, iou_threshold=iou_threshold)
     ensemble, gt = data_io.load_ensemble(manifest)
     return manifest, ensemble, gt
 
@@ -191,21 +197,22 @@ def cmd_fuse(args) -> int:
 
 
 def run_consensus(manifest, ensemble, shapley=False):
-    report = cf.consensus_focus_scores(
-        ensemble, manifest.gates, manifest.label_filter, manifest.fusion
+    gates, flt, params = manifest.gates, manifest.label_filter, manifest.fusion
+    # one scorer per call: each (source, image) is gated once and each distinct
+    # subset's quality computed once, shared by the report, Shapley and the
+    # weighted pass
+    scorer = cf.ConsensusScorer(
+        ensemble.sources, ensemble.target_image_ids, gates, flt, params
     )
+    report = cf.consensus_focus_scores(ensemble, gates, flt, params, scorer=scorer)
     report = cf.compute_weights(
         report,
         {s.source_id: s.dataset_size for s in ensemble.sources},
         len(ensemble.target_image_ids),
     )
     if shapley:
-        report.shapley = cf.shapley_scores(
-            ensemble, manifest.gates, manifest.label_filter, manifest.fusion
-        )
-    fused = cf.weighted_fusion(
-        ensemble, report, manifest.gates, manifest.label_filter, manifest.fusion
-    )
+        report.shapley = cf.shapley_scores(ensemble, gates, flt, params, scorer=scorer)
+    fused = cf.weighted_fusion(ensemble, report, gates, flt, params, scorer=scorer)
     provenance = {
         "sources": [s.name for s in ensemble.sources],
         "gates": {
@@ -275,12 +282,15 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     scenario = scenarios[scenario_name]
     if images:
         scenario = synth.scaled(scenario, images)
-    data_dir = os.path.join(out_dir, "data")
-    manifest_path = write_scenario(scenario, data_dir)
+    timings = {}
+    t0 = time.perf_counter()
+    manifest_path = write_scenario(scenario, os.path.join(out_dir, "data"))
+    timings["simulate"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     manifest = data_io.parse_manifest(manifest_path)
     ensemble, gt = data_io.load_ensemble(manifest)
+    timings["load"] = time.perf_counter() - t0
 
-    timings = {}
     comparison = []
     fused_files = {}
     for algorithm in ("nms", "soft-nms", "wbf", "knowledge-vote"):

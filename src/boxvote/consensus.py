@@ -5,6 +5,25 @@ fused boxes, of support_count * fused confidence. Each source's contribution
 is its leave-one-out marginal on that quantity; contributions and dataset
 sizes then produce the normalized weights driving the final fusion pass and
 the pseudo-label dataset.
+
+All scoring goes through one `ConsensusScorer`, which does each piece of
+work once:
+
+- It gates every (source, target image) pair once, when it is built. The
+  knowledge vote is `apply_gates` followed by `wbf`, so fusing the gated
+  sets with `wbf` gives the knowledge vote's boxes.
+- It computes the quality of each distinct source subset once. The
+  leave-one-out report, the Shapley enumeration and the final weighted pass
+  all read from it, so with `--shapley` three sources cost 7 quality passes,
+  not 11. A subset is keyed by its sources' positions in ensemble order, so
+  `wbf` sees the same model order and weights whichever caller asks first.
+- Quality is summed in a fixed order: image order, then the fusion output's
+  confidence-descending order. The result does not depend on which caller
+  computed it.
+
+A scorer lives for one scoring run: `cli.run_consensus` builds one per call
+and drops it after, and the public functions below build their own when
+they are not given one. Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -24,7 +43,9 @@ from .fusion import (
     FusedBox,
     FusionParams,
     LabelSpaceFilter,
-    knowledge_vote,
+    apply_gates,
+    knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
+    wbf,
 )
 from .geometry import DetectionSet
 
@@ -91,6 +112,70 @@ def _uniform(params: FusionParams, n: int) -> FusionParams:
     )
 
 
+class ConsensusScorer:
+    """Gated boxes and memoized subset qualities of some sources under one set of settings.
+
+    A subset is a sequence of positions in `sources`, in ascending order.
+    Build one scorer per scoring run and drop it after.
+    """
+
+    def __init__(
+        self,
+        sources,
+        target_image_ids,
+        gates: ConfidenceGates,
+        flt: LabelSpaceFilter,
+        params: FusionParams,
+    ):
+        self.sources = tuple(sources)
+        self.target_image_ids = tuple(target_image_ids)
+        self.gates, self.flt, self.params = gates, flt, params
+        # _gated[p][k]: the boxes of source p on image k that pass filter and gates
+        self._gated = [
+            [apply_gates(s.for_image(iid), gates, flt) for iid in self.target_image_ids]
+            for s in self.sources
+        ]
+        self._quality: dict[tuple[int, ...], float] = {}
+
+    def fuse(self, positions, params: FusionParams):
+        """WBF of the gated sources at `positions`: one fused list per image, in image order."""
+        sets = [self._gated[p] for p in positions]
+        for k in range(len(self.target_image_ids)):
+            yield wbf([g[k] for g in sets], params)
+
+    def quality(self, positions) -> float:
+        """Consensus quality of the sources at `positions`, computed once per subset.
+
+        Measured pre-weighting: the subset is fused with uniform weights and
+        no confidence rescaling.
+        """
+        key = tuple(positions)
+        if not key:
+            raise EmptySubsetError("consensus quality of an empty subset")
+        if key not in self._quality:
+            total = 0.0
+            for fused in self.fuse(key, _uniform(self.params, len(key))):
+                for fb in fused:
+                    total += fb.support_count * fb.confidence
+            self._quality[key] = total
+        return self._quality[key]
+
+
+def _scorer(scorer, ensemble: SourceEnsemble, gates, flt, params) -> ConsensusScorer:
+    """`scorer` when given, after checking it was built for this input; else a new one."""
+    if scorer is None:
+        return ConsensusScorer(
+            ensemble.sources, ensemble.target_image_ids, gates, flt, params
+        )
+    if (
+        scorer.sources != tuple(ensemble.sources)
+        or scorer.target_image_ids != tuple(ensemble.target_image_ids)
+        or (scorer.gates, scorer.flt, scorer.params) != (gates, flt, params)
+    ):
+        raise ValueError("scorer was built for other sources, images or settings")
+    return scorer
+
+
 def fuse_image(
     subset: list[SourceDomain] | tuple[SourceDomain, ...],
     image_id: str,
@@ -99,8 +184,8 @@ def fuse_image(
     params: FusionParams,
 ) -> list[FusedBox]:
     """Knowledge-vote fusion of one target image over the given sources."""
-    per_model = [s.for_image(image_id) for s in subset]
-    return knowledge_vote(per_model, gates, flt, params)
+    scorer = ConsensusScorer(subset, (image_id,), gates, flt, params)
+    return next(scorer.fuse(range(len(scorer.sources)), params))
 
 
 def consensus_quality(
@@ -117,15 +202,8 @@ def consensus_quality(
     fusion output's confidence-descending order) so results are reproducible
     regardless of how callers parallelize.
     """
-    subset = list(subset)
-    if not subset:
-        raise EmptySubsetError("consensus quality of an empty subset")
-    uparams = _uniform(params, len(subset))
-    total = 0.0
-    for image_id in target_image_ids:
-        for fb in fuse_image(subset, image_id, gates, flt, uparams):
-            total += fb.support_count * fb.confidence
-    return total
+    scorer = ConsensusScorer(subset, target_image_ids, gates, flt, params)
+    return scorer.quality(range(len(scorer.sources)))
 
 
 def consensus_focus_scores(
@@ -133,26 +211,25 @@ def consensus_focus_scores(
     gates: ConfidenceGates,
     flt: LabelSpaceFilter,
     params: FusionParams,
+    *,
+    scorer: ConsensusScorer | None = None,
 ) -> ContributionReport:
     """Leave-one-out marginal contribution of every source.
 
-    Runs one full-ensemble fusion pass plus one per source with that source
-    withheld.
+    Reads the quality of the full ensemble and of each subset with one
+    source withheld from `scorer` (a new one if not given).
     """
     sources = list(ensemble.sources)
     if len(sources) < 2:
         raise DegenerateEnsembleError(
             "leave-one-out contribution needs at least 2 sources"
         )
+    scorer = _scorer(scorer, ensemble, gates, flt, params)
+    everyone = tuple(range(len(sources)))
     report = ContributionReport()
-    report.q_full = consensus_quality(
-        sources, ensemble.target_image_ids, gates, flt, params
-    )
+    report.q_full = scorer.quality(everyone)
     for i, src in enumerate(sources):
-        rest = sources[:i] + sources[i + 1 :]
-        q_loo = consensus_quality(
-            rest, ensemble.target_image_ids, gates, flt, params
-        )
+        q_loo = scorer.quality(everyone[:i] + everyone[i + 1 :])
         report.q_leave_one_out[src.source_id] = q_loo
         cf = report.q_full - q_loo
         report.cf[src.source_id] = cf
@@ -165,22 +242,25 @@ def shapley_scores(
     gates: ConfidenceGates,
     flt: LabelSpaceFilter,
     params: FusionParams,
+    *,
+    scorer: ConsensusScorer | None = None,
 ) -> dict[int, float]:
-    """Exact Shapley value of consensus quality per source (small ensembles only)."""
+    """Exact Shapley value of consensus quality per source (small ensembles only).
+
+    Reads every subset's quality from `scorer` (a new one if not given).
+    """
     sources = list(ensemble.sources)
     n = len(sources)
     if n > MAX_SHAPLEY_SOURCES:
         raise DegenerateEnsembleError(
             f"exact enumeration limited to {MAX_SHAPLEY_SOURCES} sources, got {n}"
         )
+    scorer = _scorer(scorer, ensemble, gates, flt, params)
     quality: dict[frozenset[int], float] = {frozenset(): 0.0}
     indices = list(range(n))
     for r in range(1, n + 1):
         for combo in itertools.combinations(indices, r):
-            subset = [sources[i] for i in combo]
-            quality[frozenset(combo)] = consensus_quality(
-                subset, ensemble.target_image_ids, gates, flt, params
-            )
+            quality[frozenset(combo)] = scorer.quality(combo)
     fact = math.factorial
     values: dict[int, float] = {}
     for i in indices:
@@ -226,14 +306,18 @@ def weighted_fusion(
     gates: ConfidenceGates,
     flt: LabelSpaceFilter,
     params: FusionParams,
+    *,
+    scorer: ConsensusScorer | None = None,
 ) -> dict[str, list[FusedBox]]:
-    """Final consensus-weighted knowledge-vote pass over every target image."""
+    """Final consensus-weighted knowledge-vote pass over every target image.
+
+    Fuses the gated sets of `scorer` (a new one if not given).
+    """
     weights = tuple(report.alpha[s.source_id] for s in ensemble.sources)
     wparams = replace(params, model_weights=weights)
-    return {
-        image_id: fuse_image(ensemble.sources, image_id, gates, flt, wparams)
-        for image_id in ensemble.target_image_ids
-    }
+    scorer = _scorer(scorer, ensemble, gates, flt, params)
+    fused = scorer.fuse(range(len(ensemble.sources)), wparams)
+    return dict(zip(ensemble.target_image_ids, fused))
 
 
 def emit_pseudo_labels(

@@ -292,13 +292,13 @@ def _object(value, allowed: set, where: str) -> dict:
 
 
 def _number(value, where: str) -> float:
-    """A finite manifest number; JSON true/false are not numbers here."""
-    if isinstance(value, bool):
+    """A finite manifest number: a JSON number, not a string such as "0.5" or true/false."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ManifestError(f"{where} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"{where} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ManifestError(f"{where} must be finite, got {value!r}") from exc
     if not math.isfinite(number):
         raise ManifestError(f"{where} must be finite, got {value!r}")
     return number

@@ -217,6 +217,12 @@ class TestPipeline:
         assert "consensus_over_nms_ratio" in timings
         assert timings["evaluation"] > 0
 
+    def test_timings_cover_simulate_and_load(self, tmp_path):
+        cli.run_pipeline("three_good", str(tmp_path), images=20)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings["simulate"] > 0
+        assert timings["load"] > 0
+
 
 def absolute_manifest_doc(scenario_dir):
     """The scenario's manifest as a dict, with every path made absolute."""
@@ -291,6 +297,15 @@ MANIFEST_MUTATIONS = [
      "dataset_size"),
     ("ground_truth_path not a string",
      lambda doc: doc["target"].update(ground_truth_path=5), 2, "ground_truth_path"),
+    ("default gate a numeric string", set_gate_default("0.5"), 2, "default gate"),
+    ("per-class gate a numeric string",
+     lambda doc: doc["gates"].update(per_class={"class_0": "0.5"}), 2, "class_0"),
+    ("iou_threshold a numeric string", set_fusion("iou_threshold", "0.6"), 2,
+     "iou_threshold"),
+    ("model weight a numeric string", set_fusion("model_weights", [1, "1", 1]), 2,
+     "model weight"),
+    ("iou_threshold an integer beyond the float range",
+     set_fusion("iou_threshold", 10**400), 2, "iou_threshold"),
 ]
 
 
@@ -311,6 +326,25 @@ def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, cod
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert needle in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1", "0", "1"])
+@pytest.mark.parametrize(
+    "command",
+    [["fuse", "--algorithm", "wbf"], ["fuse", "--algorithm", "nms"], ["consensus"]],
+    ids=["fuse-wbf", "fuse-nms", "consensus"],
+)
+def test_iou_threshold_option_outside_unit_interval_exit_2(
+    scenario_dir, tmp_path, capsys, command, value
+):
+    out = tmp_path / "o"
+    rc = main([*command, "--manifest", manifest_path(scenario_dir), "--out", str(out),
+               f"--iou-threshold={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "--iou-threshold" in err
+    assert not out.exists()
 
 
 class TestNonFiniteInput:

@@ -1,6 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from boxvote import consensus
+from boxvote.cli import run_consensus
 from boxvote.consensus import (
     CF_EPSILON,
     ContributionReport,
@@ -18,7 +24,13 @@ from boxvote.errors import (
     EmptySubsetError,
     MissingImageError,
 )
-from boxvote.fusion import ConfidenceGates, FusionParams, KEEP_ALL
+from boxvote.fusion import (
+    KEEP_ALL,
+    ConfidenceGates,
+    FusionParams,
+    LabelSpaceFilter,
+    knowledge_vote,
+)
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import generate, reference_scenarios
 from oracles import fused_box_key, oracle_consensus_quality, oracle_weights, random_box
@@ -359,3 +371,135 @@ class TestPseudoLabels:
         assert [f.support_count for f in out.entries[iid]] == [
             f.support_count for f in fused[iid]
         ]
+
+
+# (sources, confidence rescaling of the weighted pass, seed)
+SCORING_CASES = [(2, "none", 101), (3, "support_ratio", 102), (4, "none", 103)]
+
+
+def scoring_case(n_sources, rescale="none", seed=100):
+    """A seeded ensemble, gates, filter and params with every case scoring must handle.
+
+    Per-class gates and a default gate; a keep_listed filter that drops
+    class 3; source 1 lacks img1 and no source has img5; every other source
+    repeats source 1's img0 boxes at the same confidence (ties across
+    sources).
+    """
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"img{j}" for j in range(6))
+    first = None
+    sources = []
+    for i in range(1, n_sources + 1):
+        dets = {
+            iid: [random_box(rng, source=i, n_classes=4)
+                  for _ in range(int(rng.integers(1, 7)))]
+            for iid in ids[:5]
+        }
+        if first is None:
+            del dets["img1"]
+            first = dets["img0"]
+        else:
+            dets["img0"] += [replace(b, source=i) for b in first]
+        sources.append(domain(i, dets, size=int(rng.integers(1, 200))))
+    ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
+    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1)
+    flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({0, 1, 2}))
+    params = FusionParams(iou_threshold=0.5, confidence_rescale=rescale)
+    return ens, gates, flt, params
+
+
+def knowledge_vote_quality(subset, ens, gates, flt, params):
+    """Consensus quality summed over per-image knowledge votes, re-gating each time."""
+    uniform = replace(
+        params, model_weights=(1.0,) * len(subset), confidence_rescale="none"
+    )
+    total = 0.0
+    for iid in ens.target_image_ids:
+        per_model = [s.for_image(iid) for s in subset]
+        for fb in knowledge_vote(per_model, gates, flt, uniform):
+            total += fb.support_count * fb.confidence
+    return total
+
+
+def without(ens, i):
+    return [s for j, s in enumerate(ens.sources) if j != i]
+
+
+class TestSharedScoring:
+    @pytest.mark.parametrize("n_sources,rescale,seed", SCORING_CASES)
+    def test_run_consensus_equals_independent_calls(self, n_sources, rescale, seed):
+        ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
+        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        report, fused, _ = run_consensus(manifest, ens, shapley=True)
+
+        want = consensus_focus_scores(ens, gates, flt, params)
+        want = compute_weights(
+            want,
+            {s.source_id: s.dataset_size for s in ens.sources},
+            len(ens.target_image_ids),
+        )
+        want.shapley = shapley_scores(ens, gates, flt, params)
+        for name in ("q_full", "q_leave_one_out", "cf", "cf_clamped", "alpha",
+                     "alpha_extended", "shapley"):
+            assert getattr(report, name) == getattr(want, name), name
+        assert fused == weighted_fusion(ens, want, gates, flt, params)
+
+        # the same floats as re-gating and knowledge-voting every subset
+        assert report.q_full == knowledge_vote_quality(ens.sources, ens, gates, flt, params)
+        for i, src in enumerate(ens.sources):
+            assert report.q_leave_one_out[src.source_id] == knowledge_vote_quality(
+                without(ens, i), ens, gates, flt, params
+            )
+        weighted = replace(
+            params, model_weights=tuple(report.alpha[s.source_id] for s in ens.sources)
+        )
+        assert list(fused) == list(ens.target_image_ids)
+        for iid in ens.target_image_ids:
+            per_model = [s.for_image(iid) for s in ens.sources]
+            assert fused[iid] == knowledge_vote(per_model, gates, flt, weighted)
+
+    @pytest.mark.parametrize("n_sources,rescale,seed", SCORING_CASES)
+    def test_qualities_match_bruteforce_oracle(self, n_sources, rescale, seed):
+        ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
+        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        report, _, _ = run_consensus(manifest, ens, shapley=True)
+        want = oracle_consensus_quality(
+            list(ens.sources), ens.target_image_ids, gates, flt, params.iou_threshold
+        )
+        assert report.q_full == pytest.approx(want, abs=1e-12)  # c01's tolerance
+        for i, src in enumerate(ens.sources):
+            want = oracle_consensus_quality(
+                without(ens, i), ens.target_image_ids, gates, flt, params.iou_threshold
+            )
+            assert report.q_leave_one_out[src.source_id] == pytest.approx(want, abs=1e-12)
+
+    def test_gates_once_and_fuses_each_distinct_subset_once(self, monkeypatch):
+        ens, gates, flt, params = scoring_case(3)
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(consensus, "wbf", counting("wbf", consensus.wbf))
+        monkeypatch.setattr(
+            consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
+        )
+        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        run_consensus(manifest, ens, shapley=True)
+        images = len(ens.target_image_ids)
+        # 7 distinct non-empty subsets of 3 sources, plus the weighted pass
+        assert calls["wbf"] == images * (7 + 1)
+        assert calls["apply_gates"] == 3 * images
+
+    def test_scorer_for_other_settings_rejected(self):
+        ens, gates, flt, params = scoring_case(2)
+        scorer = consensus.ConsensusScorer(
+            ens.sources, ens.target_image_ids, gates, flt, params
+        )
+        with pytest.raises(ValueError):
+            consensus_focus_scores(ens, gates, flt, replace(params, iou_threshold=0.6),
+                                   scorer=scorer)
