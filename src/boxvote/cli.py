@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import consensus as cf
@@ -33,19 +32,11 @@ from .fusion import (
 )
 from .geometry import DetectionSet
 
-ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote", "consensus-wbf")
+FUSE_ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote")
+ALGORITHMS = (*FUSE_ALGORITHMS, "consensus-wbf")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 NMS_DEFAULT_IOU = 0.5
 DEFAULT_CONF_THRESHOLD = 0.0001
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _pool_sources(ensemble: cf.SourceEnsemble, image_id: str) -> DetectionSet:
@@ -73,7 +64,7 @@ def _gate_dropped(ensemble: cf.SourceEnsemble, gates, flt) -> int:
     )
 
 
-def run_fuse(manifest, ensemble, algorithm, threads=1, nms_iou=None):
+def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
 
     NMS-family algorithms default to NMS_DEFAULT_IOU unless nms_iou overrides
@@ -89,22 +80,17 @@ def run_fuse(manifest, ensemble, algorithm, threads=1, nms_iou=None):
         nms_params = replace(
             params, iou_threshold=nms_iou if nms_iou is not None else NMS_DEFAULT_IOU
         )
-
-        def one(image_id):
-            return fn(_pool_sources(ensemble, image_id), nms_params)
-
-        results = _pmap(one, ensemble.target_image_ids, threads)
-        per_image = {ds.image_id: ds for ds in results}
+        per_image = {
+            image_id: fn(_pool_sources(ensemble, image_id), nms_params)
+            for image_id in ensemble.target_image_ids
+        }
     elif algorithm in ("wbf", "knowledge-vote"):
-
-        def one(image_id):
+        fused = {}
+        for image_id in ensemble.target_image_ids:
             per_model = [s.for_image(image_id) for s in ensemble.sources]
-            fused = knowledge_vote(per_model, gates, flt, params) \
+            fused[image_id] = knowledge_vote(per_model, gates, flt, params) \
                 if algorithm == "knowledge-vote" else wbf(per_model, params)
-            return image_id, fused
-
-        results = _pmap(one, ensemble.target_image_ids, threads)
-        per_image = data_io.fused_to_detections(dict(results))
+        per_image = data_io.fused_to_detections(fused)
     elif algorithm == "consensus-wbf":
         _, fused, _ = run_consensus(manifest, ensemble)
         per_image = data_io.fused_to_detections(fused)
@@ -124,18 +110,28 @@ def run_fuse(manifest, ensemble, algorithm, threads=1, nms_iou=None):
     return per_image, summary
 
 
-def cmd_simulate(args) -> int:
+def _at_least(option: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise ConfigError(f"{option} must be >= {low}, got {value}")
+
+
+def _scenario(name, images=None, seed=None) -> synth.NamedScenario:
+    """A pinned scenario by name, optionally with another image count or seed."""
     scenarios = synth.reference_scenarios()
-    if args.scenario not in scenarios:
-        raise ConfigError(
-            f"unknown scenario {args.scenario!r}; valid: {sorted(scenarios)}"
-        )
-    scenario = scenarios[args.scenario]
-    if args.images:
-        scenario = synth.scaled(scenario, args.images)
-    if args.seed is not None:
-        scenario = replace(scenario, spec=replace(scenario.spec, seed=args.seed))
-    write_scenario(scenario, args.out)
+    if name not in scenarios:
+        raise ConfigError(f"unknown scenario {name!r}; valid: {sorted(scenarios)}")
+    _at_least("--images", images, 1)
+    _at_least("--seed", seed, 0)
+    scenario = scenarios[name]
+    if images is not None:
+        scenario = synth.scaled(scenario, images)
+    if seed is not None:
+        scenario = replace(scenario, spec=replace(scenario.spec, seed=seed))
+    return scenario
+
+
+def cmd_simulate(args) -> int:
+    write_scenario(_scenario(args.scenario, args.images, args.seed), args.out)
     print(f"wrote scenario {args.scenario!r} to {args.out}")
     return 0
 
@@ -170,28 +166,32 @@ def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
     return manifest_path
 
 
-def _load(args):
-    iou_threshold = getattr(args, "iou_threshold", None)
+def _load(manifest_path, iou_threshold=None):
+    """The manifest, with `--iou-threshold` applied, its sources and its ground truth."""
     # the manifest's rule for fusion.iou_threshold; NaN fails the comparison too
     if iou_threshold is not None and not 0.0 < iou_threshold < 1.0:
         raise ConfigError(
             f"--iou-threshold must be a finite number in (0, 1), got {iou_threshold!r}"
         )
-    manifest = data_io.parse_manifest(args.manifest)
+    manifest = data_io.parse_manifest(manifest_path)
     if iou_threshold is not None:
         manifest.fusion = replace(manifest.fusion, iou_threshold=iou_threshold)
     ensemble, gt = data_io.load_ensemble(manifest)
     return manifest, ensemble, gt
 
 
+def _write_fuse(out_dir, per_image, summary) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    data_io.write_detections(per_image, os.path.join(out_dir, "fused.txt"))
+    data_io.write_json(summary, os.path.join(out_dir, "summary.json"))
+
+
 def cmd_fuse(args) -> int:
-    manifest, ensemble, _ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
+    manifest, ensemble, _ = _load(args.manifest, args.iou_threshold)
     per_image, summary = run_fuse(
-        manifest, ensemble, args.algorithm, args.threads, nms_iou=args.iou_threshold
+        manifest, ensemble, args.algorithm, nms_iou=args.iou_threshold
     )
-    data_io.write_detections(per_image, os.path.join(args.out, "fused.txt"))
-    data_io.write_json(summary, os.path.join(args.out, "summary.json"))
+    _write_fuse(args.out, per_image, summary)
     print(f"{args.algorithm}: {summary['output_boxes']} fused boxes -> {args.out}")
     return 0
 
@@ -225,22 +225,22 @@ def run_consensus(manifest, ensemble, shapley=False):
     return report, fused, dataset
 
 
-def cmd_consensus(args) -> int:
-    manifest, ensemble, _ = _load(args)
-    if len(ensemble.sources) < 2:
-        raise ConfigError(
-            "consensus weighting needs at least 2 sources; "
-            "a single source takes the whole non-extended weight"
-        )
-    os.makedirs(args.out, exist_ok=True)
-    report, fused, dataset = run_consensus(manifest, ensemble, shapley=args.shapley)
+def _write_consensus(out_dir, report, fused, dataset) -> None:
+    os.makedirs(out_dir, exist_ok=True)
     data_io.write_contribution_report(
-        report, os.path.join(args.out, "contribution_report.json")
+        report, os.path.join(out_dir, "contribution_report.json")
     )
     data_io.write_detections(
-        data_io.fused_to_detections(fused), os.path.join(args.out, "fused.txt")
+        data_io.fused_to_detections(fused), os.path.join(out_dir, "fused.txt")
     )
-    data_io.write_pseudo_labels(dataset, os.path.join(args.out, "pseudo_labels.txt"))
+    data_io.write_pseudo_labels(dataset, os.path.join(out_dir, "pseudo_labels.txt"))
+
+
+def cmd_consensus(args) -> int:
+    manifest, ensemble, _ = _load(args.manifest, args.iou_threshold)
+    # fewer than 2 sources raise DegenerateEnsembleError (exit 2) here
+    report, fused, dataset = run_consensus(manifest, ensemble, shapley=args.shapley)
+    _write_consensus(args.out, report, fused, dataset)
     alphas = ", ".join(
         f"{s.name}={report.alpha[s.source_id]:.4f}" for s in ensemble.sources
     )
@@ -248,20 +248,29 @@ def cmd_consensus(args) -> int:
     return 0
 
 
+def _write_eval(out_dir, metrics, curve) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    data_io.write_metrics(metrics, os.path.join(out_dir, "metrics.json"))
+    data_io.write_f1_curve(curve, os.path.join(out_dir, "f1_curve.csv"))
+
+
+def _as_boxes(per_image) -> dict:
+    return {iid: list(ds.boxes) for iid, ds in per_image.items()}
+
+
 def cmd_eval(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
     if not os.path.isfile(args.detections):
         raise ConfigError(f"--detections file not found: {args.detections}")
-    manifest, ensemble, gt = _load(args)
-    if gt is None:
+    # the manifest, the ground truth and --detections; never the sources' files
+    manifest = data_io.parse_manifest(args.manifest)
+    if manifest.ground_truth_path is None:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
-    detections = data_io.parse_detections(args.detections)
-    fused = {iid: list(ds.boxes) for iid, ds in detections.items()}
-    os.makedirs(args.out, exist_ok=True)
+    gt = data_io.parse_ground_truth(manifest.resolve(manifest.ground_truth_path))
+    fused = _as_boxes(data_io.parse_detections(args.detections))
     metrics = evaluate(fused, gt, args.confidence_threshold)
-    data_io.write_metrics(metrics, os.path.join(args.out, "metrics.json"))
     curve = f1_curve(fused, gt, DEFAULT_F1_GRID)
-    data_io.write_f1_curve(curve, os.path.join(args.out, "f1_curve.csv"))
+    _write_eval(args.out, metrics, curve)
     agg = metrics.aggregate
     print(
         f"P={agg.precision:.4f} R={agg.recall:.4f} "
@@ -272,62 +281,45 @@ def cmd_eval(args) -> int:
 
 def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT_CONF_THRESHOLD,
                  images=None, shapley=False):
-    """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree."""
+    """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree.
+
+    Each stage writes its directory with the writer its own command uses.
+    `threads` must be >= 1 and has no effect: every stage runs on one thread.
+    """
     _check_confidence_threshold(confidence_threshold)
-    scenarios = synth.reference_scenarios()
-    if scenario_name not in scenarios:
-        raise ConfigError(
-            f"unknown scenario {scenario_name!r}; valid: {sorted(scenarios)}"
-        )
-    scenario = scenarios[scenario_name]
-    if images:
-        scenario = synth.scaled(scenario, images)
+    _at_least("--threads", threads, 1)
+    scenario = _scenario(scenario_name, images)
     timings = {}
     t0 = time.perf_counter()
     manifest_path = write_scenario(scenario, os.path.join(out_dir, "data"))
     timings["simulate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    manifest = data_io.parse_manifest(manifest_path)
-    ensemble, gt = data_io.load_ensemble(manifest)
+    manifest, ensemble, gt = _load(manifest_path)
     timings["load"] = time.perf_counter() - t0
 
-    comparison = []
     fused_files = {}
-    for algorithm in ("nms", "soft-nms", "wbf", "knowledge-vote"):
+    for algorithm in FUSE_ALGORITHMS:
         t0 = time.perf_counter()
-        per_image, summary = run_fuse(manifest, ensemble, algorithm, threads)
+        per_image, summary = run_fuse(manifest, ensemble, algorithm)
         timings[algorithm] = time.perf_counter() - t0
-        adir = os.path.join(out_dir, f"fuse_{algorithm}")
-        os.makedirs(adir, exist_ok=True)
-        data_io.write_detections(per_image, os.path.join(adir, "fused.txt"))
-        data_io.write_json(summary, os.path.join(adir, "summary.json"))
+        _write_fuse(os.path.join(out_dir, f"fuse_{algorithm}"), per_image, summary)
         fused_files[algorithm] = per_image
 
     t0 = time.perf_counter()
     report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley)
     timings["consensus"] = time.perf_counter() - t0
-    cdir = os.path.join(out_dir, "consensus")
-    os.makedirs(cdir, exist_ok=True)
-    data_io.write_contribution_report(
-        report, os.path.join(cdir, "contribution_report.json")
-    )
+    _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
     ours = data_io.fused_to_detections(fused)
-    data_io.write_detections(ours, os.path.join(cdir, "fused.txt"))
-    data_io.write_pseudo_labels(dataset, os.path.join(cdir, "pseudo_labels.txt"))
-    fused_files["ours"] = ours
 
+    comparison = []
     timings["evaluation"] = 0.0
-    for name in ("ours", "nms", "soft-nms", "wbf", "knowledge-vote"):
-        per_image = fused_files[name]
-        boxes = {iid: list(ds.boxes) for iid, ds in per_image.items()}
+    for name, per_image in [("ours", ours), *fused_files.items()]:
+        boxes = _as_boxes(per_image)
         t0 = time.perf_counter()
         metrics = evaluate(boxes, gt, confidence_threshold)
         curve = f1_curve(boxes, gt, DEFAULT_F1_GRID)
         timings["evaluation"] += time.perf_counter() - t0
-        edir = os.path.join(out_dir, f"eval_{name}")
-        os.makedirs(edir, exist_ok=True)
-        data_io.write_metrics(metrics, os.path.join(edir, "metrics.json"))
-        data_io.write_f1_curve(curve, os.path.join(edir, "f1_curve.csv"))
+        _write_eval(os.path.join(out_dir, f"eval_{name}"), metrics, curve)
         agg = metrics.aggregate
         comparison.append(
             {
@@ -418,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--out", required=True)
     p.add_argument("--iou-threshold", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("consensus", help="contribution weights + weighted fusion")
@@ -438,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate + fuse + consensus + eval")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="kept for compatibility: must be >= 1, changes neither output nor speed")
     p.add_argument("--confidence-threshold", type=float, default=DEFAULT_CONF_THRESHOLD)
     p.add_argument("--images", type=int, default=None)
     p.add_argument("--shapley", action="store_true")

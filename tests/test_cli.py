@@ -1,11 +1,15 @@
 import json
 import logging
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from boxvote import cli, data_io
 from boxvote.cli import main
+from boxvote.errors import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +208,55 @@ class TestEval:
         assert rc == 3
         assert not (tmp_path / "o" / "metrics.json").exists()
 
+    def test_reads_no_source_file(self, scenario_dir, tmp_path, monkeypatch):
+        parsed = []
+        real = data_io.parse_detections
+
+        def counting(path, *args, **kwargs):
+            parsed.append(str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "parse_detections", counting)
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert parsed == [str(dets)]
+
+    def test_bad_manifest_exits_2_before_any_box_file(self, scenario_dir, tmp_path,
+                                                      monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a box file was read")
+
+        monkeypatch.setattr(data_io, "parse_detections", unexpected)
+        monkeypatch.setattr(data_io, "parse_ground_truth", unexpected)
+        doc = absolute_manifest_doc(scenario_dir)
+        doc["gates"]["default"] = "abc"
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 nope 0.1 0.5 0.5 0.9\n")
+        out = tmp_path / "o"
+        rc = main(["eval", "--manifest", str(mpath), "--detections", str(dets),
+                   "--out", str(out)])
+        assert rc == 2
+        del doc["target"]["ground_truth_path"]
+        doc["gates"]["default"] = 0.5
+        mpath.write_text(json.dumps(doc))
+        rc = main(["eval", "--manifest", str(mpath), "--detections", str(dets),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+
+def tree_bytes(root):
+    """Every file under root, by path relative to root, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(Path(root).rglob("*")) if path.is_file()
+    }
+
 
 class TestPipeline:
     def test_comparison_table_has_all_methods(self, tmp_path):
@@ -222,6 +275,31 @@ class TestPipeline:
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert timings["simulate"] > 0
         assert timings["load"] > 0
+
+    def test_stages_equal_the_standalone_commands(self, tmp_path):
+        run = tmp_path / "pp"
+        assert main(["pipeline", "--scenario", "two_good_one_poison", "--images", "20",
+                     "--out", str(run)]) == 0
+        man = str(run / "data" / "manifest.json")
+        alone = tmp_path / "alone"
+        for algorithm in cli.FUSE_ALGORITHMS:
+            assert main(["fuse", "--manifest", man, "--algorithm", algorithm,
+                         "--out", str(alone / f"fuse_{algorithm}")]) == 0
+        assert main(["consensus", "--manifest", man, "--out", str(alone / "consensus")]) == 0
+        stages = {"ours": "consensus", **{a: f"fuse_{a}" for a in cli.FUSE_ALGORITHMS}}
+        for name, stage in stages.items():
+            assert main(["eval", "--manifest", man,
+                         "--detections", str(alone / stage / "fused.txt"),
+                         "--out", str(alone / f"eval_{name}")]) == 0
+        dirs = sorted(os.listdir(alone))
+        assert len(dirs) == 10
+        for d in dirs:
+            assert tree_bytes(run / d) == tree_bytes(alone / d), d
+
+    def test_zero_images_raises_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="--images"):
+            cli.run_pipeline("three_good", str(tmp_path / "pp"), images=0)
+        assert not (tmp_path / "pp").exists()
 
 
 def absolute_manifest_doc(scenario_dir):
@@ -345,6 +423,53 @@ def test_iou_threshold_option_outside_unit_interval_exit_2(
     assert "internal error" not in err
     assert "--iou-threshold" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["simulate", "--scenario", "three_good", "--seed", "-1"], "--seed"),
+        (["simulate", "--scenario", "three_good", "--images", "0"], "--images"),
+        (["pipeline", "--scenario", "three_good", "--images", "0"], "--images"),
+        (["pipeline", "--scenario", "three_good", "--threads", "0"], "--threads"),
+        (["pipeline", "--scenario", "three_good", "--threads", "-3"], "--threads"),
+    ],
+    ids=["simulate-seed-negative", "simulate-images-0", "pipeline-images-0",
+         "pipeline-threads-0", "pipeline-threads-negative"],
+)
+def test_out_of_range_option_exit_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "o"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert option in err
+    assert not out.exists()
+
+
+def test_fuse_has_no_threads_option(scenario_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuse", "--manifest", manifest_path(scenario_dir), "--algorithm", "nms",
+              "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    """Every `boxvote ...` command in README's sh blocks parses, continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        words[1:]
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        for words in map(shlex.split, block.replace("\\\n", " ").splitlines())
+        if words[:1] == ["boxvote"]
+    ]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: boxvote {shlex.join(words)}")
 
 
 class TestNonFiniteInput:
