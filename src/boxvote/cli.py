@@ -225,15 +225,16 @@ def run_consensus(manifest, ensemble, shapley=False):
     return report, fused, dataset
 
 
-def _write_consensus(out_dir, report, fused, dataset) -> None:
+def _write_consensus(out_dir, report, fused, dataset) -> dict:
+    """Write the consensus artifacts; returns the fused boxes as detections."""
     os.makedirs(out_dir, exist_ok=True)
     data_io.write_contribution_report(
         report, os.path.join(out_dir, "contribution_report.json")
     )
-    data_io.write_detections(
-        data_io.fused_to_detections(fused), os.path.join(out_dir, "fused.txt")
-    )
+    per_image = data_io.fused_to_detections(fused)
+    data_io.write_detections(per_image, os.path.join(out_dir, "fused.txt"))
     data_io.write_pseudo_labels(dataset, os.path.join(out_dir, "pseudo_labels.txt"))
+    return per_image
 
 
 def cmd_consensus(args) -> int:
@@ -263,10 +264,9 @@ def cmd_eval(args) -> int:
     if not os.path.isfile(args.detections):
         raise ConfigError(f"--detections file not found: {args.detections}")
     # the manifest, the ground truth and --detections; never the sources' files
-    manifest = data_io.parse_manifest(args.manifest)
-    if manifest.ground_truth_path is None:
+    gt = data_io.load_ground_truth(data_io.parse_manifest(args.manifest))
+    if gt is None:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
-    gt = data_io.parse_ground_truth(manifest.resolve(manifest.ground_truth_path))
     fused = _as_boxes(data_io.parse_detections(args.detections))
     metrics = evaluate(fused, gt, args.confidence_threshold)
     curve = f1_curve(fused, gt, DEFAULT_F1_GRID)
@@ -284,10 +284,9 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree.
 
     Each stage writes its directory with the writer its own command uses.
-    `threads` must be >= 1 and has no effect: every stage runs on one thread.
+    `threads` is ignored: every stage runs on one thread.
     """
     _check_confidence_threshold(confidence_threshold)
-    _at_least("--threads", threads, 1)
     scenario = _scenario(scenario_name, images)
     timings = {}
     t0 = time.perf_counter()
@@ -308,8 +307,7 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     t0 = time.perf_counter()
     report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley)
     timings["consensus"] = time.perf_counter() - t0
-    _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
-    ours = data_io.fused_to_detections(fused)
+    ours = _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
 
     comparison = []
     timings["evaluation"] = 0.0
@@ -369,7 +367,6 @@ def cmd_pipeline(args) -> int:
     comparison, timings = run_pipeline(
         args.scenario,
         args.out,
-        threads=args.threads,
         confidence_threshold=args.confidence_threshold,
         images=args.images,
         shapley=args.shapley,
@@ -429,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate + fuse + consensus + eval")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="kept for compatibility: must be >= 1, changes neither output nor speed")
     p.add_argument("--confidence-threshold", type=float, default=DEFAULT_CONF_THRESHOLD)
     p.add_argument("--images", type=int, default=None)
     p.add_argument("--shapley", action="store_true")

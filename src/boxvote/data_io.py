@@ -486,6 +486,13 @@ def write_manifest(manifest: EnsembleManifest, path) -> None:
     write_json(manifest_to_dict(manifest), path)
 
 
+def load_ground_truth(manifest: EnsembleManifest) -> GroundTruth | None:
+    """The manifest's ground truth, or None when it names no ground-truth file."""
+    if manifest.ground_truth_path is None:
+        return None
+    return parse_ground_truth(manifest.resolve(manifest.ground_truth_path))
+
+
 def load_ensemble(manifest: EnsembleManifest) -> tuple[SourceEnsemble, GroundTruth | None]:
     """Read every referenced file and assemble the ensemble (source ids 1..I).
 
@@ -505,9 +512,8 @@ def load_ensemble(manifest: EnsembleManifest) -> tuple[SourceEnsemble, GroundTru
                 detections=dets,
             )
         )
-    gt = None
-    if manifest.ground_truth_path is not None:
-        gt = parse_ground_truth(manifest.resolve(manifest.ground_truth_path))
+    gt = load_ground_truth(manifest)
+    if gt is not None:
         all_ids.update(gt.entries)
     if manifest.target_image_ids is not None:
         target_ids = tuple(manifest.target_image_ids)
