@@ -136,9 +136,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _make_out_dir(out_dir) -> None:
+    """Create an output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+
+
 def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
     """Materialize a scenario as gt + detection files + manifest; returns manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     gt, domains = synth.generate(scenario.spec)
     data_io.write_ground_truth(gt, os.path.join(out_dir, "ground_truth.txt"))
     sources = []
@@ -167,7 +175,7 @@ def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
 
 
 def _load(manifest_path, iou_threshold=None):
-    """The manifest, with `--iou-threshold` applied, its sources and its ground truth."""
+    """The manifest, with `--iou-threshold` applied, and its sources."""
     # the manifest's rule for fusion.iou_threshold; NaN fails the comparison too
     if iou_threshold is not None and not 0.0 < iou_threshold < 1.0:
         raise ConfigError(
@@ -176,18 +184,17 @@ def _load(manifest_path, iou_threshold=None):
     manifest = data_io.parse_manifest(manifest_path)
     if iou_threshold is not None:
         manifest.fusion = replace(manifest.fusion, iou_threshold=iou_threshold)
-    ensemble, gt = data_io.load_ensemble(manifest)
-    return manifest, ensemble, gt
+    return manifest, data_io.load_ensemble(manifest)
 
 
 def _write_fuse(out_dir, per_image, summary) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     data_io.write_detections(per_image, os.path.join(out_dir, "fused.txt"))
     data_io.write_json(summary, os.path.join(out_dir, "summary.json"))
 
 
 def cmd_fuse(args) -> int:
-    manifest, ensemble, _ = _load(args.manifest, args.iou_threshold)
+    manifest, ensemble = _load(args.manifest, args.iou_threshold)
     per_image, summary = run_fuse(
         manifest, ensemble, args.algorithm, nms_iou=args.iou_threshold
     )
@@ -213,21 +220,13 @@ def run_consensus(manifest, ensemble, shapley=False):
     if shapley:
         report.shapley = cf.shapley_scores(ensemble, gates, flt, params, scorer=scorer)
     fused = cf.weighted_fusion(ensemble, report, gates, flt, params, scorer=scorer)
-    provenance = {
-        "sources": [s.name for s in ensemble.sources],
-        "gates": {
-            "default": manifest.gates.default_gate,
-            "per_class": {str(k): v for k, v in sorted(manifest.gates.gates.items())},
-        },
-        "iou_threshold": manifest.fusion.iou_threshold,
-    }
-    dataset = cf.emit_pseudo_labels(fused, ensemble.target_image_ids, provenance)
+    dataset = cf.emit_pseudo_labels(fused, ensemble.target_image_ids, {})
     return report, fused, dataset
 
 
 def _write_consensus(out_dir, report, fused, dataset) -> dict:
     """Write the consensus artifacts; returns the fused boxes as detections."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     data_io.write_contribution_report(
         report, os.path.join(out_dir, "contribution_report.json")
     )
@@ -238,7 +237,7 @@ def _write_consensus(out_dir, report, fused, dataset) -> dict:
 
 
 def cmd_consensus(args) -> int:
-    manifest, ensemble, _ = _load(args.manifest, args.iou_threshold)
+    manifest, ensemble = _load(args.manifest, args.iou_threshold)
     # fewer than 2 sources raise DegenerateEnsembleError (exit 2) here
     report, fused, dataset = run_consensus(manifest, ensemble, shapley=args.shapley)
     _write_consensus(args.out, report, fused, dataset)
@@ -250,7 +249,7 @@ def cmd_consensus(args) -> int:
 
 
 def _write_eval(out_dir, metrics, curve) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     data_io.write_metrics(metrics, os.path.join(out_dir, "metrics.json"))
     data_io.write_f1_curve(curve, os.path.join(out_dir, "f1_curve.csv"))
 
@@ -293,7 +292,8 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     manifest_path = write_scenario(scenario, os.path.join(out_dir, "data"))
     timings["simulate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    manifest, ensemble, gt = _load(manifest_path)
+    manifest, ensemble = _load(manifest_path)
+    gt = data_io.load_ground_truth(manifest)
     timings["load"] = time.perf_counter() - t0
 
     fused_files = {}

@@ -100,7 +100,7 @@ class ContributionReport:
 
 @dataclass(frozen=True)
 class PseudoLabelDataset:
-    """Fused boxes per target image, with the settings that produced them."""
+    """Fused boxes per target image; no file stores `provenance`, and the CLI passes it empty."""
 
     entries: dict[str, tuple[FusedBox, ...]]
     provenance: dict
@@ -199,8 +199,7 @@ def consensus_quality(
 
     Measured pre-weighting: the subset is fused with uniform weights and no
     confidence rescaling. Summation order is fixed (image order, then the
-    fusion output's confidence-descending order) so results are reproducible
-    regardless of how callers parallelize.
+    fusion output's confidence-descending order).
     """
     scorer = ConsensusScorer(subset, target_image_ids, gates, flt, params)
     return scorer.quality(range(len(scorer.sources)))
@@ -256,21 +255,19 @@ def shapley_scores(
             f"exact enumeration limited to {MAX_SHAPLEY_SOURCES} sources, got {n}"
         )
     scorer = _scorer(scorer, ensemble, gates, flt, params)
-    quality: dict[frozenset[int], float] = {frozenset(): 0.0}
-    indices = list(range(n))
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(indices, r):
-            quality[frozenset(combo)] = scorer.quality(combo)
+
+    def quality(positions) -> float:
+        return scorer.quality(positions) if positions else 0.0
+
     fact = math.factorial
     values: dict[int, float] = {}
-    for i in indices:
-        others = [j for j in indices if j != i]
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
         phi = 0.0
-        for r in range(len(others) + 1):
+        for r in range(n):
             coeff = fact(r) * fact(n - r - 1) / fact(n)
             for combo in itertools.combinations(others, r):
-                s = frozenset(combo)
-                phi += coeff * (quality[s | {i}] - quality[s])
+                phi += coeff * (quality(tuple(sorted((*combo, i)))) - quality(combo))
         values[sources[i].source_id] = phi
     return values
 

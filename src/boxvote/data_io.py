@@ -9,6 +9,7 @@ uses the same layout without the confidence column. The manifest is a single
 JSON document. All writers are deterministic: sorted keys, floats at 9
 significant digits, so identical inputs produce byte-identical files.
 
+One writer (`_box_line`) formats every box line of the three text formats.
 One reader (`_box_lines`) applies the same rules to all three text formats:
 blank lines and lines starting with `#` are skipped; each box line must have
 the format's field count; the class id is an integer >= 0; coordinates and
@@ -27,10 +28,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .consensus import PseudoLabelDataset, SourceDomain, SourceEnsemble
+from .consensus import ContributionReport, PseudoLabelDataset, SourceDomain, SourceEnsemble
 from .errors import InvalidBoxError, ManifestError, NegativeWeightError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
-from .fusion import ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
+from .fusion import KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
 from .geometry import Box, DetectionSet, validate_box
 
 log = logging.getLogger(__name__)
@@ -74,6 +75,12 @@ def write_json(obj, path) -> None:
 
 # ---------------------------------------------------------------------------
 # detection / ground-truth text files
+
+
+def _box_line(image_id: str, box, *tail: str) -> str:
+    """One line of any box text file: image id, class, corners, then the format's tail."""
+    return " ".join((image_id, str(box.cls), fmt_float(box.x1), fmt_float(box.y1),
+                     fmt_float(box.x2), fmt_float(box.y2), *tail)) + "\n"
 
 
 def _box_lines(path, field_counts, source=0, on_comment=None):
@@ -143,15 +150,9 @@ def write_detections(per_image: dict[str, DetectionSet], path) -> None:
     """Write detections in canonical order: image id, then confidence descending."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(per_image):
-            boxes = sorted(
-                enumerate(per_image[image_id].boxes),
-                key=lambda t: (-t[1].confidence, t[0]),
-            )
-            for _, b in boxes:
-                fh.write(
-                    f"{image_id} {b.cls} {fmt_float(b.x1)} {fmt_float(b.y1)} "
-                    f"{fmt_float(b.x2)} {fmt_float(b.y2)} {fmt_float(b.confidence)}\n"
-                )
+            # a stable sort: equal confidences keep their input order
+            for b in sorted(per_image[image_id].boxes, key=lambda b: -b.confidence):
+                fh.write(_box_line(image_id, b, fmt_float(b.confidence)))
 
 
 def fused_to_detections(fused: dict[str, list[FusedBox]]) -> dict[str, DetectionSet]:
@@ -183,11 +184,7 @@ def write_pseudo_labels(dataset: PseudoLabelDataset, path) -> None:
             for f in sorted(
                 boxes, key=lambda b: (-b.confidence, b.cls, b.x1, b.y1, b.x2, b.y2)
             ):
-                fh.write(
-                    f"{image_id} {f.cls} {fmt_float(f.x1)} {fmt_float(f.y1)} "
-                    f"{fmt_float(f.x2)} {fmt_float(f.y2)} "
-                    f"{fmt_float(f.confidence)} {f.support_count}\n"
-                )
+                fh.write(_box_line(image_id, f, fmt_float(f.confidence), str(f.support_count)))
 
 
 def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
@@ -228,10 +225,7 @@ def write_ground_truth(gt: GroundTruth, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(gt.entries):
             for b in gt.entries[image_id]:
-                fh.write(
-                    f"{image_id} {b.cls} {fmt_float(b.x1)} {fmt_float(b.y1)} "
-                    f"{fmt_float(b.x2)} {fmt_float(b.y2)}\n"
-                )
+                fh.write(_box_line(image_id, b))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +384,13 @@ def parse_manifest(path) -> EnsembleManifest:
         if not (0.0 <= gate <= 1.0):
             raise ManifestError(f"gate for {name!r} outside [0,1]")
         gates_map[class_ids[name]] = gate
-    default_gate = _number(raw_gates.get("default", 0.0), "default gate")
+    default_gate = _number(raw_gates.get("default", NO_GATES.default_gate), "default gate")
     if not (0.0 <= default_gate <= 1.0):
         raise ManifestError("default gate outside [0,1]")
     gates = ConfidenceGates(gates=gates_map, default_gate=default_gate)
 
     raw_filter = _object(doc.get("filter", {}), _FILTER_KEYS, "filter")
-    mode = raw_filter.get("mode", "keep_all")
+    mode = raw_filter.get("mode", KEEP_ALL.mode)
     listed = _string_list(raw_filter.get("classes", []), "filter.classes")
     filter_ids = set()
     for name in listed:
@@ -412,14 +406,17 @@ def parse_manifest(path) -> EnsembleManifest:
     weights = raw_fusion.get("model_weights")
     if weights is not None and not isinstance(weights, list):
         raise ManifestError(f"model_weights must be a list, got {weights!r}")
+    defaults = FusionParams()
+    numbers = {
+        key: _number(raw_fusion.get(key, getattr(defaults, key)), key)
+        for key in ("iou_threshold", "soft_nms_sigma", "score_floor")
+    }
     fusion = FusionParams(
-        iou_threshold=_number(raw_fusion.get("iou_threshold", 0.55), "iou_threshold"),
-        soft_nms_sigma=_number(raw_fusion.get("soft_nms_sigma", 0.5), "soft_nms_sigma"),
-        score_floor=_number(raw_fusion.get("score_floor", 0.001), "score_floor"),
+        **numbers,
         model_weights=(
             tuple(_weight(w) for w in weights) if weights else None
         ),
-        confidence_rescale=raw_fusion.get("confidence_rescale", "none"),
+        confidence_rescale=raw_fusion.get("confidence_rescale", defaults.confidence_rescale),
     )
     if fusion.confidence_rescale not in ("none", "support_ratio"):
         raise ManifestError(
@@ -493,33 +490,31 @@ def load_ground_truth(manifest: EnsembleManifest) -> GroundTruth | None:
     return parse_ground_truth(manifest.resolve(manifest.ground_truth_path))
 
 
-def load_ensemble(manifest: EnsembleManifest) -> tuple[SourceEnsemble, GroundTruth | None]:
-    """Read every referenced file and assemble the ensemble (source ids 1..I).
+def load_ensemble(manifest: EnsembleManifest) -> SourceEnsemble:
+    """Read every source's detections and assemble the ensemble (source ids 1..I).
 
-    When the manifest gives no explicit image id list, the target set is the
-    sorted union of image ids seen in detections and ground truth.
+    The target set is the manifest's image id list. Without one, it is the
+    sorted union of image ids seen in detections and ground truth; that is
+    the only case in which the ground truth is read here.
     """
-    domains = []
-    all_ids: set[str] = set()
-    for i, src in enumerate(manifest.sources, start=1):
-        dets = parse_detections(manifest.resolve(src.detections_path), source=i)
-        all_ids.update(dets)
-        domains.append(
-            SourceDomain(
-                source_id=i,
-                name=src.name,
-                dataset_size=src.dataset_size,
-                detections=dets,
-            )
+    domains = tuple(
+        SourceDomain(
+            source_id=i,
+            name=src.name,
+            dataset_size=src.dataset_size,
+            detections=parse_detections(manifest.resolve(src.detections_path), source=i),
         )
-    gt = load_ground_truth(manifest)
-    if gt is not None:
-        all_ids.update(gt.entries)
+        for i, src in enumerate(manifest.sources, start=1)
+    )
     if manifest.target_image_ids is not None:
         target_ids = tuple(manifest.target_image_ids)
     else:
+        all_ids = {image_id for d in domains for image_id in d.detections}
+        gt = load_ground_truth(manifest)
+        if gt is not None:
+            all_ids.update(gt.entries)
         target_ids = tuple(sorted(all_ids))
-    return SourceEnsemble(sources=tuple(domains), target_image_ids=target_ids), gt
+    return SourceEnsemble(sources=domains, target_image_ids=target_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +540,6 @@ def write_contribution_report(report, path) -> None:
 
 
 def parse_contribution_report(path):
-    from .consensus import ContributionReport
-
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     report = ContributionReport(

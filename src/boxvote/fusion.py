@@ -1,8 +1,7 @@
 """Box-combination algorithms: NMS, soft-NMS, WBF, and the gated knowledge vote.
 
 All four map detections for a single image to a fused result. Boxes of
-different classes never interact. Every function is pure; callers may fuse
-different images in parallel freely.
+different classes never interact. Every function is pure.
 
 NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
 boxes by class and sorts each group once, by the algorithm's priority; then

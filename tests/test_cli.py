@@ -9,7 +9,7 @@ import pytest
 
 from boxvote import cli, data_io
 from boxvote.cli import main
-from boxvote.errors import ConfigError
+from boxvote.errors import ConfigError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -474,6 +474,48 @@ def test_single_source_exit_2_leaves_no_output(scenario_dir, tmp_path, capsys, c
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["fuse", "--algorithm", "nms"], ["fuse", "--algorithm", "knowledge-vote"],
+     ["consensus"]],
+    ids=["fuse-nms", "fuse-knowledge-vote", "consensus"],
+)
+def test_listed_image_ids_read_no_ground_truth(scenario_dir, tmp_path, monkeypatch,
+                                               command):
+    def corrupt(path):
+        raise ParseError("corrupt ground truth", str(path), 1)
+
+    monkeypatch.setattr(data_io, "parse_ground_truth", corrupt)
+    assert data_io.parse_manifest(manifest_path(scenario_dir)).target_image_ids
+    rc = main([*command, "--manifest", manifest_path(scenario_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "fuse", "consensus", "pipeline", "eval"])
+def test_out_not_a_directory_exit_2(scenario_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    dets = tmp_path / "d.txt"
+    dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+    man = manifest_path(scenario_dir)
+    argv = {
+        "simulate": ["simulate", "--scenario", "three_good", "--images", "2"],
+        "fuse": ["fuse", "--manifest", man, "--algorithm", "nms"],
+        "consensus": ["consensus", "--manifest", man],
+        "pipeline": ["pipeline", "--scenario", "three_good", "--images", "2"],
+        "eval": ["eval", "--manifest", man, "--detections", str(dets)],
+    }[command]
+    # a directory below a regular file for eval; the regular file itself for the rest
+    out = blocker / "sub" if command == "eval" else blocker
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"cannot create output directory {blocker}" in err
+    assert blocker.read_text() == "keep"
 
 
 def test_readme_commands_parse():

@@ -248,10 +248,28 @@ class TestManifest:
                 {"name": "m2", "detections_path": "d2.txt"},
             ],
         )
-        ensemble, gt = data_io.load_ensemble(data_io.parse_manifest(p))
+        m = data_io.parse_manifest(p)
+        ensemble = data_io.load_ensemble(m)
         assert [s.source_id for s in ensemble.sources] == [1, 2]
         assert ensemble.sources[1].detections["img1"].boxes[0].source == 2
-        assert gt is None
+        assert data_io.load_ground_truth(m) is None
+
+    def test_target_set_without_image_ids_is_sorted_union(self, tmp_path):
+        (tmp_path / "d2.txt").write_text("img3 1 0.2 0.2 0.6 0.6 0.7\n")
+        # img0 and img2 have ground truth that no source detects
+        (tmp_path / "gt.txt").write_text(
+            "img2 0 0.1 0.1 0.5 0.5\nimg1 0 0.1 0.1 0.5 0.5\nimg0 1 0.2 0.2 0.4 0.4\n"
+        )
+        p = minimal_manifest(
+            tmp_path,
+            sources=[
+                {"name": "m1", "detections_path": "dets.txt"},
+                {"name": "m2", "detections_path": "d2.txt"},
+            ],
+            target={"ground_truth_path": "gt.txt"},
+        )
+        ensemble = data_io.load_ensemble(data_io.parse_manifest(p))
+        assert ensemble.target_image_ids == ("img0", "img1", "img2", "img3")
 
 
 class TestReports:
