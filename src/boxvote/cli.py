@@ -51,21 +51,27 @@ def _check_confidence_threshold(value: float) -> None:
         raise ConfigError(f"--confidence-threshold must be finite, got {value!r}")
 
 
-def _count_boxes(per_image) -> int:
-    return sum(len(ds.boxes) for ds in per_image.values())
+def _target_sets(ensemble: cf.SourceEnsemble):
+    """Each source's boxes on each target image: what `fuse` counts as its input."""
+    return (
+        src.for_image(image_id)
+        for image_id in ensemble.target_image_ids
+        for src in ensemble.sources
+    )
 
 
 def _gate_dropped(ensemble: cf.SourceEnsemble, gates, flt) -> int:
     """Source boxes that the confidence gates and the label filter remove."""
     return sum(
-        len(ds.boxes) - len(apply_gates(ds, gates, flt).boxes)
-        for image_id in ensemble.target_image_ids
-        for ds in (src.for_image(image_id) for src in ensemble.sources)
+        len(ds) - len(apply_gates(ds, gates, flt)) for ds in _target_sets(ensemble)
     )
 
 
 def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
+
+    `per_image` maps each target image id to its fused boxes: a `DetectionSet`
+    for the NMS family, a list of `FusedBox` for the WBF family.
 
     NMS-family algorithms default to NMS_DEFAULT_IOU unless nms_iou overrides
     it; the manifest's iou_threshold governs WBF clustering. `consensus-wbf`
@@ -85,15 +91,13 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
             for image_id in ensemble.target_image_ids
         }
     elif algorithm in ("wbf", "knowledge-vote"):
-        fused = {}
+        per_image = {}
         for image_id in ensemble.target_image_ids:
             per_model = [s.for_image(image_id) for s in ensemble.sources]
-            fused[image_id] = knowledge_vote(per_model, gates, flt, params) \
+            per_image[image_id] = knowledge_vote(per_model, gates, flt, params) \
                 if algorithm == "knowledge-vote" else wbf(per_model, params)
-        per_image = data_io.fused_to_detections(fused)
     elif algorithm == "consensus-wbf":
-        _, fused, _ = run_consensus(manifest, ensemble)
-        per_image = data_io.fused_to_detections(fused)
+        _, per_image, _ = run_consensus(manifest, ensemble)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {ALGORITHMS}")
 
@@ -101,10 +105,8 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),
-        "input_boxes": sum(
-            _count_boxes(s.detections) for s in ensemble.sources
-        ),
-        "output_boxes": _count_boxes(per_image),
+        "input_boxes": sum(map(len, _target_sets(ensemble))),
+        "output_boxes": sum(map(len, per_image.values())),
         "gate_dropped_boxes": _gate_dropped(ensemble, gates, flt) if gated else 0,
     }
     return per_image, summary
@@ -224,16 +226,13 @@ def run_consensus(manifest, ensemble, shapley=False):
     return report, fused, dataset
 
 
-def _write_consensus(out_dir, report, fused, dataset) -> dict:
-    """Write the consensus artifacts; returns the fused boxes as detections."""
+def _write_consensus(out_dir, report, fused, dataset) -> None:
     _make_out_dir(out_dir)
     data_io.write_contribution_report(
         report, os.path.join(out_dir, "contribution_report.json")
     )
-    per_image = data_io.fused_to_detections(fused)
-    data_io.write_detections(per_image, os.path.join(out_dir, "fused.txt"))
+    data_io.write_detections(fused, os.path.join(out_dir, "fused.txt"))
     data_io.write_pseudo_labels(dataset, os.path.join(out_dir, "pseudo_labels.txt"))
-    return per_image
 
 
 def cmd_consensus(args) -> int:
@@ -254,10 +253,6 @@ def _write_eval(out_dir, metrics, curve) -> None:
     data_io.write_f1_curve(curve, os.path.join(out_dir, "f1_curve.csv"))
 
 
-def _as_boxes(per_image) -> dict:
-    return {iid: list(ds.boxes) for iid, ds in per_image.items()}
-
-
 def cmd_eval(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
     if not os.path.isfile(args.detections):
@@ -266,7 +261,7 @@ def cmd_eval(args) -> int:
     gt = data_io.load_ground_truth(data_io.parse_manifest(args.manifest))
     if gt is None:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
-    fused = _as_boxes(data_io.parse_detections(args.detections))
+    fused = data_io.parse_detections(args.detections)
     metrics = evaluate(fused, gt, args.confidence_threshold)
     curve = f1_curve(fused, gt, DEFAULT_F1_GRID)
     _write_eval(args.out, metrics, curve)
@@ -307,15 +302,14 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     t0 = time.perf_counter()
     report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley)
     timings["consensus"] = time.perf_counter() - t0
-    ours = _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
+    _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
 
     comparison = []
     timings["evaluation"] = 0.0
-    for name, per_image in [("ours", ours), *fused_files.items()]:
-        boxes = _as_boxes(per_image)
+    for name, per_image in [("ours", fused), *fused_files.items()]:
         t0 = time.perf_counter()
-        metrics = evaluate(boxes, gt, confidence_threshold)
-        curve = f1_curve(boxes, gt, DEFAULT_F1_GRID)
+        metrics = evaluate(per_image, gt, confidence_threshold)
+        curve = f1_curve(per_image, gt, DEFAULT_F1_GRID)
         timings["evaluation"] += time.perf_counter() - t0
         _write_eval(os.path.join(out_dir, f"eval_{name}"), metrics, curve)
         agg = metrics.aggregate

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .consensus import ContributionReport, PseudoLabelDataset, SourceDomain, SourceEnsemble
-from .errors import InvalidBoxError, ManifestError, NegativeWeightError, ParseError
+from .errors import ConfigError, InvalidBoxError, ManifestError, NegativeWeightError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
 from .fusion import KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
 from .geometry import Box, DetectionSet, validate_box
@@ -146,28 +146,18 @@ def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
     }
 
 
-def write_detections(per_image: dict[str, DetectionSet], path) -> None:
-    """Write detections in canonical order: image id, then confidence descending."""
+def write_detections(per_image, path) -> None:
+    """Write detections in canonical order: image id, then confidence descending.
+
+    `per_image` maps an image id to that image's boxes: any iterable of
+    objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
+    `DetectionSet` or a list of `FusedBox`.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(per_image):
             # a stable sort: equal confidences keep their input order
-            for b in sorted(per_image[image_id].boxes, key=lambda b: -b.confidence):
+            for b in sorted(per_image[image_id], key=lambda b: -b.confidence):
                 fh.write(_box_line(image_id, b, fmt_float(b.confidence)))
-
-
-def fused_to_detections(fused: dict[str, list[FusedBox]]) -> dict[str, DetectionSet]:
-    """Flatten fused boxes to plain detections (support counts dropped)."""
-    out = {}
-    for image_id, boxes in fused.items():
-        out[image_id] = DetectionSet(
-            image_id,
-            tuple(
-                Box(cls=f.cls, x1=f.x1, y1=f.y1, x2=f.x2, y2=f.y2,
-                    confidence=f.confidence, source=0)
-                for f in boxes
-            ),
-        )
-    return out
 
 
 def write_pseudo_labels(dataset: PseudoLabelDataset, path) -> None:
@@ -366,7 +356,11 @@ def parse_manifest(path) -> EnsembleManifest:
     target = _object(doc.get("target", {}), _TARGET_KEYS, "target")
     image_ids = target.get("image_ids")
     if image_ids is not None:
-        _string_list(image_ids, "target.image_ids")
+        if not _string_list(image_ids, "target.image_ids"):
+            raise ManifestError(
+                "target.image_ids is empty: list at least one image id, or leave the key "
+                "out to target every image the files name"
+            )
         repeated = sorted(i for i, n in Counter(image_ids).items() if n > 1)
         if repeated:
             raise ManifestError(f"duplicate id(s) {repeated} in target.image_ids")
@@ -404,8 +398,18 @@ def parse_manifest(path) -> EnsembleManifest:
 
     raw_fusion = _object(doc.get("fusion", {}), _FUSION_KEYS, "fusion")
     weights = raw_fusion.get("model_weights")
-    if weights is not None and not isinstance(weights, list):
-        raise ManifestError(f"model_weights must be a list, got {weights!r}")
+    if weights is not None:
+        if not isinstance(weights, list):
+            raise ManifestError(f"model_weights must be a list, got {weights!r}")
+        weights = tuple(_weight(w) for w in weights)
+        # every command reads the weights by this rule, not only wbf and knowledge-vote
+        if len(weights) != len(sources):
+            raise ManifestError(
+                f"fusion.model_weights has {len(weights)} weight(s) for "
+                f"{len(sources)} source(s)"
+            )
+        if not any(w > 0.0 for w in weights):
+            raise ManifestError("fusion.model_weights needs at least one positive weight")
     defaults = FusionParams()
     numbers = {
         key: _number(raw_fusion.get(key, getattr(defaults, key)), key)
@@ -413,9 +417,7 @@ def parse_manifest(path) -> EnsembleManifest:
     }
     fusion = FusionParams(
         **numbers,
-        model_weights=(
-            tuple(_weight(w) for w in weights) if weights else None
-        ),
+        model_weights=weights,
         confidence_rescale=raw_fusion.get("confidence_rescale", defaults.confidence_rescale),
     )
     if fusion.confidence_rescale not in ("none", "support_ratio"):
@@ -430,7 +432,7 @@ def parse_manifest(path) -> EnsembleManifest:
     return EnsembleManifest(
         classes=list(classes),
         sources=sources,
-        target_image_ids=list(image_ids) if image_ids else None,
+        target_image_ids=None if image_ids is None else list(image_ids),
         ground_truth_path=gt_path,
         gates=gates,
         label_filter=label_filter,
@@ -495,7 +497,8 @@ def load_ensemble(manifest: EnsembleManifest) -> SourceEnsemble:
 
     The target set is the manifest's image id list. Without one, it is the
     sorted union of image ids seen in detections and ground truth; that is
-    the only case in which the ground truth is read here.
+    the only case in which the ground truth is read here, and an empty union
+    is a ConfigError.
     """
     domains = tuple(
         SourceDomain(
@@ -513,6 +516,8 @@ def load_ensemble(manifest: EnsembleManifest) -> SourceEnsemble:
         gt = load_ground_truth(manifest)
         if gt is not None:
             all_ids.update(gt.entries)
+        if not all_ids:
+            raise ConfigError("no detection or ground-truth file names a target image")
         target_ids = tuple(sorted(all_ids))
     return SourceEnsemble(sources=domains, target_image_ids=target_ids)
 

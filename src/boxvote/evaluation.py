@@ -183,7 +183,10 @@ def _match_rows(fused, gt: GroundTruth, classes, thresholds):
 def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsReport:
     """Score fused detections against ground truth at one operating point.
 
-    Aggregates are unweighted means over classes present in the ground truth.
+    `fused` maps an image id to that image's boxes: any sized iterable of
+    objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
+    `DetectionSet` or a list of `FusedBox`. Aggregates are unweighted means
+    over classes present in the ground truth.
     """
     counts = gt.class_counts()
     if not counts:
@@ -221,7 +224,8 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
 def f1_curve(fused, gt: GroundTruth, grid=DEFAULT_F1_GRID) -> F1Curve:
     """F1 per class and class-mean at every grid confidence.
 
-    The detections are matched once; each grid point counts the prefix of
+    `fused` maps image ids to per-image boxes, as for `evaluate`. The
+    detections are matched once; each grid point counts the prefix of
     confidence-sorted rows at or above it (see the module docstring).
     """
     grid = list(grid)

@@ -32,10 +32,16 @@ class Box:
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """All boxes for one image, in ingestion order."""
+    """All boxes for one image, in ingestion order; iterates and sizes as `boxes`."""
 
     image_id: str
     boxes: tuple[Box, ...]
+
+    def __iter__(self):
+        return iter(self.boxes)
+
+    def __len__(self) -> int:
+        return len(self.boxes)
 
 
 def _clamp(v: float) -> float:
@@ -46,26 +52,22 @@ def validate_box(b: Box) -> Box:
     """Return the box, clamping coordinates within CLAMP_SLOP of [0, 1].
 
     Raises InvalidBoxError on inverted corners, confidence outside [0, 1],
-    or coordinates beyond the slop (NaN and infinities included).
+    or coordinates beyond the slop (NaN and infinities included). A box with
+    ordered corners inside [0, 1] is returned as is; otherwise the corners
+    are clamped, and a slop-sized inversion collapses onto the far corner.
     """
-    coords = (b.x1, b.y1, b.x2, b.y2)
-    for v in coords:
+    x1, y1, x2, y2 = b.x1, b.y1, b.x2, b.y2
+    for v in (x1, y1, x2, y2):
         if not (-CLAMP_SLOP <= v <= 1.0 + CLAMP_SLOP):  # also rejects NaN
             raise InvalidBoxError(f"coordinate {v!r} outside [0,1] beyond slop")
     if not (0.0 <= b.confidence <= 1.0):
         raise InvalidBoxError(f"confidence {b.confidence!r} outside [0,1]")
-    if b.x1 > b.x2 + CLAMP_SLOP or b.y1 > b.y2 + CLAMP_SLOP:
-        raise InvalidBoxError(f"inverted corners ({b.x1},{b.y1},{b.x2},{b.y2})")
-    clamped = tuple(_clamp(v) for v in coords)
-    # re-clamping can only have shrunk the slop-sized inversion, never created one
-    x1, y1, x2, y2 = clamped
-    if x1 > x2:
-        x1 = x2
-    if y1 > y2:
-        y1 = y2
-    if (x1, y1, x2, y2) != coords:
-        return replace(b, x1=x1, y1=y1, x2=x2, y2=y2)
-    return b
+    if x1 > x2 + CLAMP_SLOP or y1 > y2 + CLAMP_SLOP:
+        raise InvalidBoxError(f"inverted corners ({x1},{y1},{x2},{y2})")
+    if 0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0:
+        return b
+    x2, y2 = _clamp(x2), _clamp(y2)
+    return replace(b, x1=min(_clamp(x1), x2), y1=min(_clamp(y1), y2), x2=x2, y2=y2)
 
 
 def iou(a, b) -> float:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from boxvote.errors import InvalidBoxError
 from boxvote.geometry import Box
 
 
@@ -284,6 +285,46 @@ def oracle_weights(sizes, cf_clamped, target_size):
         i: ((1 - alpha_ext) * (sizes[i] * cf_clamped[i])) / denom for i in sizes
     }
     return alpha_ext, alpha
+
+
+# geometry.CLAMP_SLOP, restated so that the oracle below shares no code with geometry
+ORACLE_SLOP = 1e-6
+
+
+def _pin(v: float) -> float:
+    """v pinned to [0, 1]; a pinned zero is +0.0."""
+    if v <= 0.0:
+        return 0.0
+    if v >= 1.0:
+        return 1.0
+    return v
+
+
+def oracle_validate_box(x1, y1, x2, y2, confidence):
+    """`validate_box`'s documented rules, stated independently.
+
+    Raises InvalidBoxError with validate_box's message, for the first rule a
+    box breaks: each coordinate in turn within ORACLE_SLOP of [0, 1], then the
+    confidence in [0, 1], then no inversion beyond ORACLE_SLOP. Otherwise
+    returns (corners, changed): each coordinate pinned to [0, 1], a lower
+    corner above its upper one lowered onto it, and whether any corner's
+    value moved (-0.0 == 0.0). A box whose values do not move must come back
+    as the same object with its own fields; a moved one as the pinned corners.
+    """
+    coords = [x1, y1, x2, y2]
+    for v in coords:
+        if math.isnan(v) or v < -ORACLE_SLOP or v > 1.0 + ORACLE_SLOP:
+            raise InvalidBoxError(f"coordinate {v!r} outside [0,1] beyond slop")
+    if math.isnan(confidence) or confidence < 0.0 or confidence > 1.0:
+        raise InvalidBoxError(f"confidence {confidence!r} outside [0,1]")
+    if x1 > x2 + ORACLE_SLOP or y1 > y2 + ORACLE_SLOP:
+        raise InvalidBoxError(f"inverted corners ({x1},{y1},{x2},{y2})")
+    pinned = [_pin(v) for v in coords]
+    for lo, hi in ((0, 2), (1, 3)):
+        if pinned[lo] > pinned[hi]:
+            pinned[lo] = pinned[hi]
+    changed = any(p != v for p, v in zip(pinned, coords))
+    return (tuple(pinned) if changed else tuple(coords)), changed
 
 
 def random_box(rng, cls=None, source=0, n_classes=3) -> Box:

@@ -384,6 +384,12 @@ MANIFEST_MUTATIONS = [
      "model weight"),
     ("iou_threshold an integer beyond the float range",
      set_fusion("iou_threshold", 10**400), 2, "iou_threshold"),
+    ("target.image_ids empty", lambda doc: doc["target"].update(image_ids=[]), 2,
+     "target.image_ids"),
+    ("model_weights shorter than the sources", set_fusion("model_weights", [1, 1]), 2,
+     "fusion.model_weights"),
+    ("model_weights with no positive weight", set_fusion("model_weights", [0, 0, 0]), 2,
+     "fusion.model_weights"),
 ]
 
 
@@ -474,6 +480,64 @@ def test_single_source_exit_2_leaves_no_output(scenario_dir, tmp_path, capsys, c
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [0, 0, 0]], ids=["short", "none-positive"])
+def test_consensus_applies_the_model_weights_rule(scenario_dir, tmp_path, capsys, weights):
+    doc = absolute_manifest_doc(scenario_dir)
+    doc["fusion"]["model_weights"] = weights
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["consensus", "--manifest", str(mpath), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "fusion.model_weights" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["fuse", "--algorithm", "nms"], ["consensus"]],
+    ids=["fuse-nms", "consensus"],
+)
+def test_no_target_image_in_any_file_exit_2(tmp_path, capsys, command):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.txt").write_text("# no boxes\n")
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({
+        "classes": ["car"],
+        "sources": [{"name": n, "detections_path": f"{n}.txt"} for n in ("a", "b")],
+    }))
+    out = tmp_path / "o"
+    rc = main([*command, "--manifest", str(mpath), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "target image" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["nms", "wbf", "knowledge-vote"])
+def test_input_boxes_counts_the_target_images_only(tmp_path, algorithm):
+    data = tmp_path / "data"
+    assert main(["simulate", "--scenario", "three_good", "--images", "3",
+                 "--out", str(data)]) == 0
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["target"]["image_ids"] = ["img_00000"]
+    (data / "one.json").write_text(json.dumps(doc))
+    on_target = sum(
+        line.split()[0] == "img_00000"
+        for s in doc["sources"]
+        for line in (data / s["detections_path"]).read_text().splitlines()
+    )
+    out = tmp_path / "o"
+    assert main(["fuse", "--manifest", str(data / "one.json"), "--algorithm", algorithm,
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0 < summary["input_boxes"] == on_target
+    assert summary["gate_dropped_boxes"] <= on_target
 
 
 @pytest.mark.parametrize(

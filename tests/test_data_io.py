@@ -10,7 +10,7 @@ from boxvote import data_io
 from boxvote.consensus import ContributionReport, PseudoLabelDataset
 from boxvote.errors import ManifestError, ParseError
 from boxvote.evaluation import F1Curve
-from boxvote.fusion import FusedBox
+from boxvote.fusion import FusedBox, FusionParams, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
 
@@ -62,6 +62,28 @@ class TestDetectionFiles:
         reparsed = data_io.parse_detections(p1)
         data_io.write_detections(reparsed, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_fused_boxes_write_as_the_same_boxes_converted(self, tmp_path):
+        rng = np.random.default_rng(17)
+        per_image = {}
+        for j in range(4):
+            per_model = [
+                DetectionSet(f"im{j}", tuple(random_box(rng, source=s) for _ in range(6)))
+                for s in (1, 2, 3)
+            ]
+            per_image[f"im{j}"] = wbf(per_model, FusionParams())
+        per_image["im4"] = []
+        as_boxes = {
+            iid: DetectionSet(iid, tuple(
+                Box(cls=f.cls, x1=f.x1, y1=f.y1, x2=f.x2, y2=f.y2, confidence=f.confidence)
+                for f in fused
+            ))
+            for iid, fused in per_image.items()
+        }
+        assert any(len(fused) > 1 for fused in per_image.values())
+        data_io.write_detections(per_image, tmp_path / "fused.txt")
+        data_io.write_detections(as_boxes, tmp_path / "boxes.txt")
+        assert (tmp_path / "fused.txt").read_bytes() == (tmp_path / "boxes.txt").read_bytes()
 
 
 class TestPseudoLabelFiles:

@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxvote.errors import InvalidBoxError
-from boxvote.geometry import Box, iou, validate_box
-from oracles import random_box, raster_iou
+from boxvote.geometry import CLAMP_SLOP, Box, DetectionSet, iou, validate_box
+from oracles import ORACLE_SLOP, oracle_validate_box, random_box, raster_iou
 
 
 def box(x1, y1, x2, y2, conf=0.9, cls=0):
@@ -105,3 +107,99 @@ class TestValidateBox:
         coords[axis] = v
         with pytest.raises(InvalidBoxError):
             validate_box(box(*coords))
+
+
+HALF_SLOP = ORACLE_SLOP / 2
+# coordinates on and around every edge validate_box decides on
+EDGE_VALUES = (
+    0.0, -0.0, 1.0, 5e-324, -5e-324, 0.5, ORACLE_SLOP, -ORACLE_SLOP, HALF_SLOP, -HALF_SLOP,
+    1.0 - HALF_SLOP, 1.0 + HALF_SLOP, 1.0 + ORACLE_SLOP, 1.5 * -ORACLE_SLOP,
+    1.0 + 1.5 * ORACLE_SLOP, float(np.nextafter(-ORACLE_SLOP, -1.0)),
+    float(np.nextafter(1.0 + ORACLE_SLOP, 2.0)), float("nan"), float("inf"), float("-inf"),
+)
+CONFIDENCES = (0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324, 1.0 + 1e-12, float("nan"))
+# (x1, y1, x2, y2) that single out one way of getting the clamp wrong
+PINNED_CASES = (
+    (0.0, 0.0, 1.0, 1.0),  # on the edges: the same object back
+    (-0.0, 0.2, 0.5, 1.0),  # -0.0 kept as is
+    (0.5 + HALF_SLOP, 0.1, 0.5, 0.6),  # a slop-sized inversion collapses onto x2
+    (0.1, 0.7, 0.6, 0.7 - HALF_SLOP),  # and onto y2
+    (-1e-7, 0.1, -6e-7, 0.6),  # both corners negative: x1 collapses onto the clamped x2
+    (0.1, -1e-7, 0.6, -6e-7),
+    (1.0 + 6e-7, 0.1, 1.0 + 1e-7, 0.6),  # both above 1
+)
+
+
+def _coordinate(rng):
+    pick = rng.random()
+    if pick < 0.5:
+        return rng.choice(EDGE_VALUES)
+    if pick < 0.7:
+        return rng.uniform(-2 * ORACLE_SLOP, 2 * ORACLE_SLOP)
+    if pick < 0.9:
+        return rng.uniform(1.0 - 2 * ORACLE_SLOP, 1.0 + 2 * ORACLE_SLOP)
+    return rng.uniform(-0.01, 1.01)
+
+
+def _edge_grid(n, seed=8):
+    rng = random.Random(seed)
+    for corners in PINNED_CASES:
+        yield (*corners, 0.9)
+    for _ in range(n):
+        x1, y1, x2, y2 = (_coordinate(rng) for _ in range(4))
+        # x1 within the slop of x2: inverted by half the slop or all of it, or ordered
+        if rng.random() < 0.2:
+            x1 = x2 + rng.choice((HALF_SLOP, ORACLE_SLOP, -HALF_SLOP))
+        if rng.random() < 0.2:
+            y1 = y2 + rng.choice((HALF_SLOP, ORACLE_SLOP, -HALF_SLOP))
+        conf = rng.choice(CONFIDENCES) if rng.random() < 0.1 else rng.random()
+        yield x1, y1, x2, y2, conf
+
+
+def test_oracle_restates_the_slop():
+    assert ORACLE_SLOP == CLAMP_SLOP
+
+
+def test_validate_box_matches_oracle_bit_for_bit():
+    hexes = lambda values: [float.hex(v) for v in values]  # noqa: E731
+    mismatches, outcomes = [], set()
+    for x1, y1, x2, y2, conf in _edge_grid(40_000):
+        b = Box(cls=2, x1=x1, y1=y1, x2=x2, y2=y2, confidence=conf, source=3)
+        try:
+            corners, changed = oracle_validate_box(x1, y1, x2, y2, conf)
+        except InvalidBoxError as exc:
+            expected = (type(exc), str(exc))
+            outcomes.add(str(exc).split()[0])
+        else:
+            expected = (hexes(corners), not changed)
+            outcomes.add("changed" if changed else "unchanged")
+        try:
+            out = validate_box(b)
+        except InvalidBoxError as exc:
+            got = (type(exc), str(exc))
+        else:
+            assert (out.cls, out.source, float.hex(out.confidence)) == (2, 3, float.hex(conf))
+            got = (hexes((out.x1, out.y1, out.x2, out.y2)), out is b)
+        if got != expected:
+            mismatches.append((hexes((x1, y1, x2, y2)), expected, got))
+    assert mismatches == []
+    # the grid reaches every outcome: kept, clamped, and each rejection
+    assert outcomes == {"changed", "unchanged", "coordinate", "confidence", "inverted"}
+
+
+class TestDetectionSet:
+    def test_iterates_and_sizes_as_its_boxes(self):
+        boxes = (box(0.1, 0.1, 0.5, 0.5), box(0.2, 0.2, 0.6, 0.6, conf=0.4))
+        ds = DetectionSet("img", boxes)
+        assert list(ds) == list(boxes)
+        assert len(ds) == 2
+        assert len(DetectionSet("img", ())) == 0
+        assert list(DetectionSet("img", ())) == []
+
+    def test_stays_frozen_hashable_and_equal_by_value(self):
+        a = DetectionSet("img", (box(0.1, 0.1, 0.5, 0.5),))
+        b = DetectionSet("img", (box(0.1, 0.1, 0.5, 0.5),))
+        assert a == b and hash(a) == hash(b)
+        assert a != DetectionSet("img2", a.boxes)
+        with pytest.raises(AttributeError):
+            a.boxes = ()
