@@ -2,13 +2,11 @@
 
 from .consensus import (
     ContributionReport,
-    PseudoLabelDataset,
     SourceDomain,
     SourceEnsemble,
     compute_weights,
     consensus_focus_scores,
     consensus_quality,
-    emit_pseudo_labels,
     shapley_scores,
     weighted_fusion,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "GroundTruthBox",
     "LabelSpaceFilter",
     "MetricsReport",
-    "PseudoLabelDataset",
     "SourceDomain",
     "SourceEnsemble",
     "apply_gates",
@@ -57,7 +54,6 @@ __all__ = [
     "compute_weights",
     "consensus_focus_scores",
     "consensus_quality",
-    "emit_pseudo_labels",
     "evaluate",
     "f1_curve",
     "iou",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 import time
@@ -47,8 +46,11 @@ def _pool_sources(ensemble: cf.SourceEnsemble, image_id: str) -> DetectionSet:
 
 
 def _check_confidence_threshold(value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"--confidence-threshold must be finite, got {value!r}")
+    # NaN fails the comparison too
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(
+            f"--confidence-threshold must be a number in [0, 1], got {value!r}"
+        )
 
 
 def _target_sets(ensemble: cf.SourceEnsemble):
@@ -97,7 +99,7 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
             per_image[image_id] = knowledge_vote(per_model, gates, flt, params) \
                 if algorithm == "knowledge-vote" else wbf(per_model, params)
     elif algorithm == "consensus-wbf":
-        _, per_image, _ = run_consensus(manifest, ensemble)
+        _, per_image = run_consensus(manifest, ensemble)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {ALGORITHMS}")
 
@@ -206,40 +208,46 @@ def cmd_fuse(args) -> int:
 
 
 def run_consensus(manifest, ensemble, shapley=False):
-    gates, flt, params = manifest.gates, manifest.label_filter, manifest.fusion
-    # one scorer per call: each (source, image) is gated once and each distinct
-    # subset's quality computed once, shared by the report, Shapley and the
-    # weighted pass
+    """Score every source, weight it, and fuse all sources with those weights.
+
+    One `ConsensusScorer` serves the whole run: each (source, image) is gated
+    once, and each distinct subset's quality is computed once, shared by the
+    leave-one-out report, Shapley (with `shapley`) and the weighted pass.
+    Returns `(report, fused)`, where `fused` maps every target image id, in
+    target order, to its fused boxes, empty lists included: these are the
+    pseudo-labels. Too many sources for Shapley exit before any fusion.
+    """
+    if shapley:
+        cf.check_shapley_size(len(ensemble.sources))
     scorer = cf.ConsensusScorer(
-        ensemble.sources, ensemble.target_image_ids, gates, flt, params
+        ensemble.sources, ensemble.target_image_ids,
+        manifest.gates, manifest.label_filter, manifest.fusion,
     )
-    report = cf.consensus_focus_scores(ensemble, gates, flt, params, scorer=scorer)
+    report = cf.consensus_focus_scores(scorer)
     report = cf.compute_weights(
         report,
         {s.source_id: s.dataset_size for s in ensemble.sources},
         len(ensemble.target_image_ids),
     )
     if shapley:
-        report.shapley = cf.shapley_scores(ensemble, gates, flt, params, scorer=scorer)
-    fused = cf.weighted_fusion(ensemble, report, gates, flt, params, scorer=scorer)
-    dataset = cf.emit_pseudo_labels(fused, ensemble.target_image_ids, {})
-    return report, fused, dataset
+        report.shapley = cf.shapley_scores(scorer)
+    return report, cf.weighted_fusion(scorer, report)
 
 
-def _write_consensus(out_dir, report, fused, dataset) -> None:
+def _write_consensus(out_dir, report, fused) -> None:
     _make_out_dir(out_dir)
     data_io.write_contribution_report(
         report, os.path.join(out_dir, "contribution_report.json")
     )
     data_io.write_detections(fused, os.path.join(out_dir, "fused.txt"))
-    data_io.write_pseudo_labels(dataset, os.path.join(out_dir, "pseudo_labels.txt"))
+    data_io.write_pseudo_labels(fused, os.path.join(out_dir, "pseudo_labels.txt"))
 
 
 def cmd_consensus(args) -> int:
     manifest, ensemble = _load(args.manifest, args.iou_threshold)
     # fewer than 2 sources raise DegenerateEnsembleError (exit 2) here
-    report, fused, dataset = run_consensus(manifest, ensemble, shapley=args.shapley)
-    _write_consensus(args.out, report, fused, dataset)
+    report, fused = run_consensus(manifest, ensemble, shapley=args.shapley)
+    _write_consensus(args.out, report, fused)
     alphas = ", ".join(
         f"{s.name}={report.alpha[s.source_id]:.4f}" for s in ensemble.sources
     )
@@ -300,9 +308,9 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
         fused_files[algorithm] = per_image
 
     t0 = time.perf_counter()
-    report, fused, dataset = run_consensus(manifest, ensemble, shapley=shapley)
+    report, fused = run_consensus(manifest, ensemble, shapley=shapley)
     timings["consensus"] = time.perf_counter() - t0
-    _write_consensus(os.path.join(out_dir, "consensus"), report, fused, dataset)
+    _write_consensus(os.path.join(out_dir, "consensus"), report, fused)
 
     comparison = []
     timings["evaluation"] = 0.0

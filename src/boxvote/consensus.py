@@ -3,8 +3,8 @@
 Consensus quality of a subset of sources is the sum, over target images and
 fused boxes, of support_count * fused confidence. Each source's contribution
 is its leave-one-out marginal on that quantity; contributions and dataset
-sizes then produce the normalized weights driving the final fusion pass and
-the pseudo-label dataset.
+sizes then produce the normalized weights driving the final fusion pass,
+whose fused boxes are the pseudo-labels.
 
 All scoring goes through one `ConsensusScorer`, which does each piece of
 work once:
@@ -21,9 +21,10 @@ work once:
   confidence-descending order. The result does not depend on which caller
   computed it.
 
-A scorer lives for one scoring run: `cli.run_consensus` builds one per call
-and drops it after, and the public functions below build their own when
-they are not given one. Nothing is cached across calls.
+A scorer lives for one scoring run, and it is the only input of the
+scoring functions below: they read the sources, target ids, gated boxes
+and fusion params from it. `cli.run_consensus` builds one per call and
+drops it after. Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import (
-    AllZeroContributionError,
-    DegenerateEnsembleError,
-    EmptySubsetError,
-    MissingImageError,
-)
+from .errors import AllZeroContributionError, DegenerateEnsembleError, EmptySubsetError
 from .fusion import (
     ConfidenceGates,
     FusedBox,
@@ -47,7 +43,7 @@ from .fusion import (
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
     wbf,
 )
-from .geometry import DetectionSet
+from .geometry import DetectionSet, running_sum
 
 # Non-positive contributions are clamped to this before normalization, so
 # every source keeps a representable (if negligible) weight.
@@ -98,14 +94,6 @@ class ContributionReport:
     shapley: dict[int, float] | None = None
 
 
-@dataclass(frozen=True)
-class PseudoLabelDataset:
-    """Fused boxes per target image; no file stores `provenance`, and the CLI passes it empty."""
-
-    entries: dict[str, tuple[FusedBox, ...]]
-    provenance: dict
-
-
 def _uniform(params: FusionParams, n: int) -> FusionParams:
     return replace(
         params, model_weights=tuple(1.0 for _ in range(n)), confidence_rescale="none"
@@ -129,7 +117,7 @@ class ConsensusScorer:
     ):
         self.sources = tuple(sources)
         self.target_image_ids = tuple(target_image_ids)
-        self.gates, self.flt, self.params = gates, flt, params
+        self.params = params
         # _gated[p][k]: the boxes of source p on image k that pass filter and gates
         self._gated = [
             [apply_gates(s.for_image(iid), gates, flt) for iid in self.target_image_ids]
@@ -161,33 +149,6 @@ class ConsensusScorer:
         return self._quality[key]
 
 
-def _scorer(scorer, ensemble: SourceEnsemble, gates, flt, params) -> ConsensusScorer:
-    """`scorer` when given, after checking it was built for this input; else a new one."""
-    if scorer is None:
-        return ConsensusScorer(
-            ensemble.sources, ensemble.target_image_ids, gates, flt, params
-        )
-    if (
-        scorer.sources != tuple(ensemble.sources)
-        or scorer.target_image_ids != tuple(ensemble.target_image_ids)
-        or (scorer.gates, scorer.flt, scorer.params) != (gates, flt, params)
-    ):
-        raise ValueError("scorer was built for other sources, images or settings")
-    return scorer
-
-
-def fuse_image(
-    subset: list[SourceDomain] | tuple[SourceDomain, ...],
-    image_id: str,
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-) -> list[FusedBox]:
-    """Knowledge-vote fusion of one target image over the given sources."""
-    scorer = ConsensusScorer(subset, (image_id,), gates, flt, params)
-    return next(scorer.fuse(range(len(scorer.sources)), params))
-
-
 def consensus_quality(
     subset,
     target_image_ids,
@@ -205,25 +166,17 @@ def consensus_quality(
     return scorer.quality(range(len(scorer.sources)))
 
 
-def consensus_focus_scores(
-    ensemble: SourceEnsemble,
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-    *,
-    scorer: ConsensusScorer | None = None,
-) -> ContributionReport:
+def consensus_focus_scores(scorer: ConsensusScorer) -> ContributionReport:
     """Leave-one-out marginal contribution of every source.
 
     Reads the quality of the full ensemble and of each subset with one
-    source withheld from `scorer` (a new one if not given).
+    source withheld from `scorer`.
     """
-    sources = list(ensemble.sources)
+    sources = scorer.sources
     if len(sources) < 2:
         raise DegenerateEnsembleError(
             "leave-one-out contribution needs at least 2 sources"
         )
-    scorer = _scorer(scorer, ensemble, gates, flt, params)
     everyone = tuple(range(len(sources)))
     report = ContributionReport()
     report.q_full = scorer.quality(everyone)
@@ -236,25 +189,22 @@ def consensus_focus_scores(
     return report
 
 
-def shapley_scores(
-    ensemble: SourceEnsemble,
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-    *,
-    scorer: ConsensusScorer | None = None,
-) -> dict[int, float]:
+def check_shapley_size(n_sources: int) -> None:
+    """Exact Shapley enumeration is capped at MAX_SHAPLEY_SOURCES sources."""
+    if n_sources > MAX_SHAPLEY_SOURCES:
+        raise DegenerateEnsembleError(
+            f"exact enumeration limited to {MAX_SHAPLEY_SOURCES} sources, got {n_sources}"
+        )
+
+
+def shapley_scores(scorer: ConsensusScorer) -> dict[int, float]:
     """Exact Shapley value of consensus quality per source (small ensembles only).
 
-    Reads every subset's quality from `scorer` (a new one if not given).
+    Reads every subset's quality from `scorer`.
     """
-    sources = list(ensemble.sources)
+    sources = scorer.sources
     n = len(sources)
-    if n > MAX_SHAPLEY_SOURCES:
-        raise DegenerateEnsembleError(
-            f"exact enumeration limited to {MAX_SHAPLEY_SOURCES} sources, got {n}"
-        )
-    scorer = _scorer(scorer, ensemble, gates, flt, params)
+    check_shapley_size(n)
 
     def quality(positions) -> float:
         return scorer.quality(positions) if positions else 0.0
@@ -289,7 +239,7 @@ def compute_weights(
     numerators = {
         i: source_sizes[i] * report.cf_clamped[i] for i in report.cf_clamped
     }
-    total = sum(numerators.values())
+    total = running_sum(numerators.values())
     if total == 0.0:
         raise AllZeroContributionError("all size-weighted contributions are zero")
     remainder = 1.0 - report.alpha_extended
@@ -298,34 +248,15 @@ def compute_weights(
 
 
 def weighted_fusion(
-    ensemble: SourceEnsemble,
-    report: ContributionReport,
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-    *,
-    scorer: ConsensusScorer | None = None,
+    scorer: ConsensusScorer, report: ContributionReport
 ) -> dict[str, list[FusedBox]]:
     """Final consensus-weighted knowledge-vote pass over every target image.
 
-    Fuses the gated sets of `scorer` (a new one if not given).
+    Fuses the gated sets of `scorer` with the weights `report.alpha`; the
+    result maps every target image id, in target order, to its fused boxes.
     """
-    weights = tuple(report.alpha[s.source_id] for s in ensemble.sources)
-    wparams = replace(params, model_weights=weights)
-    scorer = _scorer(scorer, ensemble, gates, flt, params)
-    fused = scorer.fuse(range(len(ensemble.sources)), wparams)
-    return dict(zip(ensemble.target_image_ids, fused))
-
-
-def emit_pseudo_labels(
-    fused: dict[str, list[FusedBox]],
-    target_image_ids,
-    provenance: dict,
-) -> PseudoLabelDataset:
-    """Package fused boxes for every target image into a pseudo-label dataset."""
-    entries: dict[str, tuple[FusedBox, ...]] = {}
-    for image_id in target_image_ids:
-        if image_id not in fused:
-            raise MissingImageError(f"no fused entry for target image {image_id!r}")
-        entries[image_id] = tuple(fused[image_id])
-    return PseudoLabelDataset(entries=entries, provenance=dict(provenance))
+    weights = tuple(report.alpha[s.source_id] for s in scorer.sources)
+    fused = scorer.fuse(
+        range(len(scorer.sources)), replace(scorer.params, model_weights=weights)
+    )
+    return dict(zip(scorer.target_image_ids, fused))

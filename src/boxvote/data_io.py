@@ -28,7 +28,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .consensus import ContributionReport, PseudoLabelDataset, SourceDomain, SourceEnsemble
+from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, NegativeWeightError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
 from .fusion import KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
@@ -160,15 +160,16 @@ def write_detections(per_image, path) -> None:
                 fh.write(_box_line(image_id, b, fmt_float(b.confidence)))
 
 
-def write_pseudo_labels(dataset: PseudoLabelDataset, path) -> None:
+def write_pseudo_labels(per_image, path) -> None:
     """Pseudo-label file: detection format plus the support count column.
 
-    Every target image appears, empty ones as a comment line, so the file
-    alone reconstructs the full image set.
+    `per_image` maps an image id to its fused boxes, as `write_detections`
+    takes and `parse_pseudo_labels` returns. Every image appears, empty ones
+    as a comment line, so the file alone reconstructs the full image set.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for image_id in sorted(dataset.entries):
-            boxes = dataset.entries[image_id]
+        for image_id in sorted(per_image):
+            boxes = per_image[image_id]
             if not boxes:
                 fh.write(f"# empty {image_id}\n")
             for f in sorted(

@@ -60,10 +60,6 @@ class AllZeroContributionError(ConfigError):
     """Every size-weighted contribution is zero; weights are undefined."""
 
 
-class MissingImageError(DataError):
-    """A target image id has no entry where one is required."""
-
-
 class ScenarioError(ConfigError):
     """A synthetic scenario spec violates its invariants."""
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EmptyGroundTruthError
-from .geometry import iou
+from .geometry import iou, running_sum
 
 AP_RECALL_POINTS = 101
 MAP_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -128,14 +128,6 @@ def match_detections(dets, gt_boxes, iou_thresh: float):
     return [(dets[k], m) for k, m in zip(order, flags)]
 
 
-def _running_sum(values) -> float:
-    """Left-to-right float sum; the builtin sum compensates on Python >= 3.12."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def average_precision(matched_flags, num_gt: int) -> float:
     """101-point interpolated AP from confidence-sorted match flags."""
     flags = np.asarray(matched_flags, dtype=bool)
@@ -147,7 +139,7 @@ def average_precision(matched_flags, num_gt: int) -> float:
     # precision envelope: max precision at or beyond each point
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     first = np.searchsorted(recalls, _RECALL_GRID, side="left")
-    total = _running_sum(envelope[first[first < len(envelope)]].tolist())
+    total = running_sum(envelope[first[first < len(envelope)]].tolist())
     return total / AP_RECALL_POINTS
 
 
@@ -207,14 +199,14 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
             precision=tp / n_det if n_det else 0.0,
             recall=tp / num_gt,
             ap50=aps[0],
-            ap5095=_running_sum(aps) / len(MAP_IOU_THRESHOLDS),
+            ap5095=running_sum(aps) / len(MAP_IOU_THRESHOLDS),
         )
     n = len(per_class)
     agg = ClassMetrics(
-        precision=sum(m.precision for m in per_class.values()) / n,
-        recall=sum(m.recall for m in per_class.values()) / n,
-        ap50=sum(m.ap50 for m in per_class.values()) / n,
-        ap5095=sum(m.ap5095 for m in per_class.values()) / n,
+        precision=running_sum(m.precision for m in per_class.values()) / n,
+        recall=running_sum(m.recall for m in per_class.values()) / n,
+        ap50=running_sum(m.ap50 for m in per_class.values()) / n,
+        ap5095=running_sum(m.ap5095 for m in per_class.values()) / n,
     )
     return MetricsReport(
         per_class=per_class, aggregate=agg, confidence_threshold=confidence_threshold
@@ -250,7 +242,7 @@ def f1_curve(fused, gt: GroundTruth, grid=DEFAULT_F1_GRID) -> F1Curve:
             r = tp / num_gt
             f1_by_class[cls] = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
         mean = (
-            sum(f1_by_class.values()) / len(f1_by_class) if f1_by_class else 0.0
+            running_sum(f1_by_class.values()) / len(f1_by_class) if f1_by_class else 0.0
         )
         points.append((c_thresh, f1_by_class, mean))
     return F1Curve(points=points)

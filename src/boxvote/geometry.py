@@ -1,4 +1,4 @@
-"""Box representation, validation, and IoU arithmetic.
+"""Box representation, validation, IoU arithmetic, and the fixed-order float sum.
 
 All coordinates are normalized corner coordinates (x1, y1, x2, y2) in [0, 1].
 Everything here is a pure function on immutable values.
@@ -12,6 +12,18 @@ from .errors import InvalidBoxError
 
 # Coordinates up to this far outside [0, 1] are clamped; beyond it is an error.
 CLAMP_SLOP = 1e-6
+
+
+def running_sum(values) -> float:
+    """Left-to-right float sum; the builtin sum compensates on Python >= 3.12.
+
+    Every float total that reaches an artifact goes through here, so the
+    bytes do not depend on the Python version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass(frozen=True)

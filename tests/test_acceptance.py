@@ -17,6 +17,7 @@ from boxvote import data_io
 from boxvote.cli import run_pipeline
 from boxvote.consensus import (
     CF_EPSILON,
+    ConsensusScorer,
     ContributionReport,
     SourceEnsemble,
     compute_weights,
@@ -123,7 +124,9 @@ def test_c02_weight_simplex_and_worked_example():
 def test_c03_leave_one_out_consistency_on_reference_scenarios():
     for name in ("three_good", "two_good_one_poison", "long_tail_gated"):
         scenario, _, ensemble = _ensemble_from_scenario(name)
-        report = consensus_focus_scores(ensemble, scenario.gates, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(ConsensusScorer(
+            ensemble.sources, ensemble.target_image_ids, scenario.gates, KEEP_ALL, PARAMS
+        ))
         for i, src in enumerate(ensemble.sources):
             rest = list(ensemble.sources[:i]) + list(ensemble.sources[i + 1 :])
             direct = consensus_quality(
@@ -137,7 +140,10 @@ def test_c03_leave_one_out_consistency_on_reference_scenarios():
 def test_c04_poisonous_source_detection():
     start = time.perf_counter()
     scenario, gt, ensemble = _ensemble_from_scenario("two_good_one_poison")
-    report = consensus_focus_scores(ensemble, scenario.gates, KEEP_ALL, PARAMS)
+    scorer = ConsensusScorer(
+        ensemble.sources, ensemble.target_image_ids, scenario.gates, KEEP_ALL, PARAMS
+    )
+    report = consensus_focus_scores(scorer)
     report = compute_weights(
         report,
         {s.source_id: s.dataset_size for s in ensemble.sources},
@@ -151,7 +157,7 @@ def test_c04_poisonous_source_detection():
 
     from boxvote.consensus import weighted_fusion
 
-    weighted = weighted_fusion(ensemble, report, scenario.gates, KEEP_ALL, PARAMS)
+    weighted = weighted_fusion(scorer, report)
     plain = {
         iid: wbf([s.for_image(iid) for s in ensemble.sources], PARAMS)
         for iid in ensemble.target_image_ids
@@ -342,14 +348,8 @@ def test_c09_format_round_trips(tmp_path):
     assert src.read_bytes() == again.read_bytes()
     # pseudo labels with n_b
     pl = tmp_path / "pp" / "consensus" / "pseudo_labels.txt"
-    parsed = data_io.parse_pseudo_labels(pl)
-    from boxvote.consensus import PseudoLabelDataset
-
-    ds = PseudoLabelDataset(
-        entries={k: tuple(v) for k, v in parsed.items()}, provenance={}
-    )
     again = tmp_path / "pl.txt"
-    data_io.write_pseudo_labels(ds, again)
+    data_io.write_pseudo_labels(data_io.parse_pseudo_labels(pl), again)
     assert pl.read_bytes() == again.read_bytes()
     # manifest
     man_path = tmp_path / "pp" / "data" / "manifest.json"

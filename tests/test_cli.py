@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from boxvote import cli, data_io
+from boxvote import cli, consensus, data_io
 from boxvote.cli import main
 from boxvote.errors import ConfigError, ParseError
 
@@ -151,6 +151,27 @@ class TestConsensus:
         mpath.write_text(json.dumps(doc))
         rc = main(["consensus", "--manifest", str(mpath), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+    def test_shapley_over_cap_exit_2_before_any_fusion(
+        self, scenario_dir, tmp_path, capsys, monkeypatch
+    ):
+        doc = absolute_manifest_doc(scenario_dir)
+        first = doc["sources"][0]
+        doc["sources"] = [
+            dict(first, name=f"copy_{i}") for i in range(consensus.MAX_SHAPLEY_SOURCES + 1)
+        ]
+        mpath = tmp_path / "wide.json"
+        mpath.write_text(json.dumps(doc))
+        calls = []
+        wbf = consensus.wbf
+        monkeypatch.setattr(consensus, "wbf", lambda *a: calls.append(a) or wbf(*a))
+        out = tmp_path / "o"
+        rc = main(["consensus", "--manifest", str(mpath), "--out", str(out), "--shapley"])
+        assert rc == 2
+        assert f"got {consensus.MAX_SHAPLEY_SOURCES + 1}" in capsys.readouterr().err
+        assert len(calls) == 0
+        assert not out.exists()
 
 
 class TestEval:
@@ -431,17 +452,28 @@ def test_iou_threshold_option_outside_unit_interval_exit_2(
     assert not out.exists()
 
 
+# a valid manifest and detection file, so only the threshold is out of range
+EVAL_INPUTS = ["--manifest", "{scenario}/manifest.json",
+               "--detections", "{scenario}/source_good_a.txt"]
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [
         (["simulate", "--scenario", "three_good", "--seed", "-1"], "--seed"),
         (["simulate", "--scenario", "three_good", "--images", "0"], "--images"),
         (["pipeline", "--scenario", "three_good", "--images", "0"], "--images"),
+        (["eval", *EVAL_INPUTS, "--confidence-threshold", "2"], "--confidence-threshold"),
+        (["eval", *EVAL_INPUTS, "--confidence-threshold", "-3"], "--confidence-threshold"),
+        (["pipeline", "--scenario", "three_good", "--confidence-threshold", "7"],
+         "--confidence-threshold"),
     ],
-    ids=["simulate-seed-negative", "simulate-images-0", "pipeline-images-0"],
+    ids=["simulate-seed-negative", "simulate-images-0", "pipeline-images-0",
+         "eval-confidence-2", "eval-confidence-negative", "pipeline-confidence-7"],
 )
-def test_out_of_range_option_exit_2(tmp_path, capsys, argv, option):
+def test_out_of_range_option_exit_2(scenario_dir, tmp_path, capsys, argv, option):
     out = tmp_path / "o"
+    argv = [a.format(scenario=scenario_dir) for a in argv]
     rc = main([*argv, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err

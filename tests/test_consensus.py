@@ -5,25 +5,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from boxvote import consensus
+from boxvote import cli, consensus
 from boxvote.cli import run_consensus
 from boxvote.consensus import (
     CF_EPSILON,
+    ConsensusScorer,
     ContributionReport,
     SourceDomain,
     SourceEnsemble,
     compute_weights,
     consensus_focus_scores,
     consensus_quality,
-    emit_pseudo_labels,
     shapley_scores,
     weighted_fusion,
 )
-from boxvote.errors import (
-    DegenerateEnsembleError,
-    EmptySubsetError,
-    MissingImageError,
-)
+from boxvote.errors import DegenerateEnsembleError, EmptySubsetError
 from boxvote.fusion import (
     KEEP_ALL,
     ConfidenceGates,
@@ -49,6 +45,10 @@ def domain(source_id, dets_per_image, name=None, size=1):
         dataset_size=size,
         detections=detections,
     )
+
+
+def make_scorer(ens, gates=NO_GATES, flt=KEEP_ALL, params=PARAMS):
+    return ConsensusScorer(ens.sources, ens.target_image_ids, gates, flt, params)
 
 
 def random_ensemble(rng, n_sources, n_images, max_boxes=5):
@@ -122,7 +122,7 @@ class TestConsensusFocusScores:
         rng = np.random.default_rng(61)
         ens = random_ensemble(rng, 1, 3)
         with pytest.raises(DegenerateEnsembleError):
-            consensus_focus_scores(ens, NO_GATES, KEEP_ALL, PARAMS)
+            consensus_focus_scores(make_scorer(ens))
 
     def test_duplicated_source_symmetry(self):
         rng = np.random.default_rng(62)
@@ -136,7 +136,7 @@ class TestConsensusFocusScores:
         ens = SourceEnsemble(
             sources=(src, twin), target_image_ids=base.target_image_ids
         )
-        report = consensus_focus_scores(ens, NO_GATES, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(make_scorer(ens))
         assert report.cf[1] == pytest.approx(report.cf[2], abs=1e-12)
 
     def test_non_participating_source_gets_epsilon(self):
@@ -150,7 +150,7 @@ class TestConsensusFocusScores:
             target_image_ids=("img",),
         )
         gates = ConfidenceGates(default_gate=0.5)  # source 2 fully gated out
-        report = consensus_focus_scores(ens, gates, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(make_scorer(ens, gates))
         assert report.q_leave_one_out[2] == report.q_full
         assert report.cf[2] == 0.0
         assert report.cf_clamped[2] == CF_EPSILON
@@ -158,7 +158,7 @@ class TestConsensusFocusScores:
     def test_leave_one_out_consistency(self):
         rng = np.random.default_rng(63)
         ens = random_ensemble(rng, 4, 4)
-        report = consensus_focus_scores(ens, NO_GATES, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(make_scorer(ens))
         for i, src in enumerate(ens.sources):
             rest = list(ens.sources[:i]) + list(ens.sources[i + 1 :])
             direct = consensus_quality(
@@ -173,7 +173,7 @@ class TestConsensusFocusScores:
             sources=tuple(domains),
             target_image_ids=tuple(sorted(domains[0].detections)),
         )
-        report = consensus_focus_scores(ens, scenario.gates, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(make_scorer(ens, scenario.gates))
         poison_id = 3
         assert report.cf[poison_id] < min(report.cf[1], report.cf[2])
         # cross-check all four subset qualities against the brute-force oracle
@@ -256,14 +256,14 @@ class TestShapley:
         q2 = consensus_quality(
             [ens.sources[1]], ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
         )
-        phi = shapley_scores(ens, NO_GATES, KEEP_ALL, PARAMS)
+        phi = shapley_scores(make_scorer(ens))
         assert phi[1] == pytest.approx((q1 + (q12 - q2)) / 2, abs=1e-12)
         assert phi[2] == pytest.approx((q2 + (q12 - q1)) / 2, abs=1e-12)
 
     def test_efficiency(self):
         rng = np.random.default_rng(82)
         ens = random_ensemble(rng, 3, 3)
-        phi = shapley_scores(ens, NO_GATES, KEEP_ALL, PARAMS)
+        phi = shapley_scores(make_scorer(ens))
         q_full = consensus_quality(
             list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
         )
@@ -274,17 +274,16 @@ class TestWeightedFusion:
     def _weighted(self, ens, alpha):
         report = ContributionReport()
         report.alpha = alpha
-        return weighted_fusion(ens, report, NO_GATES, KEEP_ALL, PARAMS)
+        return weighted_fusion(make_scorer(ens), report)
 
     def test_uniform_alpha_matches_unweighted(self):
         rng = np.random.default_rng(91)
         ens = random_ensemble(rng, 3, 3)
         fused = self._weighted(ens, {1: 0.25, 2: 0.25, 3: 0.25})
-        from boxvote.consensus import fuse_image
-
         uparams = FusionParams(model_weights=(1.0, 1.0, 1.0))
         for iid in ens.target_image_ids:
-            plain = fuse_image(ens.sources, iid, NO_GATES, KEEP_ALL, uparams)
+            plain = knowledge_vote([s.for_image(iid) for s in ens.sources], NO_GATES,
+                                   KEEP_ALL, uparams)
             got = sorted(fused[iid], key=fused_box_key)
             want = sorted(plain, key=fused_box_key)
             assert len(got) == len(want)
@@ -297,11 +296,10 @@ class TestWeightedFusion:
         rng = np.random.default_rng(92)
         ens = random_ensemble(rng, 3, 3)
         fused = self._weighted(ens, {1: 0.5, 2: 0.5, 3: 0.0})
-        from boxvote.consensus import fuse_image
-
         uparams = FusionParams(model_weights=(0.5, 0.5))
         for iid in ens.target_image_ids:
-            want = fuse_image(ens.sources[:2], iid, NO_GATES, KEEP_ALL, uparams)
+            want = knowledge_vote([s.for_image(iid) for s in ens.sources[:2]], NO_GATES,
+                                  KEEP_ALL, uparams)
             assert sorted(fused[iid], key=fused_box_key) == sorted(want, key=fused_box_key)
 
 
@@ -320,14 +318,13 @@ class TestWeightedFusionQuality:
             sources=tuple(domains),
             target_image_ids=tuple(sorted(domains[0].detections)),
         )
-        report = consensus_focus_scores(ens, scenario.gates, KEEP_ALL, PARAMS)
+        report = consensus_focus_scores(make_scorer(ens, scenario.gates))
         report = compute_weights(
             report,
             {s.source_id: s.dataset_size for s in ens.sources},
             len(ens.target_image_ids),
         )
-        weighted = weighted_fusion(ens, report, scenario.gates, KEEP_ALL, PARAMS)
-        from boxvote.consensus import fuse_image
+        weighted = weighted_fusion(make_scorer(ens, scenario.gates), report)
 
         def best_match(boxes, g):
             candidates = [b for b in boxes if b.cls == g.cls and iou(b, g) >= 0.5]
@@ -335,8 +332,8 @@ class TestWeightedFusionQuality:
 
         compared = 0
         for iid in ens.target_image_ids:
-            plain = fuse_image(
-                ens.sources, iid, scenario.gates, KEEP_ALL, PARAMS
+            plain = knowledge_vote(
+                [s.for_image(iid) for s in ens.sources], scenario.gates, KEEP_ALL, PARAMS
             )
             for g in gt.entries[iid]:
                 w = best_match(weighted[iid], g)
@@ -349,28 +346,40 @@ class TestWeightedFusionQuality:
 
 
 class TestPseudoLabels:
-    def test_empty_entries_preserved(self):
-        fused = {"a": [], "b": []}
-        out = emit_pseudo_labels(fused, ["a", "b"], {"note": "x"})
-        assert set(out.entries) == {"a", "b"}
-        assert all(v == () for v in out.entries.values())
+    """The weighted pass's fused dict is the pseudo-label set, written as it is."""
 
-    def test_missing_image_raises(self):
-        with pytest.raises(MissingImageError):
-            emit_pseudo_labels({"a": []}, ["a", "b"], {})
+    def _run(self):
+        ens, gates, flt, params = scoring_case(3)
+        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        return ens, *run_consensus(manifest, ens)
 
-    def test_structural_passthrough(self):
-        rng = np.random.default_rng(95)
-        ens = random_ensemble(rng, 2, 1)
-        from boxvote.consensus import fuse_image
+    def test_run_consensus_returns_every_target_image(self):
+        ens, _, fused = self._run()
+        assert list(fused) == list(ens.target_image_ids)
+        assert fused["img5"] == []  # no source has a box on img5
 
-        iid = ens.target_image_ids[0]
-        fused = {iid: fuse_image(ens.sources, iid, NO_GATES, KEEP_ALL,
-                                 FusionParams(model_weights=(1.0, 1.0)))}
-        out = emit_pseudo_labels(fused, [iid], {})
-        assert [f.support_count for f in out.entries[iid]] == [
-            f.support_count for f in fused[iid]
-        ]
+    def test_file_marks_empty_images_and_keeps_support_counts(self, tmp_path):
+        _, report, fused = self._run()
+        cli._write_consensus(tmp_path, report, fused)
+        lines = (tmp_path / "pseudo_labels.txt").read_text().splitlines()
+        empty = sorted(iid for iid, boxes in fused.items() if not boxes)
+        assert "img5" in empty
+        assert [ln for ln in lines if ln.startswith("#")] == [f"# empty {iid}" for iid in empty]
+
+        def key(iid, cls, coords_and_conf, support):
+            return (iid, int(cls), *(f"{float(v):.9g}" for v in coords_and_conf), int(support))
+
+        got = Counter(
+            key(parts[0], parts[1], parts[2:7], parts[7])
+            for parts in (ln.split() for ln in lines if not ln.startswith("#"))
+        )
+        want = Counter(
+            key(iid, f.cls, (f.x1, f.y1, f.x2, f.y2, f.confidence), f.support_count)
+            for iid, boxes in fused.items()
+            for f in boxes
+        )
+        assert got == want
+        assert max(k[-1] for k in want) > 1  # img0's boxes are shared by every source
 
 
 # (sources, confidence rescaling of the weighted pass, seed)
@@ -430,19 +439,19 @@ class TestSharedScoring:
     def test_run_consensus_equals_independent_calls(self, n_sources, rescale, seed):
         ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
         manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
-        report, fused, _ = run_consensus(manifest, ens, shapley=True)
+        report, fused = run_consensus(manifest, ens, shapley=True)
 
-        want = consensus_focus_scores(ens, gates, flt, params)
+        want = consensus_focus_scores(make_scorer(ens, gates, flt, params))
         want = compute_weights(
             want,
             {s.source_id: s.dataset_size for s in ens.sources},
             len(ens.target_image_ids),
         )
-        want.shapley = shapley_scores(ens, gates, flt, params)
+        want.shapley = shapley_scores(make_scorer(ens, gates, flt, params))
         for name in ("q_full", "q_leave_one_out", "cf", "cf_clamped", "alpha",
                      "alpha_extended", "shapley"):
             assert getattr(report, name) == getattr(want, name), name
-        assert fused == weighted_fusion(ens, want, gates, flt, params)
+        assert fused == weighted_fusion(make_scorer(ens, gates, flt, params), want)
 
         # the same floats as re-gating and knowledge-voting every subset
         assert report.q_full == knowledge_vote_quality(ens.sources, ens, gates, flt, params)
@@ -462,7 +471,7 @@ class TestSharedScoring:
     def test_qualities_match_bruteforce_oracle(self, n_sources, rescale, seed):
         ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
         manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
-        report, _, _ = run_consensus(manifest, ens, shapley=True)
+        report, _ = run_consensus(manifest, ens, shapley=True)
         want = oracle_consensus_quality(
             list(ens.sources), ens.target_image_ids, gates, flt, params.iou_threshold
         )
@@ -494,12 +503,3 @@ class TestSharedScoring:
         # 7 distinct non-empty subsets of 3 sources, plus the weighted pass
         assert calls["wbf"] == images * (7 + 1)
         assert calls["apply_gates"] == 3 * images
-
-    def test_scorer_for_other_settings_rejected(self):
-        ens, gates, flt, params = scoring_case(2)
-        scorer = consensus.ConsensusScorer(
-            ens.sources, ens.target_image_ids, gates, flt, params
-        )
-        with pytest.raises(ValueError):
-            consensus_focus_scores(ens, gates, flt, replace(params, iou_threshold=0.6),
-                                   scorer=scorer)

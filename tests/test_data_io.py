@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxvote import data_io
-from boxvote.consensus import ContributionReport, PseudoLabelDataset
+from boxvote.consensus import ContributionReport
 from boxvote.errors import ManifestError, ParseError
 from boxvote.evaluation import F1Curve
 from boxvote.fusion import FusedBox, FusionParams, wbf
@@ -101,18 +101,18 @@ class TestPseudoLabelFiles:
                              support_count=int(rng.integers(1, 4)), members=())
                 )
             entries[iid] = tuple(boxes)
-        return PseudoLabelDataset(entries=entries, provenance={})
+        return entries
 
     def test_round_trip_preserves_support_count(self, tmp_path):
         ds = self._dataset()
         p = tmp_path / "pl.txt"
         data_io.write_pseudo_labels(ds, p)
         back = data_io.parse_pseudo_labels(p)
-        assert set(back) == set(ds.entries)
-        for iid in ds.entries:
+        assert set(back) == set(ds)
+        for iid in ds:
             want = sorted(
                 (f.cls, round(f.x1, 9), f.support_count, round(f.confidence, 9))
-                for f in ds.entries[iid]
+                for f in ds[iid]
             )
             got = sorted(
                 (f.cls, round(f.x1, 9), f.support_count, round(f.confidence, 9))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxvote.errors import InvalidBoxError
-from boxvote.geometry import CLAMP_SLOP, Box, DetectionSet, iou, validate_box
+from boxvote.geometry import CLAMP_SLOP, Box, DetectionSet, iou, running_sum, validate_box
 from oracles import ORACLE_SLOP, oracle_validate_box, random_box, raster_iou
 
 
@@ -203,3 +204,13 @@ class TestDetectionSet:
         assert a != DetectionSet("img2", a.boxes)
         with pytest.raises(AttributeError):
             a.boxes = ()
+
+
+def test_running_sum_adds_left_to_right():
+    # each 1e-16 is below half an ulp of 1.0, so a left-to-right sum drops it,
+    # while a compensated sum (math.fsum, or builtin sum on Python >= 3.12) does not
+    values = [1.0, 1e-16, 1e-16]
+    assert math.fsum(values) != 1.0
+    assert running_sum(values) == 1.0
+    assert running_sum(iter(values)) == 1.0
+    assert running_sum([]) == 0.0
