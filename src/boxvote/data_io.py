@@ -194,8 +194,7 @@ def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
         if n_b < 1:
             raise ParseError(f"support count {n_b} < 1", str(path), lineno)
         entries.setdefault(parts[0], []).append(
-            FusedBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2,
-                     confidence=b.confidence, support_count=n_b, members=())
+            FusedBox(b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence, n_b, ())
         )
     return entries
 
@@ -205,7 +204,7 @@ def parse_ground_truth(path) -> GroundTruth:
     entries: dict[str, list[GroundTruthBox]] = {}
     for _, parts, b in _box_lines(path, (6,)):
         entries.setdefault(parts[0], []).append(
-            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
+            GroundTruthBox(b.cls, b.x1, b.y1, b.x2, b.y2)
         )
     return GroundTruth(
         entries={k: tuple(v) for k, v in entries.items()}
@@ -429,6 +428,8 @@ def parse_manifest(path) -> EnsembleManifest:
         raise ManifestError("iou_threshold must be in (0,1)")
     if fusion.soft_nms_sigma <= 0.0:
         raise ManifestError("soft_nms_sigma must be > 0")
+    if not (0.0 <= fusion.score_floor <= 1.0):
+        raise ManifestError(f"score_floor must be in [0,1], got {fusion.score_floor!r}")
 
     return EnsembleManifest(
         classes=list(classes),

@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,9 @@ DEFAULT_F1_GRID = tuple(
 _RECALL_GRID = np.arange(AP_RECALL_POINTS) / (AP_RECALL_POINTS - 1)
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
+class GroundTruthBox(NamedTuple):
+    """One ground-truth box: class id and normalized corners (see `geometry`)."""
+
     cls: int
     x1: float
     y1: float

@@ -25,6 +25,12 @@ any other per-group numpy work costs more than the few scalar calls it
 saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. The
 crossover measured at about 16 boxes.
 
+WBF emits a cluster of one box as that box's corners and confidence, with
+support 1 and the box as its only member. `FusedBox` is a named tuple like
+`geometry.Box` (see there), built positionally: consensus scoring builds one
+per cluster of every fusion, about 100,000 for three sources on 3,000 images
+with Shapley values.
+
 Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
 to round like the C library's `exp`, and on dense detector output it gave
 different last bits, which change output bytes.
@@ -33,7 +39,8 @@ different last bits, which change output bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +91,11 @@ class FusionParams:
     confidence_rescale: str = "none"  # none | support_ratio
 
 
-@dataclass(frozen=True)
-class FusedBox:
-    """A merged box: coordinates, fused confidence, and its supporting members."""
+class FusedBox(NamedTuple):
+    """A merged box: coordinates, fused confidence, and its supporting members.
+
+    `members` are the clustered boxes in join order; each names its source.
+    """
 
     cls: int
     x1: float
@@ -95,7 +104,7 @@ class FusedBox:
     y2: float
     confidence: float
     support_count: int
-    members: tuple[tuple[int, Box], ...]  # (source index, original box)
+    members: tuple[Box, ...]
 
 
 def apply_gates(
@@ -233,7 +242,7 @@ def soft_nms(dets: DetectionSet, params: FusionParams) -> DetectionSet:
         boxes = [b for b, _, _ in group]
         for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
             b, idx, _ = group[i]
-            out.append((b if c == b.confidence else replace(b, confidence=c), idx))
+            out.append((b if c == b.confidence else b._replace(confidence=c), idx))
     out.sort(key=_priority)
     return DetectionSet(dets.image_id, tuple(b for b, _ in out))
 
@@ -314,27 +323,20 @@ def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> No
             leaders[ci] = -1
         sums[ci] = _add_member(sums[ci], item)
         views[ci] = None
+    rescale = params.confidence_rescale == "support_ratio"
     for members, s in zip(clusters, sums):
         first = members[0][0]
         if s is None:
             x1, y1, x2, y2, conf = first.x1, first.y1, first.x2, first.y2, first.confidence
+            n_b = 1
+            boxes = (first,)
         else:
             x1, y1, x2, y2, conf = _fused(s, first)
-        n_b = len({b.source for b, _, _ in members})
-        if params.confidence_rescale == "support_ratio":
+            boxes = tuple([b for b, _, _ in members])
+            n_b = len({b.source for b in boxes})
+        if rescale:
             conf = conf * (min(n_b, n_active) / n_active)
-        out.append(
-            FusedBox(
-                cls=cls,
-                x1=x1,
-                y1=y1,
-                x2=x2,
-                y2=y2,
-                confidence=conf,
-                support_count=n_b,
-                members=tuple((b.source, b) for b, _, _ in members),
-            )
-        )
+        out.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))
 
 
 def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:

@@ -2,11 +2,24 @@
 
 All coordinates are normalized corner coordinates (x1, y1, x2, y2) in [0, 1].
 Everything here is a pure function on immutable values.
+
+The box types, `Box` here, `fusion.FusedBox` and `evaluation.GroundTruthBox`,
+are `typing.NamedTuple`s: immutable, hashable and equal by value. Every layer
+builds them by the hundred thousand, and a named tuple constructs in about a
+third of the time of a frozen dataclass, which sets each field through
+`object.__setattr__`. Reading a field costs a little more (CPython 3.11 does
+not specialize the named-tuple field getter), about 0.03 against 0.01 us,
+which the cheaper construction more than pays for. `_replace` is their
+copy-with-changes. Their equality is tuple equality: a box equals a plain
+tuple of the same values, with the same hash. Boxes of different types never
+compare equal, because their field counts differ (`GroundTruthBox` 5, `Box`
+7, `FusedBox` 8). Code reads their fields by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidBoxError
 
@@ -26,8 +39,7 @@ def running_sum(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """One detection: class id, normalized corners, confidence, owning source."""
 
     cls: int
@@ -79,7 +91,7 @@ def validate_box(b: Box) -> Box:
     if 0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0:
         return b
     x2, y2 = _clamp(x2), _clamp(y2)
-    return replace(b, x1=min(_clamp(x1), x2), y1=min(_clamp(y1), y2), x2=x2, y2=y2)
+    return b._replace(x1=min(_clamp(x1), x2), y1=min(_clamp(y1), y2), x2=x2, y2=y2)
 
 
 def iou(a, b) -> float:
@@ -88,17 +100,16 @@ def iou(a, b) -> float:
     Accepts any objects with x1/y1/x2/y2 attributes. Returns 0 when the
     union area is 0 (degenerate boxes).
     """
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
+    # each field is read once: a named-tuple field read costs more than a local
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    area_a = max(0.0, a.x2 - a.x1) * max(0.0, a.y2 - a.y1)
-    area_b = max(0.0, b.x2 - b.x1) * max(0.0, b.y2 - b.y1)
+    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
+    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0

@@ -371,6 +371,8 @@ MANIFEST_MUTATIONS = [
      "per_class"),
     ("source not an object", lambda doc: doc["sources"].append(7), 2, "source"),
     ("score_floor NaN", set_fusion("score_floor", float("nan")), 2, "score_floor"),
+    ("score_floor above 1", set_fusion("score_floor", 1.5), 2, "score_floor"),
+    ("score_floor negative", set_fusion("score_floor", -3), 2, "score_floor"),
     ("target not an object", lambda doc: doc.update(target=[1]), 2,
      "target must be an object"),
     ("filter.classes not a list", set_filter_classes(5), 2, "filter.classes"),

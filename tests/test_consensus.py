@@ -129,7 +129,7 @@ class TestConsensusFocusScores:
         base = random_ensemble(rng, 1, 4)
         src = base.sources[0]
         twin_dets = {
-            iid: DetectionSet(iid, tuple(b.__class__(**{**b.__dict__, "source": 2}) for b in ds.boxes))
+            iid: DetectionSet(iid, tuple(b._replace(source=2) for b in ds.boxes))
             for iid, ds in src.detections.items()
         }
         twin = SourceDomain(2, "twin", src.dataset_size, twin_dets)
@@ -408,7 +408,7 @@ def scoring_case(n_sources, rescale="none", seed=100):
             del dets["img1"]
             first = dets["img0"]
         else:
-            dets["img0"] += [replace(b, source=i) for b in first]
+            dets["img0"] += [b._replace(source=i) for b in first]
         sources.append(domain(i, dets, size=int(rng.integers(1, 200))))
     ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
     gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1)

@@ -196,8 +196,8 @@ class TestWbf:
         for _ in range(100):
             models = _random_models(rng)
             for f in wbf(models, FusionParams()):
-                xs1 = [b.x1 for _, b in f.members]
-                confs = [b.confidence for _, b in f.members]
+                xs1 = [b.x1 for b in f.members]
+                confs = [b.confidence for b in f.members]
                 assert min(xs1) - 1e-12 <= f.x1 <= max(xs1) + 1e-12
                 assert min(confs) - 1e-12 <= f.confidence <= max(confs) + 1e-12
 
@@ -263,7 +263,7 @@ class TestKnowledgeVote:
         for _ in range(30):
             models = _random_models(rng)
             for f in knowledge_vote(models, gates, KEEP_ALL, FusionParams()):
-                for _, b in f.members:
+                for b in f.members:
                     assert b.confidence >= gates.gate(f.cls)
 
 
@@ -413,7 +413,8 @@ class TestTablePathAgainstOracles:
     def test_wbf_equals_oracle(self, n, seed, weights):
         models = by_source(table_boxes(seed, n))
         out = wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights))
-        got = [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count, f.members)
+        got = [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
+                tuple((b.source, b) for b in f.members))
                for f in out]
         assert got == oracle_wbf(models, weights, 0.5)
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxvote.errors import InvalidBoxError
+from boxvote.evaluation import GroundTruthBox
+from boxvote.fusion import FusedBox
 from boxvote.geometry import CLAMP_SLOP, Box, DetectionSet, iou, running_sum, validate_box
 from oracles import ORACLE_SLOP, oracle_validate_box, random_box, raster_iou
 
@@ -204,6 +206,49 @@ class TestDetectionSet:
         assert a != DetectionSet("img2", a.boxes)
         with pytest.raises(AttributeError):
             a.boxes = ()
+
+
+# each box type built from the same numbers: class 1, corners, confidence 0.9, 2
+SAME_NUMBERS = {
+    "Box": lambda: Box(1, 0.1, 0.2, 0.5, 0.6, 0.9, 2),
+    "FusedBox": lambda: FusedBox(1, 0.1, 0.2, 0.5, 0.6, 0.9, 2,
+                                 (Box(1, 0.1, 0.2, 0.5, 0.6, 0.9, 2),)),
+    "GroundTruthBox": lambda: GroundTruthBox(1, 0.1, 0.2, 0.5, 0.6),
+}
+
+
+class TestBoxValueTypes:
+    @pytest.mark.parametrize("make", SAME_NUMBERS.values(), ids=SAME_NUMBERS.keys())
+    def test_attribute_assignment_raises(self, make):
+        b = make()
+        with pytest.raises(AttributeError):
+            b.x1 = 0.3
+        with pytest.raises(AttributeError):
+            b.note = "new"
+        assert b == make()
+
+    @pytest.mark.parametrize("make", SAME_NUMBERS.values(), ids=SAME_NUMBERS.keys())
+    def test_equal_values_equal_objects_and_hashes(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != a._replace(x1=0.15)
+        assert a._replace(x1=0.15) == b._replace(x1=0.15)
+        # the chosen semantics: tuple equality, so a plain tuple of the same values
+        # is equal too, with the same hash
+        assert a == tuple(a) and hash(a) == hash(tuple(a))
+
+    def test_types_never_equal_each_other(self):
+        boxes = {name: make() for name, make in SAME_NUMBERS.items()}
+        for name, other in boxes.items():
+            if name != "Box":
+                assert boxes["Box"] != other and other != boxes["Box"]
+        assert boxes["FusedBox"] != boxes["GroundTruthBox"]
+        assert len(set(boxes.values())) == 3
+
+    def test_validate_box_returns_an_in_range_box_itself(self):
+        b = SAME_NUMBERS["Box"]()
+        assert validate_box(b) is b
 
 
 def test_running_sum_adds_left_to_right():
