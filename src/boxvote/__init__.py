@@ -14,10 +14,12 @@ from .evaluation import (
     F1Curve,
     GroundTruth,
     GroundTruthBox,
+    Matches,
     MetricsReport,
     average_precision,
     evaluate,
     f1_curve,
+    match_all,
     match_detections,
 )
 from .fusion import (
@@ -46,6 +48,7 @@ __all__ = [
     "GroundTruth",
     "GroundTruthBox",
     "LabelSpaceFilter",
+    "Matches",
     "MetricsReport",
     "SourceDomain",
     "SourceEnsemble",
@@ -58,6 +61,7 @@ __all__ = [
     "f1_curve",
     "iou",
     "knowledge_vote",
+    "match_all",
     "match_detections",
     "nms",
     "shapley_scores",

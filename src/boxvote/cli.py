@@ -271,7 +271,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
     fused = data_io.parse_detections(args.detections)
     metrics = evaluate(fused, gt, args.confidence_threshold)
-    curve = f1_curve(fused, gt, DEFAULT_F1_GRID)
+    curve = f1_curve(metrics.matches, DEFAULT_F1_GRID)
     _write_eval(args.out, metrics, curve)
     agg = metrics.aggregate
     print(
@@ -281,12 +281,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT_CONF_THRESHOLD,
+def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRESHOLD,
                  images=None, shapley=False):
     """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree.
 
     Each stage writes its directory with the writer its own command uses.
-    `threads` is ignored: every stage runs on one thread.
     """
     _check_confidence_threshold(confidence_threshold)
     scenario = _scenario(scenario_name, images)
@@ -317,7 +316,7 @@ def run_pipeline(scenario_name, out_dir, threads=1, confidence_threshold=DEFAULT
     for name, per_image in [("ours", fused), *fused_files.items()]:
         t0 = time.perf_counter()
         metrics = evaluate(per_image, gt, confidence_threshold)
-        curve = f1_curve(per_image, gt, DEFAULT_F1_GRID)
+        curve = f1_curve(metrics.matches, DEFAULT_F1_GRID)
         timings["evaluation"] += time.perf_counter() - t0
         _write_eval(os.path.join(out_dir, f"eval_{name}"), metrics, curve)
         agg = metrics.aggregate

@@ -15,8 +15,10 @@ blank lines and lines starting with `#` are skipped; each box line must have
 the format's field count; the class id is an integer >= 0; coordinates and
 confidence are floats in [0, 1], where coordinates up to
 `geometry.CLAMP_SLOP` outside are clamped and stored clamped; corners must
-not be inverted. Any violation raises ParseError naming the file and line
-(CLI exit 3).
+not be inverted. Any violation raises ParseError naming the file and the
+exact line (CLI exit 3), also for a byte that is not UTF-8. Lines end at
+`\n`, `\r\n` or a lone `\r`; other whitespace, such as `\f`, only
+separates fields.
 """
 
 from __future__ import annotations
@@ -83,45 +85,75 @@ def _box_line(image_id: str, box, *tail: str) -> str:
                      fmt_float(box.x2), fmt_float(box.y2), *tail)) + "\n"
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte.
+
+    Text mode decodes in chunks, so its decode error does not say where in
+    the file the byte is. This reads the raw bytes again, on the error path
+    only, and counts line breaks as text mode does: `\n`, `\r\n` and a lone
+    `\r`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"not UTF-8 text: {exc}", str(path), line)
+    return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
+
+
 def _box_lines(path, field_counts, source=0, on_comment=None):
-    """Yield (line number, fields, validated Box) for each box line of a text file.
+    """The rows (line number, image id, validated Box, eighth field or None)
+    of a text file's box lines, in file order.
 
     The one reader behind the detection, ground-truth and pseudo-label
     formats (see the module docstring for the rules). `#` lines are passed to
     `on_comment` as their fields, if given. A line without a confidence
-    column (ground truth) gets confidence 1.0.
+    column (ground truth) gets confidence 1.0. `validate_box` returns a box
+    inside [0, 1] with ordered corners as it is, so it runs only on a box
+    that fails that check here (NaN fails it too).
     """
     where = str(path)
     expected = " or ".join(map(str, field_counts))
-    lineno = 0
+    rows = []
+    append = rows.append
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 parts = raw.split()
                 if not parts:
                     continue
+                n = len(parts)
                 if parts[0].startswith("#"):
                     if on_comment is not None:
                         on_comment(parts)
                     continue
-                if len(parts) not in field_counts:
-                    raise ParseError(f"expected {expected} fields, got {len(parts)}", where, lineno)
+                if n not in field_counts:
+                    raise ParseError(f"expected {expected} fields, got {n}", where, lineno)
                 try:
                     cls = int(parts[1])
-                    x1, y1, x2, y2 = map(float, parts[2:6])
-                    conf = float(parts[6]) if len(parts) > 6 else 1.0
+                    x1 = float(parts[2])
+                    y1 = float(parts[3])
+                    x2 = float(parts[4])
+                    y2 = float(parts[5])
+                    conf = float(parts[6]) if n > 6 else 1.0
                 except ValueError as exc:
                     raise ParseError(str(exc), where, lineno) from exc
                 if cls < 0:
                     raise ParseError(f"negative class id {cls}", where, lineno)
-                try:
-                    box = validate_box(Box(cls, x1, y1, x2, y2, conf, source))
-                except InvalidBoxError as exc:
-                    raise ParseError(str(exc), where, lineno) from exc
-                yield lineno, parts, box
+                box = Box(cls, x1, y1, x2, y2, conf, source)
+                if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0
+                        and 0.0 <= conf <= 1.0):
+                    try:
+                        box = validate_box(box)
+                    except InvalidBoxError as exc:
+                        raise ParseError(str(exc), where, lineno) from exc
+                append((lineno, parts[0], box, parts[7] if n > 7 else None))
     except UnicodeDecodeError as exc:
-        # text is decoded in chunks, so the bad byte is on this line or a later one
-        raise ParseError(f"not UTF-8 text at line {lineno + 1} or later: {exc}", where) from exc
+        raise _not_utf8(path) from exc
+    return rows
 
 
 def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
@@ -133,11 +165,16 @@ def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
     """
     per_image: dict[str, list[Box]] = {}
     dropped = 0
-    for _, parts, box in _box_lines(path, (7, 8), source=source):
-        if box.area() == 0.0:
+    for _, image_id, box, _ in _box_lines(path, (7, 8), source=source):
+        # box.area(), inline: a validated box's corners are ordered, so no max(0, ...)
+        if (box.x2 - box.x1) * (box.y2 - box.y1) == 0.0:
             dropped += 1
             continue
-        per_image.setdefault(parts[0], []).append(box)
+        boxes = per_image.get(image_id)
+        if boxes is None:
+            per_image[image_id] = [box]
+        else:
+            boxes.append(box)
     if dropped:
         log.warning("%s: dropped %d zero-area box(es)", path, dropped)
     return {
@@ -186,14 +223,14 @@ def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
         if len(parts) == 3 and parts[1] == "empty":
             entries.setdefault(parts[2], [])
 
-    for lineno, parts, b in _box_lines(path, (8,), on_comment=mark_empty):
+    for lineno, image_id, b, support in _box_lines(path, (8,), on_comment=mark_empty):
         try:
-            n_b = int(parts[7])
+            n_b = int(support)
         except ValueError as exc:
             raise ParseError(str(exc), str(path), lineno) from exc
         if n_b < 1:
             raise ParseError(f"support count {n_b} < 1", str(path), lineno)
-        entries.setdefault(parts[0], []).append(
+        entries.setdefault(image_id, []).append(
             FusedBox(b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence, n_b, ())
         )
     return entries
@@ -202,8 +239,8 @@ def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
 def parse_ground_truth(path) -> GroundTruth:
     """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line."""
     entries: dict[str, list[GroundTruthBox]] = {}
-    for _, parts, b in _box_lines(path, (6,)):
-        entries.setdefault(parts[0], []).append(
+    for _, image_id, b, _ in _box_lines(path, (6,)):
+        entries.setdefault(image_id, []).append(
             GroundTruthBox(b.cls, b.x1, b.y1, b.x2, b.y2)
         )
     return GroundTruth(
@@ -306,8 +343,8 @@ def _weight(value) -> float:
 
 def _require_file(base_dir: str, path: str, what: str) -> None:
     resolved = _resolve(base_dir, path)
-    if not os.path.exists(resolved):
-        raise ManifestError(f"{what} file not found: {resolved}")
+    if not os.path.isfile(resolved):
+        raise ManifestError(f"{what} file not found or not a regular file: {resolved}")
 
 
 def parse_manifest(path) -> EnsembleManifest:

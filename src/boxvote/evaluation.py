@@ -5,22 +5,25 @@ taking the best still-unmatched ground-truth box at or above the IoU
 threshold. AP is 101-point interpolated; the multi-threshold mAP averages
 IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
-Each `evaluate` or `f1_curve` call matches once. Per (image, class) slice,
-every detection x ground-truth IoU is computed once, and the greedy sweep
-for every IoU threshold reads from those values. The sweep is prefix-stable:
-whether a detection matches depends only on the detections ranked above it
-in its slice (confidence descending, then ingestion order). Keeping the
-detections at or above a confidence keeps a prefix of every slice, so their
-matches are a prefix of the full matches. The F1 curve relies on this: it
-matches all detections once and reads each grid point off cumulative
-true-positive counts over the confidence-sorted rows.
+Each evaluation matches once, and the metrics and the F1 curve share that
+match. `match_all` matches every detection, whatever its confidence: per
+(image, class) slice it computes every detection x ground-truth IoU once,
+and the greedy sweep for each of the ten IoU thresholds reads from those
+values. The sweep is prefix-stable: whether a detection matches depends
+only on the detections ranked above it in its slice (confidence descending,
+then ingestion order). Keeping the detections at or above a confidence
+keeps a prefix of every slice, so their matches are a prefix of the full
+matches, in the same order. So `evaluate` at threshold T reads the
+confidence-sorted rows at or above T, and `f1_curve` reads each grid point
+off cumulative true-positive counts in the IoU-0.5 column of the same rows
+(`MetricsReport.matches`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
@@ -68,11 +71,26 @@ class ClassMetrics:
     ap5095: float
 
 
+@dataclass(frozen=True)
+class Matches:
+    """Every detection matched against the ground truth at every mAP IoU threshold.
+
+    `counts` is the number of ground-truth boxes per class, in ascending class
+    order. `rows[cls]` holds one `(confidence, flag per MAP_IOU_THRESHOLDS...)`
+    row per detection of a class in `counts`, sorted by confidence descending.
+    """
+
+    counts: dict[int, int]
+    rows: dict[int, list[tuple]]
+
+
 @dataclass
 class MetricsReport:
     per_class: dict[int, ClassMetrics]
     aggregate: ClassMetrics
     confidence_threshold: float
+    # every detection's match, whatever the threshold; read by `f1_curve`
+    matches: Matches = field(compare=False, repr=False)
 
 
 @dataclass
@@ -153,49 +171,49 @@ def _by_class(boxes, classes) -> dict[int, list]:
     return out
 
 
-def _match_rows(fused, gt: GroundTruth, classes, thresholds):
-    """Per class: one (confidence, flag per threshold...) row per detection.
+def match_all(fused, gt: GroundTruth) -> Matches:
+    """Match every detection of `fused`, with no confidence filter, at every
+    mAP IoU threshold (see the module docstring).
 
-    Rows are sorted by (-confidence, image id, rank in the image's slice):
-    images are visited in id order, each slice appends in rank order, and
-    the confidence sort is stable. So metrics are independent of image
-    iteration order.
+    `fused` maps an image id to that image's boxes: any sized iterable of
+    objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
+    `DetectionSet` or a list of `FusedBox`. Each class's rows are sorted by
+    (-confidence, image id, rank in the image's slice): images are visited in
+    id order, each slice appends in rank order, and the confidence sort is
+    stable. So the result does not depend on the order of `fused`.
     """
-    rows: dict[int, list[tuple]] = {c: [] for c in classes}
+    counts = gt.class_counts()
+    rows: dict[int, list[tuple]] = {c: [] for c in counts}
     for image_id in sorted(fused):
         gt_by_cls = _by_class(gt.entries.get(image_id, ()), rows)
         for cls, dets in _by_class(fused[image_id], rows).items():
             gt_boxes = gt_by_cls.get(cls, ())
             order, candidates = _rank_slice(dets, gt_boxes)
-            columns = [_greedy_flags(candidates, len(gt_boxes), t) for t in thresholds]
+            columns = [_greedy_flags(candidates, len(gt_boxes), t) for t in MAP_IOU_THRESHOLDS]
             rows[cls].extend(zip([dets[k].confidence for k in order], *columns))
     for cls_rows in rows.values():
         cls_rows.sort(key=itemgetter(0), reverse=True)
-    return rows
+    return Matches(counts, rows)
 
 
 def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsReport:
     """Score fused detections against ground truth at one operating point.
 
-    `fused` maps an image id to that image's boxes: any sized iterable of
-    objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
-    `DetectionSet` or a list of `FusedBox`. Aggregates are unweighted means
-    over classes present in the ground truth.
+    `fused` is as for `match_all`. Aggregates are unweighted means over
+    classes present in the ground truth. The detections are matched once,
+    all of them; the report keeps that match as `matches`, for `f1_curve`.
     """
-    counts = gt.class_counts()
-    if not counts:
+    matches = match_all(fused, gt)
+    if not matches.counts:
         raise EmptyGroundTruthError("ground truth contains no boxes")
-    kept = {
-        image_id: [d for d in dets if d.confidence >= confidence_threshold]
-        for image_id, dets in fused.items()
-    }
-    rows = _match_rows(kept, gt, counts, MAP_IOU_THRESHOLDS)
     per_class: dict[int, ClassMetrics] = {}
-    for cls, num_gt in counts.items():
-        flags = np.array([r[1:] for r in rows[cls]], dtype=bool)
+    for cls, num_gt in matches.counts.items():
+        rows = matches.rows[cls]
+        # rows are confidence-descending: the kept ones are a prefix
+        n_det = bisect_right([-r[0] for r in rows], -confidence_threshold)
+        flags = np.array([r[1:] for r in rows[:n_det]], dtype=bool)
         flags = flags.reshape(-1, len(MAP_IOU_THRESHOLDS))  # also when no rows
         tp = int(flags[:, 0].sum())
-        n_det = len(flags)
         aps = [average_precision(column, num_gt) for column in flags.T]
         per_class[cls] = ClassMetrics(
             precision=tp / n_det if n_det else 0.0,
@@ -211,28 +229,29 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
         ap5095=running_sum(m.ap5095 for m in per_class.values()) / n,
     )
     return MetricsReport(
-        per_class=per_class, aggregate=agg, confidence_threshold=confidence_threshold
+        per_class=per_class, aggregate=agg, confidence_threshold=confidence_threshold,
+        matches=matches,
     )
 
 
-def f1_curve(fused, gt: GroundTruth, grid=DEFAULT_F1_GRID) -> F1Curve:
+def f1_curve(matches: Matches, grid=DEFAULT_F1_GRID) -> F1Curve:
     """F1 per class and class-mean at every grid confidence.
 
-    `fused` maps image ids to per-image boxes, as for `evaluate`. The
-    detections are matched once; each grid point counts the prefix of
-    confidence-sorted rows at or above it (see the module docstring).
+    `matches` is `match_all`'s result, as `evaluate` keeps it on its report;
+    this matches nothing itself. Each grid point counts the prefix of
+    confidence-sorted rows at or above it in the IoU-0.5 column (see the
+    module docstring).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("confidence grid is empty")
     if any(b >= a for a, b in zip(grid[1:], grid)):
         raise ValueError("confidence grid must be strictly ascending")
-    counts = gt.class_counts()
-    rows = _match_rows(fused, gt, counts, (0.5,))
     prefixes = []
-    for cls, num_gt in counts.items():
-        neg_conf = [-conf for conf, _ in rows[cls]]
-        cum_tp = list(accumulate((m for _, m in rows[cls]), initial=0))
+    for cls, num_gt in matches.counts.items():
+        rows = matches.rows[cls]
+        neg_conf = [-r[0] for r in rows]
+        cum_tp = list(accumulate((r[1] for r in rows), initial=0))
         prefixes.append((cls, num_gt, neg_conf, cum_tp))
     points = []
     for c_thresh in grid:

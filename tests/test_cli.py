@@ -692,6 +692,62 @@ class TestBadInputFiles:
                    "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_non_utf8_ground_truth_names_the_line(self, scenario_dir, tmp_path, capsys):
+        doc = absolute_manifest_doc(scenario_dir)
+        gt = tmp_path / "gt.txt"
+        gt.write_bytes(b"img_00000 0 0.1 0.1 0.5 0.5\nimg_00000 1 0.1 0.1 0.5 0.5\xff\n")
+        doc["target"]["ground_truth_path"] = str(gt)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        rc = main(["eval", "--manifest", str(mpath), "--detections", str(dets),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{gt}:2: not UTF-8 text" in err
+        assert "or later" not in err
+
+    def test_nan_confidence_exit_3_names_the_line(self, scenario_dir, tmp_path, capsys):
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\nimg_00000 0 0.1 0.1 0.5 0.5 nan\n")
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{dets}:2: confidence nan outside [0,1]" in capsys.readouterr().err
+
+    def test_form_feed_inside_a_line_is_not_a_line_break(self, scenario_dir, tmp_path,
+                                                         capsys):
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\fimg_00000 0 0.1 0.1 0.5 0.5 0.8\n")
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(dets), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"{dets}:1: expected 7 or 8 fields, got 14" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fuse", "eval"])
+    @pytest.mark.parametrize("key", ["detections_path", "ground_truth_path"])
+    def test_manifest_path_naming_a_directory_exit_2(self, scenario_dir, tmp_path, capsys,
+                                                     key, command):
+        doc = absolute_manifest_doc(scenario_dir)
+        (tmp_path / "adir").mkdir()
+        if key == "detections_path":
+            doc["sources"][0]["detections_path"] = "adir"
+        else:
+            doc["target"]["ground_truth_path"] = "adir"
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        argv = {"fuse": ["fuse", "--algorithm", "nms"],
+                "eval": ["eval", "--detections", str(dets)]}[command]
+        rc = main([*argv, "--manifest", str(mpath), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        # the path as resolved against the manifest's directory
+        assert f"not a regular file: {tmp_path / 'adir'}" in err
+
     def test_missing_detections_exit_2(self, scenario_dir, tmp_path, capsys):
         missing = tmp_path / "none.txt"
         rc = main(["eval", "--manifest", manifest_path(scenario_dir),

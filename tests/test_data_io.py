@@ -37,6 +37,17 @@ class TestDetectionFiles:
         assert len(out["img1"].boxes) == 1
         assert "zero-area" in caplog.text
 
+    @pytest.mark.parametrize("line", [
+        "img1 0 0.3 0.1 0.3 0.5 0.9",
+        "img1 0 0.1 0.4 0.5 0.4 0.9",
+        "img1 0 0 0 1e-200 1e-200 0.9",  # ordered corners, but the area underflows to 0
+    ], ids=["x1 == x2", "y1 == y2", "area underflow"])
+    def test_in_range_zero_area_dropped(self, tmp_path, line):
+        p = tmp_path / "d.txt"
+        p.write_text(f"{line}\nimg1 0 0 0 1 1 0.8\n")
+        [b] = data_io.parse_detections(p)["img1"].boxes
+        assert b.confidence == 0.8
+
     def test_bad_field_count(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("img1 0 0.1 0.1 0.5\n")
@@ -84,6 +95,62 @@ class TestDetectionFiles:
         data_io.write_detections(per_image, tmp_path / "fused.txt")
         data_io.write_detections(as_boxes, tmp_path / "boxes.txt")
         assert (tmp_path / "fused.txt").read_bytes() == (tmp_path / "boxes.txt").read_bytes()
+
+
+class TestLineEndings:
+    LINES = [
+        "# a comment",
+        "img1 0 0.1 0.1 0.5 0.5 0.93",
+        "",
+        "img2 1 0.2 0.3 0.4 0.6 0.5 2",
+        "img1 2 0 0 1 1 1",
+    ]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_same_boxes_as_lf(self, tmp_path, newline):
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes("\n".join(self.LINES).encode() + b"\n")
+        other.write_bytes(newline.join(self.LINES).encode() + newline.encode())
+        assert data_io.parse_detections(other) == data_io.parse_detections(lf)
+        assert len(data_io.parse_detections(lf)["img1"]) == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    @pytest.mark.parametrize("bad", ["img3 0 0.9 0.1 0.5 0.5 0.9", "img3 0 0.1 0.1 0.5"],
+                             ids=["inverted corners", "field count"])
+    def test_same_error_line(self, tmp_path, newline, bad):
+        p = tmp_path / "d.txt"
+        p.write_bytes(newline.join([*self.LINES, bad, self.LINES[1]]).encode())
+        with pytest.raises(ParseError) as exc:
+            data_io.parse_detections(p)
+        assert exc.value.line == 6
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    def test_same_non_utf8_line(self, tmp_path, newline):
+        p = tmp_path / "d.txt"
+        p.write_bytes(newline.join(self.LINES).encode() + newline.encode() + b"\xffimg3")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            data_io.parse_detections(p)
+        assert exc.value.line == 6
+
+
+class TestNonUtf8Line:
+    def test_bad_byte_on_line_2(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_bytes(b"im0 0 0.1 0.1 0.5 0.5\nim0 1 0.1 0.1 0.5 0.5\xff\nim1 0 0 0 1 1\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            data_io.parse_ground_truth(p)
+        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{p}:2: ")
+
+    def test_bad_byte_past_the_first_8_kib(self, tmp_path):
+        # text mode decodes in 8 KiB chunks; the line is counted from the raw bytes
+        line = b"im0 0 0.1 0.1 0.5 0.5\n"
+        n_before = 8192 // len(line) + 40
+        p = tmp_path / "gt.txt"
+        p.write_bytes(line * n_before + b"im0 0 0.1 \xc3\x28 0.5 0.5\n" + line * 5)
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            data_io.parse_ground_truth(p)
+        assert exc.value.line == n_before + 1
 
 
 class TestPseudoLabelFiles:

@@ -199,12 +199,12 @@ class TestEvaluate:
 class TestF1Curve:
     def test_perfect_detector_flat_one(self):
         fused, gt = perfect_fixture()
-        curve = f1_curve(fused, gt, [0.1, 0.5, 0.9])
+        curve = f1_curve(evaluate(fused, gt, 0.0).matches, [0.1, 0.5, 0.9])
         assert all(p[2] == 1.0 for p in curve.points)
 
     def test_empty_detections_zero(self):
         _, gt = perfect_fixture()
-        curve = f1_curve({}, gt, [0.0001])
+        curve = f1_curve(evaluate({}, gt, 0.0).matches, [0.0001])
         assert curve.points[0][2] == 0.0
 
     def test_pointwise_consistency_with_evaluate(self):
@@ -219,7 +219,7 @@ class TestF1Curve:
             fused[iid] = [random_box(rng) for _ in range(5)]
         gtobj = GroundTruth(entries=gt)
         grid = [0.05, 0.3, 0.6, 0.85]
-        curve = f1_curve(fused, gtobj, grid)
+        curve = f1_curve(evaluate(fused, gtobj, 0.0).matches, grid)
         for c_thresh, f1_by_class, _ in curve.points:
             report = evaluate(fused, gtobj, c_thresh)
             for cls, f1 in f1_by_class.items():
@@ -230,10 +230,23 @@ class TestF1Curve:
 
     def test_grid_must_be_ascending(self):
         _, gt = perfect_fixture()
+        matches = evaluate({}, gt, 0.0).matches
         with pytest.raises(ValueError):
-            f1_curve({}, gt, [0.5, 0.4])
+            f1_curve(matches, [0.5, 0.4])
         with pytest.raises(ValueError):
-            f1_curve({}, gt, [])
+            f1_curve(matches, [])
+
+    def test_same_curve_whatever_the_evaluate_threshold(self):
+        # the shared match covers every detection, not only those evaluate keeps
+        rng = np.random.default_rng(122)
+        fused, gt = overlapping_fixture(rng, n_images=6)
+        assert max(d.confidence for dets in fused.values() for d in dets) < 1.0
+        curves = [
+            f1_curve(evaluate(fused, gt, t).matches, DEFAULT_F1_GRID).points
+            for t in (0.0, 0.3, 0.5, 0.9, 1.0)
+        ]
+        assert any(f1 > 0.0 for _, _, f1 in curves[0])
+        assert all(c == curves[0] for c in curves[1:])
 
 
 TIED_CONFIDENCES = (0.3, 0.5, 0.5, 0.9)
@@ -320,7 +333,9 @@ class TestMatchOnceAgainstOracle:
             for boxes in gt.entries.values():
                 for b in boxes:
                     counts[b.cls] = counts.get(b.cls, 0) + 1
-            curve = f1_curve(fused, gt, grid)
+            if not counts:
+                continue
+            curve = f1_curve(evaluate(fused, gt, 0.5).matches, grid)
             assert [p[0] for p in curve.points] == list(grid)
             for c_thresh, f1_by_class, mean in curve.points:
                 rows = oracle_match_flags(above(fused, c_thresh), gt.entries, 0.5)
