@@ -6,7 +6,6 @@ from .consensus import (
     SourceEnsemble,
     compute_weights,
     consensus_focus_scores,
-    consensus_quality,
     shapley_scores,
     weighted_fusion,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "average_precision",
     "compute_weights",
     "consensus_focus_scores",
-    "consensus_quality",
     "evaluate",
     "f1_curve",
     "iou",

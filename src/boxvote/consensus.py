@@ -94,12 +94,6 @@ class ContributionReport:
     shapley: dict[int, float] | None = None
 
 
-def _uniform(params: FusionParams, n: int) -> FusionParams:
-    return replace(
-        params, model_weights=tuple(1.0 for _ in range(n)), confidence_rescale="none"
-    )
-
-
 class ConsensusScorer:
     """Gated boxes and memoized subset qualities of some sources under one set of settings.
 
@@ -118,6 +112,7 @@ class ConsensusScorer:
         self.sources = tuple(sources)
         self.target_image_ids = tuple(target_image_ids)
         self.params = params
+        self._quality_params = replace(params, model_weights=None, confidence_rescale="none")
         # _gated[p][k]: the boxes of source p on image k that pass filter and gates
         self._gated = [
             [apply_gates(s.for_image(iid), gates, flt) for iid in self.target_image_ids]
@@ -142,7 +137,7 @@ class ConsensusScorer:
             raise EmptySubsetError("consensus quality of an empty subset")
         if key not in self._quality:
             total = 0.0
-            for fused in self.fuse(key, _uniform(self.params, len(key))):
+            for fused in self.fuse(key, self._quality_params):
                 for fb in fused:
                     total += fb.support_count * fb.confidence
             self._quality[key] = total
@@ -161,6 +156,9 @@ def consensus_quality(
     Measured pre-weighting: the subset is fused with uniform weights and no
     confidence rescaling. Summation order is fixed (image order, then the
     fusion output's confidence-descending order).
+
+    Not exported from the package: tests call it, and `bench/spans.py` wraps
+    it by name.
     """
     scorer = ConsensusScorer(subset, target_image_ids, gates, flt, params)
     return scorer.quality(range(len(scorer.sources)))

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
-from .errors import ConfigError, InvalidBoxError, ManifestError, NegativeWeightError, ParseError
+from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
 from .fusion import KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
 from .geometry import Box, DetectionSet, validate_box
@@ -331,16 +331,6 @@ def _string_list(value, where: str) -> list[str]:
     return value
 
 
-def _weight(value) -> float:
-    weight = _number(value, "model weight")
-    if weight < 0.0:
-        raise NegativeWeightError(
-            f"model weight in fusion.model_weights must be >= 0 (0 excludes a model), "
-            f"got {value!r}"
-        )
-    return weight
-
-
 def _require_file(base_dir: str, path: str, what: str) -> None:
     resolved = _resolve(base_dir, path)
     if not os.path.isfile(resolved):
@@ -401,6 +391,13 @@ def parse_manifest(path) -> EnsembleManifest:
         repeated = sorted(i for i, n in Counter(image_ids).items() if n > 1)
         if repeated:
             raise ManifestError(f"duplicate id(s) {repeated} in target.image_ids")
+        # a box line splits on whitespace, and a line starting with `#` is a comment
+        unreadable = [i for i in image_ids if i.split() != [i] or i.startswith("#")]
+        if unreadable:
+            raise ManifestError(
+                f"target.image_ids: no box line can carry the id(s) {unreadable!r} "
+                "(empty, with whitespace or starting with #)"
+            )
     gt_path = target.get("ground_truth_path")
     if gt_path is not None:
         if not isinstance(gt_path, str):
@@ -438,15 +435,13 @@ def parse_manifest(path) -> EnsembleManifest:
     if weights is not None:
         if not isinstance(weights, list):
             raise ManifestError(f"model_weights must be a list, got {weights!r}")
-        weights = tuple(_weight(w) for w in weights)
+        weights = tuple(_number(w, "model weight") for w in weights)
         # every command reads the weights by this rule, not only wbf and knowledge-vote
         if len(weights) != len(sources):
             raise ManifestError(
                 f"fusion.model_weights has {len(weights)} weight(s) for "
                 f"{len(sources)} source(s)"
             )
-        if not any(w > 0.0 for w in weights):
-            raise ManifestError("fusion.model_weights needs at least one positive weight")
     defaults = FusionParams()
     numbers = {
         key: _number(raw_fusion.get(key, getattr(defaults, key)), key)
@@ -457,16 +452,6 @@ def parse_manifest(path) -> EnsembleManifest:
         model_weights=weights,
         confidence_rescale=raw_fusion.get("confidence_rescale", defaults.confidence_rescale),
     )
-    if fusion.confidence_rescale not in ("none", "support_ratio"):
-        raise ManifestError(
-            f"unknown confidence_rescale {fusion.confidence_rescale!r}"
-        )
-    if not (0.0 < fusion.iou_threshold < 1.0):
-        raise ManifestError("iou_threshold must be in (0,1)")
-    if fusion.soft_nms_sigma <= 0.0:
-        raise ManifestError("soft_nms_sigma must be > 0")
-    if not (0.0 <= fusion.score_floor <= 1.0):
-        raise ManifestError(f"score_floor must be in [0,1], got {fusion.score_floor!r}")
 
     return EnsembleManifest(
         classes=list(classes),

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NegativeWeightError, WeightArityMismatchError
+from .errors import ConfigError, NegativeWeightError, WeightArityMismatchError
 from .geometry import Box, DetectionSet, iou
 
 
@@ -82,13 +82,34 @@ NO_GATES = ConfidenceGates()
 
 @dataclass(frozen=True)
 class FusionParams:
-    """Parameter bundle shared by all fusion algorithms."""
+    """Parameter bundle shared by all fusion algorithms.
+
+    Every value rule is checked here, so each instance is valid, also one made
+    by `dataclasses.replace`; NaN fails every check. `wbf` checks the number of
+    weights, which depends on the call.
+    """
 
     iou_threshold: float = 0.55
     soft_nms_sigma: float = 0.5
     score_floor: float = 0.001
     model_weights: tuple[float, ...] | None = None  # None = uniform
     confidence_rescale: str = "none"  # none | support_ratio
+
+    def __post_init__(self):
+        weights = self.model_weights
+        if weights is not None and not all(w >= 0.0 for w in weights):
+            raise NegativeWeightError(f"fusion.model_weights must be >= 0, got {weights!r}")
+        if weights is not None and not any(w > 0.0 for w in weights):
+            raise WeightArityMismatchError(
+                "fusion.model_weights needs at least one positive weight")
+        if self.confidence_rescale not in ("none", "support_ratio"):
+            raise ConfigError(f"unknown fusion.confidence_rescale {self.confidence_rescale!r}")
+        if not 0.0 < self.iou_threshold < 1.0:
+            raise ConfigError(f"fusion.iou_threshold must be in (0,1), got {self.iou_threshold}")
+        if not self.soft_nms_sigma > 0.0:
+            raise ConfigError(f"fusion.soft_nms_sigma must be > 0, got {self.soft_nms_sigma}")
+        if not 0.0 <= self.score_floor <= 1.0:
+            raise ConfigError(f"fusion.score_floor must be in [0,1], got {self.score_floor}")
 
 
 class FusedBox(NamedTuple):
@@ -350,16 +371,12 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
     n_models = len(per_model)
     weights = params.model_weights
     if weights is None:
-        weights = tuple(1.0 for _ in range(n_models))
-    if len(weights) != n_models:
+        weights = (1.0,) * n_models
+    elif len(weights) != n_models:
         raise WeightArityMismatchError(
             f"{len(weights)} weights for {n_models} models"
         )
     n_active = sum(1 for w in weights if w > 0.0)
-    if n_active == 0:
-        raise WeightArityMismatchError("at least one model weight must be positive")
-    if min(weights) < 0.0:
-        raise NegativeWeightError(f"model weights must be >= 0, got {weights!r}")
     # zero-weight models contribute nothing, including support
     weighted = [(dets.boxes, w) for dets, w in zip(per_model, weights) if w > 0.0]
 

@@ -342,6 +342,12 @@ def set_fusion(key, value):
     return lambda doc: doc["fusion"].update({key: value})
 
 
+def set_first_target_id(value):
+    def mutate(doc):
+        doc["target"]["image_ids"][0] = value
+    return mutate
+
+
 def set_filter_classes(value):
     return lambda doc: doc["filter"].update(mode="keep_listed", classes=value)
 
@@ -413,6 +419,16 @@ MANIFEST_MUTATIONS = [
      "fusion.model_weights"),
     ("model_weights with no positive weight", set_fusion("model_weights", [0, 0, 0]), 2,
      "fusion.model_weights"),
+    # ids that no box line can carry: the reader splits on whitespace and skips `#` lines
+    ("target.image_ids with an empty id", set_first_target_id(""), 2, "target.image_ids"),
+    ("target.image_ids with whitespace", set_first_target_id("a b"), 2, "target.image_ids"),
+    ("target.image_ids starting with #", set_first_target_id("#x"), 2, "target.image_ids"),
+    ("default gate above 1", set_gate_default(1.5), 2, "default gate"),
+    ("default gate NaN", set_gate_default(float("nan")), 2, "default gate"),
+    ("per-class gate negative",
+     lambda doc: doc["gates"].update(per_class={"class_0": -0.1}), 2, "class_0"),
+    ("per-class gate NaN",
+     lambda doc: doc["gates"].update(per_class={"class_1": float("nan")}), 2, "class_1"),
 ]
 
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boxvote.errors import NegativeWeightError, WeightArityMismatchError
+from boxvote.errors import ConfigError, NegativeWeightError, WeightArityMismatchError
 from boxvote.fusion import (
     TABLE_MIN,
     ConfidenceGates,
@@ -36,6 +37,43 @@ def ds(*boxes, image_id="img"):
 
 
 PARAMS_50 = FusionParams(iou_threshold=0.5)
+
+
+NAN = float("nan")
+
+# (field, bad value, error): each value rule of FusionParams, NaN included
+BAD_FUSION_VALUES = [
+    ("iou_threshold", 0.0, ConfigError),
+    ("iou_threshold", 1.0, ConfigError),
+    ("iou_threshold", NAN, ConfigError),
+    ("soft_nms_sigma", 0.0, ConfigError),
+    ("soft_nms_sigma", -0.5, ConfigError),
+    ("soft_nms_sigma", NAN, ConfigError),
+    ("score_floor", -0.1, ConfigError),
+    ("score_floor", 1.5, ConfigError),
+    ("score_floor", NAN, ConfigError),
+    ("confidence_rescale", "linear", ConfigError),
+    ("model_weights", (1.0, -1.0), NegativeWeightError),
+    ("model_weights", (1.0, NAN), NegativeWeightError),
+    ("model_weights", (0.0, 0.0), WeightArityMismatchError),
+    ("model_weights", (), WeightArityMismatchError),
+]
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize(
+    "key,value,error",
+    BAD_FUSION_VALUES,
+    ids=[f"{key}={value!r}" for key, value, _ in BAD_FUSION_VALUES],
+)
+def test_fusion_params_reject_bad_values(build, key, value, error):
+    with pytest.raises(error, match=rf"fusion\.{key}") as exc:
+        if build == "constructor":
+            FusionParams(**{key: value})
+        else:
+            replace(FusionParams(), **{key: value})
+    # NegativeWeightError is a WeightArityMismatchError, so check the exact type
+    assert type(exc.value) is error
 
 
 class TestApplyGates:
