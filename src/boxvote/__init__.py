@@ -19,7 +19,6 @@ from .evaluation import (
     evaluate,
     f1_curve,
     match_all,
-    match_detections,
 )
 from .fusion import (
     ConfidenceGates,
@@ -27,7 +26,6 @@ from .fusion import (
     FusionParams,
     LabelSpaceFilter,
     apply_gates,
-    knowledge_vote,
     nms,
     soft_nms,
     wbf,
@@ -58,9 +56,7 @@ __all__ = [
     "evaluate",
     "f1_curve",
     "iou",
-    "knowledge_vote",
     "match_all",
-    "match_detections",
     "nms",
     "shapley_scores",
     "soft_nms",

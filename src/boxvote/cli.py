@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import consensus as cf
 from . import data_io, synth
 from .errors import ConfigError, DataError
-from .evaluation import DEFAULT_F1_GRID, evaluate, f1_curve
+from .evaluation import evaluate, f1_curve
 from .fusion import (
     KEEP_ALL,
     FusionParams,
@@ -271,7 +271,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("manifest has no ground_truth_path; eval needs ground truth")
     fused = data_io.parse_detections(args.detections)
     metrics = evaluate(fused, gt, args.confidence_threshold)
-    curve = f1_curve(metrics.matches, DEFAULT_F1_GRID)
+    curve = f1_curve(metrics.matches)
     _write_eval(args.out, metrics, curve)
     agg = metrics.aggregate
     print(
@@ -316,7 +316,7 @@ def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRES
     for name, per_image in [("ours", fused), *fused_files.items()]:
         t0 = time.perf_counter()
         metrics = evaluate(per_image, gt, confidence_threshold)
-        curve = f1_curve(metrics.matches, DEFAULT_F1_GRID)
+        curve = f1_curve(metrics.matches)
         timings["evaluation"] += time.perf_counter() - t0
         _write_eval(os.path.join(out_dir, f"eval_{name}"), metrics, curve)
         agg = metrics.aggregate

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
-from .fusion import KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter
+from .fusion import (
+    KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter, fused_order,
+)
 from .geometry import Box, DetectionSet, validate_box
 
 log = logging.getLogger(__name__)
@@ -166,7 +168,7 @@ def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
     per_image: dict[str, list[Box]] = {}
     dropped = 0
     for _, image_id, box, _ in _box_lines(path, (7, 8), source=source):
-        # box.area(), inline: a validated box's corners are ordered, so no max(0, ...)
+        # a validated box's corners are ordered, so its area needs no max(0, ...)
         if (box.x2 - box.x1) * (box.y2 - box.y1) == 0.0:
             dropped += 1
             continue
@@ -209,9 +211,7 @@ def write_pseudo_labels(per_image, path) -> None:
             boxes = per_image[image_id]
             if not boxes:
                 fh.write(f"# empty {image_id}\n")
-            for f in sorted(
-                boxes, key=lambda b: (-b.confidence, b.cls, b.x1, b.y1, b.x2, b.y2)
-            ):
+            for f in sorted(boxes, key=fused_order):
                 fh.write(_box_line(image_id, f, fmt_float(f.confidence), str(f.support_count)))
 
 
@@ -374,8 +374,10 @@ def parse_manifest(path) -> EnsembleManifest:
             raise ManifestError(f"source {name!r} has no detections_path string")
         _require_file(base_dir, det_path, "detections")
         size = s.get("dataset_size", 1)
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise ManifestError(f"source {name!r}: dataset_size must be a positive integer")
+        where = f"source {name!r}: dataset_size"
+        # `_number` rejects a boolean and an integer that no float can hold
+        if not isinstance(size, int) or _number(size, where) < 1:
+            raise ManifestError(f"{where} must be a positive integer")
         sources.append(
             ManifestSource(name=name, dataset_size=size, detections_path=det_path)
         )

@@ -95,7 +95,7 @@ class MetricsReport:
 
 @dataclass
 class F1Curve:
-    """Per-class and mean F1 sampled along an ascending confidence grid."""
+    """Per-class and mean F1 at each confidence of `DEFAULT_F1_GRID`, ascending."""
 
     points: list[tuple[float, dict[int, float], float]]
 
@@ -135,17 +135,6 @@ def _greedy_flags(candidates, num_gt: int, iou_thresh: float) -> list[bool]:
                 break
         flags.append(hit)
     return flags
-
-
-def match_detections(dets, gt_boxes, iou_thresh: float):
-    """Greedy confidence-ordered matching for a single image / class slice.
-
-    Returns (detection, matched) pairs in confidence-descending order; each
-    ground-truth box matches at most once.
-    """
-    order, candidates = _rank_slice(dets, gt_boxes)
-    flags = _greedy_flags(candidates, len(gt_boxes), iou_thresh)
-    return [(dets[k], m) for k, m in zip(order, flags)]
 
 
 def average_precision(matched_flags, num_gt: int) -> float:
@@ -234,19 +223,14 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
     )
 
 
-def f1_curve(matches: Matches, grid=DEFAULT_F1_GRID) -> F1Curve:
-    """F1 per class and class-mean at every grid confidence.
+def f1_curve(matches: Matches) -> F1Curve:
+    """F1 per class and class-mean at every `DEFAULT_F1_GRID` confidence.
 
     `matches` is `match_all`'s result, as `evaluate` keeps it on its report;
     this matches nothing itself. Each grid point counts the prefix of
     confidence-sorted rows at or above it in the IoU-0.5 column (see the
     module docstring).
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("confidence grid is empty")
-    if any(b >= a for a, b in zip(grid[1:], grid)):
-        raise ValueError("confidence grid must be strictly ascending")
     prefixes = []
     for cls, num_gt in matches.counts.items():
         rows = matches.rows[cls]
@@ -254,7 +238,7 @@ def f1_curve(matches: Matches, grid=DEFAULT_F1_GRID) -> F1Curve:
         cum_tp = list(accumulate((r[1] for r in rows), initial=0))
         prefixes.append((cls, num_gt, neg_conf, cum_tp))
     points = []
-    for c_thresh in grid:
+    for c_thresh in DEFAULT_F1_GRID:
         f1_by_class: dict[int, float] = {}
         for cls, num_gt, neg_conf, cum_tp in prefixes:
             n_kept = bisect_right(neg_conf, -c_thresh)

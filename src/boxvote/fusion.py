@@ -97,8 +97,9 @@ class FusionParams:
 
     def __post_init__(self):
         weights = self.model_weights
-        if weights is not None and not all(w >= 0.0 for w in weights):
-            raise NegativeWeightError(f"fusion.model_weights must be >= 0, got {weights!r}")
+        if weights is not None and not all(0.0 <= w < math.inf for w in weights):
+            raise NegativeWeightError(
+                f"fusion.model_weights must be finite and >= 0, got {weights!r}")
         if weights is not None and not any(w > 0.0 for w in weights):
             raise WeightArityMismatchError(
                 "fusion.model_weights needs at least one positive weight")
@@ -128,9 +129,13 @@ class FusedBox(NamedTuple):
     members: tuple[Box, ...]
 
 
-def apply_gates(
-    dets: DetectionSet, gates: ConfidenceGates, flt: LabelSpaceFilter = KEEP_ALL
-) -> DetectionSet:
+def fused_order(f) -> tuple:
+    """Sort key of `wbf`'s output, which pseudo-label files keep: confidence
+    descending, then class and corners."""
+    return (-f.confidence, f.cls, f.x1, f.y1, f.x2, f.y2)
+
+
+def apply_gates(dets: DetectionSet, gates: ConfidenceGates, flt: LabelSpaceFilter) -> DetectionSet:
     """Keep only boxes whose class passes the filter and confidence >= gate."""
     kept = tuple(
         b
@@ -383,7 +388,7 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
     fused: list[FusedBox] = []
     for cls, group in _class_groups(weighted, _weighted_priority):
         _wbf_class(cls, group, params, n_active, fused)
-    fused.sort(key=lambda f: (-f.confidence, f.cls, f.x1, f.y1, f.x2, f.y2))
+    fused.sort(key=fused_order)
     return fused
 
 

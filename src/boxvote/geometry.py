@@ -50,9 +50,6 @@ class Box(NamedTuple):
     confidence: float
     source: int = 0
 
-    def area(self) -> float:
-        return max(0.0, self.x2 - self.x1) * max(0.0, self.y2 - self.y1)
-
 
 @dataclass(frozen=True)
 class DetectionSet:

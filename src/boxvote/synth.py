@@ -20,6 +20,7 @@ from .geometry import Box, DetectionSet
 FP_CONF_RANGE = (0.05, 0.6)
 POISON_CONF_RANGE = (0.05, 0.95)
 BOX_SIZE_RANGE = (0.04, 0.18)
+BOXES_PER_IMAGE = (1, 4)  # ground-truth boxes per image, both ends included
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class ScenarioSpec:
     num_images: int
     classes: tuple[ClassSpec, ...]
     sources: tuple[SourceSpec, ...]
-    boxes_per_image: tuple[int, int] = (1, 4)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ def _check(spec: ScenarioSpec) -> None:
         raise ScenarioError("class frequencies must be positive")
     if not spec.sources:
         raise ScenarioError("at least one source required")
-    lo, hi = spec.boxes_per_image
-    if lo < 0 or hi < lo:
-        raise ScenarioError("invalid boxes_per_image range")
     for s in spec.sources:
         if s.dataset_size < 1:
             raise ScenarioError(f"source {s.name!r}: dataset_size must be >= 1")
@@ -127,7 +124,7 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[SourceDomain]]:
     class_ids = [c.id for c in spec.classes]
     freq = np.array([c.frequency for c in spec.classes], dtype=float)
     freq /= freq.sum()
-    lo, hi = spec.boxes_per_image
+    lo, hi = BOXES_PER_IMAGE
 
     gt_entries: dict[str, tuple[GroundTruthBox, ...]] = {}
     for image_id in ids:

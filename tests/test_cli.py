@@ -3,6 +3,7 @@ import logging
 import os
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from boxvote import cli, consensus, data_io
 from boxvote.cli import main
 from boxvote.errors import ConfigError, ParseError
+from boxvote.fusion import nms
+from boxvote.geometry import DetectionSet
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +416,8 @@ MANIFEST_MUTATIONS = [
      "model weight"),
     ("iou_threshold an integer beyond the float range",
      set_fusion("iou_threshold", 10**400), 2, "iou_threshold"),
+    ("dataset_size an integer beyond the float range",
+     lambda doc: doc["sources"][0].update(dataset_size=10**400), 2, "dataset_size"),
     ("target.image_ids empty", lambda doc: doc["target"].update(image_ids=[]), 2,
      "target.image_ids"),
     ("model_weights shorter than the sources", set_fusion("model_weights", [1, 1]), 2,
@@ -468,6 +473,40 @@ def test_iou_threshold_option_outside_unit_interval_exit_2(
     assert "internal error" not in err
     assert "--iou-threshold" in err
     assert not out.exists()
+
+
+def write_at_iou(scenario_dir, command, iou_threshold, out):
+    """What the library writes for `command` at `iou_threshold`, without the CLI."""
+    manifest = data_io.parse_manifest(manifest_path(scenario_dir))
+    manifest.fusion = replace(manifest.fusion, iou_threshold=iou_threshold)
+    ensemble = data_io.load_ensemble(manifest)
+    if command == ["consensus"]:
+        cli._write_consensus(str(out), *cli.run_consensus(manifest, ensemble))
+    elif command[-1] == "wbf":
+        cli._write_fuse(str(out), *cli.run_fuse(manifest, ensemble, "wbf"))
+    else:  # NMS suppresses the pooled boxes of every source
+        per_image = {
+            iid: nms(DetectionSet(iid, tuple(
+                b for src in ensemble.sources for b in src.for_image(iid))), manifest.fusion)
+            for iid in ensemble.target_image_ids
+        }
+        out.mkdir()
+        data_io.write_detections(per_image, str(out / "fused.txt"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["fuse", "--algorithm", "wbf"], ["fuse", "--algorithm", "nms"], ["consensus"]],
+    ids=["fuse-wbf", "fuse-nms", "consensus"],
+)
+def test_iou_threshold_option_takes_effect(scenario_dir, tmp_path, command):
+    for name, option in (("default", []), ("option", ["--iou-threshold", "0.3"])):
+        assert main([*command, "--manifest", manifest_path(scenario_dir),
+                     "--out", str(tmp_path / name), *option]) == 0
+    write_at_iou(scenario_dir, command, 0.3, tmp_path / "want")
+    got, want = tree_bytes(tmp_path / "option"), tree_bytes(tmp_path / "want")
+    assert {name: got[name] for name in want} == want
+    assert got["fused.txt"] != tree_bytes(tmp_path / "default")["fused.txt"]
 
 
 # a valid manifest and detection file, so only the threshold is out of range

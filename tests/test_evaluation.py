@@ -10,7 +10,7 @@ from boxvote.evaluation import (
     average_precision,
     evaluate,
     f1_curve,
-    match_detections,
+    match_all,
 )
 from boxvote.geometry import Box, iou
 from oracles import oracle_average_precision, oracle_match_flags, random_box
@@ -24,16 +24,22 @@ def gt_box(x1, y1, x2, y2, cls=0):
     return GroundTruthBox(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2)
 
 
+def matched(dets, gt_boxes, iou_thresh):
+    """(confidence, matched at `iou_thresh`) per detection of one image / class
+    slice, read from `match_all`'s column for that threshold."""
+    column = 1 + MAP_IOU_THRESHOLDS.index(iou_thresh)
+    rows = match_all({"img": dets}, GroundTruth(entries={"img": tuple(gt_boxes)})).rows
+    return [(row[0], row[column]) for row in rows[0]]
+
+
 class TestMatchDetections:
     def test_exact_hit(self):
-        out = match_detections([det(0, 0, 1, 1, 0.9)], [gt_box(0, 0, 1, 1)], 0.5)
-        assert out == [(det(0, 0, 1, 1, 0.9), True)]
+        assert matched([det(0, 0, 1, 1, 0.9)], [gt_box(0, 0, 1, 1)], 0.5) == [(0.9, True)]
 
     def test_double_detection_rule(self):
         d1 = det(0, 0, 1, 1, 0.9)
         d2 = det(0, 0, 1, 1, 0.8)
-        out = match_detections([d2, d1], [gt_box(0, 0, 1, 1)], 0.5)
-        assert out == [(d1, True), (d2, False)]
+        assert matched([d2, d1], [gt_box(0, 0, 1, 1)], 0.5) == [(0.9, True), (0.8, False)]
 
     def test_crossing_case_greedy(self):
         # A overlaps gt1 (0.6) and gt2 (0.55); B overlaps gt1 (0.58) less than A
@@ -44,19 +50,16 @@ class TestMatchDetections:
         assert iou(a, gt1) == pytest.approx(0.6)
         assert iou(a, gt2) == pytest.approx(0.55)
         assert iou(b, gt1) == pytest.approx(0.58)
-        out = match_detections([a, b], [gt1, gt2], 0.5)
-        assert out[0] == (a, True)
-        assert out[1] == (b, False)
+        assert matched([a, b], [gt1, gt2], 0.5) == [(0.9, True), (0.8, False)]
         # but gt1 must have gone to A (its higher-iou choice), not gt2
-        out_single = match_detections([a], [gt1, gt2], 0.5)
-        assert out_single == [(a, True)]
+        assert matched([a], [gt1, gt2], 0.5) == [(0.9, True)]
 
     def test_iou_equal_to_threshold_matches(self):
         # dyadic corners: the IoUs are exactly 0.5 and 0.75
         g = gt_box(0, 0, 1, 1)
-        assert match_detections([det(0, 0, 0.5, 1, 0.9)], [g], 0.5)[0][1] is True
-        assert match_detections([det(0, 0, 0.75, 1, 0.9)], [g], 0.75)[0][1] is True
-        assert match_detections([det(0, 0, 0.75, 1, 0.9)], [g], 0.8)[0][1] is False
+        assert matched([det(0, 0, 0.5, 1, 0.9)], [g], 0.5)[0][1] is True
+        assert matched([det(0, 0, 0.75, 1, 0.9)], [g], 0.75)[0][1] is True
+        assert matched([det(0, 0, 0.75, 1, 0.9)], [g], 0.8)[0][1] is False
 
     def test_iou_tie_goes_to_lower_index(self):
         # d overlaps both boxes at exactly 2/3; e overlaps only g1 above 0.6
@@ -66,8 +69,8 @@ class TestMatchDetections:
         e = det(0.25, 0, 1, 1, 0.8)
         assert iou(d, g0) == iou(d, g1) == 2 / 3
         assert iou(e, g0) == 0.5
-        assert match_detections([e, d], [g0, g1], 0.6) == [(d, True), (e, True)]
-        assert match_detections([e, d], [g1, g0], 0.6) == [(d, True), (e, False)]
+        assert matched([e, d], [g0, g1], 0.6) == [(0.9, True), (0.8, True)]
+        assert matched([e, d], [g1, g0], 0.6) == [(0.9, True), (0.8, False)]
 
 
 class TestAveragePrecision:
@@ -199,13 +202,17 @@ class TestEvaluate:
 class TestF1Curve:
     def test_perfect_detector_flat_one(self):
         fused, gt = perfect_fixture()
-        curve = f1_curve(evaluate(fused, gt, 0.0).matches, [0.1, 0.5, 0.9])
+        curve = f1_curve(evaluate(fused, gt, 0.0).matches)
+        assert [p[0] for p in curve.points] == list(DEFAULT_F1_GRID)
+        # the last grid point is 1.0, the detectors' confidence: an equal one is kept
+        assert DEFAULT_F1_GRID[-1] == 1.0
         assert all(p[2] == 1.0 for p in curve.points)
 
     def test_empty_detections_zero(self):
         _, gt = perfect_fixture()
-        curve = f1_curve(evaluate({}, gt, 0.0).matches, [0.0001])
-        assert curve.points[0][2] == 0.0
+        curve = f1_curve(evaluate({}, gt, 0.0).matches)
+        assert len(curve.points) == len(DEFAULT_F1_GRID)
+        assert all(p[2] == 0.0 for p in curve.points)
 
     def test_pointwise_consistency_with_evaluate(self):
         rng = np.random.default_rng(121)
@@ -218,8 +225,7 @@ class TestF1Curve:
             )
             fused[iid] = [random_box(rng) for _ in range(5)]
         gtobj = GroundTruth(entries=gt)
-        grid = [0.05, 0.3, 0.6, 0.85]
-        curve = f1_curve(evaluate(fused, gtobj, 0.0).matches, grid)
+        curve = f1_curve(evaluate(fused, gtobj, 0.0).matches)
         for c_thresh, f1_by_class, _ in curve.points:
             report = evaluate(fused, gtobj, c_thresh)
             for cls, f1 in f1_by_class.items():
@@ -228,28 +234,22 @@ class TestF1Curve:
                 want = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
                 assert f1 == pytest.approx(want, abs=1e-12)
 
-    def test_grid_must_be_ascending(self):
-        _, gt = perfect_fixture()
-        matches = evaluate({}, gt, 0.0).matches
-        with pytest.raises(ValueError):
-            f1_curve(matches, [0.5, 0.4])
-        with pytest.raises(ValueError):
-            f1_curve(matches, [])
-
     def test_same_curve_whatever_the_evaluate_threshold(self):
         # the shared match covers every detection, not only those evaluate keeps
         rng = np.random.default_rng(122)
         fused, gt = overlapping_fixture(rng, n_images=6)
         assert max(d.confidence for dets in fused.values() for d in dets) < 1.0
         curves = [
-            f1_curve(evaluate(fused, gt, t).matches, DEFAULT_F1_GRID).points
+            f1_curve(evaluate(fused, gt, t).matches).points
             for t in (0.0, 0.3, 0.5, 0.9, 1.0)
         ]
         assert any(f1 > 0.0 for _, _, f1 in curves[0])
         assert all(c == curves[0] for c in curves[1:])
 
 
-TIED_CONFIDENCES = (0.3, 0.5, 0.5, 0.9)
+# tied confidences sit exactly on DEFAULT_F1_GRID points, given by index
+TIED_GRID_POINTS = (59, 99, 99, 179)
+TIED_CONFIDENCES = tuple(DEFAULT_F1_GRID[k] for k in TIED_GRID_POINTS)
 
 
 def overlapping_fixture(rng, n_images=4):
@@ -302,7 +302,7 @@ class TestMatchOnceAgainstOracle:
                     counts[b.cls] = counts.get(b.cls, 0) + 1
             if not counts:
                 continue
-            for conf in (0.0, 0.3, 0.5, 0.7):
+            for conf in (0.0, TIED_CONFIDENCES[0], TIED_CONFIDENCES[1], 0.7):
                 kept = above(fused, conf)
                 by_thresh = [oracle_match_flags(kept, gt.entries, t) for t in MAP_IOU_THRESHOLDS]
                 report = evaluate(fused, gt, conf)
@@ -321,11 +321,13 @@ class TestMatchOnceAgainstOracle:
                     checked += 1
         assert checked > 300
 
-    @pytest.mark.parametrize("grid", [
-        DEFAULT_F1_GRID[::7],
-        sorted({0.05, 0.29999, 0.3, 0.30001, 0.5, 0.7, 0.9, 0.95}),
+    # the grid points checked against the oracle: every seventh, or each
+    # point that equals a tied confidence and its two neighbours
+    @pytest.mark.parametrize("checked", [
+        range(0, len(DEFAULT_F1_GRID), 7),
+        sorted({k + d for k in TIED_GRID_POINTS for d in (-1, 0, 1)}),
     ], ids=["default-grid-subsample", "tied-confidences"])
-    def test_f1_curve_matches_oracle(self, grid):
+    def test_f1_curve_matches_oracle(self, checked):
         rng = np.random.default_rng(132)
         for _ in range(40):
             fused, gt = overlapping_fixture(rng)
@@ -335,9 +337,9 @@ class TestMatchOnceAgainstOracle:
                     counts[b.cls] = counts.get(b.cls, 0) + 1
             if not counts:
                 continue
-            curve = f1_curve(evaluate(fused, gt, 0.5).matches, grid)
-            assert [p[0] for p in curve.points] == list(grid)
-            for c_thresh, f1_by_class, mean in curve.points:
+            curve = f1_curve(evaluate(fused, gt, 0.5).matches)
+            assert [p[0] for p in curve.points] == list(DEFAULT_F1_GRID)
+            for c_thresh, f1_by_class, mean in (curve.points[k] for k in checked):
                 rows = oracle_match_flags(above(fused, c_thresh), gt.entries, 0.5)
                 want = {}
                 for cls, num_gt in counts.items():

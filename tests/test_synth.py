@@ -59,7 +59,6 @@ class TestGenerate:
             seed=90210,
             num_images=500,
             classes=tuple(ClassSpec(i, f) for i, f in enumerate(freqs)),
-            boxes_per_image=(1, 4),
         )
         gt, _ = generate(spec)
         counts = {0: 0, 1: 0, 2: 0}
