@@ -29,20 +29,11 @@ from .fusion import (
     soft_nms,
     wbf,
 )
-from .geometry import DetectionSet
 
 FUSE_ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote")
-ALGORITHMS = (*FUSE_ALGORITHMS, "consensus-wbf")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 NMS_DEFAULT_IOU = 0.5
 DEFAULT_CONF_THRESHOLD = 0.0001
-
-
-def _pool_sources(ensemble: cf.SourceEnsemble, image_id: str) -> DetectionSet:
-    boxes = []
-    for src in ensemble.sources:
-        boxes.extend(src.for_image(image_id).boxes)
-    return DetectionSet(image_id, tuple(boxes))
 
 
 def _check_confidence_threshold(value: float) -> None:
@@ -72,44 +63,39 @@ def _gate_dropped(ensemble: cf.SourceEnsemble, gates, flt) -> int:
 def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
 
-    `per_image` maps each target image id to its fused boxes: a `DetectionSet`
-    for the NMS family, a list of `FusedBox` for the WBF family.
-
-    NMS-family algorithms default to NMS_DEFAULT_IOU unless nms_iou overrides
-    it; the manifest's iou_threshold governs WBF clustering. `consensus-wbf`
-    is the fused output of `run_consensus`.
+    Each image's input is one box set per source, in source order, and
+    `per_image` maps each target image id to the list of boxes the algorithm
+    returns for it. NMS and soft-NMS default to NMS_DEFAULT_IOU unless nms_iou
+    overrides it; the manifest's iou_threshold governs WBF clustering. Only
+    `knowledge-vote` gates, so only its summary counts the boxes the gates drop.
     """
+    gates, flt = manifest.gates, manifest.label_filter
+    # built per call, so the span wrappers that bench/spans.py sets on these
+    # module names are the functions that run
+    fns = {
+        "nms": nms,
+        "soft-nms": soft_nms,
+        "wbf": wbf,
+        "knowledge-vote": lambda per_model, p: knowledge_vote(per_model, gates, flt, p),
+    }
+    if algorithm not in fns:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
+    fuse = fns[algorithm]
     params = manifest.fusion
-    gates = manifest.gates
-    flt = manifest.label_filter
-
     if algorithm in ("nms", "soft-nms"):
-        fn = nms if algorithm == "nms" else soft_nms
-        nms_params = replace(
-            params, iou_threshold=nms_iou if nms_iou is not None else NMS_DEFAULT_IOU
-        )
-        per_image = {
-            image_id: fn(_pool_sources(ensemble, image_id), nms_params)
-            for image_id in ensemble.target_image_ids
-        }
-    elif algorithm in ("wbf", "knowledge-vote"):
-        per_image = {}
-        for image_id in ensemble.target_image_ids:
-            per_model = [s.for_image(image_id) for s in ensemble.sources]
-            per_image[image_id] = knowledge_vote(per_model, gates, flt, params) \
-                if algorithm == "knowledge-vote" else wbf(per_model, params)
-    elif algorithm == "consensus-wbf":
-        _, per_image = run_consensus(manifest, ensemble)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {ALGORITHMS}")
-
-    gated = algorithm in ("knowledge-vote", "consensus-wbf")
+        params = replace(params, iou_threshold=NMS_DEFAULT_IOU if nms_iou is None else nms_iou)
+    per_image = {
+        image_id: fuse([s.for_image(image_id) for s in ensemble.sources], params)
+        for image_id in ensemble.target_image_ids
+    }
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),
         "input_boxes": sum(map(len, _target_sets(ensemble))),
         "output_boxes": sum(map(len, per_image.values())),
-        "gate_dropped_boxes": _gate_dropped(ensemble, gates, flt) if gated else 0,
+        "gate_dropped_boxes": (
+            _gate_dropped(ensemble, gates, flt) if algorithm == "knowledge-vote" else 0
+        ),
     }
     return per_image, summary
 
@@ -405,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="fuse all sources with one algorithm")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    p.add_argument("--algorithm", required=True, choices=FUSE_ALGORITHMS)
     p.add_argument("--out", required=True)
     p.add_argument("--iou-threshold", type=float, default=None)
     p.set_defaults(fn=cmd_fuse)

@@ -33,7 +33,12 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import AllZeroContributionError, DegenerateEnsembleError, EmptySubsetError
+from .errors import (
+    AllZeroContributionError,
+    ConfigError,
+    DegenerateEnsembleError,
+    EmptySubsetError,
+)
 from .fusion import (
     ConfidenceGates,
     FusedBox,
@@ -229,6 +234,7 @@ def compute_weights(
 
     The extended-dataset weight is the target's share of all image counts;
     the rest is split among sources proportionally to size * contribution.
+    A size-weighted total that overflows a float is a `ConfigError` naming `dataset_size`.
     """
     if target_size < 1:
         raise ValueError("target size must be >= 1")
@@ -238,6 +244,8 @@ def compute_weights(
         i: source_sizes[i] * report.cf_clamped[i] for i in report.cf_clamped
     }
     total = running_sum(numerators.values())
+    if not math.isfinite(total):
+        raise ConfigError("sources' dataset_size too large: size * contribution overflows")
     if total == 0.0:
         raise AllZeroContributionError("all size-weighted contributions are zero")
     remainder = 1.0 - report.alpha_extended

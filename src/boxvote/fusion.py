@@ -1,11 +1,17 @@
 """Box-combination algorithms: NMS, soft-NMS, WBF, and the gated knowledge vote.
 
-All four map detections for a single image to a fused result. Boxes of
-different classes never interact. Every function is pure.
+All four have one call shape: `fn(per_model, params)`, where `per_model`
+holds one image's boxes as one box sequence per model, in model order, and
+each returns a list (`knowledge_vote` also takes the gates and the label
+filter): NMS and soft-NMS the `Box`es they keep, in the priority order below
+(soft-NMS by decayed confidence), WBF and the knowledge vote `FusedBox`es.
+Boxes of different classes never interact. Every function is pure.
 
 NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
 boxes by class and sorts each group once, by the algorithm's priority; then
-one greedy pass runs over each group:
+one greedy pass runs over each group. All three break ties the same way:
+confidence descending (times the model weight, for WBF), then the box's
+source, then its position in its model's list, then model order.
 
 - NMS keeps a box iff no kept box before it overlaps it beyond the threshold.
 - Soft-NMS repeatedly takes the first maximum confidence of the group, which
@@ -39,13 +45,14 @@ different last bits, which change output bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NegativeWeightError, WeightArityMismatchError
-from .geometry import Box, DetectionSet, iou
+from .geometry import Box, iou
 
 
 @dataclass(frozen=True)
@@ -135,14 +142,9 @@ def fused_order(f) -> tuple:
     return (-f.confidence, f.cls, f.x1, f.y1, f.x2, f.y2)
 
 
-def apply_gates(dets: DetectionSet, gates: ConfidenceGates, flt: LabelSpaceFilter) -> DetectionSet:
-    """Keep only boxes whose class passes the filter and confidence >= gate."""
-    kept = tuple(
-        b
-        for b in dets.boxes
-        if flt.keeps(b.cls) and b.confidence >= gates.gate(b.cls)
-    )
-    return DetectionSet(dets.image_id, kept)
+def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates, flt: LabelSpaceFilter) -> tuple:
+    """The boxes whose class passes the filter and whose confidence >= its gate."""
+    return tuple(b for b in boxes if flt.keeps(b.cls) and b.confidence >= gates.gate(b.cls))
 
 
 # Class groups of at least this many boxes read their overlaps from one numpy
@@ -151,7 +153,7 @@ TABLE_MIN = 16
 
 
 def _priority(item):
-    # deterministic order: confidence desc, then source, then ingestion index
+    # confidence desc, then source, then position in the model's list
     return (-item[0].confidence, item[0].source, item[1])
 
 
@@ -166,8 +168,9 @@ def _weighted_priority(item):
 def _class_groups(weighted_sets, key):
     """(class, items) for each class in ascending order, each group sorted once by `key`.
 
-    `weighted_sets` holds (boxes, weight) pairs; an item is (box, index of the
-    box in its set, weight).
+    `weighted_sets` holds (boxes, weight) pairs in model order; an item is
+    (box, index of the box in its set, weight). The sort is stable, so items
+    that `key` ties stay in model order.
     """
     by_class: dict[int, list] = {}
     for boxes, w in weighted_sets:
@@ -222,14 +225,14 @@ def _nms_keep(boxes, threshold: float) -> list[int]:
     return kept
 
 
-def nms(dets: DetectionSet, params: FusionParams) -> DetectionSet:
+def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
     """Greedy per-class suppression at params.iou_threshold."""
     kept = []
-    for _, group in _class_groups([(dets.boxes, 1.0)], _priority):
+    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _priority):
         boxes = [b for b, _, _ in group]
         kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
     kept.sort(key=_priority)
-    return DetectionSet(dets.image_id, tuple(item[0] for item in kept))
+    return [item[0] for item in kept]
 
 
 def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
@@ -260,17 +263,17 @@ def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]
     return picks
 
 
-def soft_nms(dets: DetectionSet, params: FusionParams) -> DetectionSet:
+def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
     """Gaussian soft-NMS: decay overlapping same-class confidences instead of
     discarding, then drop boxes below params.score_floor."""
     out = []
-    for _, group in _class_groups([(dets.boxes, 1.0)], _source_order):
+    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _source_order):
         boxes = [b for b, _, _ in group]
         for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
             b, idx, _ = group[i]
             out.append((b if c == b.confidence else b._replace(confidence=c), idx))
     out.sort(key=_priority)
-    return DetectionSet(dets.image_id, tuple(b for b, _ in out))
+    return [b for b, _ in out]
 
 
 _NO_SUMS = (0.0,) * 7
@@ -365,7 +368,7 @@ def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> No
         out.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))
 
 
-def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
+def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
     """Weighted box fusion across models, counting distinct supporting sources.
 
     Per class, boxes are processed in descending weighted-confidence order;
@@ -383,7 +386,7 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
         )
     n_active = sum(1 for w in weights if w > 0.0)
     # zero-weight models contribute nothing, including support
-    weighted = [(dets.boxes, w) for dets, w in zip(per_model, weights) if w > 0.0]
+    weighted = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
 
     fused: list[FusedBox] = []
     for cls, group in _class_groups(weighted, _weighted_priority):
@@ -393,11 +396,10 @@ def wbf(per_model: list[DetectionSet], params: FusionParams) -> list[FusedBox]:
 
 
 def knowledge_vote(
-    per_model: list[DetectionSet],
+    per_model: Sequence[Iterable[Box]],
     gates: ConfidenceGates,
     flt: LabelSpaceFilter,
     params: FusionParams,
 ) -> list[FusedBox]:
     """Class-gated, support-counting WBF: gate each model's boxes, then fuse."""
-    gated = [apply_gates(d, gates, flt) for d in per_model]
-    return wbf(gated, params)
+    return wbf([apply_gates(boxes, gates, flt) for boxes in per_model], params)

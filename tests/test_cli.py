@@ -12,7 +12,6 @@ from boxvote import cli, consensus, data_io
 from boxvote.cli import main
 from boxvote.errors import ConfigError, ParseError
 from boxvote.fusion import nms
-from boxvote.geometry import DetectionSet
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +52,30 @@ class TestFuse:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["algorithm"] == algorithm
         assert summary["output_boxes"] > 0
+        # only the knowledge vote gates; this scenario's gates drop boxes
+        assert (summary["gate_dropped_boxes"] > 0) == (algorithm == "knowledge-vote")
+
+    @pytest.mark.parametrize("algorithm,name", [
+        ("nms", "nms"), ("soft-nms", "soft_nms"), ("wbf", "wbf"),
+        ("knowledge-vote", "knowledge_vote"),
+    ])
+    def test_run_fuse_calls_the_module_name_once_per_image(self, scenario_dir, monkeypatch,
+                                                          algorithm, name):
+        manifest = data_io.parse_manifest(manifest_path(scenario_dir))
+        ensemble = data_io.load_ensemble(manifest)
+        calls = []
+        fn = getattr(cli, name)
+
+        def patched(per_model, *rest):
+            calls.append(per_model)
+            return fn(per_model, *rest)
+
+        monkeypatch.setattr(cli, name, patched)
+        per_image, _ = cli.run_fuse(manifest, ensemble, algorithm)
+        ids = ensemble.target_image_ids
+        assert list(per_image) == list(ids)
+        # one call per target image, each given one box set per source, in source order
+        assert calls == [[s.for_image(iid) for s in ensemble.sources] for iid in ids]
 
     def test_unknown_algorithm_exit_2_names_valid_set(self, scenario_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -104,20 +127,6 @@ class TestFuse:
         kv = (tmp_path / "knowledge-vote" / "fused.txt").read_bytes()
         plain = (tmp_path / "wbf" / "fused.txt").read_bytes()
         assert kv == plain
-
-    def test_consensus_wbf_is_consensus_output_with_gate_count(self, scenario_dir, tmp_path):
-        man = manifest_path(scenario_dir)
-        assert main(["consensus", "--manifest", man, "--out", str(tmp_path / "cons")]) == 0
-        for alg in ("consensus-wbf", "knowledge-vote"):
-            assert main(["fuse", "--manifest", man, "--algorithm", alg,
-                         "--out", str(tmp_path / alg)]) == 0
-        fused = (tmp_path / "consensus-wbf" / "fused.txt").read_bytes()
-        assert fused == (tmp_path / "cons" / "fused.txt").read_bytes()
-        dropped = [
-            json.loads((tmp_path / alg / "summary.json").read_text())["gate_dropped_boxes"]
-            for alg in ("consensus-wbf", "knowledge-vote")
-        ]
-        assert dropped[0] == dropped[1] > 0
 
 
 class TestConsensus:
@@ -484,10 +493,9 @@ def write_at_iou(scenario_dir, command, iou_threshold, out):
         cli._write_consensus(str(out), *cli.run_consensus(manifest, ensemble))
     elif command[-1] == "wbf":
         cli._write_fuse(str(out), *cli.run_fuse(manifest, ensemble, "wbf"))
-    else:  # NMS suppresses the pooled boxes of every source
+    else:  # NMS suppresses the boxes of every source together
         per_image = {
-            iid: nms(DetectionSet(iid, tuple(
-                b for src in ensemble.sources for b in src.for_image(iid))), manifest.fusion)
+            iid: nms([src.for_image(iid) for src in ensemble.sources], manifest.fusion)
             for iid in ensemble.target_image_ids
         }
         out.mkdir()
@@ -556,8 +564,8 @@ def test_no_threads_option(scenario_dir, tmp_path, command):
 
 @pytest.mark.parametrize(
     "command",
-    [["consensus"], ["fuse", "--algorithm", "consensus-wbf"]],
-    ids=["consensus", "fuse-consensus-wbf"],
+    [["consensus"]],
+    ids=["consensus"],
 )
 def test_single_source_exit_2_leaves_no_output(scenario_dir, tmp_path, capsys, command):
     doc = absolute_manifest_doc(scenario_dir)
@@ -568,6 +576,20 @@ def test_single_source_exit_2_leaves_no_output(scenario_dir, tmp_path, capsys, c
     rc = main([*command, "--manifest", str(mpath), "--out", str(out)])
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_dataset_sizes_exit_2_naming_dataset_size(scenario_dir, tmp_path, capsys):
+    doc = absolute_manifest_doc(scenario_dir)
+    for s in doc["sources"]:
+        s["dataset_size"] = 10**308
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["consensus", "--manifest", str(mpath), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dataset_size" in err and "model_weights" not in err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from boxvote.consensus import (
     shapley_scores,
     weighted_fusion,
 )
-from boxvote.errors import DegenerateEnsembleError, EmptySubsetError
+from boxvote.errors import ConfigError, DegenerateEnsembleError, EmptySubsetError
 from boxvote.fusion import (
     KEEP_ALL,
     ConfidenceGates,
@@ -231,6 +231,12 @@ class TestComputeWeights:
             assert r.alpha_extended == pytest.approx(want_ext, abs=1e-15)
             for i in r.alpha:
                 assert r.alpha[i] == pytest.approx(want_alpha[i], abs=1e-12)
+
+    def test_overflowing_size_weighted_total_is_a_config_error(self):
+        # each size is a float, but size * contribution is not
+        report = self._report({1: 24.0, 2: 23.0, 3: 26.0})
+        with pytest.raises(ConfigError, match="dataset_size"):
+            compute_weights(report, {1: 10**308, 2: 10**308, 3: 10**308}, 100)
 
     def test_size_scaling_preserves_alpha_ratios(self):
         sizes = {1: 40, 2: 70, 3: 10}

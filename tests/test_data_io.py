@@ -10,7 +10,7 @@ from boxvote import data_io
 from boxvote.consensus import ContributionReport
 from boxvote.errors import ManifestError, ParseError
 from boxvote.evaluation import F1Curve
-from boxvote.fusion import FusedBox, FusionParams, wbf
+from boxvote.fusion import FusedBox, FusionParams, fused_order, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
 
@@ -186,6 +186,19 @@ class TestPseudoLabelFiles:
                 for f in back[iid]
             )
             assert got == want
+
+    def test_rows_follow_fused_order_on_equal_confidence(self, tmp_path):
+        # equal confidences, handed over against fused_order
+        boxes = [
+            FusedBox(cls, x1, 0.1, x1 + 0.2, 0.5, 0.5, 1, ())
+            for cls, x1 in [(1, 0.3), (1, 0.1), (0, 0.6), (0, 0.2)]
+        ]
+        assert boxes != sorted(boxes, key=fused_order)
+        p = tmp_path / "pl.txt"
+        data_io.write_pseudo_labels({"im0": boxes}, p)
+        rows = [(int(line.split()[1]), float(line.split()[2]))
+                for line in p.read_text().splitlines()]
+        assert rows == [(f.cls, f.x1) for f in sorted(boxes, key=fused_order)]
 
     def test_write_is_deterministic(self, tmp_path):
         ds = self._dataset()

@@ -85,16 +85,16 @@ class TestApplyGates:
         )
         gates = ConfidenceGates(gates={1: 0.5}, default_gate=0.8)
         out = apply_gates(dets, gates, KEEP_ALL)
-        assert [b.cls for b in out.boxes] == [1]
+        assert [b.cls for b in out] == [1]
 
     def test_zero_gates_keep_all_is_identity(self):
         dets = ds(box(0, 0, 1, 1, 0.3), box(0, 0, 0.5, 0.5, 0.1, cls=2))
-        assert apply_gates(dets, ConfidenceGates(), KEEP_ALL) == dets
+        assert apply_gates(dets, ConfidenceGates(), KEEP_ALL) == dets.boxes
 
     def test_disjoint_filter_empties(self):
         dets = ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.9, cls=1))
         flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({2}))
-        assert apply_gates(dets, ConfidenceGates(), flt).boxes == ()
+        assert apply_gates(dets, ConfidenceGates(), flt) == ()
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
@@ -110,12 +110,12 @@ class TestApplyGates:
 
 class TestNms:
     def test_exact_duplicate_suppressed(self):
-        out = nms(ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8)), PARAMS_50)
-        assert [b.confidence for b in out.boxes] == [0.9]
+        out = nms([ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], PARAMS_50)
+        assert [b.confidence for b in out] == [0.9]
 
     def test_disjoint_both_kept(self):
-        out = nms(ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8)), PARAMS_50)
-        assert len(out.boxes) == 2
+        out = nms([ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
+        assert len(out) == 2
 
     def test_chain_hand_trace(self):
         # iou(A,B)=0.6, iou(B,C)=0.6, iou(A,C)=1/3 -> {A, C} at threshold 0.5
@@ -124,53 +124,53 @@ class TestNms:
         c = box(0.25, 0, 0.75, 1, 0.7)
         assert iou(a, b) == pytest.approx(0.6)
         assert iou(b, c) == pytest.approx(0.6)
-        out = nms(ds(a, b, c), PARAMS_50)
-        assert set(bx.confidence for bx in out.boxes) == {0.9, 0.7}
-        assert check_nms_fixpoint([a, b, c], list(out.boxes), 0.5)
+        out = nms([ds(a, b, c)], PARAMS_50)
+        assert set(bx.confidence for bx in out) == {0.9, 0.7}
+        assert check_nms_fixpoint([a, b, c], out, 0.5)
 
     def test_classes_do_not_interact(self):
-        out = nms(ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.8, cls=1)), PARAMS_50)
-        assert len(out.boxes) == 2
+        out = nms([ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.8, cls=1))], PARAMS_50)
+        assert len(out) == 2
 
     def test_antichain_and_greedy_fixpoint_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             boxes = [random_box(rng) for _ in range(int(rng.integers(1, 12)))]
-            out = nms(ds(*boxes), PARAMS_50)
-            for i, b1 in enumerate(out.boxes):
-                for b2 in out.boxes[i + 1 :]:
+            out = nms([ds(*boxes)], PARAMS_50)
+            for i, b1 in enumerate(out):
+                for b2 in out[i + 1 :]:
                     if b1.cls == b2.cls:
                         assert iou(b1, b2) <= 0.5
-            assert check_nms_fixpoint(boxes, list(out.boxes), 0.5)
+            assert check_nms_fixpoint(boxes, out, 0.5)
 
 
 class TestSoftNms:
     def test_gaussian_decay_closed_form(self):
         params = FusionParams(soft_nms_sigma=0.5)
-        out = soft_nms(ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8)), params)
-        assert len(out.boxes) == 2
-        assert out.boxes[0].confidence == 0.9
-        assert out.boxes[1].confidence == pytest.approx(0.8 * math.exp(-1 / 0.5), abs=1e-12)
+        out = soft_nms([ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], params)
+        assert len(out) == 2
+        assert out[0].confidence == 0.9
+        assert out[1].confidence == pytest.approx(0.8 * math.exp(-1 / 0.5), abs=1e-12)
 
     def test_disjoint_confidences_unchanged(self):
-        out = soft_nms(ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8)), PARAMS_50)
-        assert sorted(b.confidence for b in out.boxes) == [0.8, 0.9]
+        out = soft_nms([ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
+        assert sorted(b.confidence for b in out) == [0.8, 0.9]
 
     def test_score_floor_one_keeps_one_per_class(self):
         rng = np.random.default_rng(3)
         boxes = [random_box(rng, cls=int(rng.integers(0, 2))) for _ in range(20)]
         boxes = [b for b in boxes if b.confidence < 1.0]
         params = FusionParams(score_floor=1.0)
-        out = soft_nms(ds(*boxes), params)
+        out = soft_nms([ds(*boxes)], params)
         per_class = {}
-        for b in out.boxes:
+        for b in out:
             per_class[b.cls] = per_class.get(b.cls, 0) + 1
         assert all(v == 1 for v in per_class.values())
 
     def test_output_sorted_by_decayed_confidence(self):
         rng = np.random.default_rng(4)
-        out = soft_nms(ds(*(random_box(rng) for _ in range(15))), PARAMS_50)
-        confs = [b.confidence for b in out.boxes]
+        out = soft_nms([ds(*(random_box(rng) for _ in range(15)))], PARAMS_50)
+        confs = [b.confidence for b in out]
         assert confs == sorted(confs, reverse=True)
 
 
@@ -363,6 +363,39 @@ class TestWbfAlgebra:
             assert all(f.support_count == 1 for f in out)
 
 
+class TestTiesAcrossModels:
+    """Two overlapping boxes of equal confidence from two models: confidence,
+    then source, then position in the model's list, then model order decide
+    which comes first."""
+
+    A = box(0.0, 0.0, 0.5, 0.5, 0.7)
+    B = box(0.0, 0.0, 0.5, 0.6, 0.7)  # iou(A, B) = 5/6
+
+    def test_model_order_breaks_a_full_tie(self):
+        a, b = self.A, self.B
+        assert nms([ds(a), ds(b)], PARAMS_50) == [a]
+        assert nms([ds(b), ds(a)], PARAMS_50) == [b]
+        for first, second in ((a, b), (b, a)):
+            out = soft_nms([ds(first), ds(second)], PARAMS_50)
+            assert out[0] == first
+            assert out[1] == second._replace(confidence=out[1].confidence)
+            assert out[1].confidence < 0.7
+            [f] = wbf([ds(first), ds(second)], PARAMS_50)
+            assert f.members == (first, second)
+
+    def test_source_and_position_come_before_model_order(self):
+        a, b = self.A._replace(source=2), self.B._replace(source=1)
+        assert nms([ds(a), ds(b)], PARAMS_50) == [b]
+        [f] = wbf([ds(a), ds(b)], PARAMS_50)
+        assert f.members == (b, a)
+        far = box(0.8, 0.8, 0.9, 0.9, 0.7)
+        a, b = self.A, self.B
+        # b is first in its list, a second in its own
+        assert nms([ds(far, a), ds(b)], PARAMS_50) == [far, b]
+        assert soft_nms([ds(far, a), ds(b)], PARAMS_50)[:2] == [far, b]
+        assert {f.members for f in wbf([ds(far, a), ds(b)], PARAMS_50)} == {(far,), (b, a)}
+
+
 def table_group(rng, n, cls=0):
     """n boxes of one class, from 3 sources, mixing the cases a sweep must get right.
 
@@ -435,16 +468,29 @@ class TestTablePathAgainstOracles:
     def test_nms_is_the_greedy_fixpoint(self, n, seed):
         boxes = table_boxes(seed, n)
         for threshold in (0.5, 0.3):
-            out = nms(ds(*boxes), FusionParams(iou_threshold=threshold))
-            assert check_nms_fixpoint(boxes, list(out.boxes), threshold)
+            out = nms([ds(*boxes)], FusionParams(iou_threshold=threshold))
+            assert check_nms_fixpoint(boxes, out, threshold)
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("sigma,floor", [(0.5, 0.001), (2.0, 0.05), (0.5, 1.0)])
     def test_soft_nms_equals_oracle(self, n, seed, sigma, floor):
         boxes = table_boxes(seed, n)
-        out = soft_nms(ds(*boxes), FusionParams(soft_nms_sigma=sigma, score_floor=floor))
-        assert list(out.boxes) == oracle_soft_nms(boxes, sigma, floor)
+        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
+        assert out == oracle_soft_nms(boxes, sigma, floor)
+
+    @pytest.mark.parametrize("n", TABLE_SIZES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_multi_model_nms_and_soft_nms_equal_oracles_on_pooled_boxes(self, n, seed):
+        # one source per model, so the pooled list's input order is each
+        # model's order, models in turn
+        models = by_source(table_boxes(seed, n))
+        pooled = [b for m in models for b in m]
+        out = nms(models, PARAMS_50)
+        assert check_nms_fixpoint(pooled, out, 0.5)
+        assert out == nms([ds(*pooled)], PARAMS_50)
+        params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
+        assert soft_nms(models, params) == oracle_soft_nms(pooled, 0.5, 0.001)
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
