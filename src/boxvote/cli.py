@@ -44,22 +44,6 @@ def _check_confidence_threshold(value: float) -> None:
         )
 
 
-def _target_sets(ensemble: cf.SourceEnsemble):
-    """Each source's boxes on each target image: what `fuse` counts as its input."""
-    return (
-        src.for_image(image_id)
-        for image_id in ensemble.target_image_ids
-        for src in ensemble.sources
-    )
-
-
-def _gate_dropped(ensemble: cf.SourceEnsemble, gates, flt) -> int:
-    """Source boxes that the confidence gates and the label filter remove."""
-    return sum(
-        len(ds) - len(apply_gates(ds, gates, flt)) for ds in _target_sets(ensemble)
-    )
-
-
 def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
 
@@ -84,18 +68,22 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     params = manifest.fusion
     if algorithm in ("nms", "soft-nms"):
         params = replace(params, iou_threshold=NMS_DEFAULT_IOU if nms_iou is None else nms_iou)
-    per_image = {
-        image_id: fuse([s.for_image(image_id) for s in ensemble.sources], params)
-        for image_id in ensemble.target_image_ids
-    }
+    per_image = {}
+    input_boxes = gate_dropped = 0
+    for image_id in ensemble.target_image_ids:
+        per_model = [s.for_image(image_id) for s in ensemble.sources]
+        n_boxes = sum(map(len, per_model))
+        input_boxes += n_boxes
+        if algorithm == "knowledge-vote":
+            kept = sum(len(apply_gates(boxes, gates, flt)) for boxes in per_model)
+            gate_dropped += n_boxes - kept
+        per_image[image_id] = fuse(per_model, params)
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),
-        "input_boxes": sum(map(len, _target_sets(ensemble))),
+        "input_boxes": input_boxes,
         "output_boxes": sum(map(len, per_image.values())),
-        "gate_dropped_boxes": (
-            _gate_dropped(ensemble, gates, flt) if algorithm == "knowledge-vote" else 0
-        ),
+        "gate_dropped_boxes": gate_dropped,
     }
     return per_image, summary
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -48,7 +49,7 @@ from .fusion import (
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
     wbf,
 )
-from .geometry import DetectionSet, running_sum
+from .geometry import Box, running_sum
 
 # Non-positive contributions are clamped to this before normalization, so
 # every source keeps a representable (if negligible) weight.
@@ -65,10 +66,11 @@ class SourceDomain:
     source_id: int
     name: str
     dataset_size: int
-    detections: dict[str, DetectionSet]
+    detections: dict[str, Collection[Box]]  # image id -> boxes
 
-    def for_image(self, image_id: str) -> DetectionSet:
-        return self.detections.get(image_id, DetectionSet(image_id, ()))
+    def for_image(self, image_id: str) -> Collection[Box]:
+        """The source's boxes on the image; `()` for an image it has none on."""
+        return self.detections.get(image_id, ())
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
 from .fusion import (
     KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter, fused_order,
 )
-from .geometry import Box, DetectionSet, validate_box
+from .geometry import Box, validate_box
 
 log = logging.getLogger(__name__)
 
@@ -158,8 +158,8 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
     return rows
 
 
-def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
-    """Parse a detection file into per-image DetectionSets.
+def parse_detections(path, source: int = 0) -> dict[str, tuple[Box, ...]]:
+    """Parse a detection file into each image's boxes, as a tuple in file order.
 
     Zero-area boxes are dropped (with a warning carrying the count). An
     optional eighth column (support count from pseudo-label files) is
@@ -179,10 +179,7 @@ def parse_detections(path, source: int = 0) -> dict[str, DetectionSet]:
             boxes.append(box)
     if dropped:
         log.warning("%s: dropped %d zero-area box(es)", path, dropped)
-    return {
-        image_id: DetectionSet(image_id, tuple(boxes))
-        for image_id, boxes in per_image.items()
-    }
+    return {image_id: tuple(boxes) for image_id, boxes in per_image.items()}
 
 
 def write_detections(per_image, path) -> None:
@@ -190,7 +187,7 @@ def write_detections(per_image, path) -> None:
 
     `per_image` maps an image id to that image's boxes: any iterable of
     objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
-    `DetectionSet` or a list of `FusedBox`.
+    `Box` tuple or a list of `FusedBox`.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(per_image):

@@ -166,7 +166,7 @@ def match_all(fused, gt: GroundTruth) -> Matches:
 
     `fused` maps an image id to that image's boxes: any sized iterable of
     objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
-    `DetectionSet` or a list of `FusedBox`. Each class's rows are sorted by
+    `Box` tuple or a list of `FusedBox`. Each class's rows are sorted by
     (-confidence, image id, rank in the image's slice): images are visited in
     id order, each slice appends in rank order, and the confidence sort is
     stable. So the result does not depend on the order of `fused`.

@@ -78,6 +78,8 @@ class LabelSpaceFilter:
             raise ValueError(f"unknown filter mode {self.mode!r}")
         if self.mode == "keep_listed" and not self.classes:
             raise ValueError("keep_listed filter requires a non-empty class set")
+        if self.mode == "keep_all" and self.classes:
+            raise ValueError("keep_all filter takes no classes; list them under keep_listed")
 
     def keeps(self, cls: int) -> bool:
         return self.mode == "keep_all" or cls in self.classes

@@ -53,7 +53,11 @@ class Box(NamedTuple):
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """All boxes for one image, in ingestion order; iterates and sizes as `boxes`."""
+    """One image's generated boxes, in generation order; a collection of `boxes`.
+
+    Only `synth.generate` builds these, because the bench counts generated
+    boxes through `.boxes`. Past the file reader, boxes are plain tuples.
+    """
 
     image_id: str
     boxes: tuple[Box, ...]
@@ -63,6 +67,9 @@ class DetectionSet:
 
     def __len__(self) -> int:
         return len(self.boxes)
+
+    def __contains__(self, box) -> bool:
+        return box in self.boxes
 
 
 def _clamp(v: float) -> float:

@@ -443,6 +443,22 @@ MANIFEST_MUTATIONS = [
      lambda doc: doc["gates"].update(per_class={"class_0": -0.1}), 2, "class_0"),
     ("per-class gate NaN",
      lambda doc: doc["gates"].update(per_class={"class_1": float("nan")}), 2, "class_1"),
+    ("keep_all filter listing a class",
+     lambda doc: doc["filter"].update(mode="keep_all", classes=["class_1"]), 2,
+     "keep_all filter"),
+    ("filter class unknown", set_filter_classes(["class_9"]), 2, "filter references"),
+    ("filter mode unknown", lambda doc: doc["filter"].update(mode="keep_some"), 2,
+     "filter mode"),
+    ("keep_listed filter listing no class", set_filter_classes([]), 2,
+     "keep_listed filter"),
+    ("classes empty", lambda doc: doc.update(classes=[]), 2, "'classes'"),
+    ("classes duplicated", lambda doc: doc["classes"].append(doc["classes"][0]), 2,
+     "class names"),
+    ("sources empty", lambda doc: doc.update(sources=[]), 2, "'sources'"),
+    ("dataset_size zero", lambda doc: doc["sources"][0].update(dataset_size=0), 2,
+     "dataset_size"),
+    ("dataset_size fractional", lambda doc: doc["sources"][0].update(dataset_size=2.5), 2,
+     "dataset_size"),
 ]
 
 
@@ -463,6 +479,62 @@ def test_manifest_mutation_exit_code(scenario_dir, tmp_path, capsys, mutate, cod
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert needle in err
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "manifest must be a JSON object"),
+    ('"manifest"', "manifest must be a JSON object"),
+], ids=["not JSON", "a list", "a string"])
+def test_manifest_not_a_json_object_exit_2(tmp_path, capsys, text, needle):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(text)
+    rc = main(["fuse", "--manifest", str(mpath), "--algorithm", "nms",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"{mpath}: {needle}" in err
+
+
+def box_rows(path):
+    """The fields of each box line of a text file, comment lines skipped."""
+    return [line.split() for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_keep_listed_filter_keeps_only_its_classes(scenario_dir, tmp_path):
+    doc = absolute_manifest_doc(scenario_dir)
+    mpath = tmp_path / "all.json"
+    mpath.write_text(json.dumps(doc))
+    assert main(["fuse", "--manifest", str(mpath), "--algorithm", "knowledge-vote",
+                 "--out", str(tmp_path / "kv_all")]) == 0
+    doc["filter"] = {"mode": "keep_listed", "classes": ["class_2"]}
+    mpath = tmp_path / "class_2.json"
+    mpath.write_text(json.dumps(doc))
+    kv, cons = tmp_path / "kv", tmp_path / "cons"
+    assert main(["fuse", "--manifest", str(mpath), "--algorithm", "knowledge-vote",
+                 "--out", str(kv)]) == 0
+    assert main(["consensus", "--manifest", str(mpath), "--out", str(cons)]) == 0
+    for path in (kv / "fused.txt", cons / "fused.txt", cons / "pseudo_labels.txt"):
+        rows = box_rows(path)
+        assert rows and {r[1] for r in rows} == {"2"}, path
+    # classes never interact, so the knowledge vote keeps its class-2 rows as they were
+    assert box_rows(kv / "fused.txt") == [
+        r for r in box_rows(tmp_path / "kv_all" / "fused.txt") if r[1] == "2"
+    ]
+    # every source box on a target image that is of another class or under its gate
+    targets = set(doc["target"]["image_ids"])
+    gate = doc["gates"]["per_class"].get("class_2", doc["gates"]["default"])
+    dropped = sum(
+        r[0] in targets and (r[1] != "2" or float(r[6]) < gate)
+        for s in doc["sources"]
+        for r in box_rows(s["detections_path"])
+    )
+    summary = json.loads((kv / "summary.json").read_text())
+    assert summary["gate_dropped_boxes"] == dropped
+    unfiltered = json.loads((tmp_path / "kv_all" / "summary.json").read_text())
+    assert dropped > unfiltered["gate_dropped_boxes"] > 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1", "0", "1"])

@@ -21,7 +21,7 @@ class TestDetectionFiles:
         p.write_text("img1 0 0.1 0.1 0.5 0.5 0.93\n")
         out = data_io.parse_detections(p)
         assert list(out) == ["img1"]
-        [b] = out["img1"].boxes
+        [b] = out["img1"]
         assert (b.cls, b.x1, b.confidence) == (0, 0.1, 0.93)
 
     def test_empty_file(self, tmp_path):
@@ -34,7 +34,7 @@ class TestDetectionFiles:
         p.write_text("img1 0 0.5 0.5 0.5 0.5 0.9\nimg1 0 0 0 1 1 0.8\n")
         with caplog.at_level("WARNING"):
             out = data_io.parse_detections(p)
-        assert len(out["img1"].boxes) == 1
+        assert len(out["img1"]) == 1
         assert "zero-area" in caplog.text
 
     @pytest.mark.parametrize("line", [
@@ -45,7 +45,7 @@ class TestDetectionFiles:
     def test_in_range_zero_area_dropped(self, tmp_path, line):
         p = tmp_path / "d.txt"
         p.write_text(f"{line}\nimg1 0 0 0 1 1 0.8\n")
-        [b] = data_io.parse_detections(p)["img1"].boxes
+        [b] = data_io.parse_detections(p)["img1"]
         assert b.confidence == 0.8
 
     def test_bad_field_count(self, tmp_path):
@@ -224,6 +224,15 @@ class TestPseudoLabelFiles:
             data_io.parse_pseudo_labels(p)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("support", ["x", "0"])
+    def test_bad_support_count_names_the_line(self, tmp_path, support):
+        p = tmp_path / "pl.txt"
+        p.write_text(f"# empty im1\nim0 0 0.1 0.1 0.5 0.5 0.9 {support}\n")
+        with pytest.raises(ParseError) as exc:
+            data_io.parse_pseudo_labels(p)
+        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{p}:2: ")
+
 
 class TestGroundTruthFiles:
     def test_coordinate_within_slop_stored_clamped(self, tmp_path):
@@ -253,7 +262,7 @@ _LINE = st.one_of(
 _PARSED_BOXES = {
     "detections": (
         data_io.parse_detections,
-        lambda out: [b for ds in out.values() for b in ds.boxes],
+        lambda out: [b for boxes in out.values() for b in boxes],
     ),
     "ground truth": (
         data_io.parse_ground_truth,
@@ -331,15 +340,19 @@ class TestManifest:
         assert m.gates.gate(0) == 0.8
 
     def test_round_trip(self, tmp_path):
-        m = data_io.parse_manifest(
-            minimal_manifest(
-                tmp_path, gates={"default": 0.3, "per_class": {"car": 0.1}}
-            )
-        )
-        out = tmp_path / "round.json"
-        data_io.write_manifest(m, out)
-        again = data_io.parse_manifest(out)
-        assert data_io.manifest_to_dict(again) == data_io.manifest_to_dict(m)
+        for overrides in [
+            {"gates": {"default": 0.3, "per_class": {"car": 0.1}}},
+            {"filter": {"mode": "keep_listed", "classes": ["person"]},
+             "fusion": {"model_weights": [2.5]}},
+        ]:
+            m = data_io.parse_manifest(minimal_manifest(tmp_path, **overrides))
+            out = tmp_path / "round.json"
+            data_io.write_manifest(m, out)
+            again = data_io.parse_manifest(out)
+            assert data_io.manifest_to_dict(again) == data_io.manifest_to_dict(m)
+            assert (again.label_filter, again.fusion) == (m.label_filter, m.fusion)
+        assert again.label_filter.classes == {1}
+        assert again.fusion.model_weights == (2.5,)
 
     def test_load_ensemble_assigns_source_ids(self, tmp_path):
         (tmp_path / "d2.txt").write_text("img1 1 0.2 0.2 0.6 0.6 0.7\n")
@@ -353,7 +366,7 @@ class TestManifest:
         m = data_io.parse_manifest(p)
         ensemble = data_io.load_ensemble(m)
         assert [s.source_id for s in ensemble.sources] == [1, 2]
-        assert ensemble.sources[1].detections["img1"].boxes[0].source == 2
+        assert ensemble.sources[1].detections["img1"][0].source == 2
         assert data_io.load_ground_truth(m) is None
 
     def test_target_set_without_image_ids_is_sorted_union(self, tmp_path):

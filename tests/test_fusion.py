@@ -107,6 +107,10 @@ class TestApplyGates:
         with pytest.raises(ValueError):
             LabelSpaceFilter(mode="keep_listed", classes=frozenset())
 
+    def test_keep_all_takes_no_classes(self):
+        with pytest.raises(ValueError, match="keep_all filter"):
+            LabelSpaceFilter(mode="keep_all", classes=frozenset({1}))
+
 
 class TestNms:
     def test_exact_duplicate_suppressed(self):
@@ -496,12 +500,16 @@ class TestTablePathAgainstOracles:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (0.0, 1.0, 0.3)])
     def test_wbf_equals_oracle(self, n, seed, weights):
-        models = by_source(table_boxes(seed, n))
+        # plus two overlapping confidence-0 boxes, which fuse with no confidence mass
+        zero_mass = [box(0.1, 0.1, 0.5, 0.5, 0.0, cls=2, source=1),
+                     box(0.12, 0.1, 0.5, 0.52, 0.0, cls=2, source=2)]
+        models = by_source(table_boxes(seed, n) + zero_mass)
         out = wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights))
         got = [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
                 tuple((b.source, b) for b in f.members))
                for f in out]
         assert got == oracle_wbf(models, weights, 0.5)
+        assert (2, *zero_mass[0][1:5], 0.0, 2, ((1, zero_mass[0]), (2, zero_mass[1]))) in got
 
 
 def degenerate_boxes():
