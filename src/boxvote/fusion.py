@@ -16,20 +16,32 @@ source, then its position in its model's list, then model order.
 - NMS keeps a box iff no kept box before it overlaps it beyond the threshold.
 - Soft-NMS repeatedly takes the first maximum confidence of the group, which
   is kept in (source, index) order, and decays the rest by
-  exp(-iou^2 / sigma) instead of re-sorting after every pick.
+  exp(-iou^2 / sigma) instead of re-sorting after every pick. A large group
+  finds each pick with a lazy max-heap instead of a scan of every live box.
 - WBF puts each box into the first cluster whose fused box overlaps it, and
-  keeps running sums per cluster instead of re-summing it on every join.
+  keeps running sums per cluster instead of re-summing it on every join. A
+  large group looks up the box's one-member clusters in the table instead
+  of comparing the box with every cluster.
 
 Overlaps come from one numpy IoU table per class group of at least
 `TABLE_MIN` boxes (`_iou_table`). It uses the same IEEE operations as
-`geometry.iou`, so each entry equals the scalar call bit for bit; it is
-built, used and dropped within the group, and nothing is cached across
-calls. Smaller groups call `iou` per pair as the sweep needs it. Sparse
-detector output has about 3 boxes per class group, and consensus scoring
-fuses such images tens of thousands of times: there, building a table or
-any other per-group numpy work costs more than the few scalar calls it
-saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. The
-crossover measured at about 16 boxes.
+`geometry.iou`, so each entry equals the scalar call bit for bit. Soft-NMS
+and WBF then visit only a box's neighbours in the table (`_neighbours`):
+the boxes it overlaps at all, or beyond the threshold. In a dense group
+about 5% of the pairs overlap. Neighbour order gives the same picks and
+clusters as the full scans. A soft-NMS pick changes only the confidences of
+the boxes it overlaps, so every other box keeps its place in the heap.
+WBF creates clusters in group order, so a box's first overlapping
+one-member cluster is the one led by its first over-threshold neighbour
+before it; only the few larger clusters before that one, whose fused boxes
+are not in the table, are compared with `iou`, in cluster order. The table
+and its neighbour lists are built, used and dropped within the group, and
+nothing is cached across calls. Smaller groups call `iou` per pair as the
+sweep needs it. Sparse detector output has about 3 boxes per class group,
+and consensus scoring fuses such images tens of thousands of times: there,
+building a table or any other per-group numpy work costs more than the few
+scalar calls it saves, and an always-numpy kernel made a gated WBF pass
+2-4x slower. The crossover measured at about 16 boxes.
 
 WBF emits a cluster of one box as that box's corners and confidence, with
 support 1 and the box as its only member. `FusedBox` is a named tuple like
@@ -44,7 +56,9 @@ different last bits, which change output bytes.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import insort
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -237,31 +251,88 @@ def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
     return [item[0] for item in kept]
 
 
+def _neighbours(mask) -> tuple[list[int], np.ndarray]:
+    """Row starts and columns of a square boolean mask's True entries, row by row.
+
+    Row i's neighbours are `cols[starts[i]:starts[i + 1]]`, ascending; the
+    columns stay one numpy array, sliced per row as a sweep reaches it, since
+    in a crowded group every pair can overlap.
+    """
+    rows, cols = np.nonzero(mask)
+    return np.searchsorted(rows, np.arange(len(mask) + 1)).tolist(), cols
+
+
 def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
     """(position, decayed confidence) of each box soft-NMS keeps, in pick order.
 
     `boxes` are in (source, index) order, so the first maximum of the
     confidences is the box that the (-confidence, source, index) order puts
     first. The first pick is taken before any box is checked against `floor`.
+    Groups of at least `TABLE_MIN` boxes go to `_soft_nms_heap`.
     """
-    table = _iou_table(boxes) if len(boxes) >= TABLE_MIN else None
+    if len(boxes) >= TABLE_MIN:
+        return _soft_nms_heap(boxes, sigma, floor)
     conf = [b.confidence for b in boxes]
     alive = list(range(len(boxes)))
     picks = []
     while alive:
         top = max(alive, key=conf.__getitem__)
         picks.append((top, conf[top]))
-        row = table[top].tolist() if table is not None else None
         survivors = []
         for j in alive:
             if j == top:
                 continue
-            ov = row[j] if row is not None else iou(boxes[top], boxes[j])
+            ov = iou(boxes[top], boxes[j])
             if ov > 0.0:
                 conf[j] *= math.exp(-(ov * ov) / sigma)
             if conf[j] >= floor:
                 survivors.append(j)
         alive = survivors
+    return picks
+
+
+def _soft_nms_heap(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
+    """`_soft_nms_picks` for a large group: a lazy max-heap over table neighbours.
+
+    Each box still in play has one heap entry, (-confidence, position), so
+    the least current entry is the first maximum. A decay leaves the box's
+    entry stale: it stands for a higher confidence, so it is popped before
+    the box is due, and the pop pushes the box again at its current
+    confidence. A pop skips the entry of a picked or dropped box. A pick
+    decays only the live boxes its table row overlaps, with the scalar
+    sweep's per-edge arithmetic, in the same pick order, so the picks and
+    confidences are the same bit for bit; a factor that rounds to 1.0 leaves
+    the entry current. Confidences only fall, so a box below `floor` can
+    drop before the first pick, and later only a box just decayed can drop.
+    """
+    table = _iou_table(boxes)
+    overlaps = table > 0.0
+    starts, cols = _neighbours(overlaps)
+    ovs = table[overlaps]  # row by row, like cols
+    del table, overlaps
+    conf = [b.confidence for b in boxes]
+    top = max(range(len(boxes)), key=conf.__getitem__)
+    alive = [c >= floor for c in conf]
+    alive[top] = True
+    heap = [(-c, j) for j, c in enumerate(conf) if alive[j]]
+    heapq.heapify(heap)
+    picks = []
+    while heap:
+        neg, top = heapq.heappop(heap)
+        if not alive[top]:
+            continue
+        c = conf[top]
+        if -neg != c:
+            heapq.heappush(heap, (-c, top))
+            continue
+        alive[top] = False
+        picks.append((top, c))
+        lo, hi = starts[top], starts[top + 1]
+        for j, ov in zip(cols[lo:hi].tolist(), ovs[lo:hi].tolist()):
+            if alive[j]:
+                c = conf[j] = conf[j] * math.exp(-(ov * ov) / sigma)
+                if c < floor:
+                    alive[j] = False
     return picks
 
 
@@ -273,7 +344,9 @@ def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[B
         boxes = [b for b, _, _ in group]
         for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
             b, idx, _ = group[i]
-            out.append((b if c == b.confidence else b._replace(confidence=c), idx))
+            if c != b.confidence:
+                b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
+            out.append((b, idx))
     out.sort(key=_priority)
     return [b for b, _ in out]
 
@@ -314,46 +387,104 @@ def _fused(s, first: Box) -> tuple[float, float, float, float, float]:
     return x1 / cw_sum, y1 / cw_sum, x2 / cw_sum, y2 / cw_sum, conf / w_sum
 
 
-def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
-    """Cluster one class group (in weighted priority order) and append its FusedBoxes.
+def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
+    """Cluster one class group (in weighted priority order): (clusters, sums).
 
     Each item joins the first cluster whose fused box overlaps it beyond
-    params.iou_threshold, else starts a new cluster. A one-member cluster's
-    fused box is its box, so the IoU table answers for it when there is one;
-    a larger cluster keeps running sums (see `_add_member`), and its fused box
-    is built when it is next compared, and compared with `iou`.
+    `threshold`, else starts a new cluster. A cluster is its member items in
+    join order; its sums are None while it has one member, whose box is then
+    its fused box. A larger cluster keeps running sums (see `_add_member`),
+    and its fused box is built when it is next compared.
     """
-    threshold = params.iou_threshold
-    table = _iou_table([b for b, _, _ in group]) if len(group) >= TABLE_MIN else None
     clusters: list[list] = []  # member items, in join order
     sums: list = []  # running sums of a cluster with two or more members, else None
     views: list = []  # the box of a one-member cluster, else its fused Box or None
-    leaders: list[int] = []  # group position of a one-member cluster's box, else -1
-    for i, item in enumerate(group):
+    for item in group:
         b = item[0]
-        row = table[i].tolist() if table is not None else None
         for ci, view in enumerate(views):
-            if row is not None and leaders[ci] >= 0:
-                ov = row[leaders[ci]]
-            else:
-                if view is None:
-                    view = views[ci] = Box(cls, *_fused(sums[ci], clusters[ci][0][0]))
-                ov = iou(b, view)
-            if ov > threshold:
+            if view is None:
+                view = views[ci] = Box(cls, *_fused(sums[ci], clusters[ci][0][0]))
+            if iou(b, view) > threshold:
                 break
         else:
             clusters.append([item])
             sums.append(None)
             views.append(b)
-            leaders.append(i)
             continue
         members = clusters[ci]
         members.append(item)
         if sums[ci] is None:
             sums[ci] = _add_member(_NO_SUMS, members[0])
-            leaders[ci] = -1
         sums[ci] = _add_member(sums[ci], item)
         views[ci] = None
+    return clusters, sums
+
+
+def _wbf_table_clusters(cls, group, threshold: float) -> tuple[list, list]:
+    """`_wbf_clusters` for a large group, by over-threshold table neighbours.
+
+    Clusters are created in group order, so the first one-member cluster
+    that item i overlaps is the one led by i's first over-threshold
+    neighbour j < i that still leads a one-member cluster. Only the few
+    clusters of two or more members that come before it are compared with
+    `iou`, in cluster order; one whose fused box misses the item on an axis
+    is skipped, since `iou` gives 0 there.
+    """
+    table = _iou_table([b for b, _, _ in group])
+    starts, cols = _neighbours(np.tril(table > threshold, -1))
+    del table
+    clusters: list[list] = []  # member items, in join order
+    sums: list = []  # running sums of a cluster with two or more members, else None
+    views: list = []  # fused Box of a cluster with two or more members, or None
+    leaders: list[int] = []  # group position of each cluster's first member
+    lone = [-1] * len(group)  # the one-member cluster a position leads, else -1
+    merged: list[int] = []  # the clusters with two or more members, ascending
+    for i, item in enumerate(group):
+        b = item[0]
+        ci = len(clusters)
+        for j in cols[starts[i]:starts[i + 1]].tolist():
+            if lone[j] >= 0:
+                ci = lone[j]
+                break
+        for mi in merged:
+            if mi >= ci:
+                break
+            view = views[mi]
+            if view is None:
+                view = views[mi] = Box(cls, *_fused(sums[mi], clusters[mi][0][0]))
+            if (view.x1 < b.x2 and b.x1 < view.x2 and view.y1 < b.y2 and b.y1 < view.y2
+                    and iou(b, view) > threshold):
+                ci = mi
+                break
+        if ci == len(clusters):
+            lone[i] = ci
+            clusters.append([item])
+            sums.append(None)
+            views.append(None)
+            leaders.append(i)
+            continue
+        members = clusters[ci]
+        members.append(item)
+        if sums[ci] is None:
+            lone[leaders[ci]] = -1
+            insort(merged, ci)
+            sums[ci] = _add_member(_NO_SUMS, members[0])
+        sums[ci] = _add_member(sums[ci], item)
+        views[ci] = None
+    return clusters, sums
+
+
+def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
+    """Cluster one class group (in weighted priority order) and append its FusedBoxes.
+
+    Groups of at least `TABLE_MIN` boxes cluster by `_wbf_table_clusters`,
+    smaller ones by `_wbf_clusters`; both give the same clusters.
+    """
+    threshold = params.iou_threshold
+    if len(group) >= TABLE_MIN:
+        clusters, sums = _wbf_table_clusters(cls, group, threshold)
+    else:
+        clusters, sums = _wbf_clusters(cls, group, threshold)
     rescale = params.confidence_rescale == "support_ratio"
     for members, s in zip(clusters, sums):
         first = members[0][0]

@@ -91,7 +91,7 @@ class TestFuse:
             "fuse", "--manifest", str(tmp_path / "none.json"),
             "--algorithm", "nms", "--out", str(tmp_path / "o"),
         ])
-        assert rc in (1, 2)
+        assert rc == 2
 
     def test_corrupt_detections_exit_3(self, scenario_dir, tmp_path):
         man = data_io.parse_manifest(manifest_path(scenario_dir))

@@ -296,6 +296,42 @@ def test_reader_accepts_valid_boxes_or_raises_parse_error(fuzz_file, fmt, lines)
         assert validate_box(b) == b
 
 
+
+_UNIT = st.floats(0.0, 1.0)
+_CONF = _UNIT.map(repr)
+_SUPPORT = st.integers(1, 9).map(str)
+
+
+def _valid_lines(tail):
+    """Box lines that the format's reader keeps: an image id, a class, corners
+    of positive area inside [0, 1], then the fields that `tail` draws."""
+    corners = st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).map(
+        lambda c: (min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+    ).filter(lambda c: (c[2] - c[0]) * (c[3] - c[1]) > 0.0)
+    return st.tuples(st.sampled_from(["im0", "im1"]), st.integers(0, 9), corners, tail).map(
+        lambda t: " ".join([t[0], str(t[1]), *map(repr, t[2]), *t[3]])
+    )
+
+
+_VALID_LINE = {
+    "detections": _valid_lines(st.one_of(st.tuples(_CONF), st.tuples(_CONF, _SUPPORT))),
+    "ground truth": _valid_lines(st.just(())),
+    "pseudo-labels": _valid_lines(st.tuples(_CONF, _SUPPORT)),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_PARSED_BOXES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reader_parses_every_valid_line(fuzz_file, fmt, data):
+    lines = data.draw(st.lists(_VALID_LINE[fmt], min_size=1, max_size=6))
+    parse, boxes_of = _PARSED_BOXES[fmt]
+    fuzz_file.write_text("\n".join(lines), encoding="utf-8")
+    boxes = boxes_of(parse(fuzz_file))
+    assert len(boxes) == len(lines)
+    for b in boxes:
+        assert validate_box(b) == b
+
 def minimal_manifest(tmp_path, **overrides):
     (tmp_path / "dets.txt").write_text("img1 0 0.1 0.1 0.5 0.5 0.9\n")
     doc = {

@@ -19,6 +19,7 @@ from boxvote.fusion import (
     wbf,
 )
 from boxvote.geometry import Box, DetectionSet, iou
+from boxvote.synth import BOX_SIZE_RANGE, FP_CONF_RANGE
 from oracles import (
     check_nms_fixpoint,
     fused_box_key,
@@ -455,6 +456,13 @@ def by_source(boxes):
     return [ds(*(b for b in boxes if b.source == s)) for s in range(3)]
 
 
+def wbf_rows(out):
+    """`wbf` output in `oracle_wbf`'s row shape."""
+    return [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
+             tuple((b.source, b) for b in f.members))
+            for f in out]
+
+
 class TestTablePathAgainstOracles:
     """Class groups around and far above TABLE_MIN, checked exactly against oracles."""
 
@@ -504,13 +512,95 @@ class TestTablePathAgainstOracles:
         zero_mass = [box(0.1, 0.1, 0.5, 0.5, 0.0, cls=2, source=1),
                      box(0.12, 0.1, 0.5, 0.52, 0.0, cls=2, source=2)]
         models = by_source(table_boxes(seed, n) + zero_mass)
-        out = wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights))
-        got = [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
-                tuple((b.source, b) for b in f.members))
-               for f in out]
+        got = wbf_rows(wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights)))
         assert got == oracle_wbf(models, weights, 0.5)
         assert (2, *zero_mass[0][1:5], 0.0, 2, ((1, zero_mass[0]), (2, zero_mass[1]))) in got
 
+
+def dense_group(rng, n):
+    """n class-0 boxes from 3 sources, shaped like dense detector noise:
+    `synth`'s box sizes, confidences drawn from its false-positive range."""
+    boxes = []
+    for k in range(n):
+        w, h = (float(v) for v in rng.uniform(*BOX_SIZE_RANGE, 2))
+        cx, cy = float(rng.uniform(w / 2, 1 - w / 2)), float(rng.uniform(h / 2, 1 - h / 2))
+        conf = float(rng.uniform(*FP_CONF_RANGE))
+        boxes.append(box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, conf, source=k % 3))
+    return boxes
+
+
+def filler(n, conf):
+    """n small class-0 boxes in a strip at the foot of the frame, apart from
+    each other and from every box above y = 0.95."""
+    return [box(i / 32, 0.95, (i + 0.5) / 32, 0.99, conf) for i in range(n)]
+
+
+class TestNeighbourSweepsAgainstOracles:
+    """Large groups, whose sweeps visit only table neighbours, against the oracles."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_dense_group(self, seed):
+        models = by_source(dense_group(np.random.default_rng(seed), 200))
+        pooled = [b for m in models for b in m]
+        for sigma, floor in [(0.5, 0.001), (0.05, 0.3)]:
+            params = FusionParams(soft_nms_sigma=sigma, score_floor=floor)
+            assert soft_nms(models, params) == oracle_soft_nms(pooled, sigma, floor)
+        for threshold in (0.55, 0.3):
+            for weights in [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0)]:
+                params = FusionParams(iou_threshold=threshold, model_weights=weights)
+                out = wbf(models, params)
+                assert wbf_rows(out) == oracle_wbf(models, weights, threshold)
+                assert any(len(f.members) > 1 for f in out)
+
+    def test_floor_drops_a_box_after_a_later_pick(self):
+        second = box(0.5, 0.5, 0.7, 0.7, 0.5)
+        victim = box(0.5, 0.5, 0.7, 0.68, 0.2)  # IoU 0.9 with `second` only
+        boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim] + filler(14, 0.3)
+        sigma, floor = 0.1, 0.15
+        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
+        assert out == oracle_soft_nms(boxes, sigma, floor)
+        # kept after the first pick, dropped by the second, before the filler is picked
+        assert len(out) == len(boxes) - 1 and victim not in out
+
+    def test_decay_factor_that_rounds_to_one(self):
+        first = box(0.1, 0.1, 0.3, 0.3, 0.9)
+        sliver = box(0.3 - 2**-30, 0.1, 0.5, 0.3, 0.5)  # overlaps `first` by a sliver
+        ov = iou(first, sliver)
+        assert 0.0 < ov < 1e-8 and math.exp(-(ov * ov) / 0.5) == 1.0
+        boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)] + filler(14, 0.3)
+        params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
+        out = soft_nms([ds(*boxes)], params)
+        assert out == oracle_soft_nms(boxes, 0.5, 0.001)
+        assert out[:3] == boxes[:3]
+
+    @pytest.mark.parametrize("decayed_first", [True, False])
+    def test_boxes_that_tie_only_after_decay(self, decayed_first):
+        sigma = 0.5
+        pick = box(0.0, 0.0, 0.3, 0.3, 0.9)
+        decayed = box(0.1, 0.1, 0.4, 0.4, 0.8)
+        ov = iou(pick, decayed)
+        tied = box(0.6, 0.6, 0.9, 0.9, 0.8 * math.exp(-(ov * ov) / sigma))
+        under_both = box(0.35, 0.35, 0.65, 0.65, 0.3)  # decayed by both, in pick order
+        pair = [decayed, tied] if decayed_first else [tied, decayed]
+        boxes = [pick, *pair, under_both] + filler(14, 0.1)
+        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=0.001))
+        assert out == oracle_soft_nms(boxes, sigma, 0.001)
+        assert out[1].confidence == out[2].confidence == tied.confidence
+        assert out[1][1:5] == pair[0][1:5]
+
+    @pytest.mark.parametrize("merged_first", [True, False])
+    def test_wbf_first_overlapping_cluster(self, merged_first):
+        # along one strip: IoU(lone, merged members) < 0.55 < IoU(probe, either cluster)
+        lone = box(0.0, 0.2, 0.5, 0.4, 0.0)
+        merged = [box(0.15, 0.2, 0.65, 0.4, 0.0), box(0.16, 0.2, 0.66, 0.4, 0.0)]
+        probe = box(0.075, 0.2, 0.575, 0.4, 0.5)
+        lead = [*merged, lone] if merged_first else [lone, *merged]
+        lead = [b._replace(confidence=c) for b, c in zip(lead, (0.9, 0.85, 0.8))]
+        boxes = [*lead, probe] + filler(14, 0.1)
+        out = wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))
+        assert wbf_rows(out) == oracle_wbf([ds(*boxes)], (1.0,), 0.55)
+        joined = lead[:2] if merged_first else lead[:1]
+        assert (*joined, probe) in [f.members for f in out]
 
 def degenerate_boxes():
     """Zero-area, touching, identical, full-frame, tiny and signed-zero boxes."""
