@@ -9,7 +9,10 @@ uses the same layout without the confidence column. The manifest is a single
 JSON document. All writers are deterministic: sorted keys, floats at 9
 significant digits, so identical inputs produce byte-identical files.
 
-One writer (`_box_line`) formats every box line of the three text formats.
+Each text format has one `%` template for its box lines (`_DETECTION_LINE`,
+`_PSEUDO_LABEL_LINE`, `_GROUND_TRUTH_LINE`): `%s` for the image id, class and
+support count, as `str` gives them, and `%.9g` for every float, as
+`fmt_float` gives it. Each writer writes one image's lines at once.
 One reader (`_box_lines`) applies the same rules to all three text formats:
 blank lines and lines starting with `#` are skipped; each box line must have
 the format's field count; the class id is an integer >= 0; coordinates and
@@ -42,7 +45,11 @@ log = logging.getLogger(__name__)
 
 
 def fmt_float(x: float) -> str:
-    """Fixed 9-significant-digit float rendering used by every writer."""
+    """Fixed 9-significant-digit float rendering of every writer.
+
+    The JSON and CSV writers call it; the box-line templates' `%.9g` gives
+    the same text.
+    """
     return f"{float(x):.9g}"
 
 
@@ -81,10 +88,9 @@ def write_json(obj, path) -> None:
 # detection / ground-truth text files
 
 
-def _box_line(image_id: str, box, *tail: str) -> str:
-    """One line of any box text file: image id, class, corners, then the format's tail."""
-    return " ".join((image_id, str(box.cls), fmt_float(box.x1), fmt_float(box.y1),
-                     fmt_float(box.x2), fmt_float(box.y2), *tail)) + "\n"
+_DETECTION_LINE = "%s %s %.9g %.9g %.9g %.9g %.9g\n"
+_PSEUDO_LABEL_LINE = "%s %s %.9g %.9g %.9g %.9g %.9g %s\n"
+_GROUND_TRUTH_LINE = "%s %s %.9g %.9g %.9g %.9g\n"
 
 
 def _not_utf8(path) -> ParseError:
@@ -192,8 +198,10 @@ def write_detections(per_image, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(per_image):
             # a stable sort: equal confidences keep their input order
-            for b in sorted(per_image[image_id], key=lambda b: -b.confidence):
-                fh.write(_box_line(image_id, b, fmt_float(b.confidence)))
+            fh.write("".join([
+                _DETECTION_LINE % (image_id, b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence)
+                for b in sorted(per_image[image_id], key=lambda b: -b.confidence)
+            ]))
 
 
 def write_pseudo_labels(per_image, path) -> None:
@@ -208,8 +216,11 @@ def write_pseudo_labels(per_image, path) -> None:
             boxes = per_image[image_id]
             if not boxes:
                 fh.write(f"# empty {image_id}\n")
-            for f in sorted(boxes, key=fused_order):
-                fh.write(_box_line(image_id, f, fmt_float(f.confidence), str(f.support_count)))
+            fh.write("".join([
+                _PSEUDO_LABEL_LINE % (image_id, f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence,
+                                      f.support_count)
+                for f in sorted(boxes, key=fused_order)
+            ]))
 
 
 def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
@@ -248,8 +259,10 @@ def parse_ground_truth(path) -> GroundTruth:
 def write_ground_truth(gt: GroundTruth, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for image_id in sorted(gt.entries):
-            for b in gt.entries[image_id]:
-                fh.write(_box_line(image_id, b))
+            fh.write("".join([
+                _GROUND_TRUTH_LINE % (image_id, b.cls, b.x1, b.y1, b.x2, b.y2)
+                for b in gt.entries[image_id]
+            ]))
 
 
 # ---------------------------------------------------------------------------

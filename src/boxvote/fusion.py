@@ -20,28 +20,32 @@ source, then its position in its model's list, then model order.
   finds each pick with a lazy max-heap instead of a scan of every live box.
 - WBF puts each box into the first cluster whose fused box overlaps it, and
   keeps running sums per cluster instead of re-summing it on every join. A
-  large group looks up the box's one-member clusters in the table instead
-  of comparing the box with every cluster.
+  large group looks up the box's one-member clusters among its overlap
+  neighbours instead of comparing the box with every cluster.
 
-Overlaps come from one numpy IoU table per class group of at least
-`TABLE_MIN` boxes (`_iou_table`). It uses the same IEEE operations as
-`geometry.iou`, so each entry equals the scalar call bit for bit. Soft-NMS
-and WBF then visit only a box's neighbours in the table (`_neighbours`):
-the boxes it overlaps at all, or beyond the threshold. In a dense group
-about 5% of the pairs overlap. Neighbour order gives the same picks and
-clusters as the full scans. A soft-NMS pick changes only the confidences of
-the boxes it overlaps, so every other box keeps its place in the heap.
-WBF creates clusters in group order, so a box's first overlapping
-one-member cluster is the one led by its first over-threshold neighbour
-before it; only the few larger clusters before that one, whose fused boxes
-are not in the table, are compared with `iou`, in cluster order. The table
-and its neighbour lists are built, used and dropped within the group, and
-nothing is cached across calls. Smaller groups call `iou` per pair as the
-sweep needs it. Sparse detector output has about 3 boxes per class group,
-and consensus scoring fuses such images tens of thousands of times: there,
-building a table or any other per-group numpy work costs more than the few
-scalar calls it saves, and an always-numpy kernel made a gated WBF pass
-2-4x slower. The crossover measured at about 16 boxes.
+A class group of at least `TABLE_MIN` boxes lists its overlapping pairs
+once, with numpy (`_overlaps`). A sweep over the boxes sorted by x1 pairs
+each box only with the later ones whose x1 lies below its x2, the pairs
+whose x-intervals can intersect: about 23% of all pairs in a `dense-fuse`
+group, of which about 5% overlap. Those pairs take the same IEEE operations
+as `geometry.iou`, so each listed IoU equals the scalar call bit for bit;
+pairs with IoU 0 are not listed. NMS, soft-NMS and WBF then visit only a
+box's neighbours: the boxes it overlaps at all, or beyond the threshold.
+Neighbour order gives the same picks and clusters as the full scans. A
+soft-NMS pick changes only the confidences of the boxes it overlaps, so
+every other box keeps its place in the heap. WBF creates clusters in group
+order, so a box's first overlapping one-member cluster is the one led by
+its first over-threshold neighbour before it; only the few larger clusters
+before that one, whose fused boxes are not listed, are compared with `iou`,
+in cluster order. The pair lists are built, used and dropped within the
+group, and nothing is cached across calls. Smaller groups call `iou` per
+pair as the sweep needs it, after a four-comparison axis test where most
+pairs are disjoint. Sparse detector output has about 3 boxes per class
+group, and consensus scoring fuses such images tens of thousands of times:
+there, any per-group numpy work costs more than the few scalar calls it
+saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. Summed
+over NMS, soft-NMS and WBF, the crossover measured at about 24 boxes: from
+about 20 boxes for NMS and soft-NMS alone, above 32 for WBF alone.
 
 WBF emits a cluster of one box as that box's corners and confidence, with
 support 1 and the box as its only member. `FusedBox` is a named tuple like
@@ -163,9 +167,9 @@ def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates, flt: LabelSpaceFil
     return tuple(b for b in boxes if flt.keeps(b.cls) and b.confidence >= gates.gate(b.cls))
 
 
-# Class groups of at least this many boxes read their overlaps from one numpy
-# IoU table; smaller groups call `iou` per pair (see the module docstring).
-TABLE_MIN = 16
+# Class groups of at least this many boxes list their overlapping pairs once
+# with `_overlaps`; smaller groups call `iou` per pair (see the module docstring).
+TABLE_MIN = 24
 
 
 def _priority(item):
@@ -195,42 +199,62 @@ def _class_groups(weighted_sets, key):
     return [(cls, sorted(by_class[cls], key=key)) for cls in sorted(by_class)]
 
 
-def _iou_table(boxes) -> np.ndarray:
-    """Symmetric matrix whose entry [i, j] equals iou(boxes[i], boxes[j]) bit for bit.
+def _overlaps(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, ious) of every pair of boxes that overlap, both ways, in row-then-column order.
 
-    Same IEEE operations as `geometry.iou`: corner max/min, iw * ih,
-    (area_i + area_j) - inter with max(0, .) areas, and 0 where the
-    intersection is empty or the union is not positive.
+    Each IoU equals iou(boxes[row], boxes[col]) bit for bit, and a pair is
+    listed iff that IoU is > 0; no box is paired with itself. A sweep over
+    the boxes sorted by x1 lists only the pairs whose x-intervals can
+    intersect: the boxes after a box in that order whose x1 is below its x2.
+    Those pairs take the same IEEE operations as `geometry.iou`: corner
+    max/min, iw * ih, (area_i + area_j) - inter with max(0, .) areas, and no
+    entry where the intersection is empty or the union is not positive.
     """
+    n = len(boxes)
     x1, y1, x2, y2 = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T
-    # in-place steps keep the transient n x n arrays few; the results are the same
-    iw = np.minimum.outer(x2, x2)
-    iw -= np.maximum.outer(x1, x1)
-    ih = np.minimum.outer(y2, y2)
-    ih -= np.maximum.outer(y1, y1)
-    overlap = iw > 0.0
-    overlap &= ih > 0.0
-    iw *= ih  # the intersection area
-    del ih
+    order = np.argsort(x1, kind="stable")
+    # sorted position p pairs with the next counts[p] positions, whose x1 is below its x2
+    counts = np.searchsorted(x1[order], x2[order]) - np.arange(1, n + 1)
+    np.maximum(counts, 0, out=counts)
+    p = np.repeat(np.arange(n), counts)
+    k = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)  # rank within p's run
+    i, j = order[p], order[p + 1 + k]
+    iw = np.minimum(x2[i], x2[j])
+    iw -= np.maximum(x1[i], x1[j])
+    ih = np.minimum(y2[i], y2[j])
+    ih -= np.maximum(y1[i], y1[j])
+    hit = np.flatnonzero((iw > 0.0) & (ih > 0.0))
+    i, j = i[hit], j[hit]
+    inter = iw[hit] * ih[hit]
     area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    union = np.add.outer(area, area)
-    union -= iw
-    overlap &= union > 0.0
-    table = np.zeros_like(iw)
-    np.divide(iw, union, out=table, where=overlap)
-    return table
+    union = area[i] + area[j]
+    union -= inter
+    hit = union > 0.0
+    ov = np.zeros_like(inter)
+    np.divide(inter, union, out=ov, where=hit)
+    hit = np.flatnonzero(ov > 0.0)
+    rows = np.concatenate((i[hit], j[hit]))
+    cols = np.concatenate((j[hit], i[hit]))
+    ov = ov[hit]
+    by_row = np.argsort(rows * n + cols)
+    return rows[by_row], cols[by_row], np.concatenate((ov, ov))[by_row]
 
 
 def _nms_keep(boxes, threshold: float) -> list[int]:
     """Positions of the boxes (in priority order) that greedy suppression keeps."""
     kept = []
     if len(boxes) >= TABLE_MIN:
-        over = _iou_table(boxes) > threshold
+        rows, cols, ovs = _overlaps(boxes)
+        over = ovs > threshold
+        rows, cols = rows[over], cols[over]
+        starts = np.searchsorted(rows, np.arange(len(boxes) + 1)).tolist()
         suppressed = np.zeros(len(boxes), dtype=bool)
         for i in range(len(boxes)):
             if not suppressed[i]:
                 kept.append(i)
-                suppressed |= over[i]
+                lo, hi = starts[i], starts[i + 1]
+                if lo < hi:  # most kept boxes overlap none beyond the threshold
+                    suppressed[cols[lo:hi]] = True
         return kept
     for i, b in enumerate(boxes):
         for k in kept:
@@ -249,17 +273,6 @@ def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
         kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
     kept.sort(key=_priority)
     return [item[0] for item in kept]
-
-
-def _neighbours(mask) -> tuple[list[int], np.ndarray]:
-    """Row starts and columns of a square boolean mask's True entries, row by row.
-
-    Row i's neighbours are `cols[starts[i]:starts[i + 1]]`, ascending; the
-    columns stay one numpy array, sliced per row as a sweep reaches it, since
-    in a crowded group every pair can overlap.
-    """
-    rows, cols = np.nonzero(mask)
-    return np.searchsorted(rows, np.arange(len(mask) + 1)).tolist(), cols
 
 
 def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
@@ -292,24 +305,21 @@ def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]
 
 
 def _soft_nms_heap(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
-    """`_soft_nms_picks` for a large group: a lazy max-heap over table neighbours.
+    """`_soft_nms_picks` for a large group: a lazy max-heap over overlap neighbours.
 
     Each box still in play has one heap entry, (-confidence, position), so
     the least current entry is the first maximum. A decay leaves the box's
     entry stale: it stands for a higher confidence, so it is popped before
     the box is due, and the pop pushes the box again at its current
     confidence. A pop skips the entry of a picked or dropped box. A pick
-    decays only the live boxes its table row overlaps, with the scalar
+    decays only the live boxes it overlaps (`_overlaps`), with the scalar
     sweep's per-edge arithmetic, in the same pick order, so the picks and
     confidences are the same bit for bit; a factor that rounds to 1.0 leaves
     the entry current. Confidences only fall, so a box below `floor` can
     drop before the first pick, and later only a box just decayed can drop.
     """
-    table = _iou_table(boxes)
-    overlaps = table > 0.0
-    starts, cols = _neighbours(overlaps)
-    ovs = table[overlaps]  # row by row, like cols
-    del table, overlaps
+    rows, cols, ovs = _overlaps(boxes)
+    starts = np.searchsorted(rows, np.arange(len(boxes) + 1)).tolist()
     conf = [b.confidence for b in boxes]
     top = max(range(len(boxes)), key=conf.__getitem__)
     alive = [c >= floor for c in conf]
@@ -394,7 +404,8 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     `threshold`, else starts a new cluster. A cluster is its member items in
     join order; its sums are None while it has one member, whose box is then
     its fused box. A larger cluster keeps running sums (see `_add_member`),
-    and its fused box is built when it is next compared.
+    and its fused box is built when it is next compared. A cluster whose
+    fused box misses the item on an axis is skipped, since `iou` gives 0 there.
     """
     clusters: list[list] = []  # member items, in join order
     sums: list = []  # running sums of a cluster with two or more members, else None
@@ -404,7 +415,8 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
         for ci, view in enumerate(views):
             if view is None:
                 view = views[ci] = Box(cls, *_fused(sums[ci], clusters[ci][0][0]))
-            if iou(b, view) > threshold:
+            if (view.x1 < b.x2 and b.x1 < view.x2 and view.y1 < b.y2 and b.y1 < view.y2
+                    and iou(b, view) > threshold):
                 break
         else:
             clusters.append([item])
@@ -420,8 +432,8 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     return clusters, sums
 
 
-def _wbf_table_clusters(cls, group, threshold: float) -> tuple[list, list]:
-    """`_wbf_clusters` for a large group, by over-threshold table neighbours.
+def _wbf_neighbour_clusters(cls, group, threshold: float) -> tuple[list, list]:
+    """`_wbf_clusters` for a large group, by over-threshold overlap neighbours.
 
     Clusters are created in group order, so the first one-member cluster
     that item i overlaps is the one led by i's first over-threshold
@@ -430,9 +442,10 @@ def _wbf_table_clusters(cls, group, threshold: float) -> tuple[list, list]:
     `iou`, in cluster order; one whose fused box misses the item on an axis
     is skipped, since `iou` gives 0 there.
     """
-    table = _iou_table([b for b, _, _ in group])
-    starts, cols = _neighbours(np.tril(table > threshold, -1))
-    del table
+    rows, cols, ovs = _overlaps([b for b, _, _ in group])
+    before = (ovs > threshold) & (cols < rows)
+    rows, cols = rows[before], cols[before]
+    starts = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
     clusters: list[list] = []  # member items, in join order
     sums: list = []  # running sums of a cluster with two or more members, else None
     views: list = []  # fused Box of a cluster with two or more members, or None
@@ -477,12 +490,12 @@ def _wbf_table_clusters(cls, group, threshold: float) -> tuple[list, list]:
 def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
     """Cluster one class group (in weighted priority order) and append its FusedBoxes.
 
-    Groups of at least `TABLE_MIN` boxes cluster by `_wbf_table_clusters`,
+    Groups of at least `TABLE_MIN` boxes cluster by `_wbf_neighbour_clusters`,
     smaller ones by `_wbf_clusters`; both give the same clusters.
     """
     threshold = params.iou_threshold
     if len(group) >= TABLE_MIN:
-        clusters, sums = _wbf_table_clusters(cls, group, threshold)
+        clusters, sums = _wbf_neighbour_clusters(cls, group, threshold)
     else:
         clusters, sums = _wbf_clusters(cls, group, threshold)
     rescale = params.confidence_rescale == "support_ratio"

@@ -104,16 +104,20 @@ def iou(a, b) -> float:
     Accepts any objects with x1/y1/x2/y2 attributes. Returns 0 when the
     union area is 0 (degenerate boxes).
     """
-    # each field is read once: a named-tuple field read costs more than a local
+    # each field is read once: a named-tuple field read costs more than a local.
+    # `b if b < a else a` is min(a, b) and `b if b > a else a` is max(a, b),
+    # down to NaN and signed zeros, without a builtin call.
     ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
     bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
-    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
+    w, h = ax2 - ax1, ay2 - ay1
+    area_a = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+    w, h = bx2 - bx1, by2 - by1
+    area_b = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
     union = area_a + area_b - inter
     if union <= 0.0:
         return 0.0

@@ -461,6 +461,13 @@ class TestReports:
         assert data_io.fmt_float(1e-9) == "1e-09"
         assert data_io.fmt_float(1.0) == "1"
 
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 5e-324, 1e-5, 1e16, 1 / 3, 0.1 + 0.2, 1.0, float("inf"), float("nan"),
+        0, 7, -3, np.float64(1 / 3), np.float64(-0.0), np.float32(0.1),
+    ])
+    def test_line_templates_format_floats_as_fmt_float(self, x):
+        assert "%.9g" % x == data_io.fmt_float(x)
+
     def test_canonical_json_sorted_keys(self):
         text = data_io.canonical_json({"b": 1, "a": {"z": 0.5, "y": 2}})
         assert text.index('"a"') < text.index('"b"')

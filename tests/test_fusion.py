@@ -11,7 +11,7 @@ from boxvote.fusion import (
     FusionParams,
     KEEP_ALL,
     LabelSpaceFilter,
-    _iou_table,
+    _overlaps,
     apply_gates,
     knowledge_vote,
     nms,
@@ -443,7 +443,8 @@ def table_group(rng, n, cls=0):
     return boxes[:n]
 
 
-TABLE_SIZES = [TABLE_MIN - 1, TABLE_MIN, 250]
+# mid-size groups, both sides of TABLE_MIN, and a dense-sized group
+TABLE_SIZES = sorted({15, 16, TABLE_MIN - 1, TABLE_MIN, 250})
 
 
 def table_boxes(seed, n):
@@ -464,7 +465,7 @@ def wbf_rows(out):
 
 
 class TestTablePathAgainstOracles:
-    """Class groups around and far above TABLE_MIN, checked exactly against oracles."""
+    """Class groups below, around and far above TABLE_MIN, checked exactly against oracles."""
 
     def test_groups_hold_the_edge_cases(self):
         boxes = table_boxes(1, 250)[:250]
@@ -530,13 +531,13 @@ def dense_group(rng, n):
 
 
 def filler(n, conf):
-    """n small class-0 boxes in a strip at the foot of the frame, apart from
+    """n <= 32 small class-0 boxes in a strip at the foot of the frame, apart from
     each other and from every box above y = 0.95."""
     return [box(i / 32, 0.95, (i + 0.5) / 32, 0.99, conf) for i in range(n)]
 
 
 class TestNeighbourSweepsAgainstOracles:
-    """Large groups, whose sweeps visit only table neighbours, against the oracles."""
+    """Large groups, whose sweeps visit only overlap neighbours, against the oracles."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_dense_group(self, seed):
@@ -555,7 +556,7 @@ class TestNeighbourSweepsAgainstOracles:
     def test_floor_drops_a_box_after_a_later_pick(self):
         second = box(0.5, 0.5, 0.7, 0.7, 0.5)
         victim = box(0.5, 0.5, 0.7, 0.68, 0.2)  # IoU 0.9 with `second` only
-        boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim] + filler(14, 0.3)
+        boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim] + filler(TABLE_MIN, 0.3)
         sigma, floor = 0.1, 0.15
         out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
         assert out == oracle_soft_nms(boxes, sigma, floor)
@@ -567,7 +568,7 @@ class TestNeighbourSweepsAgainstOracles:
         sliver = box(0.3 - 2**-30, 0.1, 0.5, 0.3, 0.5)  # overlaps `first` by a sliver
         ov = iou(first, sliver)
         assert 0.0 < ov < 1e-8 and math.exp(-(ov * ov) / 0.5) == 1.0
-        boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)] + filler(14, 0.3)
+        boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)] + filler(TABLE_MIN, 0.3)
         params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
         out = soft_nms([ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, 0.5, 0.001)
@@ -582,7 +583,7 @@ class TestNeighbourSweepsAgainstOracles:
         tied = box(0.6, 0.6, 0.9, 0.9, 0.8 * math.exp(-(ov * ov) / sigma))
         under_both = box(0.35, 0.35, 0.65, 0.65, 0.3)  # decayed by both, in pick order
         pair = [decayed, tied] if decayed_first else [tied, decayed]
-        boxes = [pick, *pair, under_both] + filler(14, 0.1)
+        boxes = [pick, *pair, under_both] + filler(TABLE_MIN, 0.1)
         out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=0.001))
         assert out == oracle_soft_nms(boxes, sigma, 0.001)
         assert out[1].confidence == out[2].confidence == tied.confidence
@@ -596,7 +597,7 @@ class TestNeighbourSweepsAgainstOracles:
         probe = box(0.075, 0.2, 0.575, 0.4, 0.5)
         lead = [*merged, lone] if merged_first else [lone, *merged]
         lead = [b._replace(confidence=c) for b, c in zip(lead, (0.9, 0.85, 0.8))]
-        boxes = [*lead, probe] + filler(14, 0.1)
+        boxes = [*lead, probe] + filler(TABLE_MIN, 0.1)
         out = wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))
         assert wbf_rows(out) == oracle_wbf([ds(*boxes)], (1.0,), 0.55)
         joined = lead[:2] if merged_first else lead[:1]
@@ -622,17 +623,51 @@ def degenerate_boxes():
     ]
 
 
-class TestIouTable:
-    def test_entries_equal_scalar_iou_bit_for_bit(self):
+def overlap_pairs(boxes):
+    """`_overlaps(boxes)` as {(row, col): iou.hex()}, after checking its order and shape."""
+    rows, cols, ovs = _overlaps(boxes)
+    assert len(rows) == len(cols) == len(ovs)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    assert pairs == sorted(set(pairs))  # row then column, each pair once
+    got = {p: float(ov).hex() for p, ov in zip(pairs, ovs.tolist())}
+    assert all(got[j, i] == v for (i, j), v in got.items())  # both ways, same bits
+    return got
+
+
+def scalar_pairs(boxes):
+    """{(i, j): iou.hex()} of every pair i != j whose scalar IoU is > 0."""
+    return {
+        (i, j): iou(a, b).hex()
+        for i, a in enumerate(boxes)
+        for j, b in enumerate(boxes)
+        if i != j and iou(a, b) > 0.0
+    }
+
+
+class TestOverlaps:
+    """`_overlaps` lists exactly the pairs with IoU > 0, each IoU bit-equal to `iou`."""
+
+    def test_degenerate_boxes(self):
+        boxes = degenerate_boxes()
+        assert overlap_pairs(boxes) == scalar_pairs(boxes)
+
+    def test_pairs_equal_scalar_iou_bit_for_bit(self):
         rng = np.random.default_rng(77)
         boxes = degenerate_boxes()
         for _ in range(60):  # off-grid floats, so rounding differs pair to pair
             x = np.sort(rng.uniform(0, 1, 2))
             y = np.sort(rng.uniform(0, 1, 2))
             boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
-        boxes += [random_box(rng) for _ in range(30)]
-        table = _iou_table(boxes)
-        assert table.shape == (len(boxes), len(boxes))
-        for i, a in enumerate(boxes):
-            for j, b in enumerate(boxes):
-                assert float(table[i, j]).hex() == iou(a, b).hex(), (i, j)
+        boxes += [random_box(rng) for _ in range(30)] + table_group(rng, 60)
+        rng.shuffle(boxes)  # the sweep sorts by x1 itself
+        want = scalar_pairs(boxes)
+        assert 0 < len(want) < len(boxes) * (len(boxes) - 1)
+        assert overlap_pairs(boxes) == want
+
+    def test_crowded_group_with_tied_x1(self):
+        # every pair overlaps, and x1 ties in every run of three boxes
+        boxes = [box(0.1 + (k // 3) * 0.001, 0.2, 0.6 + k * 0.002, 0.7 - k * 0.001, 0.5)
+                 for k in range(40)]
+        got = overlap_pairs(boxes)
+        assert len(got) == 40 * 39
+        assert got == scalar_pairs(boxes)

@@ -76,6 +76,50 @@ class TestIouProperties:
         assert iou(a, b) == pytest.approx(raster_iou(a, b), abs=1e-3)
 
 
+def minmax_iou(a, b) -> float:
+    """`iou` as written with the builtin `min` and `max`, the reference for its branch forms."""
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    area_a = max(0.0, ax2 - ax1) * max(0.0, ay2 - ay1)
+    area_b = max(0.0, bx2 - bx1) * max(0.0, by2 - by1)
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+# corners that set min/max apart from a careless rewrite: NaN, signed zeros,
+# infinities and subnormals
+IOU_EDGE_CORNERS = (
+    float("nan"), 0.0, -0.0, float("inf"), float("-inf"), 5e-324, -5e-324, 1e-310, 0.5, 1.0,
+)
+
+
+def test_iou_equals_min_max_reference_bit_for_bit():
+    rng = random.Random(18)
+
+    def corner():
+        return rng.choice(IOU_EDGE_CORNERS) if rng.random() < 0.3 else rng.uniform(-0.1, 1.1)
+
+    def any_box():  # about half have an inverted axis
+        return Box(0, corner(), corner(), corner(), corner(), 0.5)
+
+    results = set()
+    for _ in range(60_000):
+        a, b = any_box(), any_box()
+        if rng.random() < 0.1:
+            b = a
+        got, want = iou(a, b), minmax_iou(a, b)
+        assert got.hex() == want.hex(), (a, b)
+        results.add("nan" if math.isnan(got) else "0" if got == 0.0 else "+")
+    assert results == {"nan", "0", "+"}
+
+
 class TestValidateBox:
     def test_valid_box_unchanged(self):
         b = box(0, 0, 1, 1)
