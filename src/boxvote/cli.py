@@ -304,8 +304,7 @@ def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRES
             }
         )
 
-    with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with data_io.open_output(os.path.join(out_dir, "comparison.csv")) as fh:
         fh.write("method,precision,recall,map50,map5095\n")
         for row in comparison:
             fh.write(

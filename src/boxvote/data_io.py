@@ -19,9 +19,10 @@ the format's field count; the class id is an integer >= 0; coordinates and
 confidence are floats in [0, 1], where coordinates up to
 `geometry.CLAMP_SLOP` outside are clamped and stored clamped; corners must
 not be inverted. Any violation raises ParseError naming the file and the
-exact line (CLI exit 3), also for a byte that is not UTF-8. Lines end at
-`\n`, `\r\n` or a lone `\r`; other whitespace, such as `\f`, only
-separates fields.
+exact line (CLI exit 3), also for a byte that is not UTF-8. A UTF-8
+byte-order mark at the start of a file is skipped. Lines end at `\n`,
+`\r\n` or a lone `\r`; other whitespace, such as `\f`, only separates
+fields. Every writer opens its file with `open_output`.
 """
 
 from __future__ import annotations
@@ -79,8 +80,21 @@ def canonical_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def open_output(path):
+    """Open an output file for UTF-8 text with `\n` line ends.
+
+    A path that cannot be opened for writing, such as a directory, is a
+    ConfigError naming it (CLI exit 2), as an `--out` that cannot be a
+    directory is.
+    """
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
 def write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(canonical_json(obj) + "\n")
 
 
@@ -128,7 +142,7 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
     rows = []
     append = rows.append
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 parts = raw.split()
                 if not parts:
@@ -195,7 +209,7 @@ def write_detections(per_image, path) -> None:
     objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
     `Box` tuple or a list of `FusedBox`.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for image_id in sorted(per_image):
             # a stable sort: equal confidences keep their input order
             fh.write("".join([
@@ -211,7 +225,7 @@ def write_pseudo_labels(per_image, path) -> None:
     takes and `parse_pseudo_labels` returns. Every image appears, empty ones
     as a comment line, so the file alone reconstructs the full image set.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for image_id in sorted(per_image):
             boxes = per_image[image_id]
             if not boxes:
@@ -257,7 +271,7 @@ def parse_ground_truth(path) -> GroundTruth:
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for image_id in sorted(gt.entries):
             fh.write("".join([
                 _GROUND_TRUTH_LINE % (image_id, b.cls, b.x1, b.y1, b.x2, b.y2)
@@ -624,7 +638,7 @@ def write_metrics(report: MetricsReport, path) -> None:
 def write_f1_curve(curve: F1Curve, path) -> None:
     """CSV with header `confidence,class_<id>...,mean`."""
     classes = sorted(curve.points[0][1]) if curve.points else []
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         header = ",".join(["confidence"] + [f"class_{c}" for c in classes] + ["mean"])
         fh.write(header + "\n")
         for conf, per_class, mean in curve.points:

@@ -19,9 +19,10 @@ source, then its position in its model's list, then model order.
   exp(-iou^2 / sigma) instead of re-sorting after every pick. A large group
   finds each pick with a lazy max-heap instead of a scan of every live box.
 - WBF puts each box into the first cluster whose fused box overlaps it, and
-  keeps running sums per cluster instead of re-summing it on every join. A
-  large group looks up the box's one-member clusters among its overlap
-  neighbours instead of comparing the box with every cluster.
+  keeps running sums per cluster instead of re-summing it on every join.
+  One sweep serves every group size; in a large group, the overlap index
+  finds the box's first overlapping one-member cluster, so the box is
+  compared only with the larger clusters before it.
 
 A class group of at least `TABLE_MIN` boxes lists its overlapping pairs
 once, with numpy (`_overlaps`). A sweep over the boxes sorted by x1 pairs
@@ -35,15 +36,18 @@ Neighbour order gives the same picks and clusters as the full scans. A
 soft-NMS pick changes only the confidences of the boxes it overlaps, so
 every other box keeps its place in the heap. WBF creates clusters in group
 order, so a box's first overlapping one-member cluster is the one led by
-its first over-threshold neighbour before it; only the few larger clusters
-before that one, whose fused boxes are not listed, are compared with `iou`,
-in cluster order. The pair lists are built, used and dropped within the
-group, and nothing is cached across calls. Smaller groups call `iou` per
-pair as the sweep needs it, after a four-comparison axis test where most
-pairs are disjoint. Sparse detector output has about 3 boxes per class
-group, and consensus scoring fuses such images tens of thousands of times:
-there, any per-group numpy work costs more than the few scalar calls it
-saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. Summed
+its first over-threshold neighbour before it; the sweep then compares the
+box with `iou` only against the few larger clusters before that one, whose
+fused boxes are not listed, in cluster order. The pair lists are built,
+used and dropped within the group, and nothing is cached across calls.
+Smaller groups call `iou` per pair as the sweep needs it, after a
+four-comparison axis test where most pairs are disjoint; WBF's sweep is the
+same code there, comparing every cluster. NMS and soft-NMS keep a scalar
+and an indexed path each, since one path for both sizes measured slower
+(see README, "Performance"). Sparse detector output has about 3 boxes per
+class group, and consensus scoring fuses such images tens of thousands of
+times: there, any per-group numpy work costs more than the few scalar calls
+it saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. Summed
 over NMS, soft-NMS and WBF, the crossover measured at about 24 boxes: from
 about 20 boxes for NMS and soft-NMS alone, above 32 for WBF alone.
 
@@ -404,62 +408,37 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     `threshold`, else starts a new cluster. A cluster is its member items in
     join order; its sums are None while it has one member, whose box is then
     its fused box. A larger cluster keeps running sums (see `_add_member`),
-    and its fused box is built when it is next compared. A cluster whose
-    fused box misses the item on an axis is skipped, since `iou` gives 0 there.
+    and its fused box is built when it is next compared. The item is
+    compared with `iou` against the clusters in `scan`, in cluster order,
+    skipping one whose fused box misses it on an axis (`iou` gives 0 there).
+
+    In a small group every cluster is in `scan`. A group of at least
+    `TABLE_MIN` boxes first lists its over-threshold overlaps (`_overlaps`):
+    clusters are created in group order, so the first one-member cluster
+    that item i overlaps is the one led by i's first such neighbour j < i
+    that still leads one. Then only clusters of two or more members are in
+    `scan`, and only those before that one are compared.
     """
     clusters: list[list] = []  # member items, in join order
     sums: list = []  # running sums of a cluster with two or more members, else None
     views: list = []  # the box of a one-member cluster, else its fused Box or None
-    for item in group:
-        b = item[0]
-        for ci, view in enumerate(views):
-            if view is None:
-                view = views[ci] = Box(cls, *_fused(sums[ci], clusters[ci][0][0]))
-            if (view.x1 < b.x2 and b.x1 < view.x2 and view.y1 < b.y2 and b.y1 < view.y2
-                    and iou(b, view) > threshold):
-                break
-        else:
-            clusters.append([item])
-            sums.append(None)
-            views.append(b)
-            continue
-        members = clusters[ci]
-        members.append(item)
-        if sums[ci] is None:
-            sums[ci] = _add_member(_NO_SUMS, members[0])
-        sums[ci] = _add_member(sums[ci], item)
-        views[ci] = None
-    return clusters, sums
-
-
-def _wbf_neighbour_clusters(cls, group, threshold: float) -> tuple[list, list]:
-    """`_wbf_clusters` for a large group, by over-threshold overlap neighbours.
-
-    Clusters are created in group order, so the first one-member cluster
-    that item i overlaps is the one led by i's first over-threshold
-    neighbour j < i that still leads a one-member cluster. Only the few
-    clusters of two or more members that come before it are compared with
-    `iou`, in cluster order; one whose fused box misses the item on an axis
-    is skipped, since `iou` gives 0 there.
-    """
-    rows, cols, ovs = _overlaps([b for b, _, _ in group])
-    before = (ovs > threshold) & (cols < rows)
-    rows, cols = rows[before], cols[before]
-    starts = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
-    clusters: list[list] = []  # member items, in join order
-    sums: list = []  # running sums of a cluster with two or more members, else None
-    views: list = []  # fused Box of a cluster with two or more members, or None
-    leaders: list[int] = []  # group position of each cluster's first member
-    lone = [-1] * len(group)  # the one-member cluster a position leads, else -1
-    merged: list[int] = []  # the clusters with two or more members, ascending
+    scan: list[int] = []  # the clusters compared with `iou`, ascending
+    indexed = len(group) >= TABLE_MIN
+    if indexed:
+        rows, cols, ovs = _overlaps([b for b, _, _ in group])
+        before = (ovs > threshold) & (cols < rows)
+        rows, cols = rows[before], cols[before].tolist()
+        starts = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
+        led = [-1] * len(group)  # the cluster a position leads, else -1
     for i, item in enumerate(group):
         b = item[0]
         ci = len(clusters)
-        for j in cols[starts[i]:starts[i + 1]].tolist():
-            if lone[j] >= 0:
-                ci = lone[j]
-                break
-        for mi in merged:
+        if indexed:
+            for j in cols[starts[i]:starts[i + 1]]:
+                if led[j] >= 0 and sums[led[j]] is None:
+                    ci = led[j]
+                    break
+        for mi in scan:
             if mi >= ci:
                 break
             view = views[mi]
@@ -470,17 +449,19 @@ def _wbf_neighbour_clusters(cls, group, threshold: float) -> tuple[list, list]:
                 ci = mi
                 break
         if ci == len(clusters):
-            lone[i] = ci
+            if indexed:
+                led[i] = ci
+            else:
+                scan.append(ci)
             clusters.append([item])
             sums.append(None)
-            views.append(None)
-            leaders.append(i)
+            views.append(b)
             continue
         members = clusters[ci]
         members.append(item)
         if sums[ci] is None:
-            lone[leaders[ci]] = -1
-            insort(merged, ci)
+            if indexed:
+                insort(scan, ci)
             sums[ci] = _add_member(_NO_SUMS, members[0])
         sums[ci] = _add_member(sums[ci], item)
         views[ci] = None
@@ -488,16 +469,9 @@ def _wbf_neighbour_clusters(cls, group, threshold: float) -> tuple[list, list]:
 
 
 def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
-    """Cluster one class group (in weighted priority order) and append its FusedBoxes.
-
-    Groups of at least `TABLE_MIN` boxes cluster by `_wbf_neighbour_clusters`,
-    smaller ones by `_wbf_clusters`; both give the same clusters.
-    """
-    threshold = params.iou_threshold
-    if len(group) >= TABLE_MIN:
-        clusters, sums = _wbf_neighbour_clusters(cls, group, threshold)
-    else:
-        clusters, sums = _wbf_clusters(cls, group, threshold)
+    """Cluster one class group (in weighted priority order) by `_wbf_clusters`
+    and append its FusedBoxes."""
+    clusters, sums = _wbf_clusters(cls, group, params.iou_threshold)
     rescale = params.confidence_rescale == "support_ratio"
     for members, s in zip(clusters, sums):
         first = members[0][0]
@@ -530,9 +504,9 @@ def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedB
         raise WeightArityMismatchError(
             f"{len(weights)} weights for {n_models} models"
         )
-    n_active = sum(1 for w in weights if w > 0.0)
     # zero-weight models contribute nothing, including support
     weighted = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
+    n_active = len(weighted)
 
     fused: list[FusedBox] = []
     for cls, group in _class_groups(weighted, _weighted_priority):

@@ -765,6 +765,32 @@ def test_out_not_a_directory_exit_2(scenario_dir, tmp_path, capsys, command):
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("command,name", [
+    ("fuse", "fused.txt"),
+    ("fuse", "summary.json"),
+    ("consensus", "contribution_report.json"),
+    ("consensus", "pseudo_labels.txt"),
+    ("pipeline", "comparison.csv"),
+])
+def test_output_file_that_cannot_be_written_exit_2(scenario_dir, tmp_path, capsys, command,
+                                                   name):
+    out = tmp_path / "o"
+    blocker = out / name
+    blocker.mkdir(parents=True)
+    man = manifest_path(scenario_dir)
+    argv = {
+        "fuse": ["fuse", "--manifest", man, "--algorithm", "wbf"],
+        "consensus": ["consensus", "--manifest", man],
+        "pipeline": ["pipeline", "--scenario", "three_good", "--images", "2"],
+    }[command]
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"cannot write output file {blocker}" in err
+    assert blocker.is_dir()
+
+
 def test_readme_commands_parse():
     """Every `boxvote ...` command in README's sh blocks parses, continuation lines joined."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -133,6 +133,33 @@ class TestLineEndings:
         assert exc.value.line == 6
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not part of its first line."""
+
+    @pytest.mark.parametrize("parse,text", [
+        (data_io.parse_detections,
+         "img_00000 0 0.1 0.1 0.5 0.5 0.9\nimg_00000 1 0.2 0.2 0.6 0.6 0.8\n"),
+        (data_io.parse_ground_truth, "img_00000 0 0.1 0.1 0.5 0.5\nimg_00000 1 0 0 1 1\n"),
+        (data_io.parse_pseudo_labels,
+         "# empty img_00000\nimg_00001 0 0.1 0.1 0.5 0.5 0.9 2\n"),
+    ], ids=["detections", "ground truth", "pseudo-labels"])
+    def test_same_as_without(self, tmp_path, parse, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        got = parse(marked)
+        assert got == parse(plain)
+        images = got.entries if parse is data_io.parse_ground_truth else got
+        assert "img_00000" in images and not any("\ufeff" in k for k in images)
+
+    def test_same_error_line(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_bytes(b"\xef\xbb\xbfim0 0 0.1 0.1 0.5 0.5\nim0 1 0.1 0.1 0.5 0.5\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            data_io.parse_ground_truth(p)
+        assert exc.value.line == 2
+
+
 class TestNonUtf8Line:
     def test_bad_byte_on_line_2(self, tmp_path):
         p = tmp_path / "gt.txt"

@@ -537,7 +537,8 @@ def filler(n, conf):
 
 
 class TestNeighbourSweepsAgainstOracles:
-    """Large groups, whose sweeps visit only overlap neighbours, against the oracles."""
+    """Large groups, whose sweeps visit only overlap neighbours, against the oracles
+    (WBF's first-cluster case also without the filler, in a small group)."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_dense_group(self, seed):
@@ -589,15 +590,18 @@ class TestNeighbourSweepsAgainstOracles:
         assert out[1].confidence == out[2].confidence == tied.confidence
         assert out[1][1:5] == pair[0][1:5]
 
+    @pytest.mark.parametrize("padded", [True, False], ids=["indexed", "scan-all"])
     @pytest.mark.parametrize("merged_first", [True, False])
-    def test_wbf_first_overlapping_cluster(self, merged_first):
-        # along one strip: IoU(lone, merged members) < 0.55 < IoU(probe, either cluster)
+    def test_wbf_first_overlapping_cluster(self, merged_first, padded):
+        # along one strip: IoU(lone, merged members) < 0.55 < IoU(probe, either cluster);
+        # with the filler, the group reaches TABLE_MIN and the sweep finds the lone
+        # cluster through the overlap index instead of comparing every cluster
         lone = box(0.0, 0.2, 0.5, 0.4, 0.0)
         merged = [box(0.15, 0.2, 0.65, 0.4, 0.0), box(0.16, 0.2, 0.66, 0.4, 0.0)]
         probe = box(0.075, 0.2, 0.575, 0.4, 0.5)
         lead = [*merged, lone] if merged_first else [lone, *merged]
         lead = [b._replace(confidence=c) for b, c in zip(lead, (0.9, 0.85, 0.8))]
-        boxes = [*lead, probe] + filler(TABLE_MIN, 0.1)
+        boxes = [*lead, probe] + (filler(TABLE_MIN, 0.1) if padded else [])
         out = wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))
         assert wbf_rows(out) == oracle_wbf([ds(*boxes)], (1.0,), 0.55)
         joined = lead[:2] if merged_first else lead[:1]
