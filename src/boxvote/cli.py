@@ -185,8 +185,10 @@ def run_consensus(manifest, ensemble, shapley=False):
     """Score every source, weight it, and fuse all sources with those weights.
 
     One `ConsensusScorer` serves the whole run: each (source, image) is gated
-    once, and each distinct subset's quality is computed once, shared by the
-    leave-one-out report, Shapley (with `shapley`) and the weighted pass.
+    once, and the subsets the run reads (the full set and each leave-one-out
+    subset, or with `shapley` every non-empty subset) are scored in one pass
+    over the images, shared by the leave-one-out report and Shapley. The
+    weighted pass fuses the same gated boxes.
     Returns `(report, fused)`, where `fused` maps every target image id, in
     target order, to its fused boxes, empty lists included: these are the
     pseudo-labels. Too many sources for Shapley exit before any fusion.
@@ -196,6 +198,7 @@ def run_consensus(manifest, ensemble, shapley=False):
     scorer = cf.ConsensusScorer(
         ensemble.sources, ensemble.target_image_ids,
         manifest.gates, manifest.label_filter, manifest.fusion,
+        cf.read_subsets(len(ensemble.sources), shapley),
     )
     report = cf.consensus_focus_scores(scorer)
     report = cf.compute_weights(

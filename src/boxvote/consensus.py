@@ -11,20 +11,28 @@ work once:
 
 - It gates every (source, target image) pair once, when it is built. The
   knowledge vote is `apply_gates` followed by `wbf`, so fusing the gated
-  sets with `wbf` gives the knowledge vote's boxes.
-- It computes the quality of each distinct source subset once. The
-  leave-one-out report, the Shapley enumeration and the final weighted pass
-  all read from it, so with `--shapley` three sources cost 7 quality passes,
-  not 11. A subset is keyed by its sources' positions in ensemble order, so
-  `wbf` sees the same model order and weights whichever caller asks first.
-- Quality is summed in a fixed order: image order, then the fusion output's
-  confidence-descending order. The result does not depend on which caller
-  computed it.
+  sets gives the knowledge vote's boxes.
+- It scores every subset the run reads in one pass over the images, on the
+  first quality read: the full set and each leave-one-out subset, and with
+  `--shapley` every non-empty subset (7 for three sources, not the 11 reads).
+  Per image, it groups the gated boxes of all sources by class and sorts
+  each group once. Quality fuses with uniform weights and no rescaling, and
+  classes never interact in WBF, so a class group's clusters depend only on
+  S & P: the sources of subset S among those, P, with boxes in the group.
+  Each distinct S & P of an image is clustered once, with the same sweep
+  (`fusion._wbf_clusters`) and the same cluster rule as `wbf`.
+- Quality is summed in a fixed order: image order, then `wbf`'s output
+  order (`fusion.fused_order`), with one running total per subset. These
+  are the float operations of summing each subset's `wbf` output, so each
+  quality is bit-equal to that sum, whichever caller reads it first.
+- The final weighted pass fuses all sources with `wbf`, the one producer
+  of `FusedBox`es.
 
 A scorer lives for one scoring run, and it is the only input of the
 scoring functions below: they read the sources, target ids, gated boxes
-and fusion params from it. `cli.run_consensus` builds one per call and
-drops it after. Nothing is cached across calls.
+and fusion params from it. `cli.run_consensus` builds one per call, names
+the subsets the call reads (`read_subsets`), and drops it after. Nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import itertools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .errors import (
     AllZeroContributionError,
@@ -45,6 +54,8 @@ from .fusion import (
     FusedBox,
     FusionParams,
     LabelSpaceFilter,
+    _wbf_fusions,
+    _weighted_priority,
     apply_gates,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
     wbf,
@@ -102,10 +113,13 @@ class ContributionReport:
 
 
 class ConsensusScorer:
-    """Gated boxes and memoized subset qualities of some sources under one set of settings.
+    """Gated boxes and the subset qualities of some sources under one set of settings.
 
     A subset is a sequence of positions in `sources`, in ascending order.
-    Build one scorer per scoring run and drop it after.
+    `subsets` are the subsets the run reads: the first `quality` read scores
+    them all, with the one asked for, in one pass over the images. A subset
+    read after that pass is scored by a pass of its own. Build one scorer
+    per scoring run and drop it after.
     """
 
     def __init__(
@@ -115,16 +129,17 @@ class ConsensusScorer:
         gates: ConfidenceGates,
         flt: LabelSpaceFilter,
         params: FusionParams,
+        subsets=(),
     ):
         self.sources = tuple(sources)
         self.target_image_ids = tuple(target_image_ids)
         self.params = params
-        self._quality_params = replace(params, model_weights=None, confidence_rescale="none")
         # _gated[p][k]: the boxes of source p on image k that pass filter and gates
         self._gated = [
             [apply_gates(s.for_image(iid), gates, flt) for iid in self.target_image_ids]
             for s in self.sources
         ]
+        self._unscored = {tuple(s) for s in subsets}
         self._quality: dict[tuple[int, ...], float] = {}
 
     def fuse(self, positions, params: FusionParams):
@@ -143,12 +158,57 @@ class ConsensusScorer:
         if not key:
             raise EmptySubsetError("consensus quality of an empty subset")
         if key not in self._quality:
-            total = 0.0
-            for fused in self.fuse(key, self._quality_params):
-                for fb in fused:
-                    total += fb.support_count * fb.confidence
-            self._quality[key] = total
+            self._unscored.add(key)
+            self._score(sorted(self._unscored))
+            self._unscored.clear()
         return self._quality[key]
+
+    def _score(self, subsets) -> None:
+        """Score `subsets` in one pass over the images, as `wbf` would fuse each.
+
+        Each image's gated boxes are grouped by class and sorted by
+        `_weighted_priority` once. Weights are uniform (`conf * 1.0 == conf`),
+        so the items of a subset's positions keep the order of that subset's
+        own group. Each distinct S & P of an image is clustered once, with S
+        and P as bitmasks of positions. Each subset adds its terms in
+        `fused_order`, image by image, into one running total.
+        """
+        threshold = self.params.iou_threshold
+        masks = [sum(1 << p for p in s) for s in subsets]
+        totals = [0.0] * len(subsets)
+        for k in range(len(self.target_image_ids)):
+            by_class: dict[int, list] = {}
+            present: dict[int, int] = {}  # class -> mask of the positions with boxes of it
+            for p, gated in enumerate(self._gated):
+                for idx, b in enumerate(gated[k]):
+                    by_class.setdefault(b.cls, []).append((b, idx, 1.0, p))
+                    present[b.cls] = present.get(b.cls, 0) | 1 << p
+            # (class, items in priority order, P, the (sort key, term)s clustered per S & P)
+            groups = [
+                (cls, sorted(by_class[cls], key=_weighted_priority), present[cls], {})
+                for cls in sorted(by_class)
+            ]
+            for si, mask in enumerate(masks):
+                terms = []
+                for cls, items, p_mask, clustered in groups:
+                    sub = mask & p_mask
+                    if not sub:
+                        continue
+                    got = clustered.get(sub)
+                    if got is None:
+                        if sub != p_mask:
+                            items = [item for item in items if sub >> item[3] & 1]
+                        got = clustered[sub] = [
+                            ((-conf, cls, x1, y1, x2, y2), n_b * conf)  # fused_order's key
+                            for x1, y1, x2, y2, conf, n_b, _ in _wbf_fusions(cls, items, threshold)
+                        ]
+                    terms += got
+                terms.sort(key=itemgetter(0))
+                total = totals[si]
+                for _, term in terms:
+                    total += term
+                totals[si] = total
+        self._quality.update(zip(subsets, totals))
 
 
 def consensus_quality(
@@ -192,6 +252,15 @@ def consensus_focus_scores(scorer: ConsensusScorer) -> ContributionReport:
         report.cf[src.source_id] = cf
         report.cf_clamped[src.source_id] = max(cf, CF_EPSILON)
     return report
+
+
+def read_subsets(n_sources: int, shapley: bool) -> list[tuple[int, ...]]:
+    """The subsets a scoring run reads, as positions: the full set and each
+    leave-one-out subset, or with `shapley` every non-empty subset."""
+    everyone = tuple(range(n_sources))
+    if shapley:
+        return [c for r in range(1, n_sources + 1) for c in itertools.combinations(everyone, r)]
+    return [everyone] + [everyone[:i] + everyone[i + 1 :] for i in everyone]
 
 
 def check_shapley_size(n_sources: int) -> None:

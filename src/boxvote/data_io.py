@@ -364,7 +364,7 @@ def _require_file(base_dir: str, path: str, what: str) -> None:
 def parse_manifest(path) -> EnsembleManifest:
     """Strict manifest parse: unknown keys are rejected to catch typos."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc.strerror}") from exc
@@ -595,7 +595,7 @@ def write_contribution_report(report, path) -> None:
 
 
 def parse_contribution_report(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     report = ContributionReport(
         q_full=doc["q_full"],

@@ -45,17 +45,17 @@ four-comparison axis test where most pairs are disjoint; WBF's sweep is the
 same code there, comparing every cluster. NMS and soft-NMS keep a scalar
 and an indexed path each, since one path for both sizes measured slower
 (see README, "Performance"). Sparse detector output has about 3 boxes per
-class group, and consensus scoring fuses such images tens of thousands of
+class group, and consensus scoring clusters such groups tens of thousands of
 times: there, any per-group numpy work costs more than the few scalar calls
 it saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. Summed
 over NMS, soft-NMS and WBF, the crossover measured at about 24 boxes: from
 about 20 boxes for NMS and soft-NMS alone, above 32 for WBF alone.
 
 WBF emits a cluster of one box as that box's corners and confidence, with
-support 1 and the box as its only member. `FusedBox` is a named tuple like
-`geometry.Box` (see there), built positionally: consensus scoring builds one
-per cluster of every fusion, about 100,000 for three sources on 3,000 images
-with Shapley values.
+support 1 and the box as its only member (`_wbf_fusions`, which consensus
+scoring shares). `FusedBox` is a named tuple like `geometry.Box` (see
+there), built positionally: `wbf` builds one per cluster, about 18,500 for
+the weighted pass of three sources on 3,000 images.
 
 Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
 to round like the C library's `exp`, and on dense detector output it gave
@@ -194,7 +194,8 @@ def _class_groups(weighted_sets, key):
 
     `weighted_sets` holds (boxes, weight) pairs in model order; an item is
     (box, index of the box in its set, weight). The sort is stable, so items
-    that `key` ties stay in model order.
+    that `key` ties stay in model order. The sweeps read only those three
+    fields of an item, so consensus scoring appends the source's position.
     """
     by_class: dict[int, list] = {}
     for boxes, w in weighted_sets:
@@ -374,7 +375,8 @@ def _add_member(s, item) -> tuple:
     cw is confidence * weight. Adding the members in order, starting from
     `_NO_SUMS`, gives the same floats as summing them from scratch.
     """
-    b, _, w = item
+    b = item[0]
+    w = item[2]
     cw_sum, w_sum, x1, y1, x2, y2, conf = s
     cw = b.confidence * w
     return (
@@ -425,7 +427,7 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     scan: list[int] = []  # the clusters compared with `iou`, ascending
     indexed = len(group) >= TABLE_MIN
     if indexed:
-        rows, cols, ovs = _overlaps([b for b, _, _ in group])
+        rows, cols, ovs = _overlaps([item[0] for item in group])
         before = (ovs > threshold) & (cols < rows)
         rows, cols = rows[before], cols[before].tolist()
         starts = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
@@ -468,21 +470,33 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     return clusters, sums
 
 
-def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
-    """Cluster one class group (in weighted priority order) by `_wbf_clusters`
-    and append its FusedBoxes."""
-    clusters, sums = _wbf_clusters(cls, group, params.iou_threshold)
-    rescale = params.confidence_rescale == "support_ratio"
+def _wbf_fusions(cls, group, threshold: float) -> list[tuple]:
+    """WBF of one class group (in weighted priority order), one tuple per
+    cluster in cluster order: (x1, y1, x2, y2, confidence, support, boxes).
+
+    A one-member cluster passes its box through with support 1. A larger one
+    is fused by `_fused`, and its support counts the distinct `source`s of
+    its member boxes, which are in join order.
+    """
+    if len(group) == 1:  # about a third of the groups that consensus scoring clusters
+        clusters, sums = [group], [None]
+    else:
+        clusters, sums = _wbf_clusters(cls, group, threshold)
+    out = []
     for members, s in zip(clusters, sums):
         first = members[0][0]
         if s is None:
-            x1, y1, x2, y2, conf = first.x1, first.y1, first.x2, first.y2, first.confidence
-            n_b = 1
-            boxes = (first,)
+            out.append((first.x1, first.y1, first.x2, first.y2, first.confidence, 1, (first,)))
         else:
-            x1, y1, x2, y2, conf = _fused(s, first)
-            boxes = tuple([b for b, _, _ in members])
-            n_b = len({b.source for b in boxes})
+            boxes = tuple([item[0] for item in members])
+            out.append((*_fused(s, first), len({b.source for b in boxes}), boxes))
+    return out
+
+
+def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
+    """Append the FusedBoxes of one class group (in weighted priority order)."""
+    rescale = params.confidence_rescale == "support_ratio"
+    for x1, y1, x2, y2, conf, n_b, boxes in _wbf_fusions(cls, group, params.iou_threshold):
         if rescale:
             conf = conf * (min(n_b, n_active) / n_active)
         out.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))

@@ -932,6 +932,17 @@ class TestBadInputFiles:
         assert "internal error" not in err
         assert str(missing) in err
 
+    def test_manifest_with_byte_order_mark_fuses_as_without(self, scenario_dir, tmp_path):
+        doc = absolute_manifest_doc(scenario_dir)
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_text(json.dumps(doc), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for mpath in (plain, marked):
+            rc = main(["fuse", "--manifest", str(mpath), "--algorithm", "knowledge-vote",
+                       "--out", str(tmp_path / mpath.stem)])
+            assert rc == 0
+        assert tree_bytes(tmp_path / "marked") == tree_bytes(tmp_path / "plain")
+
     def test_missing_manifest_names_the_file(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         rc = main(["fuse", "--manifest", str(missing), "--algorithm", "nms",

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from boxvote.fusion import (
     ConfidenceGates,
     FusionParams,
     LabelSpaceFilter,
+    apply_gates,
     knowledge_vote,
 )
 from boxvote.geometry import Box, DetectionSet
@@ -488,9 +490,11 @@ class TestSharedScoring:
             )
             assert report.q_leave_one_out[src.source_id] == pytest.approx(want, abs=1e-12)
 
-    def test_gates_once_and_fuses_each_distinct_subset_once(self, monkeypatch):
+    def test_gates_once_and_clusters_each_distinct_restriction_once(self, monkeypatch):
         ens, gates, flt, params = scoring_case(3)
         calls = Counter()
+        clustered = []  # (class, boxes) of each class group the quality pass clusters
+        fusions = consensus._wbf_fusions
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -499,6 +503,11 @@ class TestSharedScoring:
 
             return counted
 
+        def recording(cls, group, threshold):
+            clustered.append((cls, frozenset(item[0] for item in group)))
+            return fusions(cls, group, threshold)
+
+        monkeypatch.setattr(consensus, "_wbf_fusions", recording)
         monkeypatch.setattr(consensus, "wbf", counting("wbf", consensus.wbf))
         monkeypatch.setattr(
             consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
@@ -506,6 +515,142 @@ class TestSharedScoring:
         manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
         run_consensus(manifest, ens, shapley=True)
         images = len(ens.target_image_ids)
-        # 7 distinct non-empty subsets of 3 sources, plus the weighted pass
-        assert calls["wbf"] == images * (7 + 1)
+        assert calls["wbf"] == images  # the weighted pass only
         assert calls["apply_gates"] == 3 * images
+
+        # one clustering per distinct non-empty S & P of each (image, class):
+        # the boxes of the class group's sources that are in subset S
+        subsets = [c for r in (1, 2, 3) for c in itertools.combinations(range(3), r)]
+        want = Counter()
+        restricted = 0
+        for iid in ens.target_image_ids:
+            gated = [apply_gates(s.for_image(iid), gates, flt) for s in ens.sources]
+            distinct = set()
+            for cls in {b.cls for boxes in gated for b in boxes}:
+                for subset in subsets:
+                    boxes = frozenset(b for p in subset for b in gated[p] if b.cls == cls)
+                    if boxes:
+                        restricted += 1
+                        distinct.add((cls, boxes))
+            want.update(distinct)
+        assert Counter(clustered) == want
+        assert len(clustered) < restricted  # some S & P repeat across subsets
+
+    @pytest.mark.parametrize("shapley,scored", [(False, 6), (True, 31)])
+    def test_five_sources_score_only_the_subsets_read(self, monkeypatch, shapley, scored):
+        ens, gates, flt, params = scoring_case(5)
+        passes = []
+        score = ConsensusScorer._score
+
+        def recording(self, subsets):
+            passes.append(list(subsets))
+            return score(self, subsets)
+
+        monkeypatch.setattr(ConsensusScorer, "_score", recording)
+        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        report, _ = run_consensus(manifest, ens, shapley=shapley)
+        assert len(passes) == 1 and len(passes[0]) == scored
+        everyone = tuple(range(5))
+        assert everyone in passes[0]
+        assert all(everyone[:i] + everyone[i + 1:] in passes[0] for i in everyone)
+        assert (report.shapley is not None) == shapley
+
+
+class TestTieOrder:
+    """Ties that change a quality: the scorer must break them as `wbf` does."""
+
+    def test_model_order_breaks_a_full_tie(self):
+        # A and B tie on (confidence, source, index), so model order decides
+        # which cluster C joins; D, of source 1 again, then joins A's cluster
+        # or its own, and the support counts differ
+        a = Box(0, 0.0, 0.0, 0.4, 1.0, 0.9, 1)
+        b = Box(0, 0.2, 0.0, 0.6, 1.0, 0.9, 1)
+        c = Box(0, 0.1, 0.0, 0.5, 1.0, 0.6, 2)
+        d = Box(0, 0.0, 0.0, 0.3, 1.0, 0.5, 1)
+        params = FusionParams(iou_threshold=0.5)
+
+        def quality(*per_source):
+            ens = SourceEnsemble(
+                sources=tuple(domain(i, {"i": boxes}) for i, boxes in enumerate(per_source, 1)),
+                target_image_ids=("i",),
+            )
+            got = make_scorer(ens, params=params).quality((0, 1, 2))
+            assert got == knowledge_vote_quality(ens.sources, ens, NO_GATES, KEEP_ALL, params)
+            return got
+
+        assert quality([a], [b], [c, d]) != quality([b], [a], [c, d])
+
+    def test_equal_confidences_add_in_fused_order(self):
+        # p (two sources) and q (one) fuse at 0.3 in one class; fused_order
+        # puts q, with the lower x1, first, which rounds differently here
+        r = Box(0, 0.0, 0.0, 0.2, 0.2, 0.9, 1)
+        p = Box(1, 0.5, 0.0, 0.9, 0.4, 0.3, 1)
+        q = Box(1, 0.0, 0.5, 0.4, 0.9, 0.3, 1)
+        ens = SourceEnsemble(
+            sources=(domain(1, {"i": [r, p, q]}), domain(2, {"i": [p._replace(source=2)]})),
+            target_image_ids=("i",),
+        )
+        got = make_scorer(ens).quality((0, 1))
+        assert got == knowledge_vote_quality(ens.sources, ens, NO_GATES, KEEP_ALL, PARAMS)
+        assert got == (0.9 + 0.3) + 2 * 0.3 != (0.9 + 2 * 0.3) + 0.3
+
+
+def tied_case(n_sources, seed):
+    """Sources whose boxes make every tie the scorer must order like `wbf`.
+
+    `Box.source` values collide across sources (each is 1 or 2), and
+    confidences come from a pool of three values half the time. Each source
+    starts its list with shifted copies of a shared list of boxes, at the
+    same confidence, source and mostly index, so model order breaks their
+    ties. img5 is missing from every source and img4 is an empty list in
+    every source; source 1 lacks img3. Per-class gates and a keep_listed
+    filter that drops class 3.
+    """
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"img{j}" for j in range(6))
+    pool = (0.35, 0.6, 0.85)
+
+    def pooled(b):
+        return b._replace(confidence=pool[int(rng.integers(0, 3))]) if rng.random() < 0.5 else b
+
+    def shifted(b):
+        d = 0.001 * int(rng.integers(0, 30))
+        return b._replace(x1=round(b.x1 + d, 3), x2=round(b.x2 + d, 3)) if b.x2 + d <= 1 else b
+
+    shared = {
+        iid: [pooled(random_box(rng, source=1, n_classes=4)) for _ in range(3)] for iid in ids
+    }
+    sources = []
+    for i in range(1, n_sources + 1):
+        dets = {}
+        for iid in ids[:4]:
+            boxes = [shifted(b) for b in shared[iid] if rng.random() < 0.8]
+            boxes += [
+                pooled(random_box(rng, source=int(rng.integers(1, 3)), n_classes=4))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            dets[iid] = boxes
+        dets["img4"] = []
+        if i == 1:
+            del dets["img3"]
+        sources.append(domain(i, dets))
+    ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
+    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1)
+    flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({0, 1, 2}))
+    return ens, gates, flt, FusionParams(iou_threshold=0.5)
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_every_subset_quality_matches_knowledge_vote_and_oracle(n_sources, seed):
+    ens, gates, flt, params = tied_case(n_sources, seed)
+    subsets = consensus.read_subsets(n_sources, shapley=True)
+    scorer = ConsensusScorer(ens.sources, ens.target_image_ids, gates, flt, params, subsets)
+    one_by_one = make_scorer(ens, gates, flt, params)  # a pass per subset read
+    for subset in subsets:
+        sources = [ens.sources[p] for p in subset]
+        got = scorer.quality(subset)
+        assert got == knowledge_vote_quality(sources, ens, gates, flt, params)
+        assert got == one_by_one.quality(subset)
+        want = oracle_consensus_quality(sources, ens.target_image_ids, gates, flt, 0.5)
+        assert got == pytest.approx(want, abs=1e-12)  # c01's tolerance

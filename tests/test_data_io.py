@@ -152,6 +152,19 @@ class TestByteOrderMark:
         images = got.entries if parse is data_io.parse_ground_truth else got
         assert "img_00000" in images and not any("\ufeff" in k for k in images)
 
+    def test_manifest_and_report_same_as_without(self, tmp_path):
+        p = minimal_manifest(tmp_path)
+        plain = data_io.parse_manifest(p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert data_io.parse_manifest(p) == plain
+        report = ContributionReport(q_full=1.5, q_leave_one_out={1: 0.5}, cf={1: 1.0},
+                                    cf_clamped={1: 1.0}, alpha={1: 0.75},
+                                    alpha_extended=0.25)
+        r = tmp_path / "r.json"
+        data_io.write_contribution_report(report, r)
+        r.write_bytes(b"\xef\xbb\xbf" + r.read_bytes())
+        assert data_io.parse_contribution_report(r) == report
+
     def test_same_error_line(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_bytes(b"\xef\xbb\xbfim0 0 0.1 0.1 0.5 0.5\nim0 1 0.1 0.1 0.5 0.5\xff\n")
