@@ -19,10 +19,12 @@ the format's field count; the class id is an integer >= 0; coordinates and
 confidence are floats in [0, 1], where coordinates up to
 `geometry.CLAMP_SLOP` outside are clamped and stored clamped; corners must
 not be inverted. Any violation raises ParseError naming the file and the
-exact line (CLI exit 3), also for a byte that is not UTF-8. A UTF-8
-byte-order mark at the start of a file is skipped. Lines end at `\n`,
-`\r\n` or a lone `\r`; other whitespace, such as `\f`, only separates
-fields. Every writer opens its file with `open_output`.
+exact line (CLI exit 3), also for a byte that is not UTF-8. A file that
+cannot be read, such as one without read permission, raises ConfigError
+naming the path (CLI exit 2). A UTF-8 byte-order mark at the start of a
+file is skipped. Lines end at `\n`, `\r\n` or a lone `\r`; other
+whitespace, such as `\f`, only separates fields. Every writer opens its
+file with `open_output`.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
                 append((lineno, parts[0], box, parts[7] if n > 7 else None))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from exc
     return rows
 
 

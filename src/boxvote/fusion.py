@@ -13,43 +13,28 @@ one greedy pass runs over each group. All three break ties the same way:
 confidence descending (times the model weight, for WBF), then the box's
 source, then its position in its model's list, then model order.
 
-- NMS keeps a box iff no kept box before it overlaps it beyond the threshold.
-- Soft-NMS repeatedly takes the first maximum confidence of the group, which
-  is kept in (source, index) order, and decays the rest by
-  exp(-iou^2 / sigma) instead of re-sorting after every pick. A large group
-  finds each pick with a lazy max-heap instead of a scan of every live box.
-- WBF puts each box into the first cluster whose fused box overlaps it, and
-  keeps running sums per cluster instead of re-summing it on every join.
-  One sweep serves every group size; in a large group, the overlap index
-  finds the box's first overlapping one-member cluster, so the box is
-  compared only with the larger clusters before it.
+Each sweep visits a box's neighbours: the boxes that overlap it beyond a
+threshold, listed once per group by `_neighbours`, the one place that
+picks numpy or scalar `iou` by group size. A group of at least `TABLE_MIN` boxes lists
+them with numpy (`_overlaps`), pairing each box in x1 order only with the
+later ones whose x1 lies below its x2 (about 23% of a `dense-fuse` group's
+pairs), with `geometry.iou`'s IEEE operations, so each IoU is bit-equal to
+the scalar call. A smaller group, such as the about 3 boxes of a class
+group in sparse detector output, calls `iou` once per pair that passes a
+four-comparison axis test. The lists live only while their group is swept.
 
-A class group of at least `TABLE_MIN` boxes lists its overlapping pairs
-once, with numpy (`_overlaps`). A sweep over the boxes sorted by x1 pairs
-each box only with the later ones whose x1 lies below its x2, the pairs
-whose x-intervals can intersect: about 23% of all pairs in a `dense-fuse`
-group, of which about 5% overlap. Those pairs take the same IEEE operations
-as `geometry.iou`, so each listed IoU equals the scalar call bit for bit;
-pairs with IoU 0 are not listed. NMS, soft-NMS and WBF then visit only a
-box's neighbours: the boxes it overlaps at all, or beyond the threshold.
-Neighbour order gives the same picks and clusters as the full scans. A
-soft-NMS pick changes only the confidences of the boxes it overlaps, so
-every other box keeps its place in the heap. WBF creates clusters in group
-order, so a box's first overlapping one-member cluster is the one led by
-its first over-threshold neighbour before it; the sweep then compares the
-box with `iou` only against the few larger clusters before that one, whose
-fused boxes are not listed, in cluster order. The pair lists are built,
-used and dropped within the group, and nothing is cached across calls.
-Smaller groups call `iou` per pair as the sweep needs it, after a
-four-comparison axis test where most pairs are disjoint; WBF's sweep is the
-same code there, comparing every cluster. NMS and soft-NMS keep a scalar
-and an indexed path each, since one path for both sizes measured slower
-(see README, "Performance"). Sparse detector output has about 3 boxes per
-class group, and consensus scoring clusters such groups tens of thousands of
-times: there, any per-group numpy work costs more than the few scalar calls
-it saves, and an always-numpy kernel made a gated WBF pass 2-4x slower. Summed
-over NMS, soft-NMS and WBF, the crossover measured at about 24 boxes: from
-about 20 boxes for NMS and soft-NMS alone, above 32 for WBF alone.
+- NMS: each kept box suppresses its neighbours beyond the threshold.
+- Soft-NMS takes the first maximum confidence of the group, kept in
+  (source, index) order, from a lazy max-heap, and decays its neighbours
+  beyond 0 by exp(-iou^2 / sigma) instead of re-sorting.
+- WBF puts each box into the first cluster whose fused box overlaps it,
+  with running sums per cluster. It compares the box with `iou`, after the
+  axis test, against a scan list of clusters. In a small group that is
+  every cluster: consensus scoring clusters tens of thousands of small
+  groups, where neighbour lists measured slower (see README,
+  "Performance"). In a large group it is the clusters of two or more
+  members before the one-member cluster led by the box's first
+  over-threshold neighbour.
 
 WBF emits a cluster of one box as that box's corners and confidence, with
 support 1 and the box as its only member (`_wbf_fusions`, which consensus
@@ -171,9 +156,10 @@ def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates, flt: LabelSpaceFil
     return tuple(b for b in boxes if flt.keeps(b.cls) and b.confidence >= gates.gate(b.cls))
 
 
-# Class groups of at least this many boxes list their overlapping pairs once
-# with `_overlaps`; smaller groups call `iou` per pair (see the module docstring).
-TABLE_MIN = 24
+# `_neighbours` lists a class group of at least this many boxes with `_overlaps`,
+# a smaller one with `iou` per pair; WBF indexes only such groups. Summed over
+# the three sweeps, the two methods measured even at 32-36 boxes.
+TABLE_MIN = 32
 
 
 def _priority(item):
@@ -245,28 +231,41 @@ def _overlaps(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[by_row], cols[by_row], np.concatenate((ov, ov))[by_row]
 
 
+def _neighbours(boxes, threshold: float) -> list[list[tuple[int, float]]]:
+    """Per position, the (position, iou) of every other box that overlaps it
+    beyond `threshold`, in position order; each IoU equals `iou`'s bit for bit.
+
+    A group of at least `TABLE_MIN` boxes reads `_overlaps`; a smaller one
+    calls `iou` once per pair that passes the four-comparison axis test.
+    """
+    n = len(boxes)
+    if n >= TABLE_MIN:
+        rows, cols, ovs = _overlaps(boxes)
+        over = ovs > threshold
+        starts = np.searchsorted(rows[over], np.arange(n + 1)).tolist()
+        edges = list(zip(cols[over].tolist(), ovs[over].tolist()))
+        return [edges[starts[i]:starts[i + 1]] for i in range(n)]
+    near: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, a in enumerate(boxes):  # row i gets its j < i from the earlier rows' loops
+        for j in range(i + 1, n):
+            b = boxes[j]
+            if a.x1 < b.x2 and b.x1 < a.x2 and a.y1 < b.y2 and b.y1 < a.y2:
+                ov = iou(a, b)
+                if ov > threshold:
+                    near[i].append((j, ov))
+                    near[j].append((i, ov))
+    return near
+
+
 def _nms_keep(boxes, threshold: float) -> list[int]:
     """Positions of the boxes (in priority order) that greedy suppression keeps."""
     kept = []
-    if len(boxes) >= TABLE_MIN:
-        rows, cols, ovs = _overlaps(boxes)
-        over = ovs > threshold
-        rows, cols = rows[over], cols[over]
-        starts = np.searchsorted(rows, np.arange(len(boxes) + 1)).tolist()
-        suppressed = np.zeros(len(boxes), dtype=bool)
-        for i in range(len(boxes)):
-            if not suppressed[i]:
-                kept.append(i)
-                lo, hi = starts[i], starts[i + 1]
-                if lo < hi:  # most kept boxes overlap none beyond the threshold
-                    suppressed[cols[lo:hi]] = True
-        return kept
-    for i, b in enumerate(boxes):
-        for k in kept:
-            if iou(b, boxes[k]) > threshold:
-                break
-        else:
+    suppressed = [False] * len(boxes)
+    for i, near in enumerate(_neighbours(boxes, threshold)):
+        if not suppressed[i]:
             kept.append(i)
+            for j, _ in near:
+                suppressed[j] = True
     return kept
 
 
@@ -285,46 +284,18 @@ def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]
 
     `boxes` are in (source, index) order, so the first maximum of the
     confidences is the box that the (-confidence, source, index) order puts
-    first. The first pick is taken before any box is checked against `floor`.
-    Groups of at least `TABLE_MIN` boxes go to `_soft_nms_heap`.
+    first. Each box still in play has one entry, (-confidence, position), in
+    a lazy max-heap, so the least entry is the first maximum. A decay leaves
+    the box's entry stale: it stands for a higher confidence, so it is
+    popped before the box is due, and the pop pushes the box again at its
+    current confidence. A pop skips the entry of a picked or dropped box. A
+    pick decays only the live boxes it overlaps (`_neighbours`), each by
+    exp(-iou^2 / sigma); a factor that rounds to 1.0 leaves the entry
+    current. The first pick is taken before any box is checked against
+    `floor`; confidences only fall, so a box below `floor` can drop before
+    the first pick, and later only a box just decayed can drop.
     """
-    if len(boxes) >= TABLE_MIN:
-        return _soft_nms_heap(boxes, sigma, floor)
-    conf = [b.confidence for b in boxes]
-    alive = list(range(len(boxes)))
-    picks = []
-    while alive:
-        top = max(alive, key=conf.__getitem__)
-        picks.append((top, conf[top]))
-        survivors = []
-        for j in alive:
-            if j == top:
-                continue
-            ov = iou(boxes[top], boxes[j])
-            if ov > 0.0:
-                conf[j] *= math.exp(-(ov * ov) / sigma)
-            if conf[j] >= floor:
-                survivors.append(j)
-        alive = survivors
-    return picks
-
-
-def _soft_nms_heap(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
-    """`_soft_nms_picks` for a large group: a lazy max-heap over overlap neighbours.
-
-    Each box still in play has one heap entry, (-confidence, position), so
-    the least current entry is the first maximum. A decay leaves the box's
-    entry stale: it stands for a higher confidence, so it is popped before
-    the box is due, and the pop pushes the box again at its current
-    confidence. A pop skips the entry of a picked or dropped box. A pick
-    decays only the live boxes it overlaps (`_overlaps`), with the scalar
-    sweep's per-edge arithmetic, in the same pick order, so the picks and
-    confidences are the same bit for bit; a factor that rounds to 1.0 leaves
-    the entry current. Confidences only fall, so a box below `floor` can
-    drop before the first pick, and later only a box just decayed can drop.
-    """
-    rows, cols, ovs = _overlaps(boxes)
-    starts = np.searchsorted(rows, np.arange(len(boxes) + 1)).tolist()
+    near = _neighbours(boxes, 0.0)
     conf = [b.confidence for b in boxes]
     top = max(range(len(boxes)), key=conf.__getitem__)
     alive = [c >= floor for c in conf]
@@ -342,8 +313,7 @@ def _soft_nms_heap(boxes, sigma: float, floor: float) -> list[tuple[int, float]]
             continue
         alive[top] = False
         picks.append((top, c))
-        lo, hi = starts[top], starts[top + 1]
-        for j, ov in zip(cols[lo:hi].tolist(), ovs[lo:hi].tolist()):
+        for j, ov in near[top]:
             if alive[j]:
                 c = conf[j] = conf[j] * math.exp(-(ov * ov) / sigma)
                 if c < floor:
@@ -415,7 +385,7 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     skipping one whose fused box misses it on an axis (`iou` gives 0 there).
 
     In a small group every cluster is in `scan`. A group of at least
-    `TABLE_MIN` boxes first lists its over-threshold overlaps (`_overlaps`):
+    `TABLE_MIN` boxes first lists its over-threshold neighbours (`_neighbours`):
     clusters are created in group order, so the first one-member cluster
     that item i overlaps is the one led by i's first such neighbour j < i
     that still leads one. Then only clusters of two or more members are in
@@ -427,16 +397,13 @@ def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
     scan: list[int] = []  # the clusters compared with `iou`, ascending
     indexed = len(group) >= TABLE_MIN
     if indexed:
-        rows, cols, ovs = _overlaps([item[0] for item in group])
-        before = (ovs > threshold) & (cols < rows)
-        rows, cols = rows[before], cols[before].tolist()
-        starts = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
+        near = _neighbours([item[0] for item in group], threshold)
         led = [-1] * len(group)  # the cluster a position leads, else -1
     for i, item in enumerate(group):
         b = item[0]
         ci = len(clusters)
         if indexed:
-            for j in cols[starts[i]:starts[i + 1]]:
+            for j, _ in near[i]:  # only positions before i lead a cluster yet
                 if led[j] >= 0 and sums[led[j]] is None:
                     ci = led[j]
                     break
@@ -493,15 +460,6 @@ def _wbf_fusions(cls, group, threshold: float) -> list[tuple]:
     return out
 
 
-def _wbf_class(cls, group, params: FusionParams, n_active: int, out: list) -> None:
-    """Append the FusedBoxes of one class group (in weighted priority order)."""
-    rescale = params.confidence_rescale == "support_ratio"
-    for x1, y1, x2, y2, conf, n_b, boxes in _wbf_fusions(cls, group, params.iou_threshold):
-        if rescale:
-            conf = conf * (min(n_b, n_active) / n_active)
-        out.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))
-
-
 def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
     """Weighted box fusion across models, counting distinct supporting sources.
 
@@ -522,9 +480,13 @@ def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedB
     weighted = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
     n_active = len(weighted)
 
+    rescale = params.confidence_rescale == "support_ratio"
     fused: list[FusedBox] = []
     for cls, group in _class_groups(weighted, _weighted_priority):
-        _wbf_class(cls, group, params, n_active, fused)
+        for x1, y1, x2, y2, conf, n_b, boxes in _wbf_fusions(cls, group, params.iou_threshold):
+            if rescale:
+                conf = conf * (min(n_b, n_active) / n_active)
+            fused.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))
     fused.sort(key=fused_order)
     return fused
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -931,6 +932,36 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert str(missing) in err
+
+    @pytest.mark.parametrize("target", ["source", "ground truth", "detections"])
+    def test_unreadable_input_file_exit_2(self, scenario_dir, tmp_path, capsys, monkeypatch,
+                                          target):
+        # `open` is patched rather than the file's mode, which root could read anyway
+        doc = absolute_manifest_doc(scenario_dir)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        dets = tmp_path / "d.txt"
+        dets.write_text("img_00000 0 0.1 0.1 0.5 0.5 0.9\n")
+        blocked = {"source": doc["sources"][0]["detections_path"],
+                   "ground truth": doc["target"]["ground_truth_path"],
+                   "detections": str(dets)}[target]
+        refused = []
+
+        def guarded_open(path, *args, **kwargs):
+            if os.path.abspath(path) == os.path.abspath(blocked):
+                refused.append(path)
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", guarded_open, raising=False)
+        argv = (["fuse", "--algorithm", "nms"] if target == "source"
+                else ["eval", "--detections", str(dets)])
+        rc = main([*argv, "--manifest", str(mpath), "--out", str(tmp_path / "o")])
+        assert refused
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"cannot read input file {refused[0]}: Permission denied" in err
 
     def test_manifest_with_byte_order_mark_fuses_as_without(self, scenario_dir, tmp_path):
         doc = absolute_manifest_doc(scenario_dir)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boxvote import fusion
 from boxvote.errors import ConfigError, NegativeWeightError, WeightArityMismatchError
 from boxvote.fusion import (
     TABLE_MIN,
@@ -11,6 +12,7 @@ from boxvote.fusion import (
     FusionParams,
     KEEP_ALL,
     LabelSpaceFilter,
+    _neighbours,
     _overlaps,
     apply_gates,
     knowledge_vote,
@@ -536,9 +538,12 @@ def filler(n, conf):
     return [box(i / 32, 0.95, (i + 0.5) / 32, 0.99, conf) for i in range(n)]
 
 
+PADDED = pytest.mark.parametrize("padded", [True, False], ids=["indexed", "scalar"])
+
+
 class TestNeighbourSweepsAgainstOracles:
-    """Large groups, whose sweeps visit only overlap neighbours, against the oracles
-    (WBF's first-cluster case also without the filler, in a small group)."""
+    """Sweeps over overlap neighbours against the oracles. The hand-made cases run
+    with a filler that takes the group to TABLE_MIN, and without it, in a small group."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_dense_group(self, seed):
@@ -554,29 +559,34 @@ class TestNeighbourSweepsAgainstOracles:
                 assert wbf_rows(out) == oracle_wbf(models, weights, threshold)
                 assert any(len(f.members) > 1 for f in out)
 
-    def test_floor_drops_a_box_after_a_later_pick(self):
+    @PADDED
+    def test_floor_drops_a_box_after_a_later_pick(self, padded):
         second = box(0.5, 0.5, 0.7, 0.7, 0.5)
         victim = box(0.5, 0.5, 0.7, 0.68, 0.2)  # IoU 0.9 with `second` only
-        boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim] + filler(TABLE_MIN, 0.3)
+        boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim]
+        boxes += filler(TABLE_MIN, 0.3) if padded else []
         sigma, floor = 0.1, 0.15
         out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
         assert out == oracle_soft_nms(boxes, sigma, floor)
         # kept after the first pick, dropped by the second, before the filler is picked
         assert len(out) == len(boxes) - 1 and victim not in out
 
-    def test_decay_factor_that_rounds_to_one(self):
+    @PADDED
+    def test_decay_factor_that_rounds_to_one(self, padded):
         first = box(0.1, 0.1, 0.3, 0.3, 0.9)
         sliver = box(0.3 - 2**-30, 0.1, 0.5, 0.3, 0.5)  # overlaps `first` by a sliver
         ov = iou(first, sliver)
         assert 0.0 < ov < 1e-8 and math.exp(-(ov * ov) / 0.5) == 1.0
-        boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)] + filler(TABLE_MIN, 0.3)
+        boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)]
+        boxes += filler(TABLE_MIN, 0.3) if padded else []
         params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
         out = soft_nms([ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, 0.5, 0.001)
         assert out[:3] == boxes[:3]
 
+    @PADDED
     @pytest.mark.parametrize("decayed_first", [True, False])
-    def test_boxes_that_tie_only_after_decay(self, decayed_first):
+    def test_boxes_that_tie_only_after_decay(self, decayed_first, padded):
         sigma = 0.5
         pick = box(0.0, 0.0, 0.3, 0.3, 0.9)
         decayed = box(0.1, 0.1, 0.4, 0.4, 0.8)
@@ -584,7 +594,7 @@ class TestNeighbourSweepsAgainstOracles:
         tied = box(0.6, 0.6, 0.9, 0.9, 0.8 * math.exp(-(ov * ov) / sigma))
         under_both = box(0.35, 0.35, 0.65, 0.65, 0.3)  # decayed by both, in pick order
         pair = [decayed, tied] if decayed_first else [tied, decayed]
-        boxes = [pick, *pair, under_both] + filler(TABLE_MIN, 0.1)
+        boxes = [pick, *pair, under_both] + (filler(TABLE_MIN, 0.1) if padded else [])
         out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=0.001))
         assert out == oracle_soft_nms(boxes, sigma, 0.001)
         assert out[1].confidence == out[2].confidence == tied.confidence
@@ -675,3 +685,55 @@ class TestOverlaps:
         got = overlap_pairs(boxes)
         assert len(got) == 40 * 39
         assert got == scalar_pairs(boxes)
+
+
+def shuffled_mix(seed):
+    """Degenerate, off-grid and random boxes and a `table_group`, shuffled."""
+    rng = np.random.default_rng(seed)
+    boxes = degenerate_boxes()
+    for _ in range(60):
+        x = np.sort(rng.uniform(0, 1, 2))
+        y = np.sort(rng.uniform(0, 1, 2))
+        boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
+    boxes += [random_box(rng) for _ in range(30)] + table_group(rng, 60)
+    rng.shuffle(boxes)
+    return boxes
+
+
+class TestNeighbours:
+    """`_neighbours` on both sides of TABLE_MIN: per position, every other box whose
+    IoU with it is over the threshold, in position order, each IoU bit-equal to `iou`."""
+
+    @staticmethod
+    def check(boxes):
+        pairs = sorted(scalar_pairs(boxes).items())
+        for threshold in (0.0, 0.3, 0.5, 0.55):
+            want = [[] for _ in boxes]
+            for (i, j), ov in pairs:
+                if float.fromhex(ov) > threshold:
+                    want[i].append((j, ov))
+            got = [[(j, ov.hex()) for j, ov in row] for row in _neighbours(boxes, threshold)]
+            assert got == want
+
+    def test_degenerate_boxes(self):
+        self.check(degenerate_boxes())
+
+    def test_shuffled_mix(self):
+        self.check(shuffled_mix(77))
+
+    @pytest.mark.parametrize("n", [TABLE_MIN - 1, TABLE_MIN])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_table_group(self, n, seed):
+        self.check(table_group(np.random.default_rng(seed), n))
+
+    def test_small_group_calls_iou_once_per_pair_that_can_overlap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fusion, "iou", lambda a, b: calls.append((a, b)) or iou(a, b))
+        boxes = degenerate_boxes()
+        assert len(boxes) < TABLE_MIN
+        _neighbours(boxes, 0.0)
+        # the pairs i < j that pass the strict axis test; boxes that touch fail it
+        want = [(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1:]
+                if a.x1 < b.x2 and b.x1 < a.x2 and a.y1 < b.y2 and b.y1 < a.y2]
+        assert len(want) < len(boxes) * (len(boxes) - 1) // 2
+        assert calls == want
