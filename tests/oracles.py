@@ -11,8 +11,17 @@ import math
 
 import numpy as np
 
+from boxvote.consensus import SourceDomain
 from boxvote.errors import InvalidBoxError
-from boxvote.geometry import Box
+from boxvote.evaluation import GroundTruth, GroundTruthBox
+from boxvote.geometry import Box, DetectionSet
+from boxvote.synth import (
+    BOX_SIZE_RANGE,
+    BOXES_PER_IMAGE,
+    FP_CONF_RANGE,
+    POISON_CONF_RANGE,
+    image_ids,
+)
 
 
 def raster_iou(a, b, resolution: int = 1000) -> float:
@@ -340,3 +349,102 @@ def random_box(rng, cls=None, source=0, n_classes=3) -> Box:
     conf = round(float(rng.uniform(0.01, 1.0)), 6)
     return Box(cls=cls, x1=float(x[0]), y1=float(y[0]), x2=float(x[1]),
                y2=float(y[1]), confidence=conf, source=source)
+
+
+# The scenario generator as it was before its draws were batched: one numpy call
+# per draw (`uniform`, `choice`, `np.clip`). It fixes which values each spec
+# draws from the PCG64 stream and in what order. Valid specs only: it checks
+# nothing.
+
+
+def _oracle_random_box(rng, cls: int, source: int, conf: float) -> Box:
+    w = rng.uniform(*BOX_SIZE_RANGE)
+    h = rng.uniform(*BOX_SIZE_RANGE)
+    cx = rng.uniform(w / 2, 1 - w / 2)
+    cy = rng.uniform(h / 2, 1 - h / 2)
+    return Box(
+        cls=cls,
+        x1=cx - w / 2,
+        y1=cy - h / 2,
+        x2=cx + w / 2,
+        y2=cy + h / 2,
+        confidence=conf,
+        source=source,
+    )
+
+
+def _oracle_jitter(rng, gt: GroundTruthBox, noise: float, source: int, conf: float) -> Box:
+    # draw all four offsets even when noise is 0 to keep the stream layout fixed
+    dx1, dy1, dx2, dy2 = rng.normal(0.0, 1.0, 4) * noise
+    x1, x2 = sorted((gt.x1 + dx1, gt.x2 + dx2))
+    y1, y2 = sorted((gt.y1 + dy1, gt.y2 + dy2))
+    clamp = lambda v: min(1.0, max(0.0, v))
+    return Box(
+        cls=gt.cls,
+        x1=clamp(x1),
+        y1=clamp(y1),
+        x2=clamp(x2),
+        y2=clamp(y2),
+        confidence=conf,
+        source=source,
+    )
+
+
+def oracle_generate(spec):
+    """Ground truth and per-source detections of a valid spec, one numpy call per draw."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    ids = image_ids(spec.num_images)
+    class_ids = [c.id for c in spec.classes]
+    freq = np.array([c.frequency for c in spec.classes], dtype=float)
+    freq /= freq.sum()
+    lo, hi = BOXES_PER_IMAGE
+
+    gt_entries: dict[str, tuple[GroundTruthBox, ...]] = {}
+    for image_id in ids:
+        n = int(rng.integers(lo, hi + 1))
+        boxes = []
+        for _ in range(n):
+            cls = class_ids[int(rng.choice(len(class_ids), p=freq))]
+            b = _oracle_random_box(rng, cls, source=0, conf=1.0)
+            boxes.append(GroundTruthBox(cls=cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2))
+        gt_entries[image_id] = tuple(boxes)
+    gt = GroundTruth(entries=gt_entries)
+
+    domains = []
+    for src_idx, src in enumerate(spec.sources, start=1):
+        detections: dict[str, DetectionSet] = {}
+        for image_id in ids:
+            boxes: list[Box] = []
+            if src.poisonous:
+                k = int(rng.poisson(src.fp_rate))
+                for _ in range(k):
+                    conf = float(rng.uniform(*POISON_CONF_RANGE))
+                    boxes.append(
+                        _oracle_random_box(rng, int(rng.choice(class_ids)), src_idx, conf)
+                    )
+            else:
+                for gt_box in gt_entries[image_id]:
+                    p = src.detect_prob.get(gt_box.cls, 1.0)
+                    if rng.random() < p:
+                        conf = float(
+                            np.clip(rng.normal(src.conf_mean, src.conf_std), 0.05, 1.0)
+                        )
+                        boxes.append(
+                            _oracle_jitter(rng, gt_box, src.coord_noise, src_idx, conf)
+                        )
+                k = int(rng.poisson(src.fp_rate))
+                for _ in range(k):
+                    conf = float(rng.uniform(*FP_CONF_RANGE))
+                    boxes.append(
+                        _oracle_random_box(rng, int(rng.choice(class_ids)), src_idx, conf)
+                    )
+            detections[image_id] = DetectionSet(image_id, tuple(boxes))
+        domains.append(
+            SourceDomain(
+                source_id=src_idx,
+                name=src.name,
+                dataset_size=src.dataset_size,
+                detections=detections,
+            )
+        )
+    return gt, domains

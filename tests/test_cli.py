@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -27,6 +28,47 @@ def manifest_path(scenario_dir):
     return str(scenario_dir / "manifest.json")
 
 
+# sha256 of every file `simulate --images 50` writes, per reference scenario
+SIMULATE_SHA256 = {
+    "three_good": {
+        "ground_truth.txt":
+            "581df2acb3bd4a8279bd64ef81d0a6e75268c90163b83ad10358ed84e57c1bc5",
+        "manifest.json":
+            "8bf2d03c7a04e4cdb5b30ba39f94ff92a978457e9a373d81906807b2325db369",
+        "source_alpha.txt":
+            "7f30aa703a1f08e3d1bfb8f6ca3ac7b4e950928ac46185835ef6f483b8e973f7",
+        "source_bravo.txt":
+            "5f078edb352e3b41ef47a271ec7b3c361a0411c9678421ae85062f391d5c582a",
+        "source_charlie.txt":
+            "55351ac2f3cc4450e9f66315cc4ef68175b7cc75dfd11faafc251ede3f20b0c1",
+    },
+    "two_good_one_poison": {
+        "ground_truth.txt":
+            "29c8c0cc407d8ef2cbb7faa98364fa82e645a195869988f60f92b1f6cc579904",
+        "manifest.json":
+            "69fe9fb5f9b800b8dab1b1fbf419b6ec11043f0ce0fcf05fb460a3974f7fc45c",
+        "source_good_a.txt":
+            "d25a8dc63b20182b9b14e1a6232575185ea795fd2adb1bdaf3d94d367ab96c3f",
+        "source_good_b.txt":
+            "294cbacbfa2798eb7c5c478f0bb643514fb6cd286f9038174458631226d75db2",
+        "source_poison.txt":
+            "5dc639fe6cc010292b3f238c572e07bfe14e5d54c7309e8df4d0585f3f175f60",
+    },
+    "long_tail_gated": {
+        "ground_truth.txt":
+            "81f6796c5fcb30732076af5cbca0d5f49fffd72bc3cd48494a4ec791ad1f00b7",
+        "manifest.json":
+            "47db7461c3a65f435f507a512c3deae6a223a0a581eda902286b5bdd3fdc441e",
+        "source_alpha.txt":
+            "5d95ef66c1da3eff6ad8ad3d86389f3633e2f3a9a0e3d6c21d5292183d683255",
+        "source_bravo.txt":
+            "5ee9e43f1fd6155f1ee72d532adbc985f121f77b087a5c2e25af0ae71b65075e",
+        "source_charlie.txt":
+            "bd3c131437fca8892b906d2ea581f59969197eafd9cfaac39cf2e42c2198141e",
+    },
+}
+
+
 class TestSimulate:
     def test_artifacts_present(self, scenario_dir):
         names = sorted(os.listdir(scenario_dir))
@@ -38,6 +80,17 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
         assert rc == 2
         assert "three_good" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", sorted(SIMULATE_SHA256))
+    def test_bytes_pinned(self, tmp_path, scenario):
+        """Any change to which values the generator draws, or in what order, shows here."""
+        assert main(["simulate", "--scenario", scenario, "--images", "50",
+                     "--out", str(tmp_path)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == SIMULATE_SHA256[scenario]
 
 
 class TestFuse:

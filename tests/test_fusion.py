@@ -535,6 +535,7 @@ def dense_group(rng, n):
 def filler(n, conf):
     """n <= 32 small class-0 boxes in a strip at the foot of the frame, apart from
     each other and from every box above y = 0.95."""
+    assert n <= 32, f"filler holds at most 32 in-frame boxes, asked for {n}"
     return [box(i / 32, 0.95, (i + 0.5) / 32, 0.99, conf) for i in range(n)]
 
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boxvote.errors import ScenarioError
+from boxvote.errors import ConfigError, ScenarioError
 from boxvote.geometry import iou
 from boxvote.synth import (
     ClassSpec,
@@ -13,6 +14,7 @@ from boxvote.synth import (
     reference_scenarios,
     scaled,
 )
+from oracles import oracle_generate
 
 
 def simple_spec(**overrides):
@@ -82,6 +84,22 @@ class TestGenerate:
                 SourceSpec("bad", 10, {0: 1.5}),
             )))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["frequency", "coord_noise", "conf_mean", "conf_std", "fp_rate"]
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        spec = simple_spec()
+        needle = field
+        if field == "frequency":
+            spec = replace(spec, classes=(ClassSpec(0, 1.0), ClassSpec(1, value)))
+            needle = "frequencies"
+        else:
+            spec = replace(spec, sources=(replace(spec.sources[0], **{field: value}),))
+        with pytest.raises(ScenarioError, match=needle) as err:
+            generate(spec)
+        assert isinstance(err.value, ConfigError)  # the CLI's exit 2
+
     def test_boxes_are_valid(self):
         spec = simple_spec(sources=(
             SourceSpec("noisy", 10, {0: 0.9, 1: 0.9}, coord_noise=0.1, fp_rate=2.0),
@@ -128,3 +146,87 @@ class TestReferenceScenarios:
         assert big.spec.num_images == 100
         assert big.spec.seed == sc.spec.seed
         assert big.gates == sc.gates
+
+
+def box_fields(boxes):
+    """Each box's type and fields, floats by their bits (np.float64 is a float)."""
+    return [
+        (type(b), tuple(v.hex() if isinstance(v, float) else v for v in b)) for b in boxes
+    ]
+
+
+def builtin_typed(boxes):
+    return all(type(v) in (int, float) for b in boxes for v in b)
+
+
+def assert_generates_as_oracle(spec):
+    gt, domains = generate(spec)
+    want_gt, want_domains = oracle_generate(spec)
+    assert list(gt.entries) == list(want_gt.entries)
+    for image_id, boxes in gt.entries.items():
+        assert box_fields(boxes) == box_fields(want_gt.entries[image_id])
+        assert builtin_typed(boxes)
+    assert len(domains) == len(want_domains)
+    for got, want in zip(domains, want_domains):
+        assert (got.source_id, got.name, got.dataset_size) == (
+            want.source_id, want.name, want.dataset_size
+        )
+        assert list(got.detections) == list(want.detections)
+        for image_id, ds in got.detections.items():
+            assert ds.image_id == image_id
+            assert box_fields(ds.boxes) == box_fields(want.detections[image_id].boxes)
+            assert builtin_typed(ds.boxes)
+
+
+def edge_specs():
+    noisy = dict(coord_noise=0.03, conf_mean=0.7, conf_std=0.3, fp_rate=1.5)
+    base = ScenarioSpec(
+        seed=2718,
+        num_images=40,
+        classes=(ClassSpec(5, 3.0), ClassSpec(2, 1.0), ClassSpec(9, 6.0)),
+        sources=(
+            SourceSpec("poison", 10, fp_rate=4.0, poisonous=True),
+            SourceSpec("half", 20, {5: 0.5, 2: 0.0, 9: 1.0}, **noisy),
+            SourceSpec("exact", 30, {5: 1.0, 2: 1.0, 9: 1.0}, coord_noise=0.0),
+        ),
+    )
+    return {
+        "unsorted-ids-unnormalised-poison-first": base,
+        "single-class": replace(
+            base, classes=(ClassSpec(7, 0.25),),
+            sources=tuple(replace(s, detect_prob={7: 0.8}) for s in base.sources),
+        ),
+        "never-detects": replace(base, sources=(
+            SourceSpec("blind", 5, {5: 0.0, 2: 0.0, 9: 0.0}, coord_noise=0.05, fp_rate=0.0),
+        )),
+        "always-detects-no-noise-no-fp": replace(base, sources=(
+            SourceSpec("exact", 5, {5: 1.0, 2: 1.0, 9: 1.0}, coord_noise=0.0, fp_rate=0.0),
+            SourceSpec("noisy", 5, {5: 1.0, 2: 1.0, 9: 1.0}, coord_noise=0.2, conf_std=1.0),
+        )),
+        "dense": replace(base, num_images=5, classes=base.classes[:2], sources=(
+            SourceSpec("dense", 5, {5: 0.9, 2: 0.9}, coord_noise=0.02, fp_rate=200.0),
+            SourceSpec("dense_poison", 5, fp_rate=200.0, poisonous=True),
+        )),
+    }
+
+
+class TestDrawContract:
+    """`generate` draws what the one-numpy-call-per-draw oracle draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 7, 12345])
+    @pytest.mark.parametrize("name", sorted(reference_scenarios()))
+    def test_reference_scenarios(self, name, seed):
+        spec = scaled(reference_scenarios()[name], 60).spec
+        assert_generates_as_oracle(spec if seed is None else replace(spec, seed=seed))
+
+    @pytest.mark.parametrize("name", sorted(edge_specs()))
+    def test_edge_specs(self, name):
+        assert_generates_as_oracle(edge_specs()[name])
+
+    def test_reference_boxes_hold_builtin_numbers(self):
+        for scenario in reference_scenarios().values():
+            gt, domains = generate(scenario.spec)
+            boxes = [b for bs in gt.entries.values() for b in bs]
+            boxes += [b for d in domains for ds in d.detections.values() for b in ds]
+            assert boxes and builtin_typed(boxes)
+            assert all(type(b.cls) is int for b in boxes)
