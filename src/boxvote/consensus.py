@@ -25,8 +25,9 @@ work once:
   order (`fusion.fused_order`), with one running total per subset. These
   are the float operations of summing each subset's `wbf` output, so each
   quality is bit-equal to that sum, whichever caller reads it first.
-- The final weighted pass fuses all sources with `wbf`, the one producer
-  of `FusedBox`es.
+- The final weighted pass, `weighted_fusion`, fuses the scorer's gated
+  sets of all sources with `wbf`, the one producer of `FusedBox`es, image
+  by image.
 
 A scorer lives for one scoring run, and it is the only input of the
 scoring functions below: they read the sources, target ids, gated boxes
@@ -118,8 +119,9 @@ class ConsensusScorer:
     A subset is a sequence of positions in `sources`, in ascending order.
     `subsets` are the subsets the run reads: the first `quality` read scores
     them all, with the one asked for, in one pass over the images. A subset
-    read after that pass is scored by a pass of its own. Build one scorer
-    per scoring run and drop it after.
+    read after that pass is scored by a pass of its own. `weighted_fusion`
+    fuses the gated sets of all sources. Build one scorer per scoring run
+    and drop it after.
     """
 
     def __init__(
@@ -141,12 +143,6 @@ class ConsensusScorer:
         ]
         self._unscored = {tuple(s) for s in subsets}
         self._quality: dict[tuple[int, ...], float] = {}
-
-    def fuse(self, positions, params: FusionParams):
-        """WBF of the gated sources at `positions`: one fused list per image, in image order."""
-        sets = [self._gated[p] for p in positions]
-        for k in range(len(self.target_image_ids)):
-            yield wbf([g[k] for g in sets], params)
 
     def quality(self, positions) -> float:
         """Consensus quality of the sources at `positions`, computed once per subset.
@@ -329,11 +325,13 @@ def weighted_fusion(
 ) -> dict[str, list[FusedBox]]:
     """Final consensus-weighted knowledge-vote pass over every target image.
 
-    Fuses the gated sets of `scorer` with the weights `report.alpha`; the
-    result maps every target image id, in target order, to its fused boxes.
+    Fuses the gated sets of `scorer` with `wbf` and the weights
+    `report.alpha`, image by image; the result maps every target image id,
+    in target order, to its fused boxes.
     """
     weights = tuple(report.alpha[s.source_id] for s in scorer.sources)
-    fused = scorer.fuse(
-        range(len(scorer.sources)), replace(scorer.params, model_weights=weights)
-    )
-    return dict(zip(scorer.target_image_ids, fused))
+    params = replace(scorer.params, model_weights=weights)
+    return {
+        iid: wbf([gated[k] for gated in scorer._gated], params)
+        for k, iid in enumerate(scorer.target_image_ids)
+    }

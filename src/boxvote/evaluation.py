@@ -7,16 +7,17 @@ IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
 Each evaluation matches once, and the metrics and the F1 curve share that
 match. `match_all` matches every detection, whatever its confidence: per
-(image, class) slice it computes every detection x ground-truth IoU once,
-and the greedy sweep for each of the ten IoU thresholds reads from those
-values. The sweep is prefix-stable: whether a detection matches depends
-only on the detections ranked above it in its slice (confidence descending,
-then ingestion order). Keeping the detections at or above a confidence
-keeps a prefix of every slice, so their matches are a prefix of the full
-matches, in the same order. So `evaluate` at threshold T reads the
-confidence-sorted rows at or above T, and `f1_curve` reads each grid point
-off cumulative true-positive counts in the IoU-0.5 column of the same rows
-(`MetricsReport.matches`).
+(image, class) slice it ranks the detections once and computes every
+detection x ground-truth IoU once, and one pass over the ranked detections
+gives each its flags at all ten IoU thresholds, each threshold with its own
+list of taken ground-truth boxes. The sweep is prefix-stable: whether a
+detection matches depends only on the detections ranked above it in its
+slice (confidence descending, then ingestion order). Keeping the detections
+at or above a confidence keeps a prefix of every slice, so their matches are
+a prefix of the full matches, in the same order. So `evaluate` at threshold
+T reads the confidence-sorted rows at or above T, and `f1_curve` reads each
+grid point off cumulative true-positive counts in the IoU-0.5 column of the
+same rows (`MetricsReport.matches`).
 """
 
 from __future__ import annotations
@@ -100,41 +101,38 @@ class F1Curve:
     points: list[tuple[float, dict[int, float], float]]
 
 
-def _rank_slice(dets, gt_boxes):
-    """Confidence order of one image / class slice, and each ranked
-    detection's overlapping ground-truth boxes as (iou, index), best first.
+def _match_slice(dets, gt_boxes) -> list[tuple]:
+    """One `(confidence, flag per MAP_IOU_THRESHOLDS...)` row per detection of
+    one image / class slice, in rank order: confidence descending, then
+    ingestion order.
 
-    Confidence ties rank by ingestion order, IoU ties by ground-truth index.
+    Each ranked detection lists its overlapping ground-truth boxes once, as
+    (iou, index), best first (IoU ties by ground-truth index). At each
+    threshold it takes the first box of that list that is untaken at that
+    threshold, if that box's IoU reaches the threshold.
     """
-    order = sorted(range(len(dets)), key=lambda k: (-dets[k].confidence, k))
-    candidates = []
-    for k in order:
+    taken = [[False] * len(gt_boxes) for _ in MAP_IOU_THRESHOLDS]
+    rows = []
+    for k in sorted(range(len(dets)), key=lambda k: (-dets[k].confidence, k)):
         d = dets[k]
-        row = []
+        candidates = []
         for g, gt in enumerate(gt_boxes):
             ov = iou(d, gt)
             if ov > 0.0:
-                row.append((ov, g))
-        row.sort(key=itemgetter(0), reverse=True)
-        candidates.append(row)
-    return order, candidates
-
-
-def _greedy_flags(candidates, num_gt: int, iou_thresh: float) -> list[bool]:
-    """Matched flag per ranked detection: each takes its best untaken
-    ground-truth box if that box's IoU reaches the threshold."""
-    taken = [False] * num_gt
-    flags = []
-    for row in candidates:
-        hit = False
-        for ov, g in row:
-            if not ov >= iou_thresh:
-                break
-            if not taken[g]:
-                taken[g] = hit = True
-                break
-        flags.append(hit)
-    return flags
+                candidates.append((ov, g))
+        candidates.sort(key=itemgetter(0), reverse=True)
+        row = [d.confidence]
+        for thresh, taken_at in zip(MAP_IOU_THRESHOLDS, taken):
+            hit = False
+            for ov, g in candidates:
+                if not ov >= thresh:
+                    break
+                if not taken_at[g]:
+                    taken_at[g] = hit = True
+                    break
+            row.append(hit)
+        rows.append(tuple(row))
+    return rows
 
 
 def average_precision(matched_flags, num_gt: int) -> float:
@@ -176,10 +174,7 @@ def match_all(fused, gt: GroundTruth) -> Matches:
     for image_id in sorted(fused):
         gt_by_cls = _by_class(gt.entries.get(image_id, ()), rows)
         for cls, dets in _by_class(fused[image_id], rows).items():
-            gt_boxes = gt_by_cls.get(cls, ())
-            order, candidates = _rank_slice(dets, gt_boxes)
-            columns = [_greedy_flags(candidates, len(gt_boxes), t) for t in MAP_IOU_THRESHOLDS]
-            rows[cls].extend(zip([dets[k].confidence for k in order], *columns))
+            rows[cls].extend(_match_slice(dets, gt_by_cls.get(cls, ())))
     for cls_rows in rows.values():
         cls_rows.sort(key=itemgetter(0), reverse=True)
     return Matches(counts, rows)

@@ -10,8 +10,9 @@ Boxes of different classes never interact. Every function is pure.
 NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
 boxes by class and sorts each group once, by the algorithm's priority; then
 one greedy pass runs over each group. All three break ties the same way:
-confidence descending (times the model weight, for WBF), then the box's
-source, then its position in its model's list, then model order.
+confidence descending (times the model weight, 1.0 for NMS and soft-NMS),
+then the box's source, then its position in its model's list, then model
+order.
 
 Each sweep visits a box's neighbours: the boxes that overlap it beyond a
 threshold, listed once per group by `_neighbours`, the one place that
@@ -162,11 +163,6 @@ def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates, flt: LabelSpaceFil
 TABLE_MIN = 32
 
 
-def _priority(item):
-    # confidence desc, then source, then position in the model's list
-    return (-item[0].confidence, item[0].source, item[1])
-
-
 def _source_order(item):
     return (item[0].source, item[1])
 
@@ -180,8 +176,10 @@ def _class_groups(weighted_sets, key):
 
     `weighted_sets` holds (boxes, weight) pairs in model order; an item is
     (box, index of the box in its set, weight). The sort is stable, so items
-    that `key` ties stay in model order. The sweeps read only those three
-    fields of an item, so consensus scoring appends the source's position.
+    that `key` ties stay in model order. `key` is `_weighted_priority`, which
+    NMS reads at weight 1.0 (`-(c * 1.0)` is `-c`), or `_source_order` for
+    soft-NMS. The sweeps read only those three fields of an item, so
+    consensus scoring appends the source's position.
     """
     by_class: dict[int, list] = {}
     for boxes, w in weighted_sets:
@@ -272,10 +270,10 @@ def _nms_keep(boxes, threshold: float) -> list[int]:
 def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
     """Greedy per-class suppression at params.iou_threshold."""
     kept = []
-    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _priority):
+    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _weighted_priority):
         boxes = [b for b, _, _ in group]
         kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
-    kept.sort(key=_priority)
+    kept.sort(key=_weighted_priority)
     return [item[0] for item in kept]
 
 
@@ -331,9 +329,9 @@ def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[B
             b, idx, _ = group[i]
             if c != b.confidence:
                 b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
-            out.append((b, idx))
-    out.sort(key=_priority)
-    return [b for b, _ in out]
+            out.append((b, idx, 1.0))
+    out.sort(key=_weighted_priority)
+    return [b for b, _, _ in out]
 
 
 _NO_SUMS = (0.0,) * 7

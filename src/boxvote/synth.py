@@ -91,6 +91,9 @@ def _check(spec: ScenarioSpec) -> None:
         raise ScenarioError("at least one class required")
     if not all(0 < c.frequency < math.inf for c in spec.classes):
         raise ScenarioError("class frequencies must be positive and finite")
+    class_ids = {c.id for c in spec.classes}
+    if len(class_ids) != len(spec.classes):
+        raise ScenarioError("duplicate class id")
     if not spec.sources:
         raise ScenarioError("at least one source required")
     for s in spec.sources:
@@ -102,6 +105,8 @@ def _check(spec: ScenarioSpec) -> None:
         if s.coord_noise < 0 or s.conf_std < 0 or s.fp_rate < 0:
             raise ScenarioError(f"source {s.name!r}: negative stddev or rate")
         for cls, p in s.detect_prob.items():
+            if cls not in class_ids:
+                raise ScenarioError(f"source {s.name!r}: detect_prob[{cls}] names no class")
             if not (0.0 <= p <= 1.0):
                 raise ScenarioError(
                     f"source {s.name!r}: detect_prob[{cls}] outside [0,1]"

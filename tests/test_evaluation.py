@@ -72,6 +72,19 @@ class TestMatchDetections:
         assert matched([e, d], [g0, g1], 0.6) == [(0.9, True), (0.8, True)]
         assert matched([e, d], [g1, g0], 0.6) == [(0.9, True), (0.8, False)]
 
+    def test_taken_sets_part_ways_across_thresholds(self):
+        # dyadic corners: A's IoU is exactly 0.625, B's 0.875. A takes the box
+        # at 0.50-0.60, so B finds it taken there; B takes it at 0.65-0.85
+        g = gt_box(0, 0, 1, 1)
+        a = det(0, 0, 0.625, 1, 0.9)
+        b = det(0, 0, 0.875, 1, 0.8)
+        assert (iou(a, g), iou(b, g)) == (0.625, 0.875)
+        rows = match_all({"img": [b, a]}, GroundTruth(entries={"img": (g,)})).rows[0]
+        assert rows == [
+            (0.9, *[True] * 3, *[False] * 7),
+            (0.8, *[False] * 3, *[True] * 5, *[False] * 2),
+        ]
+
 
 class TestAveragePrecision:
     def test_perfect_detector(self):
@@ -310,6 +323,11 @@ class TestMatchOnceAgainstOracle:
                 for cls, num_gt in counts.items():
                     flags = [[m for _, m in rows[cls]] for rows in by_thresh]
                     n_det = len(flags[0])
+                    # the kept prefix of the rows holds the oracle's flags at every threshold
+                    rows = report.matches.rows[cls]
+                    assert all(r[0] < conf for r in rows[n_det:])
+                    for col, want in enumerate(by_thresh, start=1):
+                        assert [(r[0], r[col]) for r in rows[:n_det]] == want[cls]
                     tp = sum(flags[0])
                     aps = [oracle_average_precision(f, num_gt) for f in flags]
                     got = report.per_class[cls]

@@ -84,6 +84,21 @@ class TestGenerate:
                 SourceSpec("bad", 10, {0: 1.5}),
             )))
 
+    def test_duplicate_class_id_rejected(self):
+        spec = simple_spec(
+            classes=(ClassSpec(0, 1.0), ClassSpec(0, 2.0)),
+            sources=(SourceSpec("s", 10, {0: 1.0}),),
+        )
+        with pytest.raises(ScenarioError, match="duplicate class id") as err:
+            generate(spec)
+        assert isinstance(err.value, ConfigError)  # the CLI's exit 2
+
+    def test_detect_prob_for_unknown_class_rejected(self):
+        spec = simple_spec(sources=(SourceSpec("typo", 10, {0: 1.0, 7: 0.0}),))
+        with pytest.raises(ScenarioError, match=r"'typo': detect_prob\[7\] names no class") as err:
+            generate(spec)
+        assert isinstance(err.value, ConfigError)  # the CLI's exit 2
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field", ["frequency", "coord_noise", "conf_mean", "conf_std", "fp_rate"]
