@@ -24,7 +24,6 @@ from .fusion import (
     ConfidenceGates,
     FusedBox,
     FusionParams,
-    LabelSpaceFilter,
     apply_gates,
     nms,
     soft_nms,
@@ -44,7 +43,6 @@ __all__ = [
     "FusionParams",
     "GroundTruth",
     "GroundTruthBox",
-    "LabelSpaceFilter",
     "Matches",
     "MetricsReport",
     "SourceDomain",

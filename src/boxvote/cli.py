@@ -20,15 +20,7 @@ from . import consensus as cf
 from . import data_io, synth
 from .errors import ConfigError, DataError
 from .evaluation import evaluate, f1_curve
-from .fusion import (
-    KEEP_ALL,
-    FusionParams,
-    apply_gates,
-    knowledge_vote,
-    nms,
-    soft_nms,
-    wbf,
-)
+from .fusion import FusionParams, apply_gates, knowledge_vote, nms, soft_nms, wbf
 
 FUSE_ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
@@ -51,17 +43,12 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     `per_image` maps each target image id to the list of boxes the algorithm
     returns for it. NMS and soft-NMS default to NMS_DEFAULT_IOU unless nms_iou
     overrides it; the manifest's iou_threshold governs WBF clustering. Only
-    `knowledge-vote` gates, so only its summary counts the boxes the gates drop.
+    `knowledge-vote` reads the manifest's gates and filter (`fusion.gates`), so
+    only its summary counts the boxes the gates drop.
     """
-    gates, flt = manifest.gates, manifest.label_filter
     # built per call, so the span wrappers that bench/spans.py sets on these
     # module names are the functions that run
-    fns = {
-        "nms": nms,
-        "soft-nms": soft_nms,
-        "wbf": wbf,
-        "knowledge-vote": lambda per_model, p: knowledge_vote(per_model, gates, flt, p),
-    }
+    fns = {"nms": nms, "soft-nms": soft_nms, "wbf": wbf, "knowledge-vote": knowledge_vote}
     if algorithm not in fns:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
     fuse = fns[algorithm]
@@ -75,7 +62,7 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
         n_boxes = sum(map(len, per_model))
         input_boxes += n_boxes
         if algorithm == "knowledge-vote":
-            kept = sum(len(apply_gates(boxes, gates, flt)) for boxes in per_model)
+            kept = sum(len(apply_gates(boxes, params.gates)) for boxes in per_model)
             gate_dropped += n_boxes - kept
         per_image[image_id] = fuse(per_model, params)
     summary = {
@@ -142,9 +129,7 @@ def write_scenario(scenario: synth.NamedScenario, out_dir) -> str:
         sources=sources,
         target_image_ids=synth.image_ids(scenario.spec.num_images),
         ground_truth_path="ground_truth.txt",
-        gates=scenario.gates,
-        label_filter=KEEP_ALL,
-        fusion=FusionParams(),
+        fusion=FusionParams(gates=scenario.gates),
         base_dir=str(out_dir),
     )
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -191,13 +176,11 @@ def run_consensus(manifest, ensemble, shapley=False):
     weighted pass fuses the same gated boxes.
     Returns `(report, fused)`, where `fused` maps every target image id, in
     target order, to its fused boxes, empty lists included: these are the
-    pseudo-labels. Too many sources for Shapley exit before any fusion.
+    pseudo-labels. Too many sources for Shapley exit in `read_subsets`, before
+    any gating or fusion.
     """
-    if shapley:
-        cf.check_shapley_size(len(ensemble.sources))
     scorer = cf.ConsensusScorer(
-        ensemble.sources, ensemble.target_image_ids,
-        manifest.gates, manifest.label_filter, manifest.fusion,
+        ensemble.sources, ensemble.target_image_ids, manifest.fusion,
         cf.read_subsets(len(ensemble.sources), shapley),
     )
     report = cf.consensus_focus_scores(scorer)

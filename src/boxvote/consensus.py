@@ -9,9 +9,9 @@ whose fused boxes are the pseudo-labels.
 All scoring goes through one `ConsensusScorer`, which does each piece of
 work once:
 
-- It gates every (source, target image) pair once, when it is built. The
-  knowledge vote is `apply_gates` followed by `wbf`, so fusing the gated
-  sets gives the knowledge vote's boxes.
+- It gates every (source, target image) pair once, when it is built, by
+  `params.gates`. The knowledge vote is `apply_gates` followed by `wbf`, so
+  fusing the gated sets gives the knowledge vote's boxes.
 - It scores every subset the run reads in one pass over the images, on the
   first quality read: the full set and each leave-one-out subset, and with
   `--shapley` every non-empty subset (7 for three sources, not the 11 reads).
@@ -32,8 +32,9 @@ work once:
 A scorer lives for one scoring run, and it is the only input of the
 scoring functions below: they read the sources, target ids, gated boxes
 and fusion params from it. `cli.run_consensus` builds one per call, names
-the subsets the call reads (`read_subsets`), and drops it after. Nothing is
-cached across calls.
+the subsets the call reads (`read_subsets`, which caps `--shapley` at
+`MAX_SHAPLEY_SOURCES` sources), and drops it after. Nothing is cached across
+calls.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from .errors import (
     EmptySubsetError,
 )
 from .fusion import (
-    ConfidenceGates,
     FusedBox,
     FusionParams,
-    LabelSpaceFilter,
     _wbf_fusions,
     _weighted_priority,
     apply_gates,
@@ -124,21 +123,13 @@ class ConsensusScorer:
     and drop it after.
     """
 
-    def __init__(
-        self,
-        sources,
-        target_image_ids,
-        gates: ConfidenceGates,
-        flt: LabelSpaceFilter,
-        params: FusionParams,
-        subsets=(),
-    ):
+    def __init__(self, sources, target_image_ids, params: FusionParams, subsets=()):
         self.sources = tuple(sources)
         self.target_image_ids = tuple(target_image_ids)
         self.params = params
-        # _gated[p][k]: the boxes of source p on image k that pass filter and gates
+        # _gated[p][k]: the boxes of source p on image k that pass params.gates
         self._gated = [
-            [apply_gates(s.for_image(iid), gates, flt) for iid in self.target_image_ids]
+            [apply_gates(s.for_image(iid), params.gates) for iid in self.target_image_ids]
             for s in self.sources
         ]
         self._unscored = {tuple(s) for s in subsets}
@@ -207,13 +198,7 @@ class ConsensusScorer:
         self._quality.update(zip(subsets, totals))
 
 
-def consensus_quality(
-    subset,
-    target_image_ids,
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-) -> float:
+def consensus_quality(subset, target_image_ids, params: FusionParams) -> float:
     """Sum of support_count * fused confidence over all images and fused boxes.
 
     Measured pre-weighting: the subset is fused with uniform weights and no
@@ -223,7 +208,7 @@ def consensus_quality(
     Not exported from the package: tests call it, and `bench/spans.py` wraps
     it by name.
     """
-    scorer = ConsensusScorer(subset, target_image_ids, gates, flt, params)
+    scorer = ConsensusScorer(subset, target_image_ids, params)
     return scorer.quality(range(len(scorer.sources)))
 
 
@@ -252,9 +237,11 @@ def consensus_focus_scores(scorer: ConsensusScorer) -> ContributionReport:
 
 def read_subsets(n_sources: int, shapley: bool) -> list[tuple[int, ...]]:
     """The subsets a scoring run reads, as positions: the full set and each
-    leave-one-out subset, or with `shapley` every non-empty subset."""
+    leave-one-out subset, or with `shapley` every non-empty subset, which
+    `check_shapley_size` caps."""
     everyone = tuple(range(n_sources))
     if shapley:
+        check_shapley_size(n_sources)
         return [c for r in range(1, n_sources + 1) for c in itertools.combinations(everyone, r)]
     return [everyone] + [everyone[:i] + everyone[i + 1 :] for i in everyone]
 
@@ -270,7 +257,8 @@ def check_shapley_size(n_sources: int) -> None:
 def shapley_scores(scorer: ConsensusScorer) -> dict[int, float]:
     """Exact Shapley value of consensus quality per source (small ensembles only).
 
-    Reads every subset's quality from `scorer`.
+    Reads every subset's quality from `scorer`. The size cap is checked here
+    too, for a scorer built without `read_subsets`.
     """
     sources = scorer.sources
     n = len(sources)

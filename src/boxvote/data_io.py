@@ -6,8 +6,10 @@ Detection files are plain text, one box per line:
 
 Pseudo-label files append the support count as an eighth column. Ground truth
 uses the same layout without the confidence column. The manifest is a single
-JSON document. All writers are deterministic: sorted keys, floats at 9
-significant digits, so identical inputs produce byte-identical files.
+JSON document; its `gates` and `filter` sections fill `FusionParams.gates`,
+and its `fusion` section the other fields of `EnsembleManifest.fusion`. All
+writers are deterministic: sorted keys, floats at 9 significant digits, so
+identical inputs produce byte-identical files.
 
 Each text format has one `%` template for its box lines (`_DETECTION_LINE`,
 `_PSEUDO_LABEL_LINE`, `_GROUND_TRUTH_LINE`): `%s` for the image id, class and
@@ -23,8 +25,10 @@ exact line (CLI exit 3), also for a byte that is not UTF-8. A file that
 cannot be read, such as one without read permission, raises ConfigError
 naming the path (CLI exit 2). A UTF-8 byte-order mark at the start of a
 file is skipped. Lines end at `\n`, `\r\n` or a lone `\r`; other
-whitespace, such as `\f`, only separates fields. Every writer opens its
-file with `open_output`.
+whitespace, such as `\f`, only separates fields. The contribution-report
+reader follows the same rules: ConfigError for a file it cannot read,
+ParseError for one it cannot parse. Every writer opens its file with
+`open_output`.
 """
 
 from __future__ import annotations
@@ -39,9 +43,7 @@ from dataclasses import dataclass
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
-from .fusion import (
-    KEEP_ALL, NO_GATES, ConfidenceGates, FusedBox, FusionParams, LabelSpaceFilter, fused_order,
-)
+from .fusion import NO_GATES, ConfidenceGates, FusedBox, FusionParams, fused_order
 from .geometry import Box, validate_box
 
 log = logging.getLogger(__name__)
@@ -302,9 +304,7 @@ class EnsembleManifest:
     sources: list[ManifestSource]
     target_image_ids: list[str] | None
     ground_truth_path: str | None
-    gates: ConfidenceGates
-    label_filter: LabelSpaceFilter
-    fusion: FusionParams
+    fusion: FusionParams  # its `gates` hold the manifest's gates and filter
     base_dir: str = "."
 
     def resolve(self, path: str) -> str:
@@ -445,20 +445,23 @@ def parse_manifest(path) -> EnsembleManifest:
     default_gate = _number(raw_gates.get("default", NO_GATES.default_gate), "default gate")
     if not (0.0 <= default_gate <= 1.0):
         raise ManifestError("default gate outside [0,1]")
-    gates = ConfidenceGates(gates=gates_map, default_gate=default_gate)
 
     raw_filter = _object(doc.get("filter", {}), _FILTER_KEYS, "filter")
-    mode = raw_filter.get("mode", KEEP_ALL.mode)
+    mode = raw_filter.get("mode", "keep_all")
     listed = _string_list(raw_filter.get("classes", []), "filter.classes")
-    filter_ids = set()
     for name in listed:
         if name not in class_ids:
             raise ManifestError(f"filter references unknown class {name!r}")
-        filter_ids.add(class_ids[name])
-    try:
-        label_filter = LabelSpaceFilter(mode=mode, classes=frozenset(filter_ids))
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+    if mode not in ("keep_all", "keep_listed"):
+        raise ManifestError(f"unknown filter mode {mode!r}")
+    if mode == "keep_all" and listed:
+        raise ManifestError("keep_all filter takes no classes; list them under keep_listed")
+    # an empty keep_listed filter is ConfidenceGates' ConfigError
+    gates = ConfidenceGates(
+        gates=gates_map,
+        default_gate=default_gate,
+        classes=frozenset(class_ids[name] for name in listed) if mode == "keep_listed" else None,
+    )
 
     raw_fusion = _object(doc.get("fusion", {}), _FUSION_KEYS, "fusion")
     weights = raw_fusion.get("model_weights")
@@ -481,6 +484,7 @@ def parse_manifest(path) -> EnsembleManifest:
         **numbers,
         model_weights=weights,
         confidence_rescale=raw_fusion.get("confidence_rescale", defaults.confidence_rescale),
+        gates=gates,
     )
 
     return EnsembleManifest(
@@ -488,8 +492,6 @@ def parse_manifest(path) -> EnsembleManifest:
         sources=sources,
         target_image_ids=None if image_ids is None else list(image_ids),
         ground_truth_path=gt_path,
-        gates=gates,
-        label_filter=label_filter,
         fusion=fusion,
         base_dir=base_dir,
     )
@@ -498,6 +500,7 @@ def parse_manifest(path) -> EnsembleManifest:
 def manifest_to_dict(manifest: EnsembleManifest) -> dict:
     """Manifest back to its JSON shape (relative paths preserved)."""
     id_to_name = {i: n for i, n in enumerate(manifest.classes)}
+    gates = manifest.fusion.gates
     doc: dict = {
         "classes": manifest.classes,
         "sources": [
@@ -510,14 +513,12 @@ def manifest_to_dict(manifest: EnsembleManifest) -> dict:
         ],
         "target": {},
         "gates": {
-            "default": manifest.gates.default_gate,
-            "per_class": {
-                id_to_name[i]: g for i, g in sorted(manifest.gates.gates.items())
-            },
+            "default": gates.default_gate,
+            "per_class": {id_to_name[i]: g for i, g in sorted(gates.gates.items())},
         },
         "filter": {
-            "mode": manifest.label_filter.mode,
-            "classes": sorted(id_to_name[i] for i in manifest.label_filter.classes),
+            "mode": "keep_all" if gates.classes is None else "keep_listed",
+            "classes": sorted(id_to_name[i] for i in gates.classes or ()),
         },
         "fusion": {
             "iou_threshold": manifest.fusion.iou_threshold,
@@ -598,19 +599,47 @@ def write_contribution_report(report, path) -> None:
     write_json(contribution_report_to_dict(report), path)
 
 
-def parse_contribution_report(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
-    report = ContributionReport(
-        q_full=doc["q_full"],
-        q_leave_one_out={int(k): v for k, v in doc["q_leave_one_out"].items()},
-        cf={int(k): v for k, v in doc["cf"].items()},
-        cf_clamped={int(k): v for k, v in doc["cf_clamped"].items()},
-        alpha={int(k): v for k, v in doc["alpha"].items()},
-        alpha_extended=doc["alpha_extended"],
-    )
-    if "shapley" in doc:
-        report.shapley = {int(k): v for k, v in doc["shapley"].items()}
+def _per_source(doc, key: str, where: str) -> dict[int, float]:
+    """A report section that maps source ids, as JSON object keys, to values."""
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ParseError(f"{key} must be an object, got {section!r}", where)
+    try:
+        return {int(k): v for k, v in section.items()}
+    except ValueError as exc:
+        raise ParseError(f"{key}: source id is not an integer: {exc}", where) from exc
+
+
+def parse_contribution_report(path) -> ContributionReport:
+    """Read `write_contribution_report`'s file back.
+
+    A file that cannot be read is a ConfigError naming the path (CLI exit 2);
+    invalid JSON, a missing key or a source id that is not an integer is a
+    ParseError naming it (CLI exit 3).
+    """
+    where = str(path)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read contribution report {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"not valid JSON: {exc}", where) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("a contribution report must be a JSON object", where)
+    try:
+        report = ContributionReport(
+            q_full=doc["q_full"],
+            q_leave_one_out=_per_source(doc, "q_leave_one_out", where),
+            cf=_per_source(doc, "cf", where),
+            cf_clamped=_per_source(doc, "cf_clamped", where),
+            alpha=_per_source(doc, "alpha", where),
+            alpha_extended=doc["alpha_extended"],
+        )
+        if "shapley" in doc:
+            report.shapley = _per_source(doc, "shapley", where)
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}", where) from exc
     return report
 
 

@@ -2,10 +2,12 @@
 
 All four have one call shape: `fn(per_model, params)`, where `per_model`
 holds one image's boxes as one box sequence per model, in model order, and
-each returns a list (`knowledge_vote` also takes the gates and the label
-filter): NMS and soft-NMS the `Box`es they keep, in the priority order below
-(soft-NMS by decayed confidence), WBF and the knowledge vote `FusedBox`es.
-Boxes of different classes never interact. Every function is pure.
+each returns a list: NMS and soft-NMS the `Box`es they keep, in the priority
+order below (soft-NMS by decayed confidence), WBF and the knowledge vote
+`FusedBox`es. Boxes of different classes never interact. Every function is
+pure. Only the knowledge vote reads `params.gates`, the relevance of each
+class in the target label space: which classes vote, and how confident a box
+of each must be. NMS, soft-NMS and WBF take every box.
 
 NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
 boxes by class and sorts each group once, by the algorithm's priority; then
@@ -65,35 +67,25 @@ from .geometry import Box, iou
 
 @dataclass(frozen=True)
 class ConfidenceGates:
-    """Per-class minimum confidences; classes absent from the map use default_gate."""
+    """The classes of the target label space that vote, and each one's minimum confidence.
+
+    `classes` lists the classes kept, and None keeps every class. A class
+    absent from `gates` uses `default_gate`.
+    """
 
     gates: dict[int, float] = field(default_factory=dict)
     default_gate: float = 0.0
+    classes: frozenset[int] | None = None
+
+    def __post_init__(self):
+        if self.classes is not None and not self.classes:
+            raise ConfigError(
+                "gates keep no class: a keep_listed filter needs at least one class")
 
     def gate(self, cls: int) -> float:
         return self.gates.get(cls, self.default_gate)
 
 
-@dataclass(frozen=True)
-class LabelSpaceFilter:
-    """Restriction of the target label space: keep everything or a listed subset."""
-
-    mode: str = "keep_all"  # keep_all | keep_listed
-    classes: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.mode not in ("keep_all", "keep_listed"):
-            raise ValueError(f"unknown filter mode {self.mode!r}")
-        if self.mode == "keep_listed" and not self.classes:
-            raise ValueError("keep_listed filter requires a non-empty class set")
-        if self.mode == "keep_all" and self.classes:
-            raise ValueError("keep_all filter takes no classes; list them under keep_listed")
-
-    def keeps(self, cls: int) -> bool:
-        return self.mode == "keep_all" or cls in self.classes
-
-
-KEEP_ALL = LabelSpaceFilter()
 NO_GATES = ConfidenceGates()
 
 
@@ -101,9 +93,11 @@ NO_GATES = ConfidenceGates()
 class FusionParams:
     """Parameter bundle shared by all fusion algorithms.
 
-    Every value rule is checked here, so each instance is valid, also one made
-    by `dataclasses.replace`; NaN fails every check. `wbf` checks the number of
-    weights, which depends on the call.
+    Every value rule of the numbers and weights is checked here, so each
+    instance is valid, also one made by `dataclasses.replace`; NaN fails every
+    check. `wbf` checks the number of weights, which depends on the call. The
+    gate values are checked where they are read, by `data_io.parse_manifest`,
+    whose message names the class.
     """
 
     iou_threshold: float = 0.55
@@ -111,6 +105,7 @@ class FusionParams:
     score_floor: float = 0.001
     model_weights: tuple[float, ...] | None = None  # None = uniform
     confidence_rescale: str = "none"  # none | support_ratio
+    gates: ConfidenceGates = NO_GATES  # read by knowledge_vote and consensus scoring
 
     def __post_init__(self):
         weights = self.model_weights
@@ -152,9 +147,11 @@ def fused_order(f) -> tuple:
     return (-f.confidence, f.cls, f.x1, f.y1, f.x2, f.y2)
 
 
-def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates, flt: LabelSpaceFilter) -> tuple:
-    """The boxes whose class passes the filter and whose confidence >= its gate."""
-    return tuple(b for b in boxes if flt.keeps(b.cls) and b.confidence >= gates.gate(b.cls))
+def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates) -> tuple:
+    """The boxes, in input order, whose class the gates keep and whose confidence >= its gate."""
+    classes = gates.classes
+    return tuple(b for b in boxes
+                 if (classes is None or b.cls in classes) and b.confidence >= gates.gate(b.cls))
 
 
 # `_neighbours` lists a class group of at least this many boxes with `_overlaps`,
@@ -489,11 +486,6 @@ def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedB
     return fused
 
 
-def knowledge_vote(
-    per_model: Sequence[Iterable[Box]],
-    gates: ConfidenceGates,
-    flt: LabelSpaceFilter,
-    params: FusionParams,
-) -> list[FusedBox]:
-    """Class-gated, support-counting WBF: gate each model's boxes, then fuse."""
-    return wbf([apply_gates(boxes, gates, flt) for boxes in per_model], params)
+def knowledge_vote(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
+    """Class-gated, support-counting WBF: gate each model's boxes by params.gates, then fuse."""
+    return wbf([apply_gates(boxes, params.gates) for boxes in per_model], params)

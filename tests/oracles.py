@@ -171,9 +171,7 @@ def fused_box_key(f):
     return (f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count)
 
 
-def oracle_consensus_quality(
-    subset, target_image_ids, gates, flt, iou_threshold
-) -> float:
+def oracle_consensus_quality(subset, target_image_ids, gates, iou_threshold) -> float:
     """Explicit re-derivation of the subset consensus quality.
 
     Gating, greedy first-fit clustering against the running fused box, and
@@ -188,7 +186,7 @@ def oracle_consensus_quality(
             if dets is None:
                 continue
             for idx, b in enumerate(dets.boxes):
-                if not flt.keeps(b.cls):
+                if gates.classes is not None and b.cls not in gates.classes:
                     continue
                 if b.confidence < gates.gates.get(b.cls, gates.default_gate):
                     continue

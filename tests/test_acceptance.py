@@ -25,13 +25,7 @@ from boxvote.consensus import (
     consensus_quality,
 )
 from boxvote.evaluation import average_precision, evaluate
-from boxvote.fusion import (
-    ConfidenceGates,
-    FusionParams,
-    KEEP_ALL,
-    knowledge_vote,
-    wbf,
-)
+from boxvote.fusion import ConfidenceGates, FusionParams, knowledge_vote, wbf
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import generate, reference_scenarios, scaled
 from oracles import (
@@ -84,10 +78,10 @@ def test_c01_consensus_quality_matches_bruteforce_oracle():
     for _ in range(25):
         ens = _random_ensemble(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
         got = consensus_quality(
-            list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids, PARAMS
         )
         want = oracle_consensus_quality(
-            list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL,
+            list(ens.sources), ens.target_image_ids, NO_GATES,
             PARAMS.iou_threshold,
         )
         assert got == pytest.approx(want, abs=1e-12)
@@ -124,13 +118,14 @@ def test_c02_weight_simplex_and_worked_example():
 def test_c03_leave_one_out_consistency_on_reference_scenarios():
     for name in ("three_good", "two_good_one_poison", "long_tail_gated"):
         scenario, _, ensemble = _ensemble_from_scenario(name)
+        params = FusionParams(gates=scenario.gates)
         report = consensus_focus_scores(ConsensusScorer(
-            ensemble.sources, ensemble.target_image_ids, scenario.gates, KEEP_ALL, PARAMS
+            ensemble.sources, ensemble.target_image_ids, params
         ))
         for i, src in enumerate(ensemble.sources):
             rest = list(ensemble.sources[:i]) + list(ensemble.sources[i + 1 :])
             direct = consensus_quality(
-                rest, ensemble.target_image_ids, scenario.gates, KEEP_ALL, PARAMS
+                rest, ensemble.target_image_ids, params
             )
             assert report.q_leave_one_out[src.source_id] == direct
     _ok(3, "leave-one-out qualities equal direct subset calls exactly "
@@ -141,7 +136,7 @@ def test_c04_poisonous_source_detection():
     start = time.perf_counter()
     scenario, gt, ensemble = _ensemble_from_scenario("two_good_one_poison")
     scorer = ConsensusScorer(
-        ensemble.sources, ensemble.target_image_ids, scenario.gates, KEEP_ALL, PARAMS
+        ensemble.sources, ensemble.target_image_ids, FusionParams(gates=scenario.gates)
     )
     report = consensus_focus_scores(scorer)
     report = compute_weights(
@@ -228,7 +223,7 @@ def test_c06_fusion_algebra_property_suites():
     # uniform-weight reduction: zero-gated knowledge vote is plain WBF
     for _ in range(1000):
         ms = models(int(rng.integers(1, 4)))
-        kv = knowledge_vote(ms, NO_GATES, KEEP_ALL, PARAMS)
+        kv = knowledge_vote(ms, PARAMS)
         assert sorted(kv, key=fused_box_key) == sorted(wbf(ms, PARAMS), key=fused_box_key)
 
     # weight-scale invariance (exact for power-of-two scale factors)
@@ -259,8 +254,8 @@ def test_c06_fusion_algebra_property_suites():
         gates = ConfidenceGates(
             gates={0: float(rng.uniform(0, 1))}, default_gate=float(rng.uniform(0, 1))
         )
-        once = apply_gates(dets, gates, KEEP_ALL)
-        assert apply_gates(once, gates, KEEP_ALL) == once
+        once = apply_gates(dets, gates)
+        assert apply_gates(once, gates) == once
 
     _ok(6, "identity / reduction / scale / permutation / idempotence suites, "
            "1000 randomized instances each, exact multiset equality")

@@ -230,13 +230,15 @@ class TestConsensus:
         mpath = tmp_path / "wide.json"
         mpath.write_text(json.dumps(doc))
         calls = []
-        wbf = consensus.wbf
+        wbf, apply_gates = consensus.wbf, consensus.apply_gates
         monkeypatch.setattr(consensus, "wbf", lambda *a: calls.append(a) or wbf(*a))
+        monkeypatch.setattr(consensus, "apply_gates",
+                            lambda *a: calls.append(a) or apply_gates(*a))
         out = tmp_path / "o"
         rc = main(["consensus", "--manifest", str(mpath), "--out", str(out), "--shapley"])
         assert rc == 2
         assert f"got {consensus.MAX_SHAPLEY_SOURCES + 1}" in capsys.readouterr().err
-        assert len(calls) == 0
+        assert len(calls) == 0  # neither gated nor fused
         assert not out.exists()
 
 

@@ -21,14 +21,7 @@ from boxvote.consensus import (
     weighted_fusion,
 )
 from boxvote.errors import ConfigError, DegenerateEnsembleError, EmptySubsetError
-from boxvote.fusion import (
-    KEEP_ALL,
-    ConfidenceGates,
-    FusionParams,
-    LabelSpaceFilter,
-    apply_gates,
-    knowledge_vote,
-)
+from boxvote.fusion import ConfidenceGates, FusionParams, apply_gates, knowledge_vote
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import generate, reference_scenarios
 from oracles import fused_box_key, oracle_consensus_quality, oracle_weights, random_box
@@ -49,8 +42,8 @@ def domain(source_id, dets_per_image, name=None, size=1):
     )
 
 
-def make_scorer(ens, gates=NO_GATES, flt=KEEP_ALL, params=PARAMS):
-    return ConsensusScorer(ens.sources, ens.target_image_ids, gates, flt, params)
+def make_scorer(ens, params=PARAMS):
+    return ConsensusScorer(ens.sources, ens.target_image_ids, params)
 
 
 def random_ensemble(rng, n_sources, n_images, max_boxes=5):
@@ -73,35 +66,35 @@ class TestConsensusQuality:
         b1 = Box(cls=0, x1=0, y1=0, x2=1, y2=1, confidence=0.8, source=1)
         b2 = Box(cls=0, x1=0, y1=0, x2=1, y2=1, confidence=0.6, source=2)
         subset = [domain(1, {"img": [b1]}), domain(2, {"img": [b2]})]
-        q = consensus_quality(subset, ["img"], NO_GATES, KEEP_ALL, PARAMS)
+        q = consensus_quality(subset, ["img"], PARAMS)
         assert q == pytest.approx(2 * 0.7, abs=1e-12)
 
     def test_fully_gated_subset_is_zero(self):
         b = Box(cls=0, x1=0, y1=0, x2=1, y2=1, confidence=0.4, source=1)
         subset = [domain(1, {"img": [b]})]
         gates = ConfidenceGates(default_gate=0.9)
-        assert consensus_quality(subset, ["img"], gates, KEEP_ALL, PARAMS) == 0.0
+        assert consensus_quality(subset, ["img"], replace(PARAMS, gates=gates)) == 0.0
 
     def test_single_model_single_box(self):
         b = Box(cls=0, x1=0, y1=0, x2=1, y2=1, confidence=0.37, source=1)
         subset = [domain(1, {"img": [b]})]
-        assert consensus_quality(subset, ["img"], NO_GATES, KEEP_ALL, PARAMS) == 0.37
+        assert consensus_quality(subset, ["img"], PARAMS) == 0.37
 
     def test_empty_subset_raises(self):
         with pytest.raises(EmptySubsetError):
-            consensus_quality([], ["img"], NO_GATES, KEEP_ALL, PARAMS)
+            consensus_quality([], ["img"], PARAMS)
 
     def test_additivity_over_image_partitions(self):
         rng = np.random.default_rng(51)
         ens = random_ensemble(rng, 3, 6)
         full = consensus_quality(
-            list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids, PARAMS
         )
         first = consensus_quality(
-            list(ens.sources), ens.target_image_ids[:2], NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids[:2], PARAMS
         )
         rest = consensus_quality(
-            list(ens.sources), ens.target_image_ids[2:], NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids[2:], PARAMS
         )
         assert full == pytest.approx(first + rest, abs=1e-12)
 
@@ -110,10 +103,10 @@ class TestConsensusQuality:
         for _ in range(30):
             ens = random_ensemble(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6)))
             got = consensus_quality(
-                list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+                list(ens.sources), ens.target_image_ids, PARAMS
             )
             want = oracle_consensus_quality(
-                list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL,
+                list(ens.sources), ens.target_image_ids, NO_GATES,
                 PARAMS.iou_threshold,
             )
             assert got == pytest.approx(want, abs=1e-12)
@@ -152,7 +145,7 @@ class TestConsensusFocusScores:
             target_image_ids=("img",),
         )
         gates = ConfidenceGates(default_gate=0.5)  # source 2 fully gated out
-        report = consensus_focus_scores(make_scorer(ens, gates))
+        report = consensus_focus_scores(make_scorer(ens, replace(PARAMS, gates=gates)))
         assert report.q_leave_one_out[2] == report.q_full
         assert report.cf[2] == 0.0
         assert report.cf_clamped[2] == CF_EPSILON
@@ -164,7 +157,7 @@ class TestConsensusFocusScores:
         for i, src in enumerate(ens.sources):
             rest = list(ens.sources[:i]) + list(ens.sources[i + 1 :])
             direct = consensus_quality(
-                rest, ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+                rest, ens.target_image_ids, PARAMS
             )
             assert report.q_leave_one_out[src.source_id] == direct
 
@@ -175,19 +168,19 @@ class TestConsensusFocusScores:
             sources=tuple(domains),
             target_image_ids=tuple(sorted(domains[0].detections)),
         )
-        report = consensus_focus_scores(make_scorer(ens, scenario.gates))
+        report = consensus_focus_scores(make_scorer(ens, replace(PARAMS, gates=scenario.gates)))
         poison_id = 3
         assert report.cf[poison_id] < min(report.cf[1], report.cf[2])
         # cross-check all four subset qualities against the brute-force oracle
         want_full = oracle_consensus_quality(
-            list(ens.sources), ens.target_image_ids, scenario.gates, KEEP_ALL,
+            list(ens.sources), ens.target_image_ids, scenario.gates,
             PARAMS.iou_threshold,
         )
         assert report.q_full == pytest.approx(want_full, abs=1e-9)
         for i in range(3):
             rest = [s for j, s in enumerate(ens.sources) if j != i]
             want = oracle_consensus_quality(
-                rest, ens.target_image_ids, scenario.gates, KEEP_ALL,
+                rest, ens.target_image_ids, scenario.gates,
                 PARAMS.iou_threshold,
             )
             assert report.q_leave_one_out[i + 1] == pytest.approx(want, abs=1e-9)
@@ -252,17 +245,24 @@ class TestComputeWeights:
 
 
 class TestShapley:
+    def test_read_subsets_caps_enumeration(self):
+        n = consensus.MAX_SHAPLEY_SOURCES
+        assert len(consensus.read_subsets(n, shapley=True)) == 2**n - 1
+        assert len(consensus.read_subsets(n + 1, shapley=False)) == n + 2
+        with pytest.raises(DegenerateEnsembleError, match=f"got {n + 1}"):
+            consensus.read_subsets(n + 1, shapley=True)
+
     def test_two_sources_matches_marginal_average(self):
         rng = np.random.default_rng(81)
         ens = random_ensemble(rng, 2, 3)
         q12 = consensus_quality(
-            list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids, PARAMS
         )
         q1 = consensus_quality(
-            [ens.sources[0]], ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            [ens.sources[0]], ens.target_image_ids, PARAMS
         )
         q2 = consensus_quality(
-            [ens.sources[1]], ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            [ens.sources[1]], ens.target_image_ids, PARAMS
         )
         phi = shapley_scores(make_scorer(ens))
         assert phi[1] == pytest.approx((q1 + (q12 - q2)) / 2, abs=1e-12)
@@ -273,7 +273,7 @@ class TestShapley:
         ens = random_ensemble(rng, 3, 3)
         phi = shapley_scores(make_scorer(ens))
         q_full = consensus_quality(
-            list(ens.sources), ens.target_image_ids, NO_GATES, KEEP_ALL, PARAMS
+            list(ens.sources), ens.target_image_ids, PARAMS
         )
         assert sum(phi.values()) == pytest.approx(q_full, abs=1e-9)
 
@@ -290,8 +290,7 @@ class TestWeightedFusion:
         fused = self._weighted(ens, {1: 0.25, 2: 0.25, 3: 0.25})
         uparams = FusionParams(model_weights=(1.0, 1.0, 1.0))
         for iid in ens.target_image_ids:
-            plain = knowledge_vote([s.for_image(iid) for s in ens.sources], NO_GATES,
-                                   KEEP_ALL, uparams)
+            plain = knowledge_vote([s.for_image(iid) for s in ens.sources], uparams)
             got = sorted(fused[iid], key=fused_box_key)
             want = sorted(plain, key=fused_box_key)
             assert len(got) == len(want)
@@ -306,8 +305,7 @@ class TestWeightedFusion:
         fused = self._weighted(ens, {1: 0.5, 2: 0.5, 3: 0.0})
         uparams = FusionParams(model_weights=(0.5, 0.5))
         for iid in ens.target_image_ids:
-            want = knowledge_vote([s.for_image(iid) for s in ens.sources[:2]], NO_GATES,
-                                  KEEP_ALL, uparams)
+            want = knowledge_vote([s.for_image(iid) for s in ens.sources[:2]], uparams)
             assert sorted(fused[iid], key=fused_box_key) == sorted(want, key=fused_box_key)
 
 
@@ -326,13 +324,13 @@ class TestWeightedFusionQuality:
             sources=tuple(domains),
             target_image_ids=tuple(sorted(domains[0].detections)),
         )
-        report = consensus_focus_scores(make_scorer(ens, scenario.gates))
+        report = consensus_focus_scores(make_scorer(ens, replace(PARAMS, gates=scenario.gates)))
         report = compute_weights(
             report,
             {s.source_id: s.dataset_size for s in ens.sources},
             len(ens.target_image_ids),
         )
-        weighted = weighted_fusion(make_scorer(ens, scenario.gates), report)
+        weighted = weighted_fusion(make_scorer(ens, replace(PARAMS, gates=scenario.gates)), report)
 
         def best_match(boxes, g):
             candidates = [b for b in boxes if b.cls == g.cls and iou(b, g) >= 0.5]
@@ -341,7 +339,7 @@ class TestWeightedFusionQuality:
         compared = 0
         for iid in ens.target_image_ids:
             plain = knowledge_vote(
-                [s.for_image(iid) for s in ens.sources], scenario.gates, KEEP_ALL, PARAMS
+                [s.for_image(iid) for s in ens.sources], replace(PARAMS, gates=scenario.gates)
             )
             for g in gt.entries[iid]:
                 w = best_match(weighted[iid], g)
@@ -357,8 +355,8 @@ class TestPseudoLabels:
     """The weighted pass's fused dict is the pseudo-label set, written as it is."""
 
     def _run(self):
-        ens, gates, flt, params = scoring_case(3)
-        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        ens, params = scoring_case(3)
+        manifest = SimpleNamespace(fusion=params)
         return ens, *run_consensus(manifest, ens)
 
     def test_run_consensus_returns_every_target_image(self):
@@ -395,9 +393,9 @@ SCORING_CASES = [(2, "none", 101), (3, "support_ratio", 102), (4, "none", 103)]
 
 
 def scoring_case(n_sources, rescale="none", seed=100):
-    """A seeded ensemble, gates, filter and params with every case scoring must handle.
+    """A seeded ensemble and params with every case scoring must handle.
 
-    Per-class gates and a default gate; a keep_listed filter that drops
+    Per-class gates and a default gate; gates that keep classes 0-2 and drop
     class 3; source 1 lacks img1 and no source has img5; every other source
     repeats source 1's img0 boxes at the same confidence (ties across
     sources).
@@ -419,13 +417,11 @@ def scoring_case(n_sources, rescale="none", seed=100):
             dets["img0"] += [b._replace(source=i) for b in first]
         sources.append(domain(i, dets, size=int(rng.integers(1, 200))))
     ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
-    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1)
-    flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({0, 1, 2}))
-    params = FusionParams(iou_threshold=0.5, confidence_rescale=rescale)
-    return ens, gates, flt, params
+    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1, classes=frozenset({0, 1, 2}))
+    return ens, FusionParams(iou_threshold=0.5, confidence_rescale=rescale, gates=gates)
 
 
-def knowledge_vote_quality(subset, ens, gates, flt, params):
+def knowledge_vote_quality(subset, ens, params):
     """Consensus quality summed over per-image knowledge votes, re-gating each time."""
     uniform = replace(
         params, model_weights=(1.0,) * len(subset), confidence_rescale="none"
@@ -433,7 +429,7 @@ def knowledge_vote_quality(subset, ens, gates, flt, params):
     total = 0.0
     for iid in ens.target_image_ids:
         per_model = [s.for_image(iid) for s in subset]
-        for fb in knowledge_vote(per_model, gates, flt, uniform):
+        for fb in knowledge_vote(per_model, uniform):
             total += fb.support_count * fb.confidence
     return total
 
@@ -445,27 +441,27 @@ def without(ens, i):
 class TestSharedScoring:
     @pytest.mark.parametrize("n_sources,rescale,seed", SCORING_CASES)
     def test_run_consensus_equals_independent_calls(self, n_sources, rescale, seed):
-        ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
-        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        ens, params = scoring_case(n_sources, rescale, seed)
+        manifest = SimpleNamespace(fusion=params)
         report, fused = run_consensus(manifest, ens, shapley=True)
 
-        want = consensus_focus_scores(make_scorer(ens, gates, flt, params))
+        want = consensus_focus_scores(make_scorer(ens, params))
         want = compute_weights(
             want,
             {s.source_id: s.dataset_size for s in ens.sources},
             len(ens.target_image_ids),
         )
-        want.shapley = shapley_scores(make_scorer(ens, gates, flt, params))
+        want.shapley = shapley_scores(make_scorer(ens, params))
         for name in ("q_full", "q_leave_one_out", "cf", "cf_clamped", "alpha",
                      "alpha_extended", "shapley"):
             assert getattr(report, name) == getattr(want, name), name
-        assert fused == weighted_fusion(make_scorer(ens, gates, flt, params), want)
+        assert fused == weighted_fusion(make_scorer(ens, params), want)
 
         # the same floats as re-gating and knowledge-voting every subset
-        assert report.q_full == knowledge_vote_quality(ens.sources, ens, gates, flt, params)
+        assert report.q_full == knowledge_vote_quality(ens.sources, ens, params)
         for i, src in enumerate(ens.sources):
             assert report.q_leave_one_out[src.source_id] == knowledge_vote_quality(
-                without(ens, i), ens, gates, flt, params
+                without(ens, i), ens, params
             )
         weighted = replace(
             params, model_weights=tuple(report.alpha[s.source_id] for s in ens.sources)
@@ -473,25 +469,25 @@ class TestSharedScoring:
         assert list(fused) == list(ens.target_image_ids)
         for iid in ens.target_image_ids:
             per_model = [s.for_image(iid) for s in ens.sources]
-            assert fused[iid] == knowledge_vote(per_model, gates, flt, weighted)
+            assert fused[iid] == knowledge_vote(per_model, weighted)
 
     @pytest.mark.parametrize("n_sources,rescale,seed", SCORING_CASES)
     def test_qualities_match_bruteforce_oracle(self, n_sources, rescale, seed):
-        ens, gates, flt, params = scoring_case(n_sources, rescale, seed)
-        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        ens, params = scoring_case(n_sources, rescale, seed)
+        manifest = SimpleNamespace(fusion=params)
         report, _ = run_consensus(manifest, ens, shapley=True)
         want = oracle_consensus_quality(
-            list(ens.sources), ens.target_image_ids, gates, flt, params.iou_threshold
+            list(ens.sources), ens.target_image_ids, params.gates, params.iou_threshold
         )
         assert report.q_full == pytest.approx(want, abs=1e-12)  # c01's tolerance
         for i, src in enumerate(ens.sources):
             want = oracle_consensus_quality(
-                without(ens, i), ens.target_image_ids, gates, flt, params.iou_threshold
+                without(ens, i), ens.target_image_ids, params.gates, params.iou_threshold
             )
             assert report.q_leave_one_out[src.source_id] == pytest.approx(want, abs=1e-12)
 
     def test_gates_once_and_clusters_each_distinct_restriction_once(self, monkeypatch):
-        ens, gates, flt, params = scoring_case(3)
+        ens, params = scoring_case(3)
         calls = Counter()
         clustered = []  # (class, boxes) of each class group the quality pass clusters
         fusions = consensus._wbf_fusions
@@ -512,7 +508,7 @@ class TestSharedScoring:
         monkeypatch.setattr(
             consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
         )
-        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        manifest = SimpleNamespace(fusion=params)
         run_consensus(manifest, ens, shapley=True)
         images = len(ens.target_image_ids)
         assert calls["wbf"] == images  # the weighted pass only
@@ -524,7 +520,7 @@ class TestSharedScoring:
         want = Counter()
         restricted = 0
         for iid in ens.target_image_ids:
-            gated = [apply_gates(s.for_image(iid), gates, flt) for s in ens.sources]
+            gated = [apply_gates(s.for_image(iid), params.gates) for s in ens.sources]
             distinct = set()
             for cls in {b.cls for boxes in gated for b in boxes}:
                 for subset in subsets:
@@ -538,7 +534,7 @@ class TestSharedScoring:
 
     @pytest.mark.parametrize("shapley,scored", [(False, 6), (True, 31)])
     def test_five_sources_score_only_the_subsets_read(self, monkeypatch, shapley, scored):
-        ens, gates, flt, params = scoring_case(5)
+        ens, params = scoring_case(5)
         passes = []
         score = ConsensusScorer._score
 
@@ -547,7 +543,7 @@ class TestSharedScoring:
             return score(self, subsets)
 
         monkeypatch.setattr(ConsensusScorer, "_score", recording)
-        manifest = SimpleNamespace(gates=gates, label_filter=flt, fusion=params)
+        manifest = SimpleNamespace(fusion=params)
         report, _ = run_consensus(manifest, ens, shapley=shapley)
         assert len(passes) == 1 and len(passes[0]) == scored
         everyone = tuple(range(5))
@@ -575,7 +571,7 @@ class TestTieOrder:
                 target_image_ids=("i",),
             )
             got = make_scorer(ens, params=params).quality((0, 1, 2))
-            assert got == knowledge_vote_quality(ens.sources, ens, NO_GATES, KEEP_ALL, params)
+            assert got == knowledge_vote_quality(ens.sources, ens, params)
             return got
 
         assert quality([a], [b], [c, d]) != quality([b], [a], [c, d])
@@ -591,7 +587,7 @@ class TestTieOrder:
             target_image_ids=("i",),
         )
         got = make_scorer(ens).quality((0, 1))
-        assert got == knowledge_vote_quality(ens.sources, ens, NO_GATES, KEEP_ALL, PARAMS)
+        assert got == knowledge_vote_quality(ens.sources, ens, PARAMS)
         assert got == (0.9 + 0.3) + 2 * 0.3 != (0.9 + 2 * 0.3) + 0.3
 
 
@@ -603,8 +599,8 @@ def tied_case(n_sources, seed):
     starts its list with shifted copies of a shared list of boxes, at the
     same confidence, source and mostly index, so model order breaks their
     ties. img5 is missing from every source and img4 is an empty list in
-    every source; source 1 lacks img3. Per-class gates and a keep_listed
-    filter that drops class 3.
+    every source; source 1 lacks img3. Per-class gates, and gates that keep
+    classes 0-2 and drop class 3.
     """
     rng = np.random.default_rng(seed)
     ids = tuple(f"img{j}" for j in range(6))
@@ -635,22 +631,21 @@ def tied_case(n_sources, seed):
             del dets["img3"]
         sources.append(domain(i, dets))
     ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
-    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1)
-    flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({0, 1, 2}))
-    return ens, gates, flt, FusionParams(iou_threshold=0.5)
+    gates = ConfidenceGates(gates={0: 0.3, 2: 0.55}, default_gate=0.1, classes=frozenset({0, 1, 2}))
+    return ens, FusionParams(iou_threshold=0.5, gates=gates)
 
 
 @pytest.mark.parametrize("n_sources", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_every_subset_quality_matches_knowledge_vote_and_oracle(n_sources, seed):
-    ens, gates, flt, params = tied_case(n_sources, seed)
+    ens, params = tied_case(n_sources, seed)
     subsets = consensus.read_subsets(n_sources, shapley=True)
-    scorer = ConsensusScorer(ens.sources, ens.target_image_ids, gates, flt, params, subsets)
-    one_by_one = make_scorer(ens, gates, flt, params)  # a pass per subset read
+    scorer = ConsensusScorer(ens.sources, ens.target_image_ids, params, subsets)
+    one_by_one = make_scorer(ens, params)  # a pass per subset read
     for subset in subsets:
         sources = [ens.sources[p] for p in subset]
         got = scorer.quality(subset)
-        assert got == knowledge_vote_quality(sources, ens, gates, flt, params)
+        assert got == knowledge_vote_quality(sources, ens, params)
         assert got == one_by_one.quality(subset)
-        want = oracle_consensus_quality(sources, ens.target_image_ids, gates, flt, 0.5)
+        want = oracle_consensus_quality(sources, ens.target_image_ids, params.gates, 0.5)
         assert got == pytest.approx(want, abs=1e-12)  # c01's tolerance

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from boxvote import data_io
 from boxvote.consensus import ContributionReport
-from boxvote.errors import ManifestError, ParseError
+from boxvote.errors import ConfigError, ManifestError, ParseError
 from boxvote.evaluation import F1Curve
 from boxvote.fusion import FusedBox, FusionParams, fused_order, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
@@ -388,7 +388,7 @@ def minimal_manifest(tmp_path, **overrides):
 class TestManifest:
     def test_minimal_defaults(self, tmp_path):
         m = data_io.parse_manifest(minimal_manifest(tmp_path))
-        assert m.gates.default_gate == 0.0
+        assert m.fusion.gates.default_gate == 0.0
         assert m.sources[0].dataset_size == 1  # documented default
         assert m.fusion.iou_threshold == 0.55
 
@@ -412,8 +412,8 @@ class TestManifest:
             tmp_path, gates={"default": 0.8, "per_class": {"person": 0.5}}
         )
         m = data_io.parse_manifest(p)
-        assert m.gates.gate(1) == 0.5
-        assert m.gates.gate(0) == 0.8
+        assert m.fusion.gates.gate(1) == 0.5
+        assert m.fusion.gates.gate(0) == 0.8
 
     def test_round_trip(self, tmp_path):
         for overrides in [
@@ -426,8 +426,8 @@ class TestManifest:
             data_io.write_manifest(m, out)
             again = data_io.parse_manifest(out)
             assert data_io.manifest_to_dict(again) == data_io.manifest_to_dict(m)
-            assert (again.label_filter, again.fusion) == (m.label_filter, m.fusion)
-        assert again.label_filter.classes == {1}
+            assert again.fusion == m.fusion
+        assert again.fusion.gates.classes == frozenset({1})  # keep_listed: ["person"]
         assert again.fusion.model_weights == (2.5,)
 
     def test_load_ensemble_assigns_source_ids(self, tmp_path):
@@ -488,6 +488,25 @@ class TestReports:
         back = data_io.parse_contribution_report(p)
         assert back.alpha == r.alpha
         assert back.q_leave_one_out == r.q_leave_one_out
+
+    def test_unreadable_contribution_report_is_config_error(self, tmp_path):
+        p = tmp_path / "missing.json"
+        with pytest.raises(ConfigError, match=f"cannot read contribution report {p}"):
+            data_io.parse_contribution_report(p)
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda text: text[:-3], "not valid JSON"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "cf"}),
+         "missing key 'cf'"),
+        (lambda text: text.replace('"1":', '"one":'), "source id is not an integer"),
+    ], ids=["invalid JSON", "missing key", "non-integer source id"])
+    def test_malformed_contribution_report_is_parse_error(self, tmp_path, edit, needle):
+        p = tmp_path / "r.json"
+        data_io.write_contribution_report(self._report(), p)
+        p.write_text(edit(p.read_text()))
+        with pytest.raises(ParseError, match=needle) as exc:
+            data_io.parse_contribution_report(p)
+        assert exc.value.path == str(p)
 
     def test_f1_csv_header(self, tmp_path):
         curve = F1Curve(points=[(0.1, {0: 1.0, 1: 0.5, 2: 0.25}, 0.58)])

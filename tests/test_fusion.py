@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxvote import fusion
 from boxvote.errors import ConfigError, NegativeWeightError, WeightArityMismatchError
@@ -10,8 +12,6 @@ from boxvote.fusion import (
     TABLE_MIN,
     ConfidenceGates,
     FusionParams,
-    KEEP_ALL,
-    LabelSpaceFilter,
     _neighbours,
     _overlaps,
     apply_gates,
@@ -87,32 +87,54 @@ class TestApplyGates:
             box(0.5, 0.5, 1, 1, 0.6, cls=0),
         )
         gates = ConfidenceGates(gates={1: 0.5}, default_gate=0.8)
-        out = apply_gates(dets, gates, KEEP_ALL)
+        out = apply_gates(dets, gates)
         assert [b.cls for b in out] == [1]
 
     def test_zero_gates_keep_all_is_identity(self):
         dets = ds(box(0, 0, 1, 1, 0.3), box(0, 0, 0.5, 0.5, 0.1, cls=2))
-        assert apply_gates(dets, ConfidenceGates(), KEEP_ALL) == dets.boxes
+        assert apply_gates(dets, ConfidenceGates()) == dets.boxes
 
     def test_disjoint_filter_empties(self):
         dets = ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.9, cls=1))
-        flt = LabelSpaceFilter(mode="keep_listed", classes=frozenset({2}))
-        assert apply_gates(dets, ConfidenceGates(), flt) == ()
+        assert apply_gates(dets, ConfidenceGates(classes=frozenset({2}))) == ()
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         dets = ds(*(random_box(rng) for _ in range(30)))
         gates = ConfidenceGates(gates={0: 0.4, 1: 0.7}, default_gate=0.2)
-        once = apply_gates(dets, gates, KEEP_ALL)
-        assert apply_gates(once, gates, KEEP_ALL) == once
+        once = apply_gates(dets, gates)
+        assert apply_gates(once, gates) == once
 
-    def test_keep_listed_requires_classes(self):
-        with pytest.raises(ValueError):
-            LabelSpaceFilter(mode="keep_listed", classes=frozenset())
+    def test_empty_class_set_is_config_error(self):
+        # None keeps every class; an empty set would keep none
+        with pytest.raises(ConfigError, match="keep_listed filter"):
+            ConfidenceGates(classes=frozenset())
 
-    def test_keep_all_takes_no_classes(self):
-        with pytest.raises(ValueError, match="keep_all filter"):
-            LabelSpaceFilter(mode="keep_all", classes=frozenset({1}))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                                | st.floats(0, 1)), max_size=12),
+        per_class=st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                                  | st.floats(0, 1), max_size=4),
+        default=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        classes=st.none() | st.frozensets(st.integers(0, 3), min_size=1),
+    )
+    def test_keeps_exactly_the_listed_classes_at_or_above_their_gate(
+        self, rows, per_class, default, classes
+    ):
+        # confidences are drawn from the gate values too, so some sit exactly on a gate
+        dets = [box(0.1, 0.1, 0.5, 0.5, conf, cls=cls, source=i % 3)
+                for i, (cls, conf) in enumerate(rows)]
+        gates = ConfidenceGates(gates=per_class, default_gate=default, classes=classes)
+        kept = []
+        for b in dets:
+            listed = classes is None or b.cls in classes
+            gate = per_class[b.cls] if b.cls in per_class else default
+            if listed and not b.confidence < gate:
+                kept.append(b)
+        out = apply_gates(dets, gates)
+        assert len(out) == len(kept)
+        assert all(got is want for got, want in zip(out, kept))  # the input boxes, in order
 
 
 class TestNms:
@@ -277,7 +299,7 @@ class TestKnowledgeVote:
         )
         m2 = ds(box(0.1, 0.1, 0.4, 0.41, 0.6, cls=1, source=1))
         m3 = ds(image_id="img")
-        out = knowledge_vote([m1, m2, m3], gates, KEEP_ALL, FusionParams())
+        out = knowledge_vote([m1, m2, m3], FusionParams(gates=gates))
         assert len(out) == 1
         assert out[0].cls == 1
         assert out[0].support_count == 2
@@ -286,7 +308,7 @@ class TestKnowledgeVote:
         rng = np.random.default_rng(31)
         for _ in range(30):
             models = _random_models(rng)
-            kv = knowledge_vote(models, ConfidenceGates(), KEEP_ALL, FusionParams())
+            kv = knowledge_vote(models, FusionParams())
             assert sorted(kv, key=fused_box_key) == sorted(
                 wbf(models, FusionParams()), key=fused_box_key
             )
@@ -298,9 +320,7 @@ class TestKnowledgeVote:
             ds(*(b for b in m.boxes if b.confidence < 1.0), image_id=m.image_id)
             for m in models
         ]
-        out = knowledge_vote(
-            models, ConfidenceGates(default_gate=1.0), KEEP_ALL, FusionParams()
-        )
+        out = knowledge_vote(models, FusionParams(gates=ConfidenceGates(default_gate=1.0)))
         assert out == []
 
     def test_every_member_passes_its_gate(self):
@@ -308,9 +328,19 @@ class TestKnowledgeVote:
         gates = ConfidenceGates(gates={0: 0.3, 1: 0.6}, default_gate=0.5)
         for _ in range(30):
             models = _random_models(rng)
-            for f in knowledge_vote(models, gates, KEEP_ALL, FusionParams()):
+            for f in knowledge_vote(models, FusionParams(gates=gates)):
                 for b in f.members:
                     assert b.confidence >= gates.gate(f.cls)
+
+
+@pytest.mark.parametrize("fn", [nms, soft_nms, wbf], ids=["nms", "soft_nms", "wbf"])
+def test_only_the_knowledge_vote_reads_the_gates(fn):
+    # gates that keep only class 0 and drop every box below 1.0 change nothing here
+    rng = np.random.default_rng(34)
+    gated = FusionParams(gates=ConfidenceGates(default_gate=1.0, classes=frozenset({0})))
+    for _ in range(30):
+        models = _random_models(rng)
+        assert fn(models, gated) == fn(models, FusionParams())
 
 
 class TestWbfAlgebra:
