@@ -307,7 +307,7 @@ def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRES
         "images": len(ensemble.target_image_ids),
         "sources": [s.name for s in ensemble.sources],
         "confidence_threshold": confidence_threshold,
-        "alpha": {str(k): v for k, v in report.alpha.items()},
+        "alpha": report.alpha,
         "alpha_extended": report.alpha_extended,
     }
     data_io.write_json(summary, os.path.join(out_dir, "summary.json"))

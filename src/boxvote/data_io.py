@@ -4,8 +4,10 @@ Detection files are plain text, one box per line:
 
     image_id class_id x1 y1 x2 y2 confidence
 
-Pseudo-label files append the support count as an eighth column. Ground truth
-uses the same layout without the confidence column. The manifest is a single
+Pseudo-label files append the support count as an eighth column and mark
+each image without boxes with a `# empty <image_id>` comment line; the
+detection reader reads them, ignoring the eighth column. Ground truth uses
+the same layout without the confidence column. The manifest is a single
 JSON document; its `gates` and `filter` sections fill `FusionParams.gates`,
 and its `fusion` section the other fields of `EnsembleManifest.fusion`. All
 writers are deterministic: sorted keys, floats at 9 significant digits, so
@@ -15,20 +17,19 @@ Each text format has one `%` template for its box lines (`_DETECTION_LINE`,
 `_PSEUDO_LABEL_LINE`, `_GROUND_TRUTH_LINE`): `%s` for the image id, class and
 support count, as `str` gives them, and `%.9g` for every float, as
 `fmt_float` gives it. Each writer writes one image's lines at once.
-One reader (`_box_lines`) applies the same rules to all three text formats:
-blank lines and lines starting with `#` are skipped; each box line must have
-the format's field count; the class id is an integer >= 0; coordinates and
-confidence are floats in [0, 1], where coordinates up to
-`geometry.CLAMP_SLOP` outside are clamped and stored clamped; corners must
-not be inverted. Any violation raises ParseError naming the file and the
-exact line (CLI exit 3), also for a byte that is not UTF-8. A file that
-cannot be read, such as one without read permission, raises ConfigError
-naming the path (CLI exit 2). A UTF-8 byte-order mark at the start of a
-file is skipped. Lines end at `\n`, `\r\n` or a lone `\r`; other
-whitespace, such as `\f`, only separates fields. The contribution-report
-reader follows the same rules: ConfigError for a file it cannot read,
-ParseError for one it cannot parse. Every writer opens its file with
-`open_output`.
+One reader (`_box_lines`) applies the same rules to the detection and
+ground-truth formats: blank lines and lines starting with `#` are skipped;
+each box line must have the format's field count; the class id is an
+integer >= 0; coordinates and confidence are floats in [0, 1], where
+coordinates up to `geometry.CLAMP_SLOP` outside are clamped and stored
+clamped; corners must not be inverted. Any violation raises ParseError
+naming the file and the exact line (CLI exit 3), also for a byte that is
+not UTF-8. A file that cannot be read, such as one without read permission,
+raises ConfigError naming the path (CLI exit 2). A UTF-8 byte-order mark at
+the start of a file is skipped. Lines end at `\n`, `\r\n` or a lone `\r`;
+other whitespace, such as `\f`, only separates fields. The manifest reader
+rejects a key repeated within one JSON object. Every writer opens its file
+with `open_output`.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ import logging
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
 from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
-from .fusion import NO_GATES, ConfidenceGates, FusedBox, FusionParams, fused_order
+from .fusion import NO_GATES, ConfidenceGates, FusionParams, fused_order
 from .geometry import Box, validate_box
 
 log = logging.getLogger(__name__)
@@ -130,13 +131,11 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
 
 
-def _box_lines(path, field_counts, source=0, on_comment=None):
-    """The rows (line number, image id, validated Box, eighth field or None)
-    of a text file's box lines, in file order.
+def _box_lines(path, field_counts, source=0):
+    """The `(image id, validated Box)` rows of a text file's box lines, in file order.
 
-    The one reader behind the detection, ground-truth and pseudo-label
-    formats (see the module docstring for the rules). `#` lines are passed to
-    `on_comment` as their fields, if given. A line without a confidence
+    The one reader behind the detection and ground-truth formats (see the
+    module docstring for the rules). A line without a confidence
     column (ground truth) gets confidence 1.0. `validate_box` returns a box
     inside [0, 1] with ordered corners as it is, so it runs only on a box
     that fails that check here (NaN fails it too).
@@ -153,8 +152,6 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
                     continue
                 n = len(parts)
                 if parts[0].startswith("#"):
-                    if on_comment is not None:
-                        on_comment(parts)
                     continue
                 if n not in field_counts:
                     raise ParseError(f"expected {expected} fields, got {n}", where, lineno)
@@ -176,7 +173,7 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
                         box = validate_box(box)
                     except InvalidBoxError as exc:
                         raise ParseError(str(exc), where, lineno) from exc
-                append((lineno, parts[0], box, parts[7] if n > 7 else None))
+                append((parts[0], box))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
     except OSError as exc:
@@ -187,13 +184,13 @@ def _box_lines(path, field_counts, source=0, on_comment=None):
 def parse_detections(path, source: int = 0) -> dict[str, tuple[Box, ...]]:
     """Parse a detection file into each image's boxes, as a tuple in file order.
 
-    Zero-area boxes are dropped (with a warning carrying the count). An
-    optional eighth column (support count from pseudo-label files) is
-    tolerated and ignored here.
+    Zero-area boxes are dropped (with a warning carrying the count). A
+    pseudo-label file reads as the detections it holds: its eighth column
+    (the support count) is ignored, and its `# empty` lines are comments.
     """
     per_image: dict[str, list[Box]] = {}
     dropped = 0
-    for _, image_id, box, _ in _box_lines(path, (7, 8), source=source):
+    for image_id, box in _box_lines(path, (7, 8), source=source):
         # a validated box's corners are ordered, so its area needs no max(0, ...)
         if (box.x2 - box.x1) * (box.y2 - box.y1) == 0.0:
             dropped += 1
@@ -228,8 +225,9 @@ def write_pseudo_labels(per_image, path) -> None:
     """Pseudo-label file: detection format plus the support count column.
 
     `per_image` maps an image id to its fused boxes, as `write_detections`
-    takes and `parse_pseudo_labels` returns. Every image appears, empty ones
-    as a comment line, so the file alone reconstructs the full image set.
+    takes. Every image appears, empty ones as a `# empty <image_id>` comment
+    line, so the file alone names the full image set. `parse_detections`
+    reads the file back as detections.
     """
     with open_output(path) as fh:
         for image_id in sorted(per_image):
@@ -243,31 +241,10 @@ def write_pseudo_labels(per_image, path) -> None:
             ]))
 
 
-def parse_pseudo_labels(path) -> dict[str, list[FusedBox]]:
-    """Parse a pseudo-label file back into fused boxes (members are not stored)."""
-    entries: dict[str, list[FusedBox]] = {}
-
-    def mark_empty(parts):
-        if len(parts) == 3 and parts[1] == "empty":
-            entries.setdefault(parts[2], [])
-
-    for lineno, image_id, b, support in _box_lines(path, (8,), on_comment=mark_empty):
-        try:
-            n_b = int(support)
-        except ValueError as exc:
-            raise ParseError(str(exc), str(path), lineno) from exc
-        if n_b < 1:
-            raise ParseError(f"support count {n_b} < 1", str(path), lineno)
-        entries.setdefault(image_id, []).append(
-            FusedBox(b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence, n_b, ())
-        )
-    return entries
-
-
 def parse_ground_truth(path) -> GroundTruth:
     """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line."""
     entries: dict[str, list[GroundTruthBox]] = {}
-    for _, image_id, b, _ in _box_lines(path, (6,)):
+    for image_id, b in _box_lines(path, (6,)):
         entries.setdefault(image_id, []).append(
             GroundTruthBox(b.cls, b.x1, b.y1, b.x2, b.y2)
         )
@@ -365,11 +342,20 @@ def _require_file(base_dir: str, path: str, what: str) -> None:
         raise ManifestError(f"{what} file not found or not a regular file: {resolved}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not last-one-wins."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        repeated = sorted(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ManifestError(f"duplicate key(s) {repeated} in one JSON object")
+    return doc
+
+
 def parse_manifest(path) -> EnsembleManifest:
-    """Strict manifest parse: unknown keys are rejected to catch typos."""
+    """Strict manifest parse: unknown and repeated keys are rejected to catch typos."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -581,91 +567,24 @@ def load_ensemble(manifest: EnsembleManifest) -> SourceEnsemble:
 # reports
 
 
-def contribution_report_to_dict(report) -> dict:
-    doc = {
-        "q_full": report.q_full,
-        "q_leave_one_out": {str(k): v for k, v in report.q_leave_one_out.items()},
-        "cf": {str(k): v for k, v in report.cf.items()},
-        "cf_clamped": {str(k): v for k, v in report.cf_clamped.items()},
-        "alpha": {str(k): v for k, v in report.alpha.items()},
-        "alpha_extended": report.alpha_extended,
-    }
-    if report.shapley is not None:
-        doc["shapley"] = {str(k): v for k, v in report.shapley.items()}
-    return doc
+def write_contribution_report(report: ContributionReport, path) -> None:
+    doc = asdict(report)
+    if report.shapley is None:
+        del doc["shapley"]
+    write_json(doc, path)
 
 
-def write_contribution_report(report, path) -> None:
-    write_json(contribution_report_to_dict(report), path)
-
-
-def _per_source(doc, key: str, where: str) -> dict[int, float]:
-    """A report section that maps source ids, as JSON object keys, to values."""
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise ParseError(f"{key} must be an object, got {section!r}", where)
-    try:
-        return {int(k): v for k, v in section.items()}
-    except ValueError as exc:
-        raise ParseError(f"{key}: source id is not an integer: {exc}", where) from exc
-
-
-def parse_contribution_report(path) -> ContributionReport:
-    """Read `write_contribution_report`'s file back.
-
-    A file that cannot be read is a ConfigError naming the path (CLI exit 2);
-    invalid JSON, a missing key or a source id that is not an integer is a
-    ParseError naming it (CLI exit 3).
-    """
-    where = str(path)
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read contribution report {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"not valid JSON: {exc}", where) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("a contribution report must be a JSON object", where)
-    try:
-        report = ContributionReport(
-            q_full=doc["q_full"],
-            q_leave_one_out=_per_source(doc, "q_leave_one_out", where),
-            cf=_per_source(doc, "cf", where),
-            cf_clamped=_per_source(doc, "cf_clamped", where),
-            alpha=_per_source(doc, "alpha", where),
-            alpha_extended=doc["alpha_extended"],
-        )
-        if "shapley" in doc:
-            report.shapley = _per_source(doc, "shapley", where)
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc}", where) from exc
-    return report
-
-
-def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
+def write_metrics(report: MetricsReport, path) -> None:
+    write_json({
         "confidence_threshold": report.confidence_threshold,
-        "per_class": {
-            str(cls): {
-                "precision": m.precision,
-                "recall": m.recall,
-                "ap50": m.ap50,
-                "ap5095": m.ap5095,
-            }
-            for cls, m in report.per_class.items()
-        },
+        "per_class": {cls: asdict(m) for cls, m in report.per_class.items()},
         "aggregate": {
             "precision": report.aggregate.precision,
             "recall": report.aggregate.recall,
             "map50": report.aggregate.ap50,
             "map5095": report.aggregate.ap5095,
         },
-    }
-
-
-def write_metrics(report: MetricsReport, path) -> None:
-    write_json(metrics_to_dict(report), path)
+    }, path)
 
 
 def write_f1_curve(curve: F1Curve, path) -> None:

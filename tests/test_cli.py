@@ -313,6 +313,19 @@ class TestEval:
         assert rc == 0
         assert parsed == [str(dets)]
 
+    def test_pseudo_labels_read_as_their_fused_file(self, tmp_path):
+        # long_tail_gated's gates leave images without boxes: `# empty` lines
+        data = tmp_path / "data"
+        assert main(["simulate", "--scenario", "long_tail_gated", "--images", "20",
+                     "--out", str(data)]) == 0
+        man, cons = str(data / "manifest.json"), tmp_path / "consensus"
+        assert main(["consensus", "--manifest", man, "--out", str(cons)]) == 0
+        assert "# empty " in (cons / "pseudo_labels.txt").read_text()
+        for name in ("pseudo_labels", "fused"):
+            assert main(["eval", "--manifest", man, "--detections",
+                         str(cons / f"{name}.txt"), "--out", str(tmp_path / name)]) == 0
+        assert tree_bytes(tmp_path / "pseudo_labels") == tree_bytes(tmp_path / "fused")
+
     def test_bad_manifest_exits_2_before_any_box_file(self, scenario_dir, tmp_path,
                                                       monkeypatch):
         def unexpected(*args, **kwargs):
@@ -551,6 +564,23 @@ def test_manifest_not_a_json_object_exit_2(tmp_path, capsys, text, needle):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert f"{mpath}: {needle}" in err
+
+
+def test_manifest_duplicate_key_exit_2(scenario_dir, tmp_path, capsys):
+    doc = absolute_manifest_doc(scenario_dir)
+    doc["gates"]["default"] = 0.25
+    # json.dumps cannot repeat a key: put a first "default" in front of the real one
+    text = json.dumps(doc).replace('"gates": {', '"gates": {"default": 0.99, ', 1)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(text)
+    out = tmp_path / "o"
+    rc = main(["fuse", "--manifest", str(mpath), "--algorithm", "knowledge-vote",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "duplicate key(s) ['default']" in err
+    assert not out.exists()
 
 
 def box_rows(path):

@@ -52,6 +52,7 @@ BAD_FUSION_VALUES = [
     ("soft_nms_sigma", 0.0, ConfigError),
     ("soft_nms_sigma", -0.5, ConfigError),
     ("soft_nms_sigma", NAN, ConfigError),
+    ("soft_nms_sigma", math.inf, ConfigError),
     ("score_floor", -0.1, ConfigError),
     ("score_floor", 1.5, ConfigError),
     ("score_floor", NAN, ConfigError),
