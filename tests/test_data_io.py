@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from boxvote import data_io
 from boxvote.consensus import ContributionReport
 from boxvote.errors import ManifestError, ParseError
-from boxvote.evaluation import F1Curve
+from boxvote.evaluation import ClassMetrics, F1Curve, Matches, MetricsReport
 from boxvote.fusion import FusedBox, FusionParams, fused_order, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
@@ -140,7 +140,11 @@ class TestByteOrderMark:
         (data_io.parse_detections,
          "img_00000 0 0.1 0.1 0.5 0.5 0.9\nimg_00000 1 0.2 0.2 0.6 0.6 0.8\n"),
         (data_io.parse_ground_truth, "img_00000 0 0.1 0.1 0.5 0.5\nimg_00000 1 0 0 1 1\n"),
-    ], ids=["detections", "ground truth"])
+        # a pseudo-label file reads through the detection reader; the mark must
+        # not stop its first line, `# empty ...`, from being a comment
+        (data_io.parse_detections,
+         "# empty img_00001\nimg_00000 0 0.1 0.1 0.5 0.5 0.9 2\n"),
+    ], ids=["detections", "ground truth", "pseudo-labels"])
     def test_same_as_without(self, tmp_path, parse, text):
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
         plain.write_bytes(text.encode())
@@ -200,6 +204,25 @@ class TestPseudoLabelFiles:
                 )
             entries[iid] = tuple(boxes)
         return entries
+
+    def test_round_trip_preserves_support_count(self, tmp_path):
+        # the detection reader gives back each image's boxes; the eighth
+        # column holds each box's support count, in the same row order
+        ds = self._dataset()
+        p = tmp_path / "pl.txt"
+        data_io.write_pseudo_labels(ds, p)
+        back = data_io.parse_detections(p)
+        assert set(back) == {iid for iid, boxes in ds.items() if boxes}
+        assert sum(len(boxes) for boxes in ds.values()) > 0
+        counts = [int(line.split()[7]) for line in p.read_text().splitlines()
+                  if not line.startswith("#")]
+        got = [(iid, b.cls, round(b.x1, 9), round(b.confidence, 9), n)
+               for (iid, b), n in zip(
+                   ((iid, b) for iid, boxes in back.items() for b in boxes), counts,
+                   strict=True)]
+        want = [(iid, f.cls, round(f.x1, 9), round(f.confidence, 9), f.support_count)
+                for iid in sorted(ds) for f in sorted(ds[iid], key=fused_order)]
+        assert got == want
 
     def test_rows_follow_fused_order_on_equal_confidence(self, tmp_path):
         # equal confidences, handed over against fused_order
@@ -273,6 +296,11 @@ _PARSED_BOXES = {
         data_io.parse_ground_truth,
         lambda gt: [Box(b.cls, b.x1, b.y1, b.x2, b.y2, 1.0)
                     for boxes in gt.entries.values() for b in boxes],
+    ),
+    # pseudo-label files have no reader of their own
+    "pseudo-labels": (
+        data_io.parse_detections,
+        lambda out: [b for boxes in out.values() for b in boxes],
     ),
 }
 
@@ -377,6 +405,14 @@ class TestManifest:
             data_io.parse_manifest(p)
         assert "duplicate key(s) ['classes']" in str(exc.value)
 
+    def test_duplicate_key_in_nested_object_rejected(self, tmp_path):
+        p = minimal_manifest(tmp_path, gates={"default": 0.99})
+        p.write_text(p.read_text().replace('"default": 0.99',
+                                           '"default": 0.99, "default": 0.25'))
+        with pytest.raises(ManifestError) as exc:
+            data_io.parse_manifest(p)
+        assert "duplicate key(s) ['default']" in str(exc.value)
+
     def test_gate_names_map_to_class_ids(self, tmp_path):
         p = minimal_manifest(
             tmp_path, gates={"default": 0.8, "per_class": {"person": 0.5}}
@@ -463,6 +499,23 @@ class TestReports:
         r.shapley = {1: 0.5, 2: 0.25}
         data_io.write_contribution_report(r, p)
         assert json.loads(p.read_text())["shapley"] == {"1": 0.5, "2": 0.25}
+
+    def test_metrics_keys(self, tmp_path):
+        # class ids are written as strings and sorted as strings; the
+        # aggregate's AP fields keep their mAP names
+        m = ClassMetrics(precision=0.5, recall=0.25, ap50=0.75, ap5095=0.375)
+        report = MetricsReport(per_class={2: m, 10: m}, aggregate=m,
+                               confidence_threshold=0.25,
+                               matches=Matches(counts={}, rows={}))
+        p = tmp_path / "metrics.json"
+        data_io.write_metrics(report, p)
+        doc = json.loads(p.read_text())
+        assert list(doc["per_class"]) == ["10", "2"]
+        assert doc["per_class"]["2"] == {"precision": 0.5, "recall": 0.25,
+                                         "ap50": 0.75, "ap5095": 0.375}
+        assert doc["aggregate"] == {"precision": 0.5, "recall": 0.25,
+                                    "map50": 0.75, "map5095": 0.375}
+        assert doc["confidence_threshold"] == 0.25
 
     def test_f1_csv_header(self, tmp_path):
         curve = F1Curve(points=[(0.1, {0: 1.0, 1: 0.5, 2: 0.25}, 0.58)])
