@@ -10,9 +10,7 @@ from .consensus import (
     weighted_fusion,
 )
 from .evaluation import (
-    F1Curve,
     GroundTruth,
-    GroundTruthBox,
     Matches,
     MetricsReport,
     average_precision,
@@ -38,11 +36,9 @@ __all__ = [
     "ConfidenceGates",
     "ContributionReport",
     "DetectionSet",
-    "F1Curve",
     "FusedBox",
     "FusionParams",
     "GroundTruth",
-    "GroundTruthBox",
     "Matches",
     "MetricsReport",
     "SourceDomain",

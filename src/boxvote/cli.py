@@ -41,8 +41,10 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
 
     Each image's input is one box set per source, in source order, and
     `per_image` maps each target image id to the list of boxes the algorithm
-    returns for it. NMS and soft-NMS default to NMS_DEFAULT_IOU unless nms_iou
-    overrides it; the manifest's iou_threshold governs WBF clustering. Only
+    returns for it. NMS uses NMS_DEFAULT_IOU unless nms_iou overrides it, never
+    the manifest's iou_threshold. Soft-NMS takes no IoU threshold: it decays
+    every overlapping box, reading only soft_nms_sigma and score_floor. The
+    manifest's iou_threshold governs WBF and knowledge-vote clustering. Only
     `knowledge-vote` reads the manifest's gates and filter (`fusion.gates`), so
     only its summary counts the boxes the gates drop.
     """
@@ -53,7 +55,7 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
     fuse = fns[algorithm]
     params = manifest.fusion
-    if algorithm in ("nms", "soft-nms"):
+    if algorithm == "nms":
         params = replace(params, iou_threshold=NMS_DEFAULT_IOU if nms_iou is None else nms_iou)
     per_image = {}
     input_boxes = gate_dropped = 0
@@ -246,6 +248,7 @@ def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRES
     """simulate -> fuse all algorithms -> consensus -> eval, one artifact tree.
 
     Each stage writes its directory with the writer its own command uses.
+    Returns each method's `(name, aggregate ClassMetrics)` and the timings.
     """
     _check_confidence_threshold(confidence_threshold)
     scenario = _scenario(scenario_name, images)
@@ -279,28 +282,13 @@ def run_pipeline(scenario_name, out_dir, confidence_threshold=DEFAULT_CONF_THRES
         curve = f1_curve(metrics.matches)
         timings["evaluation"] += time.perf_counter() - t0
         _write_eval(os.path.join(out_dir, f"eval_{name}"), metrics, curve)
-        agg = metrics.aggregate
-        comparison.append(
-            {
-                "method": name,
-                "precision": agg.precision,
-                "recall": agg.recall,
-                "map50": agg.ap50,
-                "map5095": agg.ap5095,
-            }
-        )
+        comparison.append((name, metrics.aggregate))
 
     with data_io.open_output(os.path.join(out_dir, "comparison.csv")) as fh:
         fh.write("method,precision,recall,map50,map5095\n")
-        for row in comparison:
-            fh.write(
-                ",".join(
-                    [row["method"]]
-                    + [data_io.fmt_float(row[k]) for k in
-                       ("precision", "recall", "map50", "map5095")]
-                )
-                + "\n"
-            )
+        for name, agg in comparison:
+            fields = (agg.precision, agg.recall, agg.ap50, agg.ap5095)
+            fh.write(",".join([name, *map(data_io.fmt_float, fields)]) + "\n")
 
     summary = {
         "scenario": scenario_name,
@@ -331,10 +319,10 @@ def cmd_pipeline(args) -> int:
         images=args.images,
         shapley=args.shapley,
     )
-    for row in comparison:
+    for name, agg in comparison:
         print(
-            f"{row['method']:>14}: P={row['precision']:.4f} R={row['recall']:.4f} "
-            f"mAP@0.5={row['map50']:.4f} mAP@.5:.95={row['map5095']:.4f}"
+            f"{name:>14}: P={agg.precision:.4f} R={agg.recall:.4f} "
+            f"mAP@0.5={agg.ap50:.4f} mAP@.5:.95={agg.ap5095:.4f}"
         )
     print(f"consensus/nms wall-time ratio: {timings['consensus_over_nms_ratio']:.2f}")
     return 0

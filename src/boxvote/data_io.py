@@ -7,7 +7,8 @@ Detection files are plain text, one box per line:
 Pseudo-label files append the support count as an eighth column and mark
 each image without boxes with a `# empty <image_id>` comment line; the
 detection reader reads them, ignoring the eighth column. Ground truth uses
-the same layout without the confidence column. The manifest is a single
+the same layout without the confidence column, and reads as the same `Box`
+with confidence 1.0 and source 0. The manifest is a single
 JSON document; its `gates` and `filter` sections fill `FusionParams.gates`,
 and its `fusion` section the other fields of `EnsembleManifest.fusion`. All
 writers are deterministic: sorted keys, floats at 9 significant digits, so
@@ -43,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
-from .evaluation import F1Curve, GroundTruth, GroundTruthBox, MetricsReport
+from .evaluation import GroundTruth, MetricsReport
 from .fusion import NO_GATES, ConfidenceGates, FusionParams, fused_order
 from .geometry import Box, validate_box
 
@@ -242,12 +243,11 @@ def write_pseudo_labels(per_image, path) -> None:
 
 
 def parse_ground_truth(path) -> GroundTruth:
-    """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line."""
-    entries: dict[str, list[GroundTruthBox]] = {}
+    """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line, read as
+    `Box`es with confidence 1.0 and source 0. Zero-area boxes are kept."""
+    entries: dict[str, list[Box]] = {}
     for image_id, b in _box_lines(path, (6,)):
-        entries.setdefault(image_id, []).append(
-            GroundTruthBox(b.cls, b.x1, b.y1, b.x2, b.y2)
-        )
+        entries.setdefault(image_id, []).append(b)
     return GroundTruth(
         entries={k: tuple(v) for k, v in entries.items()}
     )
@@ -587,13 +587,13 @@ def write_metrics(report: MetricsReport, path) -> None:
     }, path)
 
 
-def write_f1_curve(curve: F1Curve, path) -> None:
-    """CSV with header `confidence,class_<id>...,mean`."""
-    classes = sorted(curve.points[0][1]) if curve.points else []
+def write_f1_curve(points, path) -> None:
+    """CSV with header `confidence,class_<id>...,mean`, one row per `f1_curve` point."""
+    classes = sorted(points[0][1]) if points else []
     with open_output(path) as fh:
         header = ",".join(["confidence"] + [f"class_{c}" for c in classes] + ["mean"])
         fh.write(header + "\n")
-        for conf, per_class, mean in curve.points:
+        for conf, per_class, mean in points:
             row = [fmt_float(conf)]
             row.extend(fmt_float(per_class[c]) for c in classes)
             row.append(fmt_float(mean))

@@ -27,12 +27,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyGroundTruthError
-from .geometry import iou, running_sum
+from .geometry import Box, iou, running_sum
 
 AP_RECALL_POINTS = 101
 MAP_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -42,21 +41,11 @@ DEFAULT_F1_GRID = tuple(
 _RECALL_GRID = np.arange(AP_RECALL_POINTS) / (AP_RECALL_POINTS - 1)
 
 
-class GroundTruthBox(NamedTuple):
-    """One ground-truth box: class id and normalized corners (see `geometry`)."""
-
-    cls: int
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-
 @dataclass(frozen=True)
 class GroundTruth:
-    """Ground-truth boxes per image id."""
+    """Ground-truth boxes per image id: `Box`es with confidence 1.0 and source 0."""
 
-    entries: dict[str, tuple[GroundTruthBox, ...]]
+    entries: dict[str, tuple[Box, ...]]
 
     def class_counts(self) -> dict[int, int]:
         """Number of boxes per class present, in ascending class order."""
@@ -92,13 +81,6 @@ class MetricsReport:
     confidence_threshold: float
     # every detection's match, whatever the threshold; read by `f1_curve`
     matches: Matches = field(compare=False, repr=False)
-
-
-@dataclass
-class F1Curve:
-    """Per-class and mean F1 at each confidence of `DEFAULT_F1_GRID`, ascending."""
-
-    points: list[tuple[float, dict[int, float], float]]
 
 
 def _match_slice(dets, gt_boxes) -> list[tuple]:
@@ -218,8 +200,9 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
     )
 
 
-def f1_curve(matches: Matches) -> F1Curve:
-    """F1 per class and class-mean at every `DEFAULT_F1_GRID` confidence.
+def f1_curve(matches: Matches) -> list[tuple[float, dict[int, float], float]]:
+    """F1 per class and class-mean at every `DEFAULT_F1_GRID` confidence: one
+    `(confidence, per-class F1, mean F1)` point each, in grid order.
 
     `matches` is `match_all`'s result, as `evaluate` keeps it on its report;
     this matches nothing itself. Each grid point counts the prefix of
@@ -245,4 +228,4 @@ def f1_curve(matches: Matches) -> F1Curve:
             running_sum(f1_by_class.values()) / len(f1_by_class) if f1_by_class else 0.0
         )
         points.append((c_thresh, f1_by_class, mean))
-    return F1Curve(points=points)
+    return points

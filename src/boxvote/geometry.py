@@ -3,17 +3,17 @@
 All coordinates are normalized corner coordinates (x1, y1, x2, y2) in [0, 1].
 Everything here is a pure function on immutable values.
 
-The box types, `Box` here, `fusion.FusedBox` and `evaluation.GroundTruthBox`,
-are `typing.NamedTuple`s: immutable, hashable and equal by value. Every layer
-builds them by the hundred thousand, and a named tuple constructs in about a
-third of the time of a frozen dataclass, which sets each field through
-`object.__setattr__`. Reading a field costs a little more (CPython 3.11 does
-not specialize the named-tuple field getter), about 0.03 against 0.01 us,
-which the cheaper construction more than pays for. `_replace` is their
-copy-with-changes. Their equality is tuple equality: a box equals a plain
-tuple of the same values, with the same hash. Boxes of different types never
-compare equal, because their field counts differ (`GroundTruthBox` 5, `Box`
-7, `FusedBox` 8). Code reads their fields by name.
+The two box types, `Box` here (detections and ground truth) and
+`fusion.FusedBox`, are `typing.NamedTuple`s: immutable, hashable and equal by
+value. Every layer builds them by the hundred thousand, and a named tuple
+constructs in about a third of the time of a frozen dataclass, which sets each
+field through `object.__setattr__`. Reading a field costs a little more
+(CPython 3.11 does not specialize the named-tuple field getter), about 0.03
+against 0.01 us, which the cheaper construction more than pays for. `_replace`
+is their copy-with-changes. Their equality is tuple equality: a box equals a
+plain tuple of the same values, with the same hash. Boxes of different types
+never compare equal, because their field counts differ (`Box` 7, `FusedBox`
+8). Code reads their fields by name.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import numpy as np
 
 from .consensus import SourceDomain
 from .errors import ScenarioError
-from .evaluation import GroundTruth, GroundTruthBox
+from .evaluation import GroundTruth
 from .fusion import ConfidenceGates
 from .geometry import Box, DetectionSet
 
@@ -128,7 +128,7 @@ def _random_box(rng, cls: int, source: int, conf: float) -> Box:
     return Box(cls, cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, conf, source)
 
 
-def _jitter(rng, gt: GroundTruthBox, noise: float, source: int, conf: float) -> Box:
+def _jitter(rng, gt: Box, noise: float, source: int, conf: float) -> Box:
     # draw all four offsets even when noise is 0 to keep the stream layout fixed
     dx1, dy1, dx2, dy2 = (rng.normal(0.0, 1.0, 4) * noise).tolist()
     x1, x2 = sorted((gt.x1 + dx1, gt.x2 + dx2))
@@ -163,14 +163,13 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[SourceDomain]]:
     cdf = cdf.tolist()
     lo, hi = BOXES_PER_IMAGE
 
-    gt_entries: dict[str, tuple[GroundTruthBox, ...]] = {}
+    gt_entries: dict[str, tuple[Box, ...]] = {}
     for image_id in ids:
         n = int(rng.integers(lo, hi + 1))
         boxes = []
         for _ in range(n):
             cls = class_ids[bisect_right(cdf, rng.random())]
-            b = _random_box(rng, cls, source=0, conf=1.0)
-            boxes.append(GroundTruthBox(cls, b.x1, b.y1, b.x2, b.y2))
+            boxes.append(_random_box(rng, cls, source=0, conf=1.0))
         gt_entries[image_id] = tuple(boxes)
     gt = GroundTruth(entries=gt_entries)
 

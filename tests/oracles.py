@@ -13,7 +13,7 @@ import numpy as np
 
 from boxvote.consensus import SourceDomain
 from boxvote.errors import InvalidBoxError
-from boxvote.evaluation import GroundTruth, GroundTruthBox
+from boxvote.evaluation import GroundTruth
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import (
     BOX_SIZE_RANGE,
@@ -371,7 +371,7 @@ def _oracle_random_box(rng, cls: int, source: int, conf: float) -> Box:
     )
 
 
-def _oracle_jitter(rng, gt: GroundTruthBox, noise: float, source: int, conf: float) -> Box:
+def _oracle_jitter(rng, gt: Box, noise: float, source: int, conf: float) -> Box:
     # draw all four offsets even when noise is 0 to keep the stream layout fixed
     dx1, dy1, dx2, dy2 = rng.normal(0.0, 1.0, 4) * noise
     x1, x2 = sorted((gt.x1 + dx1, gt.x2 + dx2))
@@ -397,14 +397,13 @@ def oracle_generate(spec):
     freq /= freq.sum()
     lo, hi = BOXES_PER_IMAGE
 
-    gt_entries: dict[str, tuple[GroundTruthBox, ...]] = {}
+    gt_entries: dict[str, tuple[Box, ...]] = {}
     for image_id in ids:
         n = int(rng.integers(lo, hi + 1))
         boxes = []
         for _ in range(n):
             cls = class_ids[int(rng.choice(len(class_ids), p=freq))]
-            b = _oracle_random_box(rng, cls, source=0, conf=1.0)
-            boxes.append(GroundTruthBox(cls=cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2))
+            boxes.append(_oracle_random_box(rng, cls, source=0, conf=1.0))
         gt_entries[image_id] = tuple(boxes)
     gt = GroundTruth(entries=gt_entries)
 

@@ -271,17 +271,14 @@ def test_c07_evaluator_correctness():
             oracle_average_precision(flags, num_gt), abs=1e-12
         )
 
-    from boxvote.evaluation import GroundTruth, GroundTruthBox
+    from boxvote.evaluation import GroundTruth
 
     # perfect fixture
     gt_entries, fused = {}, {}
     for j in range(4):
         iid = f"img{j}"
         boxes = [random_box(rng, cls=c) for c in range(3)]
-        gt_entries[iid] = tuple(
-            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-            for b in boxes
-        )
+        gt_entries[iid] = tuple(boxes)
         fused[iid] = [
             Box(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2, confidence=1.0)
             for b in boxes
@@ -294,10 +291,7 @@ def test_c07_evaluator_correctness():
         gt_e, f_e = {}, {}
         for j in range(2):
             iid = f"i{j}"
-            gt_e[iid] = tuple(
-                GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-                for b in (random_box(rng) for _ in range(int(rng.integers(1, 4))))
-            )
+            gt_e[iid] = tuple(random_box(rng) for _ in range(int(rng.integers(1, 4))))
             f_e[iid] = [random_box(rng) for _ in range(int(rng.integers(0, 4)))]
         gtobj = GroundTruth(entries=gt_e)
         last = None

@@ -92,6 +92,21 @@ class TestSimulate:
         }
         assert digests == SIMULATE_SHA256[scenario]
 
+    @pytest.mark.parametrize("scenario", sorted(SIMULATE_SHA256))
+    def test_ground_truth_reads_as_detections(self, tmp_path, scenario):
+        """Ground truth and detections hold the same `Box`: with a confidence of 1
+        appended to each line, the ground-truth file parses as detections to the
+        same boxes. (The detection reader drops zero-area boxes; synthetic ground
+        truth has none.)"""
+        assert main(["simulate", "--scenario", scenario, "--images", "50",
+                     "--out", str(tmp_path)]) == 0
+        gt_path = tmp_path / "ground_truth.txt"
+        dets_path = tmp_path / "ground_truth_with_confidence.txt"
+        lines = gt_path.read_text().splitlines()
+        dets_path.write_text("".join(f"{line} 1\n" for line in lines))
+        gt = data_io.parse_ground_truth(gt_path)
+        assert data_io.parse_detections(dets_path) == gt.entries
+
 
 class TestFuse:
     @pytest.mark.parametrize("algorithm", ["nms", "soft-nms", "wbf", "knowledge-vote"])

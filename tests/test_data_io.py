@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from boxvote import data_io
 from boxvote.consensus import ContributionReport
 from boxvote.errors import ManifestError, ParseError
-from boxvote.evaluation import ClassMetrics, F1Curve, Matches, MetricsReport
+from boxvote.evaluation import ClassMetrics, Matches, MetricsReport
 from boxvote.fusion import FusedBox, FusionParams, fused_order, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
@@ -263,6 +263,13 @@ class TestPseudoLabelFiles:
 
 
 class TestGroundTruthFiles:
+    def test_line_parses_to_a_box_with_confidence_one_and_source_zero(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("im0 2 0.1 0.2 0.5 0.6\n")
+        assert data_io.parse_ground_truth(p).entries == {
+            "im0": (Box(2, 0.1, 0.2, 0.5, 0.6, 1.0, 0),)
+        }
+
     def test_coordinate_within_slop_stored_clamped(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text("im0 0 -5e-07 0.1 1.0000005 0.5\n")
@@ -294,8 +301,7 @@ _PARSED_BOXES = {
     ),
     "ground truth": (
         data_io.parse_ground_truth,
-        lambda gt: [Box(b.cls, b.x1, b.y1, b.x2, b.y2, 1.0)
-                    for boxes in gt.entries.values() for b in boxes],
+        lambda gt: [b for boxes in gt.entries.values() for b in boxes],
     ),
     # pseudo-label files have no reader of their own
     "pseudo-labels": (
@@ -518,9 +524,8 @@ class TestReports:
         assert doc["confidence_threshold"] == 0.25
 
     def test_f1_csv_header(self, tmp_path):
-        curve = F1Curve(points=[(0.1, {0: 1.0, 1: 0.5, 2: 0.25}, 0.58)])
         p = tmp_path / "f1.csv"
-        data_io.write_f1_curve(curve, p)
+        data_io.write_f1_curve([(0.1, {0: 1.0, 1: 0.5, 2: 0.25}, 0.58)], p)
         header = p.read_text().splitlines()[0]
         assert header == "confidence,class_0,class_1,class_2,mean"
 

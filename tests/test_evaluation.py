@@ -6,7 +6,6 @@ from boxvote.evaluation import (
     DEFAULT_F1_GRID,
     MAP_IOU_THRESHOLDS,
     GroundTruth,
-    GroundTruthBox,
     average_precision,
     evaluate,
     f1_curve,
@@ -21,7 +20,7 @@ def det(x1, y1, x2, y2, conf, cls=0):
 
 
 def gt_box(x1, y1, x2, y2, cls=0):
-    return GroundTruthBox(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2)
+    return Box(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2, confidence=1.0)
 
 
 def matched(dets, gt_boxes, iou_thresh):
@@ -119,10 +118,7 @@ def perfect_fixture(n_images=3, n_classes=3, seed=5):
     for j in range(n_images):
         iid = f"img{j}"
         boxes = [random_box(rng, cls=c) for c in range(n_classes)]
-        gt_entries[iid] = tuple(
-            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-            for b in boxes
-        )
+        gt_entries[iid] = tuple(boxes)
         fused[iid] = [
             Box(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2, confidence=1.0)
             for b in boxes
@@ -178,10 +174,7 @@ class TestEvaluate:
         fused, gt = {}, {}
         for j in range(6):
             iid = f"i{j}"
-            gt[iid] = tuple(
-                GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-                for b in (random_box(rng) for _ in range(3))
-            )
+            gt[iid] = tuple(random_box(rng) for _ in range(3))
             fused[iid] = [random_box(rng) for _ in range(4)]
         base = evaluate(fused, GroundTruth(entries=gt), 0.1)
         order = list(fused)[::-1]
@@ -198,10 +191,7 @@ class TestEvaluate:
             fused, gt = {}, {}
             for j in range(3):
                 iid = f"i{j}"
-                gt[iid] = tuple(
-                    GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-                    for b in (random_box(rng) for _ in range(int(rng.integers(1, 4))))
-                )
+                gt[iid] = tuple(random_box(rng) for _ in range(int(rng.integers(1, 4))))
                 fused[iid] = [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
             gtobj = GroundTruth(entries=gt)
             last = None
@@ -212,34 +202,31 @@ class TestEvaluate:
                 last = r
 
 
-class TestF1Curve:
+class TestF1Points:
     def test_perfect_detector_flat_one(self):
         fused, gt = perfect_fixture()
         curve = f1_curve(evaluate(fused, gt, 0.0).matches)
-        assert [p[0] for p in curve.points] == list(DEFAULT_F1_GRID)
+        assert [p[0] for p in curve] == list(DEFAULT_F1_GRID)
         # the last grid point is 1.0, the detectors' confidence: an equal one is kept
         assert DEFAULT_F1_GRID[-1] == 1.0
-        assert all(p[2] == 1.0 for p in curve.points)
+        assert all(p[2] == 1.0 for p in curve)
 
     def test_empty_detections_zero(self):
         _, gt = perfect_fixture()
         curve = f1_curve(evaluate({}, gt, 0.0).matches)
-        assert len(curve.points) == len(DEFAULT_F1_GRID)
-        assert all(p[2] == 0.0 for p in curve.points)
+        assert len(curve) == len(DEFAULT_F1_GRID)
+        assert all(p[2] == 0.0 for p in curve)
 
     def test_pointwise_consistency_with_evaluate(self):
         rng = np.random.default_rng(121)
         fused, gt = {}, {}
         for j in range(4):
             iid = f"i{j}"
-            gt[iid] = tuple(
-                GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2)
-                for b in (random_box(rng) for _ in range(2))
-            )
+            gt[iid] = tuple(random_box(rng) for _ in range(2))
             fused[iid] = [random_box(rng) for _ in range(5)]
         gtobj = GroundTruth(entries=gt)
         curve = f1_curve(evaluate(fused, gtobj, 0.0).matches)
-        for c_thresh, f1_by_class, _ in curve.points:
+        for c_thresh, f1_by_class, _ in curve:
             report = evaluate(fused, gtobj, c_thresh)
             for cls, f1 in f1_by_class.items():
                 p = report.per_class[cls].precision
@@ -253,7 +240,7 @@ class TestF1Curve:
         fused, gt = overlapping_fixture(rng, n_images=6)
         assert max(d.confidence for dets in fused.values() for d in dets) < 1.0
         curves = [
-            f1_curve(evaluate(fused, gt, t).matches).points
+            f1_curve(evaluate(fused, gt, t).matches)
             for t in (0.0, 0.3, 0.5, 0.9, 1.0)
         ]
         assert any(f1 > 0.0 for _, _, f1 in curves[0])
@@ -272,9 +259,7 @@ def overlapping_fixture(rng, n_images=4):
     for j in range(n_images):
         iid = f"im{j}"
         boxes = [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
-        gt[iid] = tuple(
-            GroundTruthBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2) for b in boxes
-        )
+        gt[iid] = tuple(boxes)
         dets = [random_box(rng) for _ in range(int(rng.integers(0, 3)))]
         for b in boxes:
             for _ in range(int(rng.integers(0, 4))):
@@ -356,8 +341,8 @@ class TestMatchOnceAgainstOracle:
             if not counts:
                 continue
             curve = f1_curve(evaluate(fused, gt, 0.5).matches)
-            assert [p[0] for p in curve.points] == list(DEFAULT_F1_GRID)
-            for c_thresh, f1_by_class, mean in (curve.points[k] for k in checked):
+            assert [p[0] for p in curve] == list(DEFAULT_F1_GRID)
+            for c_thresh, f1_by_class, mean in (curve[k] for k in checked):
                 rows = oracle_match_flags(above(fused, c_thresh), gt.entries, 0.5)
                 want = {}
                 for cls, num_gt in counts.items():
