@@ -159,6 +159,11 @@ def _write_fuse(out_dir, per_image, summary) -> None:
 
 
 def cmd_fuse(args) -> int:
+    if args.algorithm == "soft-nms" and args.iou_threshold is not None:
+        raise ConfigError(
+            "--iou-threshold does not apply to soft-nms: soft-NMS takes no IoU threshold, "
+            "it decays every overlapping box by soft_nms_sigma"
+        )
     manifest, ensemble = _load(args.manifest, args.iou_threshold)
     per_image, summary = run_fuse(
         manifest, ensemble, args.algorithm, nms_iou=args.iou_threshold
@@ -201,8 +206,10 @@ def _write_consensus(out_dir, report, fused) -> None:
     data_io.write_contribution_report(
         report, os.path.join(out_dir, "contribution_report.json")
     )
-    data_io.write_detections(fused, os.path.join(out_dir, "fused.txt"))
-    data_io.write_pseudo_labels(fused, os.path.join(out_dir, "pseudo_labels.txt"))
+    fused_path = os.path.join(out_dir, "fused.txt")
+    data_io.write_detections(fused, fused_path)
+    data_io.write_pseudo_labels(
+        fused, os.path.join(out_dir, "pseudo_labels.txt"), detections=fused_path)
 
 
 def cmd_consensus(args) -> int:

@@ -15,19 +15,21 @@ work once:
 - It scores every subset the run reads in one pass over the images, on the
   first quality read: the full set and each leave-one-out subset, and with
   `--shapley` every non-empty subset (7 for three sources, not the 11 reads).
-  Per image, it groups the gated boxes of all sources by class and sorts
-  each group once. Quality fuses with uniform weights and no rescaling, and
-  classes never interact in WBF, so a class group's clusters depend only on
-  S & P: the sources of subset S among those, P, with boxes in the group.
-  Each distinct S & P of an image is clustered once, with the same sweep
-  (`fusion._wbf_clusters`) and the same cluster rule as `wbf`.
+  The images run in batches, and the gated boxes of a batch are grouped by
+  (image, class) and sorted once. Quality fuses with uniform weights and no
+  rescaling, and classes never interact in WBF, so a class group's clusters
+  depend only on S & P: the sources of subset S among those, P, with boxes
+  in the group. Each distinct S & P of a group is one group of the batched
+  WBF sweep (`fusion._wbf_batch`), which clusters as `wbf` does.
 - Quality is summed in a fixed order: image order, then `wbf`'s output
-  order (`fusion.fused_order`), with one running total per subset. These
-  are the float operations of summing each subset's `wbf` output, so each
-  quality is bit-equal to that sum, whichever caller reads it first.
+  order (`fusion.fused_order`), with one running total per subset. A
+  batch's clusters are sorted once, and each subset adds its terms with
+  `np.add.accumulate`, which adds in order. These are the float operations
+  of summing each subset's `wbf` output, so each quality is bit-equal to
+  that sum, whichever caller reads it first.
 - The final weighted pass, `weighted_fusion`, fuses the scorer's gated
-  sets of all sources with `wbf`, the one producer of `FusedBox`es, image
-  by image.
+  sets of all sources with `fusion._wbf_images`: `wbf` of every image,
+  run in batches of images, with equal `FusedBox`es.
 
 A scorer lives for one scoring run, and it is the only input of the
 scoring functions below: they read the sources, target ids, gated boxes
@@ -43,7 +45,8 @@ import itertools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+
+import numpy as np
 
 from .errors import (
     AllZeroContributionError,
@@ -54,11 +57,13 @@ from .errors import (
 from .fusion import (
     FusedBox,
     FusionParams,
-    _wbf_fusions,
-    _weighted_priority,
+    _batches,
+    _fused_rank,
+    _gather,
+    _wbf_batch,
+    _wbf_images,
     apply_gates,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
-    wbf,
 )
 from .geometry import Box, running_sum
 
@@ -153,49 +158,119 @@ class ConsensusScorer:
     def _score(self, subsets) -> None:
         """Score `subsets` in one pass over the images, as `wbf` would fuse each.
 
-        Each image's gated boxes are grouped by class and sorted by
-        `_weighted_priority` once. Weights are uniform (`conf * 1.0 == conf`),
-        so the items of a subset's positions keep the order of that subset's
-        own group. Each distinct S & P of an image is clustered once, with S
-        and P as bitmasks of positions. Each subset adds its terms in
-        `fused_order`, image by image, into one running total.
+        S and P are bitmasks of positions, as Python ints of any width. The
+        images run in batches (`fusion._batches`) sized by a bound on the
+        boxes of their restricted groups: a box enters at most one
+        restriction per subset that holds its source.
         """
-        threshold = self.params.iou_threshold
+        n = len(self._gated)
         masks = [sum(1 << p for p in s) for s in subsets]
+        reach = [max(1, sum(m >> p & 1 for m in masks)) for p in range(n)]
+        sizes = [sum(len(gated[k]) * r for gated, r in zip(self._gated, reach))
+                 for k in range(len(self.target_image_ids))]
         totals = [0.0] * len(subsets)
-        for k in range(len(self.target_image_ids)):
-            by_class: dict[int, list] = {}
-            present: dict[int, int] = {}  # class -> mask of the positions with boxes of it
-            for p, gated in enumerate(self._gated):
-                for idx, b in enumerate(gated[k]):
-                    by_class.setdefault(b.cls, []).append((b, idx, 1.0, p))
-                    present[b.cls] = present.get(b.cls, 0) | 1 << p
-            # (class, items in priority order, P, the (sort key, term)s clustered per S & P)
-            groups = [
-                (cls, sorted(by_class[cls], key=_weighted_priority), present[cls], {})
-                for cls in sorted(by_class)
-            ]
-            for si, mask in enumerate(masks):
-                terms = []
-                for cls, items, p_mask, clustered in groups:
-                    sub = mask & p_mask
-                    if not sub:
-                        continue
-                    got = clustered.get(sub)
-                    if got is None:
-                        if sub != p_mask:
-                            items = [item for item in items if sub >> item[3] & 1]
-                        got = clustered[sub] = [
-                            ((-conf, cls, x1, y1, x2, y2), n_b * conf)  # fused_order's key
-                            for x1, y1, x2, y2, conf, n_b, _ in _wbf_fusions(cls, items, threshold)
-                        ]
-                    terms += got
-                terms.sort(key=itemgetter(0))
-                total = totals[si]
-                for _, term in terms:
-                    total += term
-                totals[si] = total
+        restrictions: dict[int, tuple] = {}  # P -> _restrictions(P, ...)
+        for batch in _batches(sizes):
+            self._score_batch(batch, masks, totals, restrictions)
         self._quality.update(zip(subsets, totals))
+
+    def _score_batch(self, images, masks, totals, restrictions) -> None:
+        """Add the terms of a batch of images to each subset's running total.
+
+        The batch's gated boxes are grouped by (image, class) and sorted by
+        `_weighted_priority` once (`fusion._gather`). Weights are uniform
+        (`conf * 1.0 == conf`), so the boxes of a subset's sources keep the
+        order of that subset's own group. Each distinct S & P of a group is
+        one group of `fusion._wbf_batch`. The batch's clusters are sorted
+        once, by image and then `fused_order`, and each subset adds the terms
+        of its clusters in that order.
+        """
+        n = len(self._gated)
+        rows = _gather([gated[k] for k in images for gated in self._gated], (1.0,) * n)
+        if rows is None:
+            return
+        n_groups = len(rows.starts)
+        group = np.repeat(np.arange(n_groups), np.diff(rows.starts, append=len(rows.conf)))
+        pattern, p_masks = _source_sets(group, rows.model, n_groups, n)
+        info = []
+        for p_mask in p_masks:
+            if p_mask not in restrictions:
+                restrictions[p_mask] = _restrictions(p_mask, masks, n)
+            info.append(restrictions[p_mask])
+        local = np.array([i[0] for i in info])  # pattern, subset -> restriction, or -1
+        holding = np.array([i[1] for i in info])  # pattern, position -> restrictions holding it
+        held = np.concatenate([i[2] for i in info])
+        offset = (np.cumsum(holding) - holding.ravel()).reshape(holding.shape)
+        n_restricted = np.array([i[3] for i in info])[pattern]
+        first = np.cumsum(n_restricted) - n_restricted  # each group's first restriction
+
+        # each row enters each restriction of its group that holds its source
+        u, m = pattern[group], rows.model
+        c = holding[u, m]
+        row = np.repeat(np.arange(len(m)), c)
+        if not len(row):
+            return
+        j = held[np.repeat(offset[u, m] - (np.cumsum(c) - c), c) + np.arange(len(row))]
+        restriction = first[group[row]] + j
+        row = row[np.argsort(restriction, kind="stable")]  # priority order within each
+        lengths = np.bincount(restriction, minlength=int(n_restricted.sum()))
+        of = np.repeat(np.arange(n_groups), n_restricted)  # the group of each restriction
+        cl = _wbf_batch(rows.box[:, row], rows.conf[row], np.ones(len(row)), rows.source[row],
+                        lengths, rows.cls[rows.starts[of]], self.params.iou_threshold)
+
+        head = rows.starts[of[np.repeat(np.arange(len(lengths)), cl.count)]]
+        rank = np.empty(len(cl.conf), np.intp)  # each cluster's place in image, fused_order
+        rank[_fused_rank(rows.image[head], rows.cls[head], cl.box, cl.conf)] = np.arange(len(rank))
+        # every (subset, cluster) pair, ordered by subset and then rank
+        chosen = local[pattern]  # group, subset -> the subset's restriction of the group, or -1
+        subset, grp = np.nonzero(chosen.T >= 0)
+        used = first[grp] + chosen[grp, subset]
+        c = cl.count[used]
+        subset = np.repeat(subset, c)
+        cluster = np.repeat(np.cumsum(cl.count)[used] - np.cumsum(c), c) + np.arange(len(subset))
+        by = np.argsort(subset * len(rank) + rank[cluster], kind="stable")
+        subset, cluster = subset[by], cluster[by]
+        # one row per subset: its running total, then its terms in order, then zeros
+        n_terms = np.bincount(subset, minlength=len(totals))
+        terms = np.zeros((len(totals), 1 + n_terms.max()))
+        terms[:, 0] = totals
+        at = np.arange(len(subset)) - (np.cumsum(n_terms) - n_terms)[subset]
+        terms[subset, 1 + at] = cl.support[cluster] * cl.conf[cluster]
+        totals[:] = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+
+
+def _source_sets(group, model, n_groups: int, n: int) -> tuple[np.ndarray, list[int]]:
+    """P of each group, the positions of the sources with a box in it.
+
+    Returns the index of each group's P among the distinct ones, and those
+    as bitmasks of positions. The masks are Python ints, built from 64-bit
+    words, so any number of sources fits.
+    """
+    present = np.zeros((n_groups, -(-n // 64) * 64), bool)
+    present[group, model] = True
+    words = np.packbits(present, axis=1, bitorder="little").view(np.uint64)
+    by = np.lexsort(words.T)
+    words = words[by]
+    new = np.ones(n_groups, bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    pattern = np.empty(n_groups, np.intp)
+    pattern[by] = np.cumsum(new) - 1
+    return pattern, [int.from_bytes(row.tobytes(), "little") for row in words[new]]
+
+
+def _restrictions(p_mask: int, masks, n: int) -> tuple:
+    """The distinct non-empty S & P of a group whose sources are `p_mask`.
+
+    Returns, with the restrictions numbered in first-seen order over
+    `masks`: each subset's restriction (-1 for none), how many restrictions
+    hold each of the `n` positions, those restrictions position by position,
+    and how many there are.
+    """
+    index: dict[int, int] = {}
+    local = [index.setdefault(m & p_mask, len(index)) if m & p_mask else -1 for m in masks]
+    holds = [[j for j, sub in enumerate(index) if sub >> p & 1] for p in range(n)]
+    return (np.array(local), [len(h) for h in holds],
+            np.array([j for h in holds for j in h], dtype=np.intp), len(index))
 
 
 def consensus_quality(subset, target_image_ids, params: FusionParams) -> float:
@@ -313,13 +388,11 @@ def weighted_fusion(
 ) -> dict[str, list[FusedBox]]:
     """Final consensus-weighted knowledge-vote pass over every target image.
 
-    Fuses the gated sets of `scorer` with `wbf` and the weights
-    `report.alpha`, image by image; the result maps every target image id,
-    in target order, to its fused boxes.
+    Fuses the gated sets of `scorer` as `wbf` with the weights
+    `report.alpha` would, image by image, in batches of images
+    (`fusion._wbf_images`); the result maps every target image id, in
+    target order, to its fused boxes.
     """
     weights = tuple(report.alpha[s.source_id] for s in scorer.sources)
     params = replace(scorer.params, model_weights=weights)
-    return {
-        iid: wbf([gated[k] for gated in scorer._gated], params)
-        for k, iid in enumerate(scorer.target_image_ids)
-    }
+    return dict(zip(scorer.target_image_ids, _wbf_images(scorer._gated, params)))

@@ -17,7 +17,10 @@ identical inputs produce byte-identical files.
 Each text format has one `%` template for its box lines (`_DETECTION_LINE`,
 `_PSEUDO_LABEL_LINE`, `_GROUND_TRUTH_LINE`): `%s` for the image id, class and
 support count, as `str` gives them, and `%.9g` for every float, as
-`fmt_float` gives it. Each writer writes one image's lines at once.
+`fmt_float` gives it. Each writer writes one image's lines at once. A
+pseudo-label line is a detection line with the support count before its
+end, so `consensus` formats each fused box once: `write_pseudo_labels` can
+take the lines of the detection file just written of the same boxes.
 One reader (`_box_lines`) applies the same rules to the detection and
 ground-truth formats: blank lines and lines starting with `#` are skipped;
 each box line must have the format's field count; the class id is an
@@ -40,6 +43,7 @@ import logging
 import math
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
@@ -222,24 +226,34 @@ def write_detections(per_image, path) -> None:
             ]))
 
 
-def write_pseudo_labels(per_image, path) -> None:
+def write_pseudo_labels(per_image, path, *, detections=None) -> None:
     """Pseudo-label file: detection format plus the support count column.
 
     `per_image` maps an image id to its fused boxes, as `write_detections`
     takes. Every image appears, empty ones as a `# empty <image_id>` comment
     line, so the file alone names the full image set. `parse_detections`
     reads the file back as detections.
+
+    `detections` may name the file that `write_detections` wrote of the
+    same boxes, each image's list in `fused_order` as `wbf` returns it;
+    then each box line is that file's line with the support count added,
+    and no box is formatted again. Without it, each image's boxes are
+    sorted by `fused_order` and formatted here.
     """
-    with open_output(path) as fh:
+    with open_output(path) as fh, (
+            nullcontext() if detections is None else open(detections, encoding="utf-8")) as src:
         for image_id in sorted(per_image):
             boxes = per_image[image_id]
             if not boxes:
                 fh.write(f"# empty {image_id}\n")
-            fh.write("".join([
-                _PSEUDO_LABEL_LINE % (image_id, f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence,
-                                      f.support_count)
-                for f in sorted(boxes, key=fused_order)
-            ]))
+            elif src is not None:
+                fh.write("".join([f"{next(src)[:-1]} {f.support_count}\n" for f in boxes]))
+            else:
+                fh.write("".join([
+                    _PSEUDO_LABEL_LINE % (image_id, f.cls, f.x1, f.y1, f.x2, f.y2,
+                                          f.confidence, f.support_count)
+                    for f in sorted(boxes, key=fused_order)
+                ]))
 
 
 def parse_ground_truth(path) -> GroundTruth:

@@ -33,17 +33,31 @@ four-comparison axis test. The lists live only while their group is swept.
 - WBF puts each box into the first cluster whose fused box overlaps it,
   with running sums per cluster. It compares the box with `iou`, after the
   axis test, against a scan list of clusters. In a small group that is
-  every cluster: consensus scoring clusters tens of thousands of small
-  groups, where neighbour lists measured slower (see README,
-  "Performance"). In a large group it is the clusters of two or more
-  members before the one-member cluster led by the box's first
-  over-threshold neighbour.
+  every cluster, as neighbour lists measured slower on the small groups of
+  sparse detector output (see README, "Performance"). In a large group it
+  is the clusters of two or more members before the one-member cluster led
+  by the box's first over-threshold neighbour.
 
 WBF emits a cluster of one box as that box's corners and confidence, with
-support 1 and the box as its only member (`_wbf_fusions`, which consensus
-scoring shares). `FusedBox` is a named tuple like `geometry.Box` (see
-there), built positionally: `wbf` builds one per cluster, about 18,500 for
-the weighted pass of three sources on 3,000 images.
+support 1 and the box as its only member (`_wbf_fusions`). `FusedBox` is a
+named tuple like `geometry.Box` (see there), built positionally: the
+weighted consensus pass builds one per cluster, about 18,500 for three
+sources on 3,000 images.
+
+Consensus clusters tens of thousands of small class groups, and one `wbf`
+call per image spends most of its time on Python overhead per group. So
+`consensus` runs WBF over batches of images (`_batches`: consecutive images
+with at most `BATCH_BOXES` boxes, an image with more alone). `_gather`
+turns a batch's boxes into numpy columns, grouped by (image, class) and in
+priority order, and `_wbf_batch` clusters all its groups at once: step r
+takes the r-th box of every group that has one and compares it with all of
+that group's clusters, with `geometry.iou`'s IEEE operations and
+`_add_member`'s sums in join order, so every fused value is bit-equal to
+the scalar sweep's. A step compares a box with every earlier cluster of
+its group, so a group of at least `TABLE_MIN` boxes keeps the indexed
+scalar sweep. `_wbf_images` is `wbf` of every image this way, with equal
+output, members included; `fuse` keeps the scalar `wbf`, which is faster
+for one image at a time.
 
 Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
 to round like the C library's `exp`, and on dense detector output it gave
@@ -57,6 +71,7 @@ import math
 from bisect import insort
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -441,7 +456,7 @@ def _wbf_fusions(cls, group, threshold: float) -> list[tuple]:
     is fused by `_fused`, and its support counts the distinct `source`s of
     its member boxes, which are in join order.
     """
-    if len(group) == 1:  # about a third of the groups that consensus scoring clusters
+    if len(group) == 1:  # common in sparse detector output
         clusters, sums = [group], [None]
     else:
         clusters, sums = _wbf_clusters(cls, group, threshold)
@@ -456,6 +471,17 @@ def _wbf_fusions(cls, group, threshold: float) -> list[tuple]:
     return out
 
 
+def _model_weights(params: FusionParams, n_models: int) -> tuple[float, ...]:
+    weights = params.model_weights
+    if weights is None:
+        return (1.0,) * n_models
+    if len(weights) != n_models:
+        raise WeightArityMismatchError(
+            f"{len(weights)} weights for {n_models} models"
+        )
+    return weights
+
+
 def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
     """Weighted box fusion across models, counting distinct supporting sources.
 
@@ -464,14 +490,7 @@ def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedB
     params.iou_threshold, else starts a new cluster. A one-member cluster
     passes its box through exactly.
     """
-    n_models = len(per_model)
-    weights = params.model_weights
-    if weights is None:
-        weights = (1.0,) * n_models
-    elif len(weights) != n_models:
-        raise WeightArityMismatchError(
-            f"{len(weights)} weights for {n_models} models"
-        )
+    weights = _model_weights(params, len(per_model))
     # zero-weight models contribute nothing, including support
     weighted = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
     n_active = len(weighted)
@@ -490,3 +509,307 @@ def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedB
 def knowledge_vote(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
     """Class-gated, support-counting WBF: gate each model's boxes by params.gates, then fuse."""
     return wbf([apply_gates(boxes, params.gates) for boxes in per_model], params)
+
+
+# Boxes per batch of `_wbf_batch`: images are batched in order while their
+# boxes fit, and an image with more boxes is a batch of its own. A batch's
+# columns and cluster state take about 50 numbers per box, about 1.6 MB at
+# this limit.
+BATCH_BOXES = 4096
+
+
+def _batches(sizes: Sequence[int]) -> list[range]:
+    """Consecutive ranges of positions, the longest whose `sizes` sum to at
+    most BATCH_BOXES, each at least one position long."""
+    out = []
+    start = total = 0
+    for i, n in enumerate(sizes):
+        if total + n > BATCH_BOXES and i > start:
+            out.append(range(start, i))
+            start, total = i, 0
+        total += n
+    if start < len(sizes):
+        out.append(range(start, len(sizes)))
+    return out
+
+
+def _lexsort(keys, tiebreaks) -> np.ndarray:
+    """`np.lexsort(tiebreaks + keys)`, sorted on `keys` alone where that gives the same order.
+
+    Both sorts are stable. They differ only where rows that tie on every
+    key differ on a tie-break key, and then two such rows are adjacent in
+    the order of `keys`: the full sort runs only in that case.
+    """
+    order = np.lexsort(keys)
+    a, b = order[:-1], order[1:]
+    tie = np.ones(len(a), bool)
+    for key in keys:
+        tie &= key[a] == key[b]
+    a, b = a[tie], b[tie]
+    if any((key[a] != key[b]).any() for key in tiebreaks):
+        order = np.lexsort(tiebreaks + keys)
+    return order
+
+
+def _fused_rank(image, cls, box, conf) -> np.ndarray:
+    """The order of clusters by image and then `fused_order`, ties in cluster order."""
+    return _lexsort((-conf, image), (box[3], box[2], box[1], box[0], cls))
+
+
+class _Rows(NamedTuple):
+    """The boxes of a batch of images as columns, one row per box (see `_gather`)."""
+
+    boxes: list  # the boxes in input order: image, then model, then list position
+    order: np.ndarray  # the position in `boxes` of each row
+    image: np.ndarray  # the position of the row's image in the batch
+    model: np.ndarray
+    cls: np.ndarray
+    box: np.ndarray  # x1, y1, x2, y2: four rows
+    conf: np.ndarray
+    weight: np.ndarray
+    source: np.ndarray
+    starts: np.ndarray  # the first row of each (image, class) group
+
+
+def _gather(lists, weights) -> _Rows | None:
+    """The boxes of a batch of images as sorted columns, or None without a box.
+
+    `lists` holds the box lists of each image, one per model in model
+    order, image after image, and `weights` one weight per model. The rows
+    are grouped by image and then class, and each group is in
+    `_weighted_priority` order with ties in model order: the order
+    `_class_groups` gives each image. Class ids and sources become float64
+    columns, exact for integers below 2**53.
+    """
+    lens = np.fromiter(map(len, lists), np.intp, len(lists))
+    boxes = list(chain.from_iterable(lists))
+    n = len(boxes)
+    if not n:
+        return None
+    # a Box is the tuple (cls, x1, y1, x2, y2, confidence, source)
+    cols = np.fromiter(chain.from_iterable(boxes), float, 7 * n).reshape(n, 7)
+    entry = np.repeat(np.arange(len(lists)), lens)  # the list of each box
+    index = np.arange(n) - (np.cumsum(lens) - lens)[entry]
+    image, model = np.divmod(entry, len(weights))
+    weight = np.asarray(weights, dtype=float)[model]
+    cls, conf, source = cols[:, 0], cols[:, 5], cols[:, 6]
+    # a stable sort, so rows that tie on every key stay in model order
+    order = _lexsort((-(conf * weight), cls, image), (index, source))
+    image, model, weight = image[order], model[order], weight[order]
+    cols = cols[order].T.copy()
+    cls = cols[0]
+    new = np.ones(n, bool)
+    new[1:] = (image[1:] != image[:-1]) | (cls[1:] != cls[:-1])
+    return _Rows(boxes, order, image, model, cls, cols[1:5], cols[5], weight, cols[6],
+                 np.flatnonzero(new))
+
+
+class _Clusters(NamedTuple):
+    """The WBF clusters of a batch of groups: group by group, each in cluster order."""
+
+    count: np.ndarray  # the clusters of each group
+    of_row: np.ndarray  # the cluster of each row
+    size: np.ndarray  # the members of each cluster
+    box: np.ndarray  # the fused box, four rows; a one-member cluster's box
+    conf: np.ndarray
+    support: np.ndarray  # the distinct sources of each cluster's members
+
+
+def _area(box) -> np.ndarray:
+    """`geometry.iou`'s area of each box in a (x1, y1, x2, y2) block."""
+    return np.maximum(0.0, box[2] - box[0]) * np.maximum(0.0, box[3] - box[1])
+
+
+def _wbf_batch(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
+    """Cluster many class groups at once, as `_wbf_fusions` clusters each one.
+
+    The arguments are `_wbf_run`'s. Groups with more than `BATCH_BOXES` rows
+    in all, as the restricted groups of one image of many sources can be,
+    are clustered in runs of whole groups of at most that many rows, so
+    that one run's cluster state is held at a time.
+    """
+    lengths = np.asarray(lengths)
+    if lengths.sum() <= BATCH_BOXES:
+        return _wbf_run(box, conf, weight, source, lengths, cls, threshold)
+    parts = []
+    ends = np.cumsum(lengths).tolist()
+    for run in _batches(lengths.tolist()):
+        lo, hi = ends[run.start] - lengths[run.start], ends[run.stop - 1]
+        parts.append(_wbf_run(box[:, lo:hi], conf[lo:hi], weight[lo:hi], source[lo:hi],
+                              lengths[run.start:run.stop], cls[run.start:run.stop], threshold))
+    shift = np.cumsum([0] + [len(p.conf) for p in parts[:-1]])
+    parts = [p._replace(of_row=p.of_row + k) for p, k in zip(parts, shift)]
+    return _Clusters(*(np.concatenate(field, axis=-1) for field in zip(*parts)))
+
+
+def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
+    """Cluster many class groups at once, as `_wbf_fusions` clusters each one.
+
+    The rows are the boxes of the groups (`box` holds their x1, y1, x2 and
+    y2 rows), group after group, and each group in priority order: group g
+    has `lengths[g]` rows of class `cls[g]`. Every weight is positive, as
+    `wbf` drops the models without. A group of at least `TABLE_MIN`
+    boxes runs `_wbf_clusters`, which indexes it. The smaller groups run in
+    lockstep: step r takes the r-th box of every group that has one and
+    compares it with all of that group's clusters at once; the box joins
+    the first cluster it overlaps beyond `threshold`, or opens a new one.
+
+    Cluster j of group g lives in slot base[g] + j, where base[g] is the
+    group's first row; opening a cluster copies its box's row into the slot.
+    Every slot starts as the one-member cluster of its own row's box, so a
+    slot past a group's clusters still holds a box of the group, and every
+    IoU of a step is finite. The arithmetic is the scalar sweep's: each IoU
+    takes `geometry.iou`'s IEEE operations, as `_overlaps` does; a
+    cluster's sums add its members' terms in join order, as `_add_member`
+    does; and a fused box follows `_fused`. The confidence sum of
+    `_add_member` adds w * conf, the same float as its cw = conf * w, so one
+    sum serves both.
+    """
+    n = len(conf)
+    lengths = np.asarray(lengths)
+    base = np.cumsum(lengths) - lengths
+    count = np.minimum(lengths, 1)  # the first box of a group opens its first cluster
+    cw = conf * weight
+    # Each row's one-member cluster, and each slot's cluster: the fused box
+    # (rows 0-3), its area (4), the sums cw, w, cw * x1, y1, x2, y2 (5-10)
+    # and the first member's confidence (11).
+    own = np.vstack((box, _area(box), cw, weight, cw * box, conf))
+    own[5:11] += 0.0  # `_add_member` starts from 0.0, which turns a -0.0 term into 0.0
+    state = own.copy()
+    slot = np.arange(n)
+
+    small = np.flatnonzero(lengths < TABLE_MIN)
+    longer = len(small) - np.cumsum(np.bincount(lengths[small]))  # groups longer than r
+    small = small[np.argsort(-lengths[small], kind="stable")]  # the longest first
+    steps = np.arange(TABLE_MIN)
+    for r in range(1, len(longer) - 1):
+        g = small[:longer[r]]
+        b = base[g]
+        t = b + r
+        k = count[g]
+        cols = steps[:k.max()]
+        cand = b[:, None] + cols  # the slots of each group's clusters, and maybe more
+        v = state[:5, cand]
+        bt = own[:5, t, None]
+        d = np.minimum(v[2:4], bt[2:4])
+        d -= np.maximum(v[:2], bt[:2])  # iw and ih
+        inter = d[0] * d[1]
+        union = bt[4] + v[4]
+        union -= inter
+        hit = (d > 0.0).all(axis=0) & (union > 0.0) & (cols < k[:, None])
+        ov = np.zeros_like(inter)
+        np.divide(inter, union, out=ov, where=hit)
+        hit = ov > threshold
+        joins = hit.any(axis=1)
+        target = b + np.where(joins, hit.argmax(axis=1), k)
+        slot[t] = target
+        count[g] = k + ~joins
+        if not joins.all():
+            state[:, target[~joins]] = own[:, t[~joins]]
+        if joins.any():
+            s = target[joins]
+            state[5:11, s] += own[5:11, t[joins]]
+            s = s[state[5, s] > 0.0]  # without mass, a cluster keeps its first box
+            mean = state[7:11, s] / state[5, s]
+            state[:4, s] = mean
+            state[4, s] = _area(mean)
+
+    fconf = state[11]
+    several = np.bincount(slot, minlength=n) > 1
+    fconf[several] = 0.0
+    np.divide(state[5], state[6], out=fconf,
+              where=several & (state[5] > 0.0) & (state[6] > 0.0))
+    for g in np.flatnonzero(lengths >= TABLE_MIN).tolist():
+        lo, hi, c = int(base[g]), int(base[g] + lengths[g]), int(cls[g])
+        items = [(Box(c, *v), i, w) for i, v, w in zip(
+            range(lo, hi), zip(*box[:, lo:hi].tolist(), conf[lo:hi].tolist()),
+            weight[lo:hi].tolist())]
+        clusters, csums = _wbf_clusters(c, items, threshold)
+        count[g] = len(clusters)
+        for s, (members, msums) in enumerate(zip(clusters, csums), start=lo):
+            for item in members:
+                slot[item[1]] = s
+            head = members[0][0]
+            *state[:4, s], fconf[s] = head[1:6] if msums is None else _fused(msums, head)
+
+    total = int(count.sum())
+    cstart = np.cumsum(count) - count
+    slots = np.repeat(base - cstart, count) + np.arange(total)
+    cluster = np.empty(n, np.intp)
+    cluster[slots] = np.arange(total)
+    of_row = cluster[slot]
+    by = np.lexsort((source, of_row))
+    oc, os_ = of_row[by], source[by]
+    distinct = np.ones(n, bool)
+    distinct[1:] = (oc[1:] != oc[:-1]) | (os_[1:] != os_[:-1])
+    support = np.bincount(oc[distinct], minlength=total)
+    return _Clusters(count, of_row, np.bincount(of_row, minlength=total), state[:4, slots],
+                     fconf[slots], support)
+
+
+def _wbf_images(per_model: Sequence[Sequence[Sequence[Box]]],
+                params: FusionParams) -> list[list[FusedBox]]:
+    """`wbf` of every image, in batches, where per_model[m][k] are model m's
+    boxes on image k: `[wbf([boxes[k] for boxes in per_model], params) for
+    each image k]`, for one model or more.
+
+    The images' class groups run through `_wbf_batch`, in batches of images
+    that hold about `BATCH_BOXES` boxes.
+    """
+    weights = _model_weights(params, len(per_model))
+    kept = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
+    kept_weights = [w for _, w in kept]
+    rescale = params.confidence_rescale == "support_ratio"
+    sizes = [sum(map(len, image)) for image in zip(*(boxes for boxes, _ in kept))]
+    out: list = [None] * len(sizes)
+    for batch in _batches(sizes):
+        lists = [boxes[k] for k in batch for boxes, _ in kept]
+        out[batch.start:batch.stop] = _wbf_image_batch(
+            lists, len(batch), kept_weights, rescale, params.iou_threshold)
+    return out
+
+
+# builds a FusedBox from the tuple of its fields, without the named tuple's
+# Python-level __new__
+_new_tuple = tuple.__new__
+
+
+def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
+                     threshold: float) -> list[list[FusedBox]]:
+    """`_wbf_images` of one batch of images (see `_gather` for `lists`),
+    whose models all have a positive weight."""
+    rows = _gather(lists, weights)
+    if rows is None:
+        return [[] for _ in range(n_images)]
+    lengths = np.diff(rows.starts, append=len(rows.conf))
+    cl = _wbf_batch(rows.box, rows.conf, rows.weight, rows.source, lengths,
+                    rows.cls[rows.starts], threshold)
+    conf = cl.conf
+    if rescale:
+        n_active = len(weights)
+        conf = conf * (np.minimum(cl.support, n_active) / n_active)
+    # each cluster's members in join order, which is row order
+    members = list(map(rows.boxes.__getitem__,
+                       rows.order[np.argsort(cl.of_row, kind="stable")].tolist()))
+    lo = np.cumsum(cl.size) - cl.size
+    fused = [None] * len(conf)
+    one = cl.size == 1
+    if rescale:
+        for c, i, f in zip(np.flatnonzero(one).tolist(), lo[one].tolist(), conf[one].tolist()):
+            b = members[i]
+            fused[c] = _new_tuple(FusedBox, (*b[:5], f, 1, (b,)))
+    else:  # the box passes through, its (cls, x1, y1, x2, y2, confidence) as they are
+        for c, i in zip(np.flatnonzero(one).tolist(), lo[one].tolist()):
+            b = members[i]
+            fused[c] = _new_tuple(FusedBox, (*b[:6], 1, (b,)))
+    more = ~one
+    for c, i, size, n_b, x1, y1, x2, y2, f in zip(*(
+            a.tolist() for a in (np.flatnonzero(more), lo[more], cl.size[more],
+                                 cl.support[more], *cl.box[:, more], conf[more]))):
+        fused[c] = _new_tuple(FusedBox, (members[i][0], x1, y1, x2, y2, f, n_b,
+                                         tuple(members[i:i + size])))
+    head = rows.starts[np.repeat(np.arange(len(lengths)), cl.count)]  # each cluster's group
+    image = rows.image[head]
+    fused = list(map(fused.__getitem__, _fused_rank(image, rows.cls[head], cl.box, conf).tolist()))
+    ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
+    return [fused[a:b] for a, b in zip([0, *ends], ends)]

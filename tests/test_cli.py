@@ -245,10 +245,9 @@ class TestConsensus:
         mpath = tmp_path / "wide.json"
         mpath.write_text(json.dumps(doc))
         calls = []
-        wbf, apply_gates = consensus.wbf, consensus.apply_gates
-        monkeypatch.setattr(consensus, "wbf", lambda *a: calls.append(a) or wbf(*a))
-        monkeypatch.setattr(consensus, "apply_gates",
-                            lambda *a: calls.append(a) or apply_gates(*a))
+        for name in ("apply_gates", "_wbf_batch", "_wbf_images"):
+            fn = getattr(consensus, name)
+            monkeypatch.setattr(consensus, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
         out = tmp_path / "o"
         rc = main(["consensus", "--manifest", str(mpath), "--out", str(out), "--shapley"])
         assert rc == 2
@@ -654,6 +653,18 @@ def test_iou_threshold_option_outside_unit_interval_exit_2(
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert "--iou-threshold" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0.3", "nan"])
+def test_iou_threshold_option_with_soft_nms_exit_2(scenario_dir, tmp_path, capsys, value):
+    out = tmp_path / "o"
+    rc = main(["fuse", "--algorithm", "soft-nms", "--manifest", manifest_path(scenario_dir),
+               "--out", str(out), f"--iou-threshold={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "soft-NMS takes no IoU threshold" in err
+    assert "internal error" not in err
     assert not out.exists()
 
 

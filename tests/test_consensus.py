@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from boxvote import cli, consensus
+from boxvote import cli, consensus, fusion
 from boxvote.cli import run_consensus
 from boxvote.consensus import (
     CF_EPSILON,
@@ -490,7 +490,7 @@ class TestSharedScoring:
         ens, params = scoring_case(3)
         calls = Counter()
         clustered = []  # (class, boxes) of each class group the quality pass clusters
-        fusions = consensus._wbf_fusions
+        batch = consensus._wbf_batch
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -499,19 +499,25 @@ class TestSharedScoring:
 
             return counted
 
-        def recording(cls, group, threshold):
-            clustered.append((cls, frozenset(item[0] for item in group)))
-            return fusions(cls, group, threshold)
+        def recording(box, conf, weight, source, lengths, cls, threshold):
+            rows = zip(*box.tolist(), conf.tolist(), source.tolist())
+            for c, n in zip(cls.tolist(), lengths.tolist()):
+                c = int(c)
+                clustered.append((c, frozenset(
+                    Box(c, x1, y1, x2, y2, score, int(src))
+                    for x1, y1, x2, y2, score, src in itertools.islice(rows, n))))
+            return batch(box, conf, weight, source, lengths, cls, threshold)
 
-        monkeypatch.setattr(consensus, "_wbf_fusions", recording)
-        monkeypatch.setattr(consensus, "wbf", counting("wbf", consensus.wbf))
+        monkeypatch.setattr(consensus, "_wbf_batch", recording)
+        monkeypatch.setattr(consensus, "_wbf_images",
+                            counting("_wbf_images", consensus._wbf_images))
         monkeypatch.setattr(
             consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
         )
         manifest = SimpleNamespace(fusion=params)
         run_consensus(manifest, ens, shapley=True)
         images = len(ens.target_image_ids)
-        assert calls["wbf"] == images  # the weighted pass only
+        assert calls["_wbf_images"] == 1  # the weighted pass, every image at once
         assert calls["apply_gates"] == 3 * images
 
         # one clustering per distinct non-empty S & P of each (image, class):
@@ -649,3 +655,50 @@ def test_every_subset_quality_matches_knowledge_vote_and_oracle(n_sources, seed)
         assert got == one_by_one.quality(subset)
         want = oracle_consensus_quality(sources, ens.target_image_ids, params.gates, 0.5)
         assert got == pytest.approx(want, abs=1e-12)  # c01's tolerance
+
+
+@pytest.mark.parametrize("limit", [1, 3, 4096])
+@pytest.mark.parametrize("n_sources,seed", [(3, 7), (4, 8), (5, 9)])
+def test_batches_of_any_size_score_and_fuse_as_per_image_calls(monkeypatch, limit, n_sources, seed):
+    # with 1 or 3 boxes per batch, every image with a box is a batch of its own
+    monkeypatch.setattr(fusion, "BATCH_BOXES", limit)
+    ens, params = tied_case(n_sources, seed)
+    subsets = consensus.read_subsets(n_sources, shapley=True)
+    scorer = ConsensusScorer(ens.sources, ens.target_image_ids, params, subsets)
+    for subset in subsets:
+        sources = [ens.sources[p] for p in subset]
+        assert scorer.quality(subset) == knowledge_vote_quality(sources, ens, params)
+    report = ContributionReport()
+    report.alpha = {s.source_id: 0.0 if s.source_id == 2 else 0.5 / s.source_id
+                    for s in ens.sources}
+    weighted = replace(params, model_weights=tuple(report.alpha.values()))
+    for rescale in ("none", "support_ratio"):
+        weighted = replace(weighted, confidence_rescale=rescale)
+        fused = weighted_fusion(ConsensusScorer(ens.sources, ens.target_image_ids,
+                                                replace(params, confidence_rescale=rescale)),
+                                report)
+        assert list(fused) == list(ens.target_image_ids)
+        for iid in ens.target_image_ids:
+            assert fused[iid] == knowledge_vote([s.for_image(iid) for s in ens.sources], weighted)
+
+
+def test_leave_one_out_over_seventy_sources():
+    """Subset masks wider than 64 bits: each of 70 sources has a box on one shared
+    object of img0, so that (image, class) group holds every source."""
+    rng = np.random.default_rng(70)
+    ids = ("img0", "img1", "img2")
+    sources = []
+    for i in range(1, 71):
+        d = 0.001 * int(rng.integers(0, 40))
+        shared = Box(0, 0.2 + d, 0.2, 0.5 + d, 0.6, round(float(rng.uniform(0.3, 1)), 3), i)
+        dets = {"img0": [shared, random_box(rng, source=i)],
+                "img1": [random_box(rng, source=i) for _ in range(int(rng.integers(0, 3)))]}
+        sources.append(domain(i, dets))
+    ens = SourceEnsemble(sources=tuple(sources), target_image_ids=ids)
+    params = FusionParams(iou_threshold=0.5)
+    report = consensus_focus_scores(make_scorer(ens, params))
+    assert report.q_full == knowledge_vote_quality(ens.sources, ens, params)
+    for i, src in enumerate(ens.sources):
+        assert report.q_leave_one_out[src.source_id] == knowledge_vote_quality(
+            without(ens, i), ens, params)
+    assert len(set(report.q_leave_one_out.values())) > 1

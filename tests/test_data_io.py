@@ -244,6 +244,17 @@ class TestPseudoLabelFiles:
         data_io.write_pseudo_labels(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_lines_of_the_detection_file_give_the_same_bytes(self, tmp_path):
+        # boxes in fused_order, as wbf returns them, and an image without one
+        ds = {iid: sorted(boxes, key=fused_order) for iid, boxes in self._dataset().items()}
+        ds["im9"] = []
+        detections = tmp_path / "fused.txt"
+        data_io.write_detections(ds, detections)
+        data_io.write_pseudo_labels(ds, tmp_path / "a.txt")
+        data_io.write_pseudo_labels(ds, tmp_path / "b.txt", detections=detections)
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert b"# empty im9\n" in (tmp_path / "b.txt").read_bytes()
+
     @pytest.mark.parametrize(
         "line",
         [

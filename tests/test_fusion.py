@@ -769,3 +769,113 @@ class TestNeighbours:
                 if a.x1 < b.x2 and b.x1 < a.x2 and a.y1 < b.y2 and b.y1 < a.y2]
         assert len(want) < len(boxes) * (len(boxes) - 1) // 2
         assert calls == want
+
+
+def batch_images(seed, n_images=15, sizes=()):
+    """Images of three models for the batched WBF sweep, one box list per model.
+
+    Each image holds `table_group` boxes of one to three classes, split by
+    source over the models, so a group carries confidence ties, duplicates,
+    IoUs of exactly 0.5 and zero-area boxes. Every fifth image has no box,
+    and each image starting with the second repeats one of its boxes in two
+    models at confidence 0 as class 5, which fuse into a cluster without
+    mass, and at x1 = -0.0 as class 6. A class-0 group of each of `sizes`
+    boxes is added, one image each.
+    """
+    rng = np.random.default_rng(seed)
+    images = []
+    for k in range(n_images):
+        boxes = []
+        if k % 5 != 4:
+            for cls in range(int(rng.integers(1, 4))):
+                boxes += table_group(rng, int(rng.integers(1, 10)), cls=cls)
+        if k and boxes:
+            b = boxes[int(rng.integers(0, len(boxes)))]
+            boxes += [b._replace(cls=5, confidence=0.0, source=s) for s in (0, 2)]
+            # at the left edge as -0.0, which a fused x1 sums to 0.0
+            boxes += [b._replace(cls=6, x1=-0.0, source=s) for s in (0, 2)]
+        images.append([[b for b in boxes if b.source == s] for s in range(3)])
+    for n in sizes:
+        boxes = table_group(rng, n)
+        images.append([[b for b in boxes if b.source == s] for s in range(3)])
+    return images
+
+
+def per_model(images):
+    return [[image[m] for image in images] for m in range(len(images[0]))]
+
+
+def bits(images_out):
+    """Fused boxes with each float as its repr, so 0.0 and -0.0 differ."""
+    return [[(f.cls, *map(repr, f[1:6]), f.support_count, f.members) for f in out]
+            for out in images_out]
+
+
+# (weights, rescaling): uniform, a zero model weight, and support-ratio rescaling
+BATCH_PARAMS = [
+    FusionParams(iou_threshold=0.5),
+    FusionParams(iou_threshold=0.5, model_weights=(0.5, 0.0, 0.25)),
+    FusionParams(model_weights=(0.2, 0.7, 0.1), confidence_rescale="support_ratio"),
+]
+
+
+class TestBatchedWbf:
+    """The batched sweep (`_wbf_batch`, `_wbf_images`) against the scalar one, with `==`."""
+
+    @pytest.mark.parametrize("params", BATCH_PARAMS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_images_equal_per_image_wbf(self, params, seed):
+        images = batch_images(seed, sizes=(TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1))
+        got = fusion._wbf_images(per_model(images), params)
+        want = [wbf(image, params) for image in images]
+        assert got == want  # members included
+        assert bits(got) == bits(want)
+        assert any(f.confidence == 0.0 and f.support_count == 2 for out in got for f in out)
+        assert any(f.cls == 6 and repr(f.x1) == "0.0" for out in got for f in out)
+        assert [] in got
+
+    @pytest.mark.parametrize("limit", [1, 3, 40, 4096])
+    def test_batches_of_any_size(self, monkeypatch, limit):
+        # with 1 or 3 boxes per batch, most images pass a batch alone
+        monkeypatch.setattr(fusion, "BATCH_BOXES", limit)
+        images = batch_images(4, n_images=40)
+        sizes = [sum(map(len, image)) for image in images]
+        assert (len(fusion._batches(sizes)) > 1) == (sum(sizes) > limit)
+        for params in BATCH_PARAMS:
+            assert fusion._wbf_images(per_model(images), params) == [
+                wbf(image, params) for image in images]
+
+    def test_run_past_one_batch_and_an_image_past_a_batch(self):
+        images = batch_images(5, n_images=fusion.BATCH_BOXES // 4)
+        rng = np.random.default_rng(6)
+        per_class = fusion.BATCH_BOXES // 40 + 3
+        boxes = [b for cls in range(40) for b in table_group(rng, per_class, cls)]
+        images.append([[b for b in boxes if b.source == s] for s in range(3)])
+        sizes = [sum(map(len, image)) for image in images]
+        assert sum(sizes) > 2 * fusion.BATCH_BOXES and sizes[-1] > fusion.BATCH_BOXES
+        assert fusion._batches(sizes)[-1] == range(len(images) - 1, len(images))
+        got = fusion._wbf_images(per_model(images), BATCH_PARAMS[0])
+        assert got == [wbf(image, BATCH_PARAMS[0]) for image in images]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_groups_equal_wbf_fusions(self, seed):
+        """Each group of one `_wbf_batch` call clusters as `_wbf_fusions` does,
+        on both sides of TABLE_MIN."""
+        rng = np.random.default_rng(seed)
+        groups = []
+        for n in (1, 2, 5, 9, TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1, 3):
+            boxes = table_group(rng, n, cls=n % 4)
+            groups.append(fusion._class_groups([(boxes, 0.5)], fusion._weighted_priority)[0])
+        rows = [item for _, items in groups for item in items]
+        cols = np.array([(b.x1, b.y1, b.x2, b.y2, b.confidence, w, b.source)
+                         for b, _, w in rows]).T
+        cl = fusion._wbf_batch(cols[:4], cols[4], cols[5], cols[6],
+                               [len(items) for _, items in groups],
+                               np.array([cls for cls, _ in groups]), 0.5)
+        assert cl.count.tolist() == [
+            len(fusion._wbf_fusions(cls, items, 0.5)) for cls, items in groups]
+        got = [(*box, c, n_b, tuple(rows[i][0] for i in np.flatnonzero(cl.of_row == j)))
+               for j, (box, c, n_b) in enumerate(zip(
+                   cl.box.T.tolist(), cl.conf.tolist(), cl.support.tolist()))]
+        assert got == [f for cls, items in groups
+                       for f in fusion._wbf_fusions(cls, items, 0.5)]
