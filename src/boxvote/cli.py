@@ -20,7 +20,15 @@ from . import consensus as cf
 from . import data_io, synth
 from .errors import ConfigError, DataError
 from .evaluation import evaluate, f1_curve
-from .fusion import FusionParams, apply_gates, knowledge_vote, nms, soft_nms, wbf
+from .fusion import (
+    FusionParams,
+    _wbf_images,
+    apply_gates,
+    knowledge_vote,  # noqa: F401 - bench/spans.py wraps `cli.knowledge_vote`
+    nms,
+    soft_nms,
+    wbf,  # noqa: F401 - bench/spans.py wraps `cli.wbf`
+)
 
 FUSE_ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote")
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
@@ -44,29 +52,33 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     returns for it. NMS uses NMS_DEFAULT_IOU unless nms_iou overrides it, never
     the manifest's iou_threshold. Soft-NMS takes no IoU threshold: it decays
     every overlapping box, reading only soft_nms_sigma and score_floor. The
-    manifest's iou_threshold governs WBF and knowledge-vote clustering. Only
-    `knowledge-vote` reads the manifest's gates and filter (`fusion.gates`), so
-    only its summary counts the boxes the gates drop.
+    manifest's iou_threshold governs WBF and knowledge-vote clustering, which
+    fuse every image in one `fusion._wbf_images` call. Only `knowledge-vote`
+    reads the manifest's gates and filter (`fusion.gates`), so only its
+    summary counts the boxes the gates drop, from the one pass that gates
+    each (source, image) pair.
     """
-    # built per call, so the span wrappers that bench/spans.py sets on these
-    # module names are the functions that run
-    fns = {"nms": nms, "soft-nms": soft_nms, "wbf": wbf, "knowledge-vote": knowledge_vote}
-    if algorithm not in fns:
+    if algorithm not in FUSE_ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
-    fuse = fns[algorithm]
     params = manifest.fusion
     if algorithm == "nms":
         params = replace(params, iou_threshold=NMS_DEFAULT_IOU if nms_iou is None else nms_iou)
-    per_image = {}
-    input_boxes = gate_dropped = 0
-    for image_id in ensemble.target_image_ids:
-        per_model = [s.for_image(image_id) for s in ensemble.sources]
-        n_boxes = sum(map(len, per_model))
-        input_boxes += n_boxes
-        if algorithm == "knowledge-vote":
-            kept = sum(len(apply_gates(boxes, params.gates)) for boxes in per_model)
-            gate_dropped += n_boxes - kept
-        per_image[image_id] = fuse(per_model, params)
+    ids = ensemble.target_image_ids
+    per_model = [[s.for_image(image_id) for image_id in ids] for s in ensemble.sources]
+    input_boxes = sum(len(boxes) for images in per_model for boxes in images)
+    gate_dropped = 0
+    if algorithm == "knowledge-vote":
+        per_model = [[apply_gates(boxes, params.gates) for boxes in images]
+                     for images in per_model]
+        gate_dropped = input_boxes - sum(len(boxes) for images in per_model for boxes in images)
+    if algorithm in ("wbf", "knowledge-vote"):
+        fused = _wbf_images(per_model, params)
+    else:
+        # looked up per call, so the span wrappers that bench/spans.py sets on
+        # these module names are the functions that run
+        fuse = nms if algorithm == "nms" else soft_nms
+        fused = [fuse([images[k] for images in per_model], params) for k in range(len(ids))]
+    per_image = dict(zip(ids, fused))
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),

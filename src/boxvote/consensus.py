@@ -178,7 +178,7 @@ class ConsensusScorer:
         """Add the terms of a batch of images to each subset's running total.
 
         The batch's gated boxes are grouped by (image, class) and sorted by
-        `_weighted_priority` once (`fusion._gather`). Weights are uniform
+        WBF's priority once (`fusion._gather`). Weights are uniform
         (`conf * 1.0 == conf`), so the boxes of a subset's sources keep the
         order of that subset's own group. Each distinct S & P of a group is
         one group of `fusion._wbf_batch`. The batch's clusters are sorted

@@ -9,55 +9,48 @@ pure. Only the knowledge vote reads `params.gates`, the relevance of each
 class in the target label space: which classes vote, and how confident a box
 of each must be. NMS, soft-NMS and WBF take every box.
 
-NMS, soft-NMS and WBF share one per-class sweep. `_class_groups` splits the
-boxes by class and sorts each group once, by the algorithm's priority; then
-one greedy pass runs over each group. All three break ties the same way:
-confidence descending (times the model weight, 1.0 for NMS and soft-NMS),
-then the box's source, then its position in its model's list, then model
-order.
+NMS, soft-NMS and WBF split the boxes by class and sort each group once, by
+the algorithm's priority; then one greedy pass runs over each group. All
+three break ties the same way: confidence descending (times the model
+weight, for WBF), then the box's source, then its position in its model's
+list, then model order.
 
-Each sweep visits a box's neighbours: the boxes that overlap it beyond a
-threshold, listed once per group by `_neighbours`, the one place that
-picks numpy or scalar `iou` by group size. A group of at least `TABLE_MIN` boxes lists
-them with numpy (`_overlaps`), pairing each box in x1 order only with the
-later ones whose x1 lies below its x2 (about 23% of a `dense-fuse` group's
-pairs), with `geometry.iou`'s IEEE operations, so each IoU is bit-equal to
-the scalar call. A smaller group, such as the about 3 boxes of a class
-group in sparse detector output, calls `iou` once per pair that passes a
-four-comparison axis test. The lists live only while their group is swept.
+A sweep visits a box's neighbours: the boxes that overlap it beyond a
+threshold, listed once per group by `_neighbours`, the one place that picks
+numpy or scalar `iou` by group size. A group of at least `TABLE_MIN` boxes
+lists them with numpy (`_overlaps`), pairing each box in x1 order only with
+the later ones whose x1 lies below its x2 (about 23% of a `dense-fuse`
+group's pairs), with `geometry.iou`'s IEEE operations, so each IoU is
+bit-equal to the scalar call. A smaller group, such as the about 3 boxes of
+a class group in sparse detector output, calls `iou` once per pair that
+passes a four-comparison axis test. The lists live only while their group
+is swept.
 
 - NMS: each kept box suppresses its neighbours beyond the threshold.
 - Soft-NMS takes the first maximum confidence of the group, kept in
   (source, index) order, from a lazy max-heap, and decays its neighbours
   beyond 0 by exp(-iou^2 / sigma) instead of re-sorting.
 - WBF puts each box into the first cluster whose fused box overlaps it,
-  with running sums per cluster. It compares the box with `iou`, after the
-  axis test, against a scan list of clusters. In a small group that is
-  every cluster, as neighbour lists measured slower on the small groups of
-  sparse detector output (see README, "Performance"). In a large group it
-  is the clusters of two or more members before the one-member cluster led
-  by the box's first over-threshold neighbour.
+  with running sums per cluster, and emits a cluster of one box as that
+  box's corners and confidence, with support 1 and the box as its only
+  member.
 
-WBF emits a cluster of one box as that box's corners and confidence, with
-support 1 and the box as its only member (`_wbf_fusions`). `FusedBox` is a
-named tuple like `geometry.Box` (see there), built positionally: the
-weighted consensus pass builds one per cluster, about 18,500 for three
-sources on 3,000 images.
-
-Consensus clusters tens of thousands of small class groups, and one `wbf`
-call per image spends most of its time on Python overhead per group. So
-`consensus` runs WBF over batches of images (`_batches`: consecutive images
-with at most `BATCH_BOXES` boxes, an image with more alone). `_gather`
-turns a batch's boxes into numpy columns, grouped by (image, class) and in
-priority order, and `_wbf_batch` clusters all its groups at once: step r
-takes the r-th box of every group that has one and compares it with all of
-that group's clusters, with `geometry.iou`'s IEEE operations and
-`_add_member`'s sums in join order, so every fused value is bit-equal to
-the scalar sweep's. A step compares a box with every earlier cluster of
-its group, so a group of at least `TABLE_MIN` boxes keeps the indexed
-scalar sweep. `_wbf_images` is `wbf` of every image this way, with equal
-output, members included; `fuse` keeps the scalar `wbf`, which is faster
-for one image at a time.
+WBF has one path, `_wbf_images`, which fuses many images in one call: `fuse`
+and `consensus` pass it every image, and `wbf` is its view of one image.
+Sparse detector output has tens of thousands of small class groups, and a
+Python sweep per group spends most of its time on overhead. So the images
+run in batches (`_batches`: consecutive images with at most `BATCH_BOXES`
+boxes, an image with more alone). `_gather` turns a batch's boxes into
+numpy columns, grouped by (image, class) and in priority order, and
+`_wbf_batch` clusters all its groups at once: step r takes the r-th box of
+every group that has one and compares it with all of that group's clusters.
+A step compares a box with every earlier cluster of its group, so a group
+of at least `TABLE_MIN` boxes is swept alone by `_wbf_clusters`, which
+finds through the group's neighbour lists the one-member cluster a box
+joins. Both sweeps take `geometry.iou`'s IEEE operations and `_add_member`'s
+sums in join order, so they give the same floats. `FusedBox` is a named
+tuple like `geometry.Box` (see there): the weighted consensus pass builds
+one per cluster, about 18,500 for three sources on 3,000 images.
 
 Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
 to round like the C library's `exp`, and on dense detector output it gave
@@ -69,9 +62,10 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -180,31 +174,29 @@ def _source_order(item):
     return (item[0].source, item[1])
 
 
-def _weighted_priority(item):
-    return (-(item[0].confidence * item[2]), item[0].source, item[1])
+def _priority(item):
+    return (-item[0].confidence, item[0].source, item[1])
 
 
-def _class_groups(weighted_sets, key):
+def _class_groups(per_model, key):
     """(class, items) for each class in ascending order, each group sorted once by `key`.
 
-    `weighted_sets` holds (boxes, weight) pairs in model order; an item is
-    (box, index of the box in its set, weight). The sort is stable, so items
-    that `key` ties stay in model order. `key` is `_weighted_priority`, which
-    NMS reads at weight 1.0 (`-(c * 1.0)` is `-c`), or `_source_order` for
-    soft-NMS. The sweeps read only those three fields of an item, so
-    consensus scoring appends the source's position.
+    An item is (box, index of the box in its model's list), in model order.
+    The sort is stable, so items that `key` ties stay in model order. `key`
+    is `_priority` for NMS, or `_source_order` for soft-NMS.
     """
     by_class: dict[int, list] = {}
-    for boxes, w in weighted_sets:
+    for boxes in per_model:
         for idx, b in enumerate(boxes):
-            by_class.setdefault(b.cls, []).append((b, idx, w))
+            by_class.setdefault(b.cls, []).append((b, idx))
     return [(cls, sorted(by_class[cls], key=key)) for cls in sorted(by_class)]
 
 
-def _overlaps(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _overlaps(corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, ious) of every pair of boxes that overlap, both ways, in row-then-column order.
 
-    Each IoU equals iou(boxes[row], boxes[col]) bit for bit, and a pair is
+    `corners` holds the boxes' x1, y1, x2 and y2 rows. Each IoU equals
+    iou(boxes[row], boxes[col]) bit for bit, and a pair is
     listed iff that IoU is > 0; no box is paired with itself. A sweep over
     the boxes sorted by x1 lists only the pairs whose x-intervals can
     intersect: the boxes after a box in that order whose x1 is below its x2.
@@ -212,8 +204,8 @@ def _overlaps(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     max/min, iw * ih, (area_i + area_j) - inter with max(0, .) areas, and no
     entry where the intersection is empty or the union is not positive.
     """
-    n = len(boxes)
-    x1, y1, x2, y2 = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T
+    x1, y1, x2, y2 = corners
+    n = len(x1)
     order = np.argsort(x1, kind="stable")
     # sorted position p pairs with the next counts[p] positions, whose x1 is below its x2
     counts = np.searchsorted(x1[order], x2[order]) - np.arange(1, n + 1)
@@ -242,16 +234,19 @@ def _overlaps(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[by_row], cols[by_row], np.concatenate((ov, ov))[by_row]
 
 
-def _neighbours(boxes, threshold: float) -> list[list[tuple[int, float]]]:
+def _neighbours(boxes, threshold: float, corners=None) -> list[list[tuple[int, float]]]:
     """Per position, the (position, iou) of every other box that overlaps it
     beyond `threshold`, in position order; each IoU equals `iou`'s bit for bit.
 
-    A group of at least `TABLE_MIN` boxes reads `_overlaps`; a smaller one
-    calls `iou` once per pair that passes the four-comparison axis test.
+    A group of at least `TABLE_MIN` boxes reads `_overlaps`, of `corners`
+    when the caller has the boxes' corners as rows; a smaller one calls
+    `iou` once per pair that passes the four-comparison axis test.
     """
     n = len(boxes)
     if n >= TABLE_MIN:
-        rows, cols, ovs = _overlaps(boxes)
+        if corners is None:
+            corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T
+        rows, cols, ovs = _overlaps(corners)
         over = ovs > threshold
         starts = np.searchsorted(rows[over], np.arange(n + 1)).tolist()
         edges = list(zip(cols[over].tolist(), ovs[over].tolist()))
@@ -283,10 +278,10 @@ def _nms_keep(boxes, threshold: float) -> list[int]:
 def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
     """Greedy per-class suppression at params.iou_threshold."""
     kept = []
-    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _weighted_priority):
-        boxes = [b for b, _, _ in group]
+    for _, group in _class_groups(per_model, _priority):
+        boxes = [b for b, _ in group]
         kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
-    kept.sort(key=_weighted_priority)
+    kept.sort(key=_priority)
     return [item[0] for item in kept]
 
 
@@ -336,28 +331,26 @@ def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[B
     """Gaussian soft-NMS: decay overlapping same-class confidences instead of
     discarding, then drop boxes below params.score_floor."""
     out = []
-    for _, group in _class_groups([(boxes, 1.0) for boxes in per_model], _source_order):
-        boxes = [b for b, _, _ in group]
+    for _, group in _class_groups(per_model, _source_order):
+        boxes = [b for b, _ in group]
         for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
-            b, idx, _ = group[i]
+            b, idx = group[i]
             if c != b.confidence:
                 b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
-            out.append((b, idx, 1.0))
-    out.sort(key=_weighted_priority)
-    return [b for b, _, _ in out]
+            out.append((b, idx))
+    out.sort(key=_priority)
+    return [b for b, _ in out]
 
 
 _NO_SUMS = (0.0,) * 7
 
 
-def _add_member(s, item) -> tuple:
-    """Sums (cw, w, cw*x1, cw*y1, cw*x2, cw*y2, w*conf) with a (box, index, weight) item added.
+def _add_member(s, b: Box, w: float) -> tuple:
+    """Sums (cw, w, cw*x1, cw*y1, cw*x2, cw*y2, w*conf) with box `b` of weight `w` added.
 
     cw is confidence * weight. Adding the members in order, starting from
     `_NO_SUMS`, gives the same floats as summing them from scratch.
     """
-    b = item[0]
-    w = item[2]
     cw_sum, w_sum, x1, y1, x2, y2, conf = s
     cw = b.confidence * w
     return (
@@ -384,91 +377,59 @@ def _fused(s, first: Box) -> tuple[float, float, float, float, float]:
     return x1 / cw_sum, y1 / cw_sum, x2 / cw_sum, y2 / cw_sum, conf / w_sum
 
 
-def _wbf_clusters(cls, group, threshold: float) -> tuple[list, list]:
-    """Cluster one class group (in weighted priority order): (clusters, sums).
+def _wbf_clusters(boxes, weights, corners, threshold: float) -> tuple[list[int], list[tuple]]:
+    """Cluster one class group of at least `TABLE_MIN` boxes, in priority order,
+    whose corners are the rows of `corners`: (the cluster of each box, each
+    cluster's fused (x1, y1, x2, y2, confidence)).
 
-    Each item joins the first cluster whose fused box overlaps it beyond
-    `threshold`, else starts a new cluster. A cluster is its member items in
-    join order; its sums are None while it has one member, whose box is then
-    its fused box. A larger cluster keeps running sums (see `_add_member`),
-    and its fused box is built when it is next compared. The item is
-    compared with `iou` against the clusters in `scan`, in cluster order,
-    skipping one whose fused box misses it on an axis (`iou` gives 0 there).
-
-    In a small group every cluster is in `scan`. A group of at least
-    `TABLE_MIN` boxes first lists its over-threshold neighbours (`_neighbours`):
-    clusters are created in group order, so the first one-member cluster
-    that item i overlaps is the one led by i's first such neighbour j < i
-    that still leads one. Then only clusters of two or more members are in
-    `scan`, and only those before that one are compared.
+    Each box joins the first cluster whose fused box overlaps it beyond
+    `threshold`, else starts a new cluster. The group's over-threshold
+    neighbours are listed first (`_neighbours`): clusters are created in
+    group order, so the first one-member cluster that box i overlaps is the
+    one led by i's first such neighbour j < i that still leads one. Only the
+    clusters of two or more members before that one are compared with
+    `iou`, in cluster order, skipping one whose fused box misses the box on
+    an axis (`iou` gives 0 there). Such a cluster keeps running sums (see
+    `_add_member`), and its fused box is built by `_fused` when it is next
+    compared. A one-member cluster's fused box is its box.
     """
-    clusters: list[list] = []  # member items, in join order
+    near = _neighbours(boxes, threshold, corners)
+    of: list[int] = []  # the cluster of each position
+    lead: list[int] = []  # the first position of each cluster
+    led = [-1] * len(boxes)  # the cluster a position leads, else -1
     sums: list = []  # running sums of a cluster with two or more members, else None
-    views: list = []  # the box of a one-member cluster, else its fused Box or None
-    scan: list[int] = []  # the clusters compared with `iou`, ascending
-    indexed = len(group) >= TABLE_MIN
-    if indexed:
-        near = _neighbours([item[0] for item in group], threshold)
-        led = [-1] * len(group)  # the cluster a position leads, else -1
-    for i, item in enumerate(group):
-        b = item[0]
-        ci = len(clusters)
-        if indexed:
-            for j, _ in near[i]:  # only positions before i lead a cluster yet
-                if led[j] >= 0 and sums[led[j]] is None:
-                    ci = led[j]
-                    break
+    views: list = []  # the fused Box of a cluster in `scan`, None until it is compared
+    scan: list[int] = []  # the clusters of two or more members, ascending
+    for i, b in enumerate(boxes):
+        ci = len(lead)
+        for j, _ in near[i]:  # only positions before i lead a cluster yet
+            if led[j] >= 0 and sums[led[j]] is None:
+                ci = led[j]
+                break
+        _, x1, y1, x2, y2 = b[:5]
         for mi in scan:
             if mi >= ci:
                 break
             view = views[mi]
             if view is None:
-                view = views[mi] = Box(cls, *_fused(sums[mi], clusters[mi][0][0]))
-            if (view.x1 < b.x2 and b.x1 < view.x2 and view.y1 < b.y2 and b.y1 < view.y2
+                view = views[mi] = Box(b.cls, *_fused(sums[mi], boxes[lead[mi]]))
+            if (view.x1 < x2 and x1 < view.x2 and view.y1 < y2 and y1 < view.y2
                     and iou(b, view) > threshold):
                 ci = mi
                 break
-        if ci == len(clusters):
-            if indexed:
-                led[i] = ci
-            else:
-                scan.append(ci)
-            clusters.append([item])
+        of.append(ci)
+        if ci == len(lead):
+            led[i] = ci
+            lead.append(i)
             sums.append(None)
-            views.append(b)
+            views.append(None)
             continue
-        members = clusters[ci]
-        members.append(item)
         if sums[ci] is None:
-            if indexed:
-                insort(scan, ci)
-            sums[ci] = _add_member(_NO_SUMS, members[0])
-        sums[ci] = _add_member(sums[ci], item)
+            insort(scan, ci)
+            sums[ci] = _add_member(_NO_SUMS, boxes[lead[ci]], weights[lead[ci]])
+        sums[ci] = _add_member(sums[ci], b, weights[i])
         views[ci] = None
-    return clusters, sums
-
-
-def _wbf_fusions(cls, group, threshold: float) -> list[tuple]:
-    """WBF of one class group (in weighted priority order), one tuple per
-    cluster in cluster order: (x1, y1, x2, y2, confidence, support, boxes).
-
-    A one-member cluster passes its box through with support 1. A larger one
-    is fused by `_fused`, and its support counts the distinct `source`s of
-    its member boxes, which are in join order.
-    """
-    if len(group) == 1:  # common in sparse detector output
-        clusters, sums = [group], [None]
-    else:
-        clusters, sums = _wbf_clusters(cls, group, threshold)
-    out = []
-    for members, s in zip(clusters, sums):
-        first = members[0][0]
-        if s is None:
-            out.append((first.x1, first.y1, first.x2, first.y2, first.confidence, 1, (first,)))
-        else:
-            boxes = tuple([item[0] for item in members])
-            out.append((*_fused(s, first), len({b.source for b in boxes}), boxes))
-    return out
+    return of, [boxes[i][1:6] if s is None else _fused(s, boxes[i]) for i, s in zip(lead, sums)]
 
 
 def _model_weights(params: FusionParams, n_models: int) -> tuple[float, ...]:
@@ -480,35 +441,6 @@ def _model_weights(params: FusionParams, n_models: int) -> tuple[float, ...]:
             f"{len(weights)} weights for {n_models} models"
         )
     return weights
-
-
-def wbf(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
-    """Weighted box fusion across models, counting distinct supporting sources.
-
-    Per class, boxes are processed in descending weighted-confidence order;
-    each joins the first cluster whose current fused box overlaps it beyond
-    params.iou_threshold, else starts a new cluster. A one-member cluster
-    passes its box through exactly.
-    """
-    weights = _model_weights(params, len(per_model))
-    # zero-weight models contribute nothing, including support
-    weighted = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
-    n_active = len(weighted)
-
-    rescale = params.confidence_rescale == "support_ratio"
-    fused: list[FusedBox] = []
-    for cls, group in _class_groups(weighted, _weighted_priority):
-        for x1, y1, x2, y2, conf, n_b, boxes in _wbf_fusions(cls, group, params.iou_threshold):
-            if rescale:
-                conf = conf * (min(n_b, n_active) / n_active)
-            fused.append(FusedBox(cls, x1, y1, x2, y2, conf, n_b, boxes))
-    fused.sort(key=fused_order)
-    return fused
-
-
-def knowledge_vote(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[FusedBox]:
-    """Class-gated, support-counting WBF: gate each model's boxes by params.gates, then fuse."""
-    return wbf([apply_gates(boxes, params.gates) for boxes in per_model], params)
 
 
 # Boxes per batch of `_wbf_batch`: images are batched in order while their
@@ -576,10 +508,10 @@ def _gather(lists, weights) -> _Rows | None:
 
     `lists` holds the box lists of each image, one per model in model
     order, image after image, and `weights` one weight per model. The rows
-    are grouped by image and then class, and each group is in
-    `_weighted_priority` order with ties in model order: the order
-    `_class_groups` gives each image. Class ids and sources become float64
-    columns, exact for integers below 2**53.
+    are grouped by image and then class, and each group is in WBF's
+    priority order: confidence times weight descending, then source, then
+    position in the model's list, ties in model order. Class ids and sources
+    become float64 columns, exact for integers below 2**53.
     """
     lens = np.fromiter(map(len, lists), np.intp, len(lists))
     boxes = list(chain.from_iterable(lists))
@@ -615,13 +547,17 @@ class _Clusters(NamedTuple):
     support: np.ndarray  # the distinct sources of each cluster's members
 
 
+# builds a named tuple from the tuple of its fields, without its Python-level __new__
+_new_tuple = tuple.__new__
+
+
 def _area(box) -> np.ndarray:
     """`geometry.iou`'s area of each box in a (x1, y1, x2, y2) block."""
     return np.maximum(0.0, box[2] - box[0]) * np.maximum(0.0, box[3] - box[1])
 
 
 def _wbf_batch(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
-    """Cluster many class groups at once, as `_wbf_fusions` clusters each one.
+    """Cluster many class groups at once, as `_wbf_run` does.
 
     The arguments are `_wbf_run`'s. Groups with more than `BATCH_BOXES` rows
     in all, as the restricted groups of one image of many sources can be,
@@ -643,23 +579,24 @@ def _wbf_batch(box, conf, weight, source, lengths, cls, threshold: float) -> _Cl
 
 
 def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
-    """Cluster many class groups at once, as `_wbf_fusions` clusters each one.
+    """Cluster many class groups at once: WBF of each group.
 
     The rows are the boxes of the groups (`box` holds their x1, y1, x2 and
     y2 rows), group after group, and each group in priority order: group g
     has `lengths[g]` rows of class `cls[g]`. Every weight is positive, as
-    `wbf` drops the models without. A group of at least `TABLE_MIN`
-    boxes runs `_wbf_clusters`, which indexes it. The smaller groups run in
-    lockstep: step r takes the r-th box of every group that has one and
-    compares it with all of that group's clusters at once; the box joins
-    the first cluster it overlaps beyond `threshold`, or opens a new one.
+    `_wbf_images` drops the models without. Each box joins the first cluster
+    whose fused box overlaps it beyond `threshold`, or opens a new one. A
+    group of at least `TABLE_MIN` boxes is swept by `_wbf_clusters`, which
+    indexes it. The smaller groups run in lockstep: step r takes the r-th
+    box of every group that has one and compares it with all of that
+    group's clusters at once.
 
     Cluster j of group g lives in slot base[g] + j, where base[g] is the
     group's first row; opening a cluster copies its box's row into the slot.
     Every slot starts as the one-member cluster of its own row's box, so a
     slot past a group's clusters still holds a box of the group, and every
-    IoU of a step is finite. The arithmetic is the scalar sweep's: each IoU
-    takes `geometry.iou`'s IEEE operations, as `_overlaps` does; a
+    IoU of a step is finite. The arithmetic is that of `_wbf_clusters`: each
+    IoU takes `geometry.iou`'s IEEE operations, as `_overlaps` does; a
     cluster's sums add its members' terms in join order, as `_add_member`
     does; and a fused box follows `_fused`. The confidence sum of
     `_add_member` adds w * conf, the same float as its cw = conf * w, so one
@@ -681,12 +618,13 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
     small = np.flatnonzero(lengths < TABLE_MIN)
     longer = len(small) - np.cumsum(np.bincount(lengths[small]))  # groups longer than r
     small = small[np.argsort(-lengths[small], kind="stable")]  # the longest first
+    # the first row and the cluster count of each small group, the longest first
+    firsts, counts = base[small], count[small]
     steps = np.arange(TABLE_MIN)
     for r in range(1, len(longer) - 1):
-        g = small[:longer[r]]
-        b = base[g]
+        b = firsts[:longer[r]]
         t = b + r
-        k = count[g]
+        k = counts[:len(b)]
         cols = steps[:k.max()]
         cand = b[:, None] + cols  # the slots of each group's clusters, and maybe more
         v = state[:5, cand]
@@ -696,16 +634,16 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
         inter = d[0] * d[1]
         union = bt[4] + v[4]
         union -= inter
-        hit = (d > 0.0).all(axis=0) & (union > 0.0) & (cols < k[:, None])
+        hit = (d[0] > 0.0) & (d[1] > 0.0) & (union > 0.0) & (cols < k[:, None])
         ov = np.zeros_like(inter)
         np.divide(inter, union, out=ov, where=hit)
         hit = ov > threshold
         joins = hit.any(axis=1)
         target = b + np.where(joins, hit.argmax(axis=1), k)
         slot[t] = target
-        count[g] = k + ~joins
-        if not joins.all():
-            state[:, target[~joins]] = own[:, t[~joins]]
+        opens = ~joins
+        if opens.any():
+            state[:, target[opens]] = own[:, t[opens]]
         if joins.any():
             s = target[joins]
             state[5:11, s] += own[5:11, t[joins]]
@@ -713,6 +651,8 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
             mean = state[7:11, s] / state[5, s]
             state[:4, s] = mean
             state[4, s] = _area(mean)
+        k += opens  # after `target`, which reads the counts before the step
+    count[small] = counts
 
     fconf = state[11]
     several = np.bincount(slot, minlength=n) > 1
@@ -720,17 +660,16 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
     np.divide(state[5], state[6], out=fconf,
               where=several & (state[5] > 0.0) & (state[6] > 0.0))
     for g in np.flatnonzero(lengths >= TABLE_MIN).tolist():
-        lo, hi, c = int(base[g]), int(base[g] + lengths[g]), int(cls[g])
-        items = [(Box(c, *v), i, w) for i, v, w in zip(
-            range(lo, hi), zip(*box[:, lo:hi].tolist(), conf[lo:hi].tolist()),
-            weight[lo:hi].tolist())]
-        clusters, csums = _wbf_clusters(c, items, threshold)
-        count[g] = len(clusters)
-        for s, (members, msums) in enumerate(zip(clusters, csums), start=lo):
-            for item in members:
-                slot[item[1]] = s
-            head = members[0][0]
-            *state[:4, s], fconf[s] = head[1:6] if msums is None else _fused(msums, head)
+        lo, hi = int(base[g]), int(base[g] + lengths[g])
+        # the group's `Box`es, of source 0: the sweep reads corners and confidences
+        boxes = list(map(_new_tuple, repeat(Box), zip(
+            repeat(int(cls[g])), *box[:, lo:hi].tolist(), conf[lo:hi].tolist(), repeat(0))))
+        of, fused = _wbf_clusters(boxes, weight[lo:hi].tolist(), box[:, lo:hi], threshold)
+        k = count[g] = len(fused)
+        slot[lo:hi] = np.fromiter(of, np.intp, hi - lo) + lo
+        # fconf is state[11]
+        state[[0, 1, 2, 3, 11], lo:lo + k] = np.fromiter(
+            chain.from_iterable(fused), float, 5 * k).reshape(k, 5).T
 
     total = int(count.sum())
     cstart = np.cumsum(count) - count
@@ -747,11 +686,11 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
                      fconf[slots], support)
 
 
-def _wbf_images(per_model: Sequence[Sequence[Sequence[Box]]],
+def _wbf_images(per_model: Sequence[Sequence[Collection[Box]]],
                 params: FusionParams) -> list[list[FusedBox]]:
-    """`wbf` of every image, in batches, where per_model[m][k] are model m's
-    boxes on image k: `[wbf([boxes[k] for boxes in per_model], params) for
-    each image k]`, for one model or more.
+    """Weighted box fusion of every image, where per_model[m][k] are model
+    m's boxes on image k; one list of `FusedBox`es per image, for one model
+    or more (see `wbf`).
 
     The images' class groups run through `_wbf_batch`, in batches of images
     that hold about `BATCH_BOXES` boxes.
@@ -769,9 +708,23 @@ def _wbf_images(per_model: Sequence[Sequence[Sequence[Box]]],
     return out
 
 
-# builds a FusedBox from the tuple of its fields, without the named tuple's
-# Python-level __new__
-_new_tuple = tuple.__new__
+def wbf(per_model: Sequence[Collection[Box]], params: FusionParams) -> list[FusedBox]:
+    """Weighted box fusion of one image across models, counting distinct supporting sources.
+
+    Models of weight 0 are left out. Per class, boxes are processed in
+    descending weighted-confidence order; each joins the first cluster whose
+    current fused box overlaps it beyond params.iou_threshold, else starts a
+    new cluster. A one-member cluster passes its box through exactly. This
+    is `_wbf_images` of one image; one call per image costs more than one
+    call for many images (README, "Performance").
+    """
+    images = _wbf_images([[boxes] for boxes in per_model], params)
+    return images[0] if images else []  # no model, no image
+
+
+def knowledge_vote(per_model: Sequence[Collection[Box]], params: FusionParams) -> list[FusedBox]:
+    """Class-gated, support-counting WBF: gate each model's boxes by params.gates, then fuse."""
+    return wbf([apply_gates(boxes, params.gates) for boxes in per_model], params)
 
 
 def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
@@ -788,28 +741,24 @@ def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
     if rescale:
         n_active = len(weights)
         conf = conf * (np.minimum(cl.support, n_active) / n_active)
-    # each cluster's members in join order, which is row order
-    members = list(map(rows.boxes.__getitem__,
-                       rows.order[np.argsort(cl.of_row, kind="stable")].tolist()))
-    lo = np.cumsum(cl.size) - cl.size
-    fused = [None] * len(conf)
-    one = cl.size == 1
-    if rescale:
-        for c, i, f in zip(np.flatnonzero(one).tolist(), lo[one].tolist(), conf[one].tolist()):
-            b = members[i]
-            fused[c] = _new_tuple(FusedBox, (*b[:5], f, 1, (b,)))
-    else:  # the box passes through, its (cls, x1, y1, x2, y2, confidence) as they are
-        for c, i in zip(np.flatnonzero(one).tolist(), lo[one].tolist()):
-            b = members[i]
-            fused[c] = _new_tuple(FusedBox, (*b[:6], 1, (b,)))
-    more = ~one
-    for c, i, size, n_b, x1, y1, x2, y2, f in zip(*(
-            a.tolist() for a in (np.flatnonzero(more), lo[more], cl.size[more],
-                                 cl.support[more], *cl.box[:, more], conf[more]))):
-        fused[c] = _new_tuple(FusedBox, (members[i][0], x1, y1, x2, y2, f, n_b,
-                                         tuple(members[i:i + size])))
     head = rows.starts[np.repeat(np.arange(len(lengths)), cl.count)]  # each cluster's group
     image = rows.image[head]
-    fused = list(map(fused.__getitem__, _fused_rank(image, rows.cls[head], cl.box, conf).tolist()))
+    rank = _fused_rank(image, rows.cls[head], cl.box, conf)  # the clusters in output order
+    # each cluster's members in join order, which is row order
+    members = tuple(map(rows.boxes.__getitem__,
+                        rows.order[np.argsort(cl.of_row, kind="stable")].tolist()))
+    size = cl.size[rank]
+    lo = (np.cumsum(cl.size) - cl.size)[rank]
+    firsts = list(map(members.__getitem__, lo.tolist()))  # each cluster's first member
+    # every cluster as a one-member one, which passes its box through: its
+    # (cls, x1, y1, x2, y2), and its confidence unless rescaled, are the same objects
+    confs = conf[rank].tolist() if rescale else map(itemgetter(5), firsts)
+    fused = list(map(_new_tuple, repeat(FusedBox), map(
+        tuple.__add__, map(itemgetter(slice(5)), firsts), zip(confs, repeat(1), zip(firsts)))))
+    more = np.flatnonzero(size > 1)
+    for c, x1, y1, x2, y2, f, n_b, a, b in zip(*(v.tolist() for v in (
+            more, *cl.box[:, rank[more]], conf[rank[more]], cl.support[rank[more]],
+            lo[more], (lo + size)[more]))):
+        fused[c] = _new_tuple(FusedBox, (firsts[c][0], x1, y1, x2, y2, f, n_b, members[a:b]))
     ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
     return [fused[a:b] for a, b in zip([0, *ends], ends)]

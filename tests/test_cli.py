@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from boxvote import cli, consensus, data_io
+from boxvote import cli, consensus, data_io, fusion
 from boxvote.cli import main
 from boxvote.errors import ConfigError, ParseError
-from boxvote.fusion import nms
+from boxvote.fusion import apply_gates, nms
+from boxvote.geometry import DetectionSet
+from oracles import oracle_wbf
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +126,7 @@ class TestFuse:
         # only the knowledge vote gates; this scenario's gates drop boxes
         assert (summary["gate_dropped_boxes"] > 0) == (algorithm == "knowledge-vote")
 
-    @pytest.mark.parametrize("algorithm,name", [
-        ("nms", "nms"), ("soft-nms", "soft_nms"), ("wbf", "wbf"),
-        ("knowledge-vote", "knowledge_vote"),
-    ])
+    @pytest.mark.parametrize("algorithm,name", [("nms", "nms"), ("soft-nms", "soft_nms")])
     def test_run_fuse_calls_the_module_name_once_per_image(self, scenario_dir, monkeypatch,
                                                           algorithm, name):
         manifest = data_io.parse_manifest(manifest_path(scenario_dir))
@@ -145,6 +144,48 @@ class TestFuse:
         assert list(per_image) == list(ids)
         # one call per target image, each given one box set per source, in source order
         assert calls == [[s.for_image(iid) for s in ensemble.sources] for iid in ids]
+
+    @pytest.mark.parametrize("algorithm", ["wbf", "knowledge-vote"])
+    def test_run_fuse_equals_oracle_wbf_per_image(self, scenario_dir, algorithm):
+        manifest = data_io.parse_manifest(manifest_path(scenario_dir))
+        ensemble = data_io.load_ensemble(manifest)
+        params = manifest.fusion
+        assert params.model_weights is None and params.confidence_rescale == "none"
+        per_image, summary = cli.run_fuse(manifest, ensemble, algorithm)
+        ids = ensemble.target_image_ids
+        assert list(per_image) == list(ids)
+        dropped = 0
+        for iid in ids:
+            per_model = [s.for_image(iid) for s in ensemble.sources]
+            if algorithm == "knowledge-vote":
+                gates = params.gates
+                dropped += sum(
+                    1 for boxes in per_model for b in boxes
+                    if (gates.classes is not None and b.cls not in gates.classes)
+                    or b.confidence < gates.gate(b.cls))
+                per_model = [apply_gates(boxes, gates) for boxes in per_model]
+            want = oracle_wbf([DetectionSet(iid, tuple(boxes)) for boxes in per_model],
+                              (1.0,) * len(per_model), params.iou_threshold)
+            assert [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
+                     tuple((b.source, b) for b in f.members)) for f in per_image[iid]] == want
+        assert summary["gate_dropped_boxes"] == dropped
+        assert (dropped > 0) == (algorithm == "knowledge-vote")
+
+    @pytest.mark.parametrize("algorithm", ["wbf", "knowledge-vote"])
+    def test_fuse_across_batches_writes_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch,
+                                                       algorithm):
+        def fuse(out):
+            assert main(["fuse", "--manifest", manifest_path(scenario_dir),
+                         "--algorithm", algorithm, "--out", str(out)]) == 0
+            return {name: (out / name).read_bytes() for name in ("fused.txt", "summary.json")}
+
+        whole = fuse(tmp_path / "whole")
+        batches = []
+        monkeypatch.setattr(fusion, "BATCH_BOXES", 3)
+        monkeypatch.setattr(fusion, "_wbf_image_batch",
+                            lambda *a, fn=fusion._wbf_image_batch: batches.append(a) or fn(*a))
+        assert fuse(tmp_path / "batched") == whole
+        assert len(batches) > 1
 
     def test_unknown_algorithm_exit_2_names_valid_set(self, scenario_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

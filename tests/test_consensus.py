@@ -24,7 +24,13 @@ from boxvote.errors import ConfigError, DegenerateEnsembleError, EmptySubsetErro
 from boxvote.fusion import ConfidenceGates, FusionParams, apply_gates, knowledge_vote
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import generate, reference_scenarios
-from oracles import fused_box_key, oracle_consensus_quality, oracle_weights, random_box
+from oracles import (
+    fused_box_key,
+    oracle_consensus_quality,
+    oracle_wbf,
+    oracle_weights,
+    random_box,
+)
 
 NO_GATES = ConfidenceGates()
 PARAMS = FusionParams()
@@ -422,15 +428,13 @@ def scoring_case(n_sources, rescale="none", seed=100):
 
 
 def knowledge_vote_quality(subset, ens, params):
-    """Consensus quality summed over per-image knowledge votes, re-gating each time."""
-    uniform = replace(
-        params, model_weights=(1.0,) * len(subset), confidence_rescale="none"
-    )
+    """Consensus quality summed over per-image knowledge votes, re-gating each time:
+    `oracle_wbf` of the gated boxes at uniform weights, its rows in `wbf`'s order."""
     total = 0.0
     for iid in ens.target_image_ids:
-        per_model = [s.for_image(iid) for s in subset]
-        for fb in knowledge_vote(per_model, uniform):
-            total += fb.support_count * fb.confidence
+        gated = [DetectionSet(iid, apply_gates(s.for_image(iid), params.gates)) for s in subset]
+        for row in oracle_wbf(gated, (1.0,) * len(subset), params.iou_threshold):
+            total += row[6] * row[5]  # support count * fused confidence
     return total
 
 

@@ -211,6 +211,11 @@ def two_model_pair():
 
 
 class TestWbf:
+    def test_no_model_and_no_box_fuse_to_nothing(self):
+        assert wbf([], FusionParams()) == []
+        assert knowledge_vote([], FusionParams()) == []
+        assert wbf([ds(), ()], FusionParams()) == []
+
     def test_singleton_identity(self):
         b = box(0.1, 0.2, 0.6, 0.9, 0.77)
         [f] = wbf([ds(b)], FusionParams())
@@ -670,8 +675,8 @@ def degenerate_boxes():
 
 
 def overlap_pairs(boxes):
-    """`_overlaps(boxes)` as {(row, col): iou.hex()}, after checking its order and shape."""
-    rows, cols, ovs = _overlaps(boxes)
+    """`_overlaps` of the boxes as {(row, col): iou.hex()}, after checking its order and shape."""
+    rows, cols, ovs = _overlaps(np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T)
     assert len(rows) == len(cols) == len(ovs)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     assert pairs == sorted(set(pairs))  # row then column, each pair once
@@ -805,12 +810,6 @@ def per_model(images):
     return [[image[m] for image in images] for m in range(len(images[0]))]
 
 
-def bits(images_out):
-    """Fused boxes with each float as its repr, so 0.0 and -0.0 differ."""
-    return [[(f.cls, *map(repr, f[1:6]), f.support_count, f.members) for f in out]
-            for out in images_out]
-
-
 # (weights, rescaling): uniform, a zero model weight, and support-ratio rescaling
 BATCH_PARAMS = [
     FusionParams(iou_threshold=0.5),
@@ -819,17 +818,38 @@ BATCH_PARAMS = [
 ]
 
 
+def oracle_images(images, params):
+    """`oracle_wbf` of each image at `params`, `support_ratio` applied as `wbf` does:
+    each confidence times min(support, models of positive weight) / that count,
+    then the rows re-sorted by the new confidence."""
+    weights = params.model_weights or (1.0,) * len(images[0])
+    n_active = sum(w > 0.0 for w in weights)
+    out = []
+    for image in images:
+        rows = oracle_wbf([ds(*boxes) for boxes in image], weights, params.iou_threshold)
+        if params.confidence_rescale == "support_ratio":
+            rows = [(*r[:5], r[5] * (min(r[6], n_active) / n_active), *r[6:]) for r in rows]
+            rows.sort(key=lambda r: (-r[5], *r[:5]))
+        out.append(rows)
+    return out
+
+
+def row_bits(images_rows):
+    """`oracle_wbf` rows with each float as its repr, so 0.0 and -0.0 differ."""
+    return [[(r[0], *map(repr, r[1:6]), *r[6:]) for r in rows] for rows in images_rows]
+
+
 class TestBatchedWbf:
-    """The batched sweep (`_wbf_batch`, `_wbf_images`) against the scalar one, with `==`."""
+    """The batched sweep (`_wbf_batch`, `_wbf_images`) against `oracle_wbf`, with `==`."""
 
     @pytest.mark.parametrize("params", BATCH_PARAMS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_images_equal_per_image_wbf(self, params, seed):
         images = batch_images(seed, sizes=(TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1))
         got = fusion._wbf_images(per_model(images), params)
-        want = [wbf(image, params) for image in images]
-        assert got == want  # members included
-        assert bits(got) == bits(want)
+        want = oracle_images(images, params)
+        assert [wbf_rows(out) for out in got] == want  # members included
+        assert row_bits([wbf_rows(out) for out in got]) == row_bits(want)
         assert any(f.confidence == 0.0 and f.support_count == 2 for out in got for f in out)
         assert any(f.cls == 6 and repr(f.x1) == "0.0" for out in got for f in out)
         assert [] in got
@@ -842,8 +862,8 @@ class TestBatchedWbf:
         sizes = [sum(map(len, image)) for image in images]
         assert (len(fusion._batches(sizes)) > 1) == (sum(sizes) > limit)
         for params in BATCH_PARAMS:
-            assert fusion._wbf_images(per_model(images), params) == [
-                wbf(image, params) for image in images]
+            got = fusion._wbf_images(per_model(images), params)
+            assert [wbf_rows(out) for out in got] == oracle_images(images, params)
 
     def test_run_past_one_batch_and_an_image_past_a_batch(self):
         images = batch_images(5, n_images=fusion.BATCH_BOXES // 4)
@@ -855,27 +875,32 @@ class TestBatchedWbf:
         assert sum(sizes) > 2 * fusion.BATCH_BOXES and sizes[-1] > fusion.BATCH_BOXES
         assert fusion._batches(sizes)[-1] == range(len(images) - 1, len(images))
         got = fusion._wbf_images(per_model(images), BATCH_PARAMS[0])
-        assert got == [wbf(image, BATCH_PARAMS[0]) for image in images]
+        assert [wbf_rows(out) for out in got] == oracle_images(images, BATCH_PARAMS[0])
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_groups_equal_wbf_fusions(self, seed):
-        """Each group of one `_wbf_batch` call clusters as `_wbf_fusions` does,
+    def test_groups_equal_oracle_wbf(self, seed):
+        """Each group of one `_wbf_batch` call clusters as `oracle_wbf` does,
         on both sides of TABLE_MIN."""
         rng = np.random.default_rng(seed)
         groups = []
         for n in (1, 2, 5, 9, TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1, 3):
             boxes = table_group(rng, n, cls=n % 4)
-            groups.append(fusion._class_groups([(boxes, 0.5)], fusion._weighted_priority)[0])
-        rows = [item for _, items in groups for item in items]
-        cols = np.array([(b.x1, b.y1, b.x2, b.y2, b.confidence, w, b.source)
-                         for b, _, w in rows]).T
+            # priority order at weight 0.5: weighted confidence, source, position
+            order = sorted(range(n), key=lambda i: (
+                -(boxes[i].confidence * 0.5), boxes[i].source, i))
+            groups.append([boxes[i] for i in order])
+        rows = [b for group in groups for b in group]
+        cols = np.array([(b.x1, b.y1, b.x2, b.y2, b.confidence, 0.5, b.source)
+                         for b in rows]).T
         cl = fusion._wbf_batch(cols[:4], cols[4], cols[5], cols[6],
-                               [len(items) for _, items in groups],
-                               np.array([cls for cls, _ in groups]), 0.5)
-        assert cl.count.tolist() == [
-            len(fusion._wbf_fusions(cls, items, 0.5)) for cls, items in groups]
-        got = [(*box, c, n_b, tuple(rows[i][0] for i in np.flatnonzero(cl.of_row == j)))
-               for j, (box, c, n_b) in enumerate(zip(
-                   cl.box.T.tolist(), cl.conf.tolist(), cl.support.tolist()))]
-        assert got == [f for cls, items in groups
-                       for f in fusion._wbf_fusions(cls, items, 0.5)]
+                               [len(group) for group in groups],
+                               np.array([group[0].cls for group in groups]), 0.5)
+        want = [oracle_wbf([ds(*group)], (0.5,), 0.5) for group in groups]
+        assert cl.count.tolist() == [len(w) for w in want]
+        got = [(rows[i[0]].cls, *box, c, n_b, tuple((rows[k].source, rows[k]) for k in i))
+               for box, c, n_b, i in zip(
+                   cl.box.T.tolist(), cl.conf.tolist(), cl.support.tolist(),
+                   (np.flatnonzero(cl.of_row == j) for j in range(len(cl.conf))))]
+        ends = np.cumsum(cl.count).tolist()
+        for w, a, b in zip(want, [0, *ends], ends):  # in cluster order, sorted as the oracle's
+            assert sorted(got[a:b], key=lambda r: (-r[5], *r[:5])) == w
