@@ -32,8 +32,7 @@ is swept.
   beyond 0 by exp(-iou^2 / sigma) instead of re-sorting.
 - WBF puts each box into the first cluster whose fused box overlaps it,
   with running sums per cluster, and emits a cluster of one box as that
-  box's corners and confidence, with support 1 and the box as its only
-  member.
+  box's corners and confidence, with support 1.
 
 WBF has one path, `_wbf_images`, which fuses many images in one call: `fuse`
 and `consensus` pass it every image, and `wbf` is its view of one image.
@@ -136,10 +135,8 @@ class FusionParams:
 
 
 class FusedBox(NamedTuple):
-    """A merged box: coordinates, fused confidence, and its supporting members.
-
-    `members` are the clustered boxes in join order; each names its source.
-    """
+    """A merged box: coordinates, fused confidence, and the number of distinct
+    sources among its cluster's members."""
 
     cls: int
     x1: float
@@ -148,7 +145,6 @@ class FusedBox(NamedTuple):
     y2: float
     confidence: float
     support_count: int
-    members: tuple[Box, ...]
 
 
 def fused_order(f) -> tuple:
@@ -744,21 +740,18 @@ def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
     head = rows.starts[np.repeat(np.arange(len(lengths)), cl.count)]  # each cluster's group
     image = rows.image[head]
     rank = _fused_rank(image, rows.cls[head], cl.box, conf)  # the clusters in output order
-    # each cluster's members in join order, which is row order
-    members = tuple(map(rows.boxes.__getitem__,
-                        rows.order[np.argsort(cl.of_row, kind="stable")].tolist()))
-    size = cl.size[rank]
-    lo = (np.cumsum(cl.size) - cl.size)[rank]
-    firsts = list(map(members.__getitem__, lo.tolist()))  # each cluster's first member
+    # clusters are numbered in the order of their first rows, so a cluster's
+    # first row is one where the running maximum of `of_row` rises
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(cl.of_row), prepend=-1))
+    firsts = list(map(rows.boxes.__getitem__, rows.order[first[rank]].tolist()))
     # every cluster as a one-member one, which passes its box through: its
     # (cls, x1, y1, x2, y2), and its confidence unless rescaled, are the same objects
     confs = conf[rank].tolist() if rescale else map(itemgetter(5), firsts)
     fused = list(map(_new_tuple, repeat(FusedBox), map(
-        tuple.__add__, map(itemgetter(slice(5)), firsts), zip(confs, repeat(1), zip(firsts)))))
-    more = np.flatnonzero(size > 1)
-    for c, x1, y1, x2, y2, f, n_b, a, b in zip(*(v.tolist() for v in (
-            more, *cl.box[:, rank[more]], conf[rank[more]], cl.support[rank[more]],
-            lo[more], (lo + size)[more]))):
-        fused[c] = _new_tuple(FusedBox, (firsts[c][0], x1, y1, x2, y2, f, n_b, members[a:b]))
+        tuple.__add__, map(itemgetter(slice(5)), firsts), zip(confs, repeat(1)))))
+    more = np.flatnonzero(cl.size[rank] > 1)
+    for c, x1, y1, x2, y2, f, n_b in zip(*(v.tolist() for v in (
+            more, *cl.box[:, rank[more]], conf[rank[more]], cl.support[rank[more]]))):
+        fused[c] = _new_tuple(FusedBox, (firsts[c][0], x1, y1, x2, y2, f, n_b))
     ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
     return [fused[a:b] for a, b in zip([0, *ends], ends)]

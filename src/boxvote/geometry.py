@@ -11,9 +11,10 @@ field through `object.__setattr__`. Reading a field costs a little more
 (CPython 3.11 does not specialize the named-tuple field getter), about 0.03
 against 0.01 us, which the cheaper construction more than pays for. `_replace`
 is their copy-with-changes. Their equality is tuple equality: a box equals a
-plain tuple of the same values, with the same hash. Boxes of different types
-never compare equal, because their field counts differ (`Box` 7, `FusedBox`
-8). Code reads their fields by name.
+plain tuple of the same values, with the same hash. Both types have 7 fields,
+so a `Box` and a `FusedBox` of the same values are equal too, although the
+seventh field is a source in one and a support count in the other. Code reads
+their fields by name.
 """
 
 from __future__ import annotations

@@ -154,7 +154,7 @@ class TestFuse:
         per_image, summary = cli.run_fuse(manifest, ensemble, algorithm)
         ids = ensemble.target_image_ids
         assert list(per_image) == list(ids)
-        dropped = 0
+        dropped = reused = 0
         for iid in ids:
             per_model = [s.for_image(iid) for s in ensemble.sources]
             if algorithm == "knowledge-vote":
@@ -166,10 +166,15 @@ class TestFuse:
                 per_model = [apply_gates(boxes, gates) for boxes in per_model]
             want = oracle_wbf([DetectionSet(iid, tuple(boxes)) for boxes in per_model],
                               (1.0,) * len(per_model), params.iou_threshold)
-            assert [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
-                     tuple((b.source, b) for b in f.members)) for f in per_image[iid]] == want
+            assert [tuple(f) for f in per_image[iid]] == [row[:7] for row in want]
+            for f, row in zip(per_image[iid], want):
+                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's own
+                    b = row[7][0][1]
+                    assert all(x is y for x, y in zip(f[:6], b[:6]))
+                    reused += 1
         assert summary["gate_dropped_boxes"] == dropped
         assert (dropped > 0) == (algorithm == "knowledge-vote")
+        assert reused > 0
 
     @pytest.mark.parametrize("algorithm", ["wbf", "knowledge-vote"])
     def test_fuse_across_batches_writes_the_same_bytes(self, scenario_dir, tmp_path, monkeypatch,

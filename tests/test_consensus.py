@@ -314,6 +314,22 @@ class TestWeightedFusion:
             want = knowledge_vote([s.for_image(iid) for s in ens.sources[:2]], uparams)
             assert sorted(fused[iid], key=fused_box_key) == sorted(want, key=fused_box_key)
 
+    def test_one_member_clusters_reuse_their_box_fields(self):
+        rng = np.random.default_rng(93)
+        ens = random_ensemble(rng, 3, 4)
+        fused = self._weighted(ens, {1: 0.5, 2: 0.25, 3: 0.25})
+        reused = 0
+        for iid in ens.target_image_ids:
+            per_model = [DetectionSet(iid, tuple(s.for_image(iid))) for s in ens.sources]
+            want = oracle_wbf(per_model, (0.5, 0.25, 0.25), PARAMS.iou_threshold)
+            assert [tuple(f) for f in fused[iid]] == [row[:7] for row in want]
+            for f, row in zip(fused[iid], want):
+                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's own
+                    b = row[7][0][1]
+                    assert all(x is y for x, y in zip(f[:6], b[:6]))
+                    reused += 1
+        assert reused > 0
+
 
 class TestWeightedFusionQuality:
     def test_gt_matched_confidences_not_degraded_by_reweighting(self):

@@ -200,7 +200,7 @@ class TestPseudoLabelFiles:
                 boxes.append(
                     FusedBox(cls=b.cls, x1=b.x1, y1=b.y1, x2=b.x2, y2=b.y2,
                              confidence=b.confidence,
-                             support_count=int(rng.integers(1, 4)), members=())
+                             support_count=int(rng.integers(1, 4)))
                 )
             entries[iid] = tuple(boxes)
         return entries
@@ -227,7 +227,7 @@ class TestPseudoLabelFiles:
     def test_rows_follow_fused_order_on_equal_confidence(self, tmp_path):
         # equal confidences, handed over against fused_order
         boxes = [
-            FusedBox(cls, x1, 0.1, x1 + 0.2, 0.5, 0.5, 1, ())
+            FusedBox(cls, x1, 0.1, x1 + 0.2, 0.5, 0.5, 1)
             for cls, x1 in [(1, 0.3), (1, 0.1), (0, 0.6), (0, 0.2)]
         ]
         assert boxes != sorted(boxes, key=fused_order)

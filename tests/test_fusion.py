@@ -269,9 +269,12 @@ class TestWbf:
         rng = np.random.default_rng(21)
         for _ in range(100):
             models = _random_models(rng)
-            for f in wbf(models, FusionParams()):
-                xs1 = [b.x1 for b in f.members]
-                confs = [b.confidence for b in f.members]
+            out = wbf(models, FusionParams())
+            want = oracle_wbf(models, (1.0,) * len(models), 0.55)
+            assert wbf_rows(out) == oracle_rows(want)
+            for f, row in zip(out, want):
+                xs1 = [b.x1 for _, b in row[7]]
+                confs = [b.confidence for _, b in row[7]]
                 assert min(xs1) - 1e-12 <= f.x1 <= max(xs1) + 1e-12
                 assert min(confs) - 1e-12 <= f.confidence <= max(confs) + 1e-12
 
@@ -285,6 +288,23 @@ class TestWbf:
                 sorted(plain, key=fused_box_key), sorted(rescaled, key=fused_box_key)
             ):
                 assert b.confidence <= a.confidence + 1e-12
+
+    @pytest.mark.parametrize("rescale", ["none", "support_ratio"])
+    def test_one_member_cluster_reuses_its_box_fields(self, rescale):
+        # class 300 is past CPython's cached small ints, so `is` tells a reused int
+        lone = [box(0.11, 0.12, 0.31, 0.32, 0.93, cls=300, source=0),
+                box(0.61, 0.62, 0.91, 0.92, 0.43, cls=300, source=1)]
+        m1, m2 = two_model_pair()
+        out = wbf([ds(lone[0], *m1), ds(*m2, lone[1])],
+                  FusionParams(confidence_rescale=rescale))
+        single = [f for f in out if f.support_count == 1]  # the pair fuses
+        assert len(out) == 3 and len(single) == 2
+        for f, b in zip(single, lone):
+            assert all(x is y for x, y in zip(f[:5], b[:5]))
+            if rescale == "none":
+                assert f.confidence is b.confidence
+            else:  # support 1 of 2 models
+                assert f.confidence is not b.confidence and f.confidence == b.confidence / 2
 
 
 def _random_models(rng, n_models=None, max_boxes=6):
@@ -334,9 +354,13 @@ class TestKnowledgeVote:
         gates = ConfidenceGates(gates={0: 0.3, 1: 0.6}, default_gate=0.5)
         for _ in range(30):
             models = _random_models(rng)
-            for f in knowledge_vote(models, FusionParams(gates=gates)):
-                for b in f.members:
-                    assert b.confidence >= gates.gate(f.cls)
+            out = knowledge_vote(models, FusionParams(gates=gates))
+            want = oracle_wbf([ds(*apply_gates(m, gates)) for m in models],
+                              (1.0,) * len(models), 0.55)
+            assert wbf_rows(out) == oracle_rows(want)
+            for row in want:
+                for _, b in row[7]:
+                    assert b.confidence >= gates.gate(row[0])
 
 
 @pytest.mark.parametrize("fn", [nms, soft_nms, wbf], ids=["nms", "soft_nms", "wbf"])
@@ -409,7 +433,11 @@ class TestWbfAlgebra:
 class TestTiesAcrossModels:
     """Two overlapping boxes of equal confidence from two models: confidence,
     then source, then position in the model's list, then model order decide
-    which comes first."""
+    which comes first.
+
+    WBF runs on copies at confidence 0: their cluster has no mass, so it
+    keeps its first member's box, which shows which box leads.
+    """
 
     A = box(0.0, 0.0, 0.5, 0.5, 0.7)
     B = box(0.0, 0.0, 0.5, 0.6, 0.7)  # iou(A, B) = 5/6
@@ -423,20 +451,21 @@ class TestTiesAcrossModels:
             assert out[0] == first
             assert out[1] == second._replace(confidence=out[1].confidence)
             assert out[1].confidence < 0.7
-            [f] = wbf([ds(first), ds(second)], PARAMS_50)
-            assert f.members == (first, second)
+            zero = [ds(first._replace(confidence=0.0)), ds(second._replace(confidence=0.0))]
+            assert wbf(zero, PARAMS_50) == [(*first[:5], 0.0, 1)]  # y2 0.5 for A, 0.6 for B
 
     def test_source_and_position_come_before_model_order(self):
         a, b = self.A._replace(source=2), self.B._replace(source=1)
         assert nms([ds(a), ds(b)], PARAMS_50) == [b]
-        [f] = wbf([ds(a), ds(b)], PARAMS_50)
-        assert f.members == (b, a)
+        a0, b0 = a._replace(confidence=0.0), b._replace(confidence=0.0)
+        assert wbf([ds(a0), ds(b0)], PARAMS_50) == [(*b[:5], 0.0, 2)]
         far = box(0.8, 0.8, 0.9, 0.9, 0.7)
         a, b = self.A, self.B
         # b is first in its list, a second in its own
         assert nms([ds(far, a), ds(b)], PARAMS_50) == [far, b]
         assert soft_nms([ds(far, a), ds(b)], PARAMS_50)[:2] == [far, b]
-        assert {f.members for f in wbf([ds(far, a), ds(b)], PARAMS_50)} == {(far,), (b, a)}
+        a0, b0 = a._replace(confidence=0.0), b._replace(confidence=0.0)
+        assert wbf([ds(far, a0), ds(b0)], PARAMS_50) == [(*far[:6], 1), (*b[:5], 0.0, 1)]
 
 
 def table_group(rng, n, cls=0):
@@ -496,10 +525,13 @@ def by_source(boxes):
 
 
 def wbf_rows(out):
-    """`wbf` output in `oracle_wbf`'s row shape."""
-    return [(f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence, f.support_count,
-             tuple((b.source, b) for b in f.members))
-            for f in out]
+    """`wbf` output as plain tuples, in the shape of `oracle_rows`."""
+    return [tuple(f) for f in out]
+
+
+def oracle_rows(rows):
+    """`oracle_wbf` rows without their last element, the members."""
+    return [row[:7] for row in rows]
 
 
 class TestTablePathAgainstOracles:
@@ -552,8 +584,8 @@ class TestTablePathAgainstOracles:
                      box(0.12, 0.1, 0.5, 0.52, 0.0, cls=2, source=2)]
         models = by_source(table_boxes(seed, n) + zero_mass)
         got = wbf_rows(wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights)))
-        assert got == oracle_wbf(models, weights, 0.5)
-        assert (2, *zero_mass[0][1:5], 0.0, 2, ((1, zero_mass[0]), (2, zero_mass[1]))) in got
+        assert got == oracle_rows(oracle_wbf(models, weights, 0.5))
+        assert (2, *zero_mass[0][1:5], 0.0, 2) in got
 
 
 def dense_group(rng, n):
@@ -592,9 +624,9 @@ class TestNeighbourSweepsAgainstOracles:
         for threshold in (0.55, 0.3):
             for weights in [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0)]:
                 params = FusionParams(iou_threshold=threshold, model_weights=weights)
-                out = wbf(models, params)
-                assert wbf_rows(out) == oracle_wbf(models, weights, threshold)
-                assert any(len(f.members) > 1 for f in out)
+                want = oracle_wbf(models, weights, threshold)
+                assert wbf_rows(wbf(models, params)) == oracle_rows(want)
+                assert any(len(row[7]) > 1 for row in want)
 
     @PADDED
     def test_floor_drops_a_box_after_a_later_pick(self, padded):
@@ -649,10 +681,10 @@ class TestNeighbourSweepsAgainstOracles:
         lead = [*merged, lone] if merged_first else [lone, *merged]
         lead = [b._replace(confidence=c) for b, c in zip(lead, (0.9, 0.85, 0.8))]
         boxes = [*lead, probe] + (filler(TABLE_MIN, 0.1) if padded else [])
-        out = wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))
-        assert wbf_rows(out) == oracle_wbf([ds(*boxes)], (1.0,), 0.55)
+        want = oracle_wbf([ds(*boxes)], (1.0,), 0.55)
+        assert wbf_rows(wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))) == oracle_rows(want)
         joined = lead[:2] if merged_first else lead[:1]
-        assert (*joined, probe) in [f.members for f in out]
+        assert (*joined, probe) in [tuple(b for _, b in row[7]) for row in want]
 
 def degenerate_boxes():
     """Zero-area, touching, identical, full-frame, tiny and signed-zero boxes."""
@@ -819,14 +851,15 @@ BATCH_PARAMS = [
 
 
 def oracle_images(images, params):
-    """`oracle_wbf` of each image at `params`, `support_ratio` applied as `wbf` does:
+    """`oracle_rows` of each image at `params`, `support_ratio` applied as `wbf` does:
     each confidence times min(support, models of positive weight) / that count,
     then the rows re-sorted by the new confidence."""
     weights = params.model_weights or (1.0,) * len(images[0])
     n_active = sum(w > 0.0 for w in weights)
     out = []
     for image in images:
-        rows = oracle_wbf([ds(*boxes) for boxes in image], weights, params.iou_threshold)
+        rows = oracle_rows(oracle_wbf([ds(*boxes) for boxes in image], weights,
+                                      params.iou_threshold))
         if params.confidence_rescale == "support_ratio":
             rows = [(*r[:5], r[5] * (min(r[6], n_active) / n_active), *r[6:]) for r in rows]
             rows.sort(key=lambda r: (-r[5], *r[:5]))
@@ -835,7 +868,7 @@ def oracle_images(images, params):
 
 
 def row_bits(images_rows):
-    """`oracle_wbf` rows with each float as its repr, so 0.0 and -0.0 differ."""
+    """`oracle_rows` with each float as its repr, so 0.0 and -0.0 differ."""
     return [[(r[0], *map(repr, r[1:6]), *r[6:]) for r in rows] for rows in images_rows]
 
 
@@ -848,7 +881,7 @@ class TestBatchedWbf:
         images = batch_images(seed, sizes=(TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1))
         got = fusion._wbf_images(per_model(images), params)
         want = oracle_images(images, params)
-        assert [wbf_rows(out) for out in got] == want  # members included
+        assert [wbf_rows(out) for out in got] == want
         assert row_bits([wbf_rows(out) for out in got]) == row_bits(want)
         assert any(f.confidence == 0.0 and f.support_count == 2 for out in got for f in out)
         assert any(f.cls == 6 and repr(f.x1) == "0.0" for out in got for f in out)
