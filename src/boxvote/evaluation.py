@@ -6,32 +6,38 @@ threshold. AP is 101-point interpolated; the multi-threshold mAP averages
 IoU thresholds 0.50 to 0.95 in steps of 0.05.
 
 Each evaluation matches once, and the metrics and the F1 curve share that
-match. `match_all` matches every detection, whatever its confidence: per
-(image, class) slice it ranks the detections once and computes every
-detection x ground-truth IoU once, and one pass over the ranked detections
-gives each its flags at all ten IoU thresholds, each threshold with its own
-list of taken ground-truth boxes. The sweep is prefix-stable: whether a
-detection matches depends only on the detections ranked above it in its
-slice (confidence descending, then ingestion order). Keeping the detections
-at or above a confidence keeps a prefix of every slice, so their matches are
-a prefix of the full matches, in the same order. So `evaluate` at threshold
-T reads the confidence-sorted rows at or above T, and `f1_curve` reads each
-grid point off cumulative true-positive counts in the IoU-0.5 column of the
-same rows (`MetricsReport.matches`).
+match. `match_all` matches every detection, whatever its confidence, at all
+ten IoU thresholds, in numpy columns. It reads the detections' and the
+ground truth's fields once into columns (`_columns`), ranks the detections
+of each (image, class) slice (confidence descending, then ingestion order),
+and pairs each detection with the ground-truth boxes of its slice. Each
+pair's IoU takes `geometry.iou`'s IEEE operations (`geometry.pair_ious`),
+and a box is a detection's candidate if that IoU is > 0 (`_candidates`).
+The greedy sweep then runs in lockstep (`_greedy_flags`): step r takes the
+r-th ranked detection with a candidate of every slice, at all ten thresholds
+at once, and each threshold keeps its own mask of taken boxes.
+
+The sweep is prefix-stable: whether a detection matches depends only on the
+detections ranked above it in its slice. Keeping the detections at or above
+a confidence keeps a prefix of every slice, so their matches are a prefix of
+the full matches, in the same order. So `evaluate` at threshold T reads the
+prefix of each class's confidence-sorted flags at or above T, and `f1_curve`
+reads each grid point off cumulative true-positive counts in the IoU-0.5
+column of the same flags (`MetricsReport.matches`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import EmptyGroundTruthError
-from .geometry import Box, iou, running_sum
+from .geometry import Box, pair_ious, running_sum
+from .geometry import iou  # noqa: F401  not called here; bench/spans.py counts calls through it
 
 AP_RECALL_POINTS = 101
 MAP_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * k, 2) for k in range(10))
@@ -61,17 +67,20 @@ class ClassMetrics:
     ap5095: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy arrays do not compare to one bool
 class Matches:
     """Every detection matched against the ground truth at every mAP IoU threshold.
 
     `counts` is the number of ground-truth boxes per class, in ascending class
-    order. `rows[cls]` holds one `(confidence, flag per MAP_IOU_THRESHOLDS...)`
-    row per detection of a class in `counts`, sorted by confidence descending.
+    order. For each class of `counts`, the class's detections are sorted by
+    confidence descending (ties by image id, then rank in the image's slice):
+    `confidence[cls]` holds their confidences, and `flags[cls]` whether each
+    matched, one row per detection and one column per MAP_IOU_THRESHOLDS.
     """
 
     counts: dict[int, int]
-    rows: dict[int, list[tuple]]
+    confidence: dict[int, np.ndarray]
+    flags: dict[int, np.ndarray]
 
 
 @dataclass
@@ -81,40 +90,6 @@ class MetricsReport:
     confidence_threshold: float
     # every detection's match, whatever the threshold; read by `f1_curve`
     matches: Matches = field(compare=False, repr=False)
-
-
-def _match_slice(dets, gt_boxes) -> list[tuple]:
-    """One `(confidence, flag per MAP_IOU_THRESHOLDS...)` row per detection of
-    one image / class slice, in rank order: confidence descending, then
-    ingestion order.
-
-    Each ranked detection lists its overlapping ground-truth boxes once, as
-    (iou, index), best first (IoU ties by ground-truth index). At each
-    threshold it takes the first box of that list that is untaken at that
-    threshold, if that box's IoU reaches the threshold.
-    """
-    taken = [[False] * len(gt_boxes) for _ in MAP_IOU_THRESHOLDS]
-    rows = []
-    for k in sorted(range(len(dets)), key=lambda k: (-dets[k].confidence, k)):
-        d = dets[k]
-        candidates = []
-        for g, gt in enumerate(gt_boxes):
-            ov = iou(d, gt)
-            if ov > 0.0:
-                candidates.append((ov, g))
-        candidates.sort(key=itemgetter(0), reverse=True)
-        row = [d.confidence]
-        for thresh, taken_at in zip(MAP_IOU_THRESHOLDS, taken):
-            hit = False
-            for ov, g in candidates:
-                if not ov >= thresh:
-                    break
-                if not taken_at[g]:
-                    taken_at[g] = hit = True
-                    break
-            row.append(hit)
-        rows.append(tuple(row))
-    return rows
 
 
 def average_precision(matched_flags, num_gt: int) -> float:
@@ -132,12 +107,30 @@ def average_precision(matched_flags, num_gt: int) -> float:
     return total / AP_RECALL_POINTS
 
 
-def _by_class(boxes, classes) -> dict[int, list]:
-    out: dict[int, list] = {}
-    for b in boxes:
-        if b.cls in classes:
-            out.setdefault(b.cls, []).append(b)
-    return out
+_CLS = attrgetter("cls")
+_CORNERS = attrgetter("x1", "y1", "x2", "y2")
+_CORNERS_CONFIDENCE = attrgetter("x1", "y1", "x2", "y2", "confidence")
+_THRESHOLDS = np.array(MAP_IOU_THRESHOLDS)[:, None]
+
+
+def _columns(lists, position: dict, fields, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slice key, columns) of the boxes of `lists` whose class is in `position`.
+
+    `lists` holds one image's boxes per entry. A box's slice key is its
+    image's position in `lists` times len(position), plus its class's
+    position. The columns are a (width, boxes) array of the values that
+    `fields` reads. Both are in input order.
+    """
+    boxes = list(chain.from_iterable(lists))
+    n = len(boxes)
+    lens = np.fromiter(map(len, lists), np.intp, len(lists))
+    cls = np.fromiter(map(position.get, map(_CLS, boxes), repeat(-1)), np.intp, n)
+    cols = np.fromiter(chain.from_iterable(map(fields, boxes)), float, width * n)
+    key = np.repeat(np.arange(len(lists)) * len(position), lens) + cls
+    known = cls >= 0
+    if known.all():
+        return key, cols.reshape(n, width).T
+    return key[known], cols.reshape(n, width)[known].T
 
 
 def match_all(fused, gt: GroundTruth) -> Matches:
@@ -146,20 +139,114 @@ def match_all(fused, gt: GroundTruth) -> Matches:
 
     `fused` maps an image id to that image's boxes: any sized iterable of
     objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
-    `Box` tuple or a list of `FusedBox`. Each class's rows are sorted by
-    (-confidence, image id, rank in the image's slice): images are visited in
-    id order, each slice appends in rank order, and the confidence sort is
-    stable. So the result does not depend on the order of `fused`.
+    `Box` tuple or a list of `FusedBox`. The result does not depend on the
+    order of `fused`.
     """
     counts = gt.class_counts()
-    rows: dict[int, list[tuple]] = {c: [] for c in counts}
-    for image_id in sorted(fused):
-        gt_by_cls = _by_class(gt.entries.get(image_id, ()), rows)
-        for cls, dets in _by_class(fused[image_id], rows).items():
-            rows[cls].extend(_match_slice(dets, gt_by_cls.get(cls, ())))
-    for cls_rows in rows.values():
-        cls_rows.sort(key=itemgetter(0), reverse=True)
-    return Matches(counts, rows)
+    if not counts:
+        return Matches(counts, {}, {})
+    position = {cls: k for k, cls in enumerate(counts)}
+    ids = sorted(fused)
+    key, det = _columns([fused[i] for i in ids], position, _CORNERS_CONFIDENCE, 5)
+    gt_key, truth = _columns([gt.entries.get(i, ()) for i in ids], position, _CORNERS, 4)
+    # rank order within each slice; a stable sort, so equal confidences keep input order
+    order = np.lexsort((-det[4], key))
+    key = key[order]
+    gt_order = np.argsort(gt_key, kind="stable")
+    gt_key = gt_key[gt_order]
+    flags = _greedy_flags(*_candidates(key, det, order, gt_key, truth, gt_order),
+                          len(key), len(gt_key))
+    # each class's detections by confidence descending; the sort is stable, so
+    # ties stay in (image id, rank) order
+    conf = det[4][order]
+    cls = key % len(counts)
+    by_class = np.lexsort((-conf, cls))
+    bounds = np.searchsorted(cls[by_class], np.arange(len(counts) + 1)).tolist()
+    confidence, class_flags = {}, {}
+    for k, c in enumerate(counts):
+        rows = by_class[bounds[k]:bounds[k + 1]]
+        confidence[c], class_flags[c] = conf[rows], flags[rows]
+    return Matches(counts, confidence, class_flags)
+
+
+# Detection x ground-truth pairs per chunk of `_candidates`: a chunk's pair
+# indices and IoU temporaries are freed before the next chunk's are made.
+PAIR_CHUNK = 2048
+
+
+def _candidates(key, det, order, gt_key, truth, gt_order) -> tuple:
+    """(d, g, ov, step): each pair of a ranked detection d and a ground-truth
+    box g of its slice whose IoU ov is > 0, in the order `_greedy_flags`
+    visits them.
+
+    Detection d is column order[d] of `det` and has slice key[d]; g is a
+    position in `gt_key`, sorted, and is column gt_order[g] of `truth`. The
+    detections are paired in runs of about PAIR_CHUNK pairs. A detection's
+    step is its rank among the detections of its slice that have a pair.
+    The pairs are sorted by step, then detection, then IoU descending, equal
+    IoUs in g order.
+    """
+    lo = np.searchsorted(gt_key, key, side="left")
+    n_gt = np.searchsorted(gt_key, key, side="right") - lo
+    ends = np.cumsum(n_gt)
+    cuts = np.searchsorted(ends, np.arange(PAIR_CHUNK, ends[-1] if len(ends) else 0, PAIR_CHUNK),
+                           side="right")
+    bounds = [0, *cuts.tolist(), len(key)]
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        counts = n_gt[a:b]
+        d = np.repeat(np.arange(a, b), counts)
+        g = np.arange(len(d)) + np.repeat(lo[a:b] - (np.cumsum(counts) - counts), counts)
+        hit, ov = pair_ious(det, order[d], truth, gt_order[g])
+        parts.append((d[hit], g[hit], ov))
+    d, g, ov = (np.concatenate(column) for column in zip(*parts))
+    new = np.flatnonzero(np.diff(d, prepend=-1))  # each detection's first pair
+    first = np.flatnonzero(np.diff(key[d[new]], prepend=-1))  # each slice's first detection
+    step = np.arange(len(new)) - np.repeat(first, np.diff(first, append=len(new)))
+    step = np.repeat(step, np.diff(new, append=len(d)))
+    by_step = np.lexsort((-ov, d, step))  # a stable sort
+    d = d[by_step]  # one column at a time: only one is held twice at once
+    g = g[by_step]
+    ov = ov[by_step]
+    return d, g, ov, step[by_step]
+
+
+def _greedy_flags(d, g, ov, step, n_det: int, n_gt: int) -> np.ndarray:
+    """Whether each of `n_det` ranked detections matches, at each
+    MAP_IOU_THRESHOLDS: one row per detection.
+
+    (d, g, ov, step) are `_candidates`, and g < n_gt. At each threshold, a
+    detection takes the first of its candidates whose IoU reaches the
+    threshold and that no detection ranked above it in its slice took at
+    that threshold. The detections run in lockstep: step r takes the r-th
+    detection with candidates of every slice (slices share no ground-truth
+    box), at every threshold at once, and `taken` marks the boxes taken at
+    each threshold.
+    """
+    flags = np.zeros((n_det, len(MAP_IOU_THRESHOLDS)), bool)
+    if not len(d):
+        return flags
+    heads = np.flatnonzero(np.diff(d, prepend=-1))  # each detection's first candidate
+    n_cand = np.diff(heads, append=len(d))
+    # each candidate's place in its detection's list, in the least integer type
+    # that also holds `none`, the place of no candidate
+    none = np.min_scalar_type(n_cand.max()).type(n_cand.max())
+    place = (np.arange(len(d)) - np.repeat(heads, n_cand)).astype(none.dtype)
+    steps = np.arange(step[-1] + 2)
+    bounds = np.searchsorted(step, steps).tolist()
+    head_bounds = np.searchsorted(step[heads], steps).tolist()
+    taken = np.zeros((len(MAP_IOU_THRESHOLDS), n_gt), bool)
+    for a, b, u, v in zip(bounds, bounds[1:], head_bounds, head_bounds[1:]):
+        gs, starts = g[a:b], heads[u:v] - a
+        ok = ov[a:b] >= _THRESHOLDS
+        ok &= ~taken[:, gs]
+        # at each threshold, the place of each detection's first candidate that is ok
+        firsts = np.minimum.reduceat(np.where(ok, place[a:b], none), starts, axis=1)
+        took = firsts < none
+        flags[d[a + starts]] = took.T
+        t, k = np.nonzero(took)
+        taken[t, gs[starts[k] + firsts[t, k]]] = True
+    return flags
 
 
 def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsReport:
@@ -174,11 +261,9 @@ def evaluate(fused, gt: GroundTruth, confidence_threshold: float) -> MetricsRepo
         raise EmptyGroundTruthError("ground truth contains no boxes")
     per_class: dict[int, ClassMetrics] = {}
     for cls, num_gt in matches.counts.items():
-        rows = matches.rows[cls]
-        # rows are confidence-descending: the kept ones are a prefix
-        n_det = bisect_right([-r[0] for r in rows], -confidence_threshold)
-        flags = np.array([r[1:] for r in rows[:n_det]], dtype=bool)
-        flags = flags.reshape(-1, len(MAP_IOU_THRESHOLDS))  # also when no rows
+        # the detections are confidence-descending: the kept ones are a prefix
+        n_det = int(np.searchsorted(-matches.confidence[cls], -confidence_threshold, "right"))
+        flags = matches.flags[cls][:n_det]
         tp = int(flags[:, 0].sum())
         aps = [average_precision(column, num_gt) for column in flags.T]
         per_class[cls] = ClassMetrics(
@@ -205,23 +290,22 @@ def f1_curve(matches: Matches) -> list[tuple[float, dict[int, float], float]]:
     `(confidence, per-class F1, mean F1)` point each, in grid order.
 
     `matches` is `match_all`'s result, as `evaluate` keeps it on its report;
-    this matches nothing itself. Each grid point counts the prefix of
-    confidence-sorted rows at or above it in the IoU-0.5 column (see the
-    module docstring).
+    this matches nothing itself. Each grid point counts the prefix of each
+    class's confidence-sorted flags at or above it in the IoU-0.5 column (see
+    the module docstring).
     """
+    neg_grid = -np.array(DEFAULT_F1_GRID)
     prefixes = []
     for cls, num_gt in matches.counts.items():
-        rows = matches.rows[cls]
-        neg_conf = [-r[0] for r in rows]
-        cum_tp = list(accumulate((r[1] for r in rows), initial=0))
-        prefixes.append((cls, num_gt, neg_conf, cum_tp))
+        n_kept = np.searchsorted(-matches.confidence[cls], neg_grid, "right")
+        cum_tp = np.concatenate(([0], np.cumsum(matches.flags[cls][:, 0])))
+        prefixes.append((cls, num_gt, n_kept.tolist(), cum_tp[n_kept].tolist()))
     points = []
-    for c_thresh in DEFAULT_F1_GRID:
+    for k, c_thresh in enumerate(DEFAULT_F1_GRID):
         f1_by_class: dict[int, float] = {}
-        for cls, num_gt, neg_conf, cum_tp in prefixes:
-            n_kept = bisect_right(neg_conf, -c_thresh)
-            tp = cum_tp[n_kept]
-            p = tp / n_kept if n_kept else 0.0
+        for cls, num_gt, n_kept, cum_tp in prefixes:
+            n, tp = n_kept[k], cum_tp[k]
+            p = tp / n if n else 0.0
             r = tp / num_gt
             f1_by_class[cls] = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
         mean = (

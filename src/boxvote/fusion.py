@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NegativeWeightError, WeightArityMismatchError
-from .geometry import Box, iou
+from .geometry import Box, box_areas, iou, pair_ious
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,19 @@ def fused_order(f) -> tuple:
 
 
 def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates) -> tuple:
-    """The boxes, in input order, whose class the gates keep and whose confidence >= its gate."""
+    """The boxes, in input order, whose class the gates keep and whose confidence >= its gate.
+
+    A tuple of boxes that all pass is returned as is: no second tuple of the
+    same boxes is built or held.
+    """
     classes = gates.classes
-    return tuple(b for b in boxes
-                 if (classes is None or b.cls in classes) and b.confidence >= gates.gate(b.cls))
+
+    def passes(b) -> bool:
+        return (classes is None or b.cls in classes) and b.confidence >= gates.gate(b.cls)
+
+    if type(boxes) is tuple and all(map(passes, boxes)):
+        return boxes
+    return tuple(filter(passes, boxes))
 
 
 # `_neighbours` lists a class group of at least this many boxes with `_overlaps`,
@@ -196,11 +205,9 @@ def _overlaps(corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     listed iff that IoU is > 0; no box is paired with itself. A sweep over
     the boxes sorted by x1 lists only the pairs whose x-intervals can
     intersect: the boxes after a box in that order whose x1 is below its x2.
-    Those pairs take the same IEEE operations as `geometry.iou`: corner
-    max/min, iw * ih, (area_i + area_j) - inter with max(0, .) areas, and no
-    entry where the intersection is empty or the union is not positive.
+    Those pairs' IoUs are `geometry.pair_ious`.
     """
-    x1, y1, x2, y2 = corners
+    x1, x2 = corners[0], corners[2]
     n = len(x1)
     order = np.argsort(x1, kind="stable")
     # sorted position p pairs with the next counts[p] positions, whose x1 is below its x2
@@ -209,23 +216,9 @@ def _overlaps(corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.repeat(np.arange(n), counts)
     k = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)  # rank within p's run
     i, j = order[p], order[p + 1 + k]
-    iw = np.minimum(x2[i], x2[j])
-    iw -= np.maximum(x1[i], x1[j])
-    ih = np.minimum(y2[i], y2[j])
-    ih -= np.maximum(y1[i], y1[j])
-    hit = np.flatnonzero((iw > 0.0) & (ih > 0.0))
-    i, j = i[hit], j[hit]
-    inter = iw[hit] * ih[hit]
-    area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    union = area[i] + area[j]
-    union -= inter
-    hit = union > 0.0
-    ov = np.zeros_like(inter)
-    np.divide(inter, union, out=ov, where=hit)
-    hit = np.flatnonzero(ov > 0.0)
+    hit, ov = pair_ious(corners, i, corners, j)
     rows = np.concatenate((i[hit], j[hit]))
     cols = np.concatenate((j[hit], i[hit]))
-    ov = ov[hit]
     by_row = np.argsort(rows * n + cols)
     return rows[by_row], cols[by_row], np.concatenate((ov, ov))[by_row]
 
@@ -341,76 +334,81 @@ def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[B
 _NO_SUMS = (0.0,) * 7
 
 
-def _add_member(s, b: Box, w: float) -> tuple:
-    """Sums (cw, w, cw*x1, cw*y1, cw*x2, cw*y2, w*conf) with box `b` of weight `w` added.
+def _add_member(s, row: tuple, w: float) -> tuple:
+    """Sums (cw, w, cw*x1, cw*y1, cw*x2, cw*y2, w*conf) with the box `row`,
+    (x1, y1, x2, y2, confidence), of weight `w` added.
 
     cw is confidence * weight. Adding the members in order, starting from
     `_NO_SUMS`, gives the same floats as summing them from scratch.
     """
     cw_sum, w_sum, x1, y1, x2, y2, conf = s
-    cw = b.confidence * w
+    bx1, by1, bx2, by2, c = row
+    cw = c * w
     return (
         cw_sum + cw,
         w_sum + w,
-        x1 + cw * b.x1,
-        y1 + cw * b.y1,
-        x2 + cw * b.x2,
-        y2 + cw * b.y2,
-        conf + w * b.confidence,
+        x1 + cw * bx1,
+        y1 + cw * by1,
+        x2 + cw * bx2,
+        y2 + cw * by2,
+        conf + w * c,
     )
 
 
-def _fused(s, first: Box) -> tuple[float, float, float, float, float]:
+def _fused(s, first: tuple) -> tuple[float, float, float, float, float]:
     """Fused (x1, y1, x2, y2, confidence) of a cluster of two or more members.
 
     Coordinates are the confidence*weight-weighted average; confidence is the
-    weight-weighted mean. Without positive mass the first member's box is
-    kept at confidence 0.
+    weight-weighted mean. Without positive mass the box of the first member,
+    `first` as (x1, y1, x2, y2, confidence), is kept at confidence 0.
     """
     cw_sum, w_sum, x1, y1, x2, y2, conf = s
     if cw_sum <= 0.0 or w_sum <= 0.0:
-        return first.x1, first.y1, first.x2, first.y2, 0.0
+        return (*first[:4], 0.0)
     return x1 / cw_sum, y1 / cw_sum, x2 / cw_sum, y2 / cw_sum, conf / w_sum
 
 
-def _wbf_clusters(boxes, weights, corners, threshold: float) -> tuple[list[int], list[tuple]]:
-    """Cluster one class group of at least `TABLE_MIN` boxes, in priority order,
-    whose corners are the rows of `corners`: (the cluster of each box, each
-    cluster's fused (x1, y1, x2, y2, confidence)).
+def _wbf_clusters(cls: int, rows, weights, corners,
+                  threshold: float) -> tuple[list[int], list[tuple]]:
+    """Cluster one group of at least `TABLE_MIN` boxes of class `cls`, in
+    priority order: (the cluster of each box, each cluster's fused (x1, y1,
+    x2, y2, confidence)).
 
-    Each box joins the first cluster whose fused box overlaps it beyond
-    `threshold`, else starts a new cluster. The group's over-threshold
-    neighbours are listed first (`_neighbours`): clusters are created in
-    group order, so the first one-member cluster that box i overlaps is the
-    one led by i's first such neighbour j < i that still leads one. Only the
-    clusters of two or more members before that one are compared with
-    `iou`, in cluster order, skipping one whose fused box misses the box on
-    an axis (`iou` gives 0 there). Such a cluster keeps running sums (see
-    `_add_member`), and its fused box is built by `_fused` when it is next
-    compared. A one-member cluster's fused box is its box.
+    rows[i] is box i's (x1, y1, x2, y2, confidence), and the rows of
+    `corners` are the boxes' x1, y1, x2 and y2. Each box joins the first
+    cluster whose fused box overlaps it beyond `threshold`, else starts a new
+    cluster. The group's over-threshold neighbours are listed first
+    (`_neighbours`): clusters are created in group order, so the first
+    one-member cluster that box i overlaps is the one led by i's first such
+    neighbour j < i that still leads one. Only the clusters of two or more
+    members before that one are compared with `iou`, in cluster order,
+    skipping one whose fused box misses the box on an axis (`iou` gives 0
+    there). Such a cluster keeps running sums (see `_add_member`), and its
+    fused box is built by `_fused` when it is next compared. A one-member
+    cluster's fused box is its box.
     """
-    near = _neighbours(boxes, threshold, corners)
+    near = _neighbours(rows, threshold, corners)
     of: list[int] = []  # the cluster of each position
     lead: list[int] = []  # the first position of each cluster
-    led = [-1] * len(boxes)  # the cluster a position leads, else -1
+    led = [-1] * len(rows)  # the cluster a position leads, else -1
     sums: list = []  # running sums of a cluster with two or more members, else None
     views: list = []  # the fused Box of a cluster in `scan`, None until it is compared
     scan: list[int] = []  # the clusters of two or more members, ascending
-    for i, b in enumerate(boxes):
+    for i, row in enumerate(rows):
         ci = len(lead)
         for j, _ in near[i]:  # only positions before i lead a cluster yet
             if led[j] >= 0 and sums[led[j]] is None:
                 ci = led[j]
                 break
-        _, x1, y1, x2, y2 = b[:5]
+        x1, y1, x2, y2, _ = row
         for mi in scan:
             if mi >= ci:
                 break
             view = views[mi]
             if view is None:
-                view = views[mi] = Box(b.cls, *_fused(sums[mi], boxes[lead[mi]]))
+                view = views[mi] = Box(cls, *_fused(sums[mi], rows[lead[mi]]))
             if (view.x1 < x2 and x1 < view.x2 and view.y1 < y2 and y1 < view.y2
-                    and iou(b, view) > threshold):
+                    and iou(Box(cls, *row), view) > threshold):
                 ci = mi
                 break
         of.append(ci)
@@ -422,10 +420,10 @@ def _wbf_clusters(boxes, weights, corners, threshold: float) -> tuple[list[int],
             continue
         if sums[ci] is None:
             insort(scan, ci)
-            sums[ci] = _add_member(_NO_SUMS, boxes[lead[ci]], weights[lead[ci]])
-        sums[ci] = _add_member(sums[ci], b, weights[i])
+            sums[ci] = _add_member(_NO_SUMS, rows[lead[ci]], weights[lead[ci]])
+        sums[ci] = _add_member(sums[ci], row, weights[i])
         views[ci] = None
-    return of, [boxes[i][1:6] if s is None else _fused(s, boxes[i]) for i, s in zip(lead, sums)]
+    return of, [rows[i] if s is None else _fused(s, rows[i]) for i, s in zip(lead, sums)]
 
 
 def _model_weights(params: FusionParams, n_models: int) -> tuple[float, ...]:
@@ -547,11 +545,6 @@ class _Clusters(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-def _area(box) -> np.ndarray:
-    """`geometry.iou`'s area of each box in a (x1, y1, x2, y2) block."""
-    return np.maximum(0.0, box[2] - box[0]) * np.maximum(0.0, box[3] - box[1])
-
-
 def _wbf_batch(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
     """Cluster many class groups at once, as `_wbf_run` does.
 
@@ -606,7 +599,7 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
     # Each row's one-member cluster, and each slot's cluster: the fused box
     # (rows 0-3), its area (4), the sums cw, w, cw * x1, y1, x2, y2 (5-10)
     # and the first member's confidence (11).
-    own = np.vstack((box, _area(box), cw, weight, cw * box, conf))
+    own = np.vstack((box, box_areas(box), cw, weight, cw * box, conf))
     own[5:11] += 0.0  # `_add_member` starts from 0.0, which turns a -0.0 term into 0.0
     state = own.copy()
     slot = np.arange(n)
@@ -646,7 +639,7 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
             s = s[state[5, s] > 0.0]  # without mass, a cluster keeps its first box
             mean = state[7:11, s] / state[5, s]
             state[:4, s] = mean
-            state[4, s] = _area(mean)
+            state[4, s] = box_areas(mean)
         k += opens  # after `target`, which reads the counts before the step
     count[small] = counts
 
@@ -657,10 +650,9 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
               where=several & (state[5] > 0.0) & (state[6] > 0.0))
     for g in np.flatnonzero(lengths >= TABLE_MIN).tolist():
         lo, hi = int(base[g]), int(base[g] + lengths[g])
-        # the group's `Box`es, of source 0: the sweep reads corners and confidences
-        boxes = list(map(_new_tuple, repeat(Box), zip(
-            repeat(int(cls[g])), *box[:, lo:hi].tolist(), conf[lo:hi].tolist(), repeat(0))))
-        of, fused = _wbf_clusters(boxes, weight[lo:hi].tolist(), box[:, lo:hi], threshold)
+        rows = list(zip(*box[:, lo:hi].tolist(), conf[lo:hi].tolist()))
+        of, fused = _wbf_clusters(int(cls[g]), rows, weight[lo:hi].tolist(), box[:, lo:hi],
+                                  threshold)
         k = count[g] = len(fused)
         slot[lo:hi] = np.fromiter(of, np.intp, hi - lo) + lo
         # fconf is state[11]

@@ -1,7 +1,9 @@
 """Box representation, validation, IoU arithmetic, and the fixed-order float sum.
 
 All coordinates are normalized corner coordinates (x1, y1, x2, y2) in [0, 1].
-Everything here is a pure function on immutable values.
+Everything here is a pure function on immutable values. `iou` scores one
+pair of boxes, and `pair_ious` many pairs at once with numpy, in the same
+IEEE operations, so both give the same floats.
 
 The two box types, `Box` here (detections and ground truth) and
 `fusion.FusedBox`, are `typing.NamedTuple`s: immutable, hashable and equal by
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidBoxError
 
@@ -123,3 +127,33 @@ def iou(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def box_areas(corners) -> np.ndarray:
+    """`iou`'s area of each box whose corners are the x1, y1, x2 and y2 rows of `corners`."""
+    return np.maximum(0.0, corners[2] - corners[0]) * np.maximum(0.0, corners[3] - corners[1])
+
+
+def pair_ious(a, i, b, j) -> tuple[np.ndarray, np.ndarray]:
+    """(k, ious): the positions k, ascending, of the pairs (box i[k] of `a`,
+    box j[k] of `b`) whose IoU is > 0, and those IoUs.
+
+    `a` and `b` hold their boxes' x1, y1, x2 and y2 rows. Each IoU equals
+    iou(box i[k] of a, box j[k] of b) bit for bit: it takes the same IEEE
+    operations, corner max/min, iw * ih, (area_a + area_b) - inter with
+    `box_areas`, and a pair whose intersection is empty or whose union is not
+    positive has no entry.
+    """
+    iw = np.minimum(a[2][i], b[2][j])
+    iw -= np.maximum(a[0][i], b[0][j])
+    ih = np.minimum(a[3][i], b[3][j])
+    ih -= np.maximum(a[1][i], b[1][j])
+    k = np.flatnonzero((iw > 0.0) & (ih > 0.0))
+    inter = iw[k] * ih[k]
+    union = box_areas(a)[i[k]]
+    union += box_areas(b)[j[k]]
+    union -= inter
+    ov = np.zeros_like(inter)
+    np.divide(inter, union, out=ov, where=union > 0.0)
+    hit = ov > 0.0
+    return k[hit], ov[hit]

@@ -523,7 +523,7 @@ class TestReports:
         m = ClassMetrics(precision=0.5, recall=0.25, ap50=0.75, ap5095=0.375)
         report = MetricsReport(per_class={2: m, 10: m}, aggregate=m,
                                confidence_threshold=0.25,
-                               matches=Matches(counts={}, rows={}))
+                               matches=Matches(counts={}, confidence={}, flags={}))
         p = tmp_path / "metrics.json"
         data_io.write_metrics(report, p)
         doc = json.loads(p.read_text())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boxvote import evaluation, geometry
 from boxvote.errors import EmptyGroundTruthError
 from boxvote.evaluation import (
     DEFAULT_F1_GRID,
@@ -11,6 +12,7 @@ from boxvote.evaluation import (
     f1_curve,
     match_all,
 )
+from boxvote.fusion import FusedBox
 from boxvote.geometry import Box, iou
 from oracles import oracle_average_precision, oracle_match_flags, random_box
 
@@ -23,12 +25,19 @@ def gt_box(x1, y1, x2, y2, cls=0):
     return Box(cls=cls, x1=x1, y1=y1, x2=x2, y2=y2, confidence=1.0)
 
 
+def match_rows(matches, cls):
+    """One `(confidence, flag per MAP_IOU_THRESHOLDS...)` tuple per detection
+    of class `cls`, read from `matches`' columns, in their order."""
+    return [(c, *f) for c, f in zip(matches.confidence[cls].tolist(),
+                                    matches.flags[cls].tolist())]
+
+
 def matched(dets, gt_boxes, iou_thresh):
     """(confidence, matched at `iou_thresh`) per detection of one image / class
     slice, read from `match_all`'s column for that threshold."""
     column = 1 + MAP_IOU_THRESHOLDS.index(iou_thresh)
-    rows = match_all({"img": dets}, GroundTruth(entries={"img": tuple(gt_boxes)})).rows
-    return [(row[0], row[column]) for row in rows[0]]
+    matches = match_all({"img": dets}, GroundTruth(entries={"img": tuple(gt_boxes)}))
+    return [(row[0], row[column]) for row in match_rows(matches, 0)]
 
 
 class TestMatchDetections:
@@ -78,7 +87,7 @@ class TestMatchDetections:
         a = det(0, 0, 0.625, 1, 0.9)
         b = det(0, 0, 0.875, 1, 0.8)
         assert (iou(a, g), iou(b, g)) == (0.625, 0.875)
-        rows = match_all({"img": [b, a]}, GroundTruth(entries={"img": (g,)})).rows[0]
+        rows = match_rows(match_all({"img": [b, a]}, GroundTruth(entries={"img": (g,)})), 0)
         assert rows == [
             (0.9, *[True] * 3, *[False] * 7),
             (0.8, *[False] * 3, *[True] * 5, *[False] * 2),
@@ -309,7 +318,7 @@ class TestMatchOnceAgainstOracle:
                     flags = [[m for _, m in rows[cls]] for rows in by_thresh]
                     n_det = len(flags[0])
                     # the kept prefix of the rows holds the oracle's flags at every threshold
-                    rows = report.matches.rows[cls]
+                    rows = match_rows(report.matches, cls)
                     assert all(r[0] < conf for r in rows[n_det:])
                     for col, want in enumerate(by_thresh, start=1):
                         assert [(r[0], r[col]) for r in rows[:n_det]] == want[cls]
@@ -355,3 +364,187 @@ class TestMatchOnceAgainstOracle:
                     assert f1_by_class[cls] == pytest.approx(f1, abs=1e-12)
                 want_mean = sum(want.values()) / len(want) if want else 0.0
                 assert mean == pytest.approx(want_mean, abs=1e-12)
+
+
+def assert_matches_oracle(fused, gt):
+    """`match_all` against `oracle_match_flags` at every MAP_IOU_THRESHOLDS;
+    returns the matches."""
+    matches = match_all(fused, gt)
+    assert list(matches.counts) == sorted(gt.class_counts())
+    for column, thresh in enumerate(MAP_IOU_THRESHOLDS):
+        want = oracle_match_flags(fused, gt.entries, thresh)
+        assert sorted(want) == list(matches.counts)
+        for cls, rows in want.items():
+            flags = matches.flags[cls]
+            assert flags.shape == (len(rows), len(MAP_IOU_THRESHOLDS))
+            got = list(zip(matches.confidence[cls].tolist(), flags[:, column].tolist()))
+            assert got == rows, (cls, thresh)
+    return matches
+
+
+def crowded_scene(rng, n_images=5, n_classes=2, grid=None):
+    """Many ground-truth boxes and detections per (image, class) slice:
+    detections jittered off the ground truth, duplicated and random, in
+    shuffled order, with confidences drawn from a few tied values about half
+    the time. With `grid`, every corner is a multiple of 1 / grid."""
+    def box(cls, x1, y1, x2, y2, conf):
+        corners = np.clip((x1, y1, x2, y2), 0.0, 1.0)
+        if grid is not None:
+            corners = np.round(corners * grid) / grid
+        x1, y1, x2, y2 = corners.tolist()
+        return Box(cls=cls, x1=x1, y1=y1, x2=max(x1, x2), y2=max(y1, y2), confidence=conf)
+
+    def conf():
+        if rng.random() < 0.5:
+            return float(rng.choice(TIED_CONFIDENCES))
+        return round(float(rng.uniform(0.01, 1.0)), 3)
+
+    gt, fused = {}, {}
+    for j in range(n_images):
+        truth = []
+        for _ in range(int(rng.integers(6, 14))):
+            (x1, y1), (w, h) = rng.uniform(0, 0.7, 2), rng.uniform(0.1, 0.3, 2)
+            truth.append(box(int(rng.integers(0, n_classes)), x1, y1, x1 + w, y1 + h, 1.0))
+        dets = []
+        for b in truth:
+            for _ in range(int(rng.integers(0, 5))):
+                dx1, dy1, dx2, dy2 = rng.uniform(-0.05, 0.05, 4)
+                dets.append(box(b.cls, b.x1 + dx1, b.y1 + dy1, b.x2 + dx2, b.y2 + dy2, conf()))
+        for _ in range(int(rng.integers(0, 6))):
+            x1, y1 = rng.uniform(0, 0.8, 2)
+            dets.append(box(int(rng.integers(0, n_classes)), x1, y1, x1 + 0.15, y1 + 0.15, conf()))
+        if dets:
+            dets.append(dets[int(rng.integers(0, len(dets)))])  # an exact duplicate
+        gt[f"im{j}"] = tuple(truth)
+        fused[f"im{j}"] = [dets[k] for k in rng.permutation(len(dets))]
+    return fused, GroundTruth(entries=gt)
+
+
+class TestColumnarMatcherAgainstOracle:
+    """`match_all` against the exhaustive greedy matcher of `tests/oracles.py`
+    at all ten IoU thresholds."""
+
+    def test_crowded_random_scenes(self):
+        rng = np.random.default_rng(141)
+        longest = 0
+        for _ in range(25):
+            fused, gt = crowded_scene(rng)
+            assert_matches_oracle(fused, gt)
+            for image_id, dets in fused.items():
+                for cls in range(2):
+                    longest = max(longest, sum(d.cls == cls for d in dets))
+        assert longest >= 15  # slices long enough for many lockstep steps
+
+    @pytest.mark.parametrize("chunk", [1, 3, 50])
+    def test_pair_chunks_do_not_change_the_match(self, monkeypatch, chunk):
+        # a detection with more ground-truth boxes than a chunk is a chunk of its own
+        rng = np.random.default_rng(142)
+        fused, gt = crowded_scene(rng, n_images=3)
+        monkeypatch.setattr(evaluation, "PAIR_CHUNK", chunk)
+        assert_matches_oracle(fused, gt)
+
+    def test_hundreds_of_candidates_per_detection(self):
+        # each detection overlaps all 300 boxes; the better boxes lie further right
+        truth = tuple(gt_box(0.1 + k / 4096, 0.1, 0.6 + k / 4096, 0.6) for k in range(300))
+        fused = {"img": [det(0.2, 0.1, 0.7, 0.6, c) for c in (0.9, 0.8, 0.7)]
+                 + [det(0.1, 0.1, 0.6, 0.6, 0.6)]}
+        assert_matches_oracle(fused, GroundTruth(entries={"img": truth}))
+
+    def test_dyadic_ious_exactly_at_thresholds(self):
+        rng = np.random.default_rng(143)
+        on_threshold = 0
+        for _ in range(25):
+            fused, gt = crowded_scene(rng, grid=16)
+            assert_matches_oracle(fused, gt)
+            on_threshold += sum(
+                iou(d, g) in MAP_IOU_THRESHOLDS
+                for image_id, dets in fused.items() for d in dets
+                for g in gt.entries[image_id] if g.cls == d.cls)
+        assert on_threshold > 50
+
+    def test_equal_ious_against_two_boxes(self):
+        # every detection overlaps both boxes at exactly 2/3, in both box orders
+        g0 = gt_box(0, 0, 0.75, 1)
+        g1 = gt_box(0.25, 0, 1, 1)
+        d = det(0.25, 0, 0.75, 1, 0.9)
+        assert iou(d, g0) == iou(d, g1) == 2 / 3
+        fused = {"a": [d, d._replace(confidence=0.8), d._replace(confidence=0.7)],
+                 "b": [d._replace(confidence=0.8), d]}
+        gt = GroundTruth(entries={"a": (g0, g1), "b": (g1, g0)})
+        matches = assert_matches_oracle(fused, gt)
+        # two boxes per image: the third detection of image a finds both taken
+        assert match_rows(matches, 0) == [
+            (0.9, *[True] * 4, *[False] * 6),
+            (0.9, *[True] * 4, *[False] * 6),
+            (0.8, *[True] * 4, *[False] * 6),
+            (0.8, *[True] * 4, *[False] * 6),
+            (0.7, *[False] * 10),
+        ]
+
+    def test_tied_confidences_across_images_keep_image_order(self):
+        g = gt_box(0.1, 0.1, 0.5, 0.5)
+        hit, miss = det(0.1, 0.1, 0.5, 0.5, 0.5), det(0.6, 0.6, 0.9, 0.9, 0.5)
+        fused = {"c": [hit], "a": [miss, hit], "b": [hit, miss]}
+        gt = GroundTruth(entries={k: (g,) for k in fused})
+        matches = assert_matches_oracle(fused, gt)
+        # image a's miss then hit, image b's hit then miss, then image c's hit
+        assert matches.flags[0][:, 0].tolist() == [False, True, True, False, True]
+
+    def test_classes_and_images_named_on_one_side_only(self):
+        rng = np.random.default_rng(144)
+        fused, gt = crowded_scene(rng, n_images=4, n_classes=3)
+        entries = dict(gt.entries)
+        entries["only_gt"] = (gt_box(0.1, 0.1, 0.4, 0.4, cls=1),)
+        # class 2 only among the detections
+        entries = {k: tuple(b for b in v if b.cls != 2) for k, v in entries.items()}
+        fused["only_detections"] = [det(0.1, 0.1, 0.4, 0.4, 0.7, cls=1),
+                                    det(0.2, 0.2, 0.5, 0.5, 0.6, cls=2)]
+        gt = GroundTruth(entries=entries)
+        assert any(d.cls == 2 for dets in fused.values() for d in dets)
+        matches = assert_matches_oracle(fused, gt)
+        assert list(matches.counts) == [0, 1]
+
+    def test_zero_area_ground_truth_is_never_a_candidate(self):
+        flat = gt_box(0.2, 0.2, 0.2, 0.6)  # zero width
+        line = gt_box(0.1, 0.5, 0.6, 0.5)  # zero height
+        fused = {"img": [det(0.1, 0.1, 0.6, 0.6, 0.9), det(0.19, 0.19, 0.21, 0.61, 0.8)]}
+        gt = GroundTruth(entries={"img": (flat, line, gt_box(0.1, 0.1, 0.6, 0.6))})
+        matches = assert_matches_oracle(fused, gt)
+        assert match_rows(matches, 0) == [(0.9, *[True] * 10), (0.8, *[False] * 10)]
+
+    def test_fused_boxes_as_input(self):
+        rng = np.random.default_rng(145)
+        fused, gt = crowded_scene(rng)
+        as_fused = {k: [FusedBox(d.cls, d.x1, d.y1, d.x2, d.y2, d.confidence, 2) for d in v]
+                    for k, v in fused.items()}
+        want = assert_matches_oracle(fused, gt)
+        got = assert_matches_oracle(as_fused, gt)
+        for cls in want.counts:
+            assert match_rows(got, cls) == match_rows(want, cls)
+
+    def test_empty_fused(self):
+        _, gt = perfect_fixture()
+        matches = assert_matches_oracle({}, gt)
+        for cls in matches.counts:
+            assert matches.confidence[cls].shape == (0,)
+            assert matches.flags[cls].shape == (0, len(MAP_IOU_THRESHOLDS))
+
+    def test_class_without_detections_has_empty_flags(self):
+        gt = GroundTruth(entries={"img": (gt_box(0, 0, 0.5, 0.5, cls=0),
+                                          gt_box(0.5, 0.5, 1, 1, cls=4))})
+        fused = {"img": [det(0, 0, 0.5, 0.5, 0.9, cls=0)]}
+        matches = assert_matches_oracle(fused, gt)
+        assert matches.flags[4].shape == (0, len(MAP_IOU_THRESHOLDS))
+        assert matches.flags[4].dtype == bool
+        report = evaluate(fused, gt, 0.0)
+        assert report.per_class[4].recall == 0.0
+
+    def test_evaluate_and_f1_curve_call_no_scalar_iou(self, monkeypatch):
+        def no_scalar_iou(a, b):
+            raise AssertionError("scalar iou called")
+
+        monkeypatch.setattr(evaluation, "iou", no_scalar_iou)
+        monkeypatch.setattr(geometry, "iou", no_scalar_iou)
+        fused, gt = crowded_scene(np.random.default_rng(146))
+        curve = f1_curve(evaluate(fused, gt, 0.3).matches)
+        assert any(mean > 0.0 for _, _, mean in curve)

@@ -11,6 +11,7 @@ from boxvote.errors import ConfigError, NegativeWeightError, WeightArityMismatch
 from boxvote.fusion import (
     TABLE_MIN,
     ConfidenceGates,
+    NO_GATES,
     FusionParams,
     _neighbours,
     _overlaps,
@@ -94,6 +95,16 @@ class TestApplyGates:
     def test_zero_gates_keep_all_is_identity(self):
         dets = ds(box(0, 0, 1, 1, 0.3), box(0, 0, 0.5, 0.5, 0.1, cls=2))
         assert apply_gates(dets, ConfidenceGates()) == dets.boxes
+
+    def test_a_tuple_that_loses_no_box_is_returned_as_is(self):
+        boxes = (box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 0.5, 0.5, 0.3, cls=1))
+        assert apply_gates(boxes, ConfidenceGates(gates={1: 0.3})) is boxes
+        assert apply_gates(boxes, NO_GATES) is boxes
+        # a new tuple when a box is dropped, or when the input is not a tuple
+        assert apply_gates(boxes, ConfidenceGates(gates={1: 0.4})) == boxes[:1]
+        as_list = list(boxes)
+        out = apply_gates(as_list, NO_GATES)
+        assert type(out) is tuple and out == boxes
 
     def test_disjoint_filter_empties(self):
         dets = ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.9, cls=1))
