@@ -22,12 +22,11 @@ from .errors import ConfigError, DataError
 from .evaluation import evaluate, f1_curve
 from .fusion import (
     FusionParams,
-    _wbf_images,
     apply_gates,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `cli.knowledge_vote`
     nms,
     soft_nms,
-    wbf,  # noqa: F401 - bench/spans.py wraps `cli.wbf`
+    wbf,
 )
 
 FUSE_ALGORITHMS = ("nms", "soft-nms", "wbf", "knowledge-vote")
@@ -47,16 +46,16 @@ def _check_confidence_threshold(value: float) -> None:
 def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     """Fuse every target image with one algorithm; returns (per_image, summary).
 
-    Each image's input is one box set per source, in source order, and
+    The algorithm is one call with every target image: each source's boxes
+    on each image, sources in source order, images in target order.
     `per_image` maps each target image id to the list of boxes the algorithm
     returns for it. NMS uses NMS_DEFAULT_IOU unless nms_iou overrides it, never
     the manifest's iou_threshold. Soft-NMS takes no IoU threshold: it decays
     every overlapping box, reading only soft_nms_sigma and score_floor. The
-    manifest's iou_threshold governs WBF and knowledge-vote clustering, which
-    fuse every image in one `fusion._wbf_images` call. Only `knowledge-vote`
-    reads the manifest's gates and filter (`fusion.gates`), so only its
-    summary counts the boxes the gates drop, from the one pass that gates
-    each (source, image) pair.
+    manifest's iou_threshold governs WBF and knowledge-vote clustering. Only
+    `knowledge-vote` reads the manifest's gates and filter (`fusion.gates`):
+    it gates each (source, image) pair once, counts the boxes the gates drop
+    for its summary, and fuses the gated sets with `wbf`.
     """
     if algorithm not in FUSE_ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
@@ -71,14 +70,10 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
         per_model = [[apply_gates(boxes, params.gates) for boxes in images]
                      for images in per_model]
         gate_dropped = input_boxes - sum(len(boxes) for images in per_model for boxes in images)
-    if algorithm in ("wbf", "knowledge-vote"):
-        fused = _wbf_images(per_model, params)
-    else:
-        # looked up per call, so the span wrappers that bench/spans.py sets on
-        # these module names are the functions that run
-        fuse = nms if algorithm == "nms" else soft_nms
-        fused = [fuse([images[k] for images in per_model], params) for k in range(len(ids))]
-    per_image = dict(zip(ids, fused))
+    # looked up per call, so the span wrappers that bench/spans.py sets on
+    # these module names are the functions that run
+    fuse = {"nms": nms, "soft-nms": soft_nms}.get(algorithm, wbf)
+    per_image = dict(zip(ids, fuse(per_model, params)))
     summary = {
         "algorithm": algorithm,
         "images": len(ensemble.target_image_ids),

@@ -28,8 +28,7 @@ work once:
   of summing each subset's `wbf` output, so each quality is bit-equal to
   that sum, whichever caller reads it first.
 - The final weighted pass, `weighted_fusion`, fuses the scorer's gated
-  sets of all sources with `fusion._wbf_images`: `wbf` of every image,
-  run in batches of images, with equal `FusedBox`es.
+  sets of all sources on every image in one `wbf` call.
 
 A scorer lives for one scoring run, and it is the only input of the
 scoring functions below: they read the sources, target ids, gated boxes
@@ -61,9 +60,9 @@ from .fusion import (
     _fused_rank,
     _gather,
     _wbf_batch,
-    _wbf_images,
     apply_gates,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
+    wbf,
 )
 from .geometry import Box, running_sum
 
@@ -388,11 +387,10 @@ def weighted_fusion(
 ) -> dict[str, list[FusedBox]]:
     """Final consensus-weighted knowledge-vote pass over every target image.
 
-    Fuses the gated sets of `scorer` as `wbf` with the weights
-    `report.alpha` would, image by image, in batches of images
-    (`fusion._wbf_images`); the result maps every target image id, in
-    target order, to its fused boxes.
+    Fuses the gated sets of `scorer` on every image in one `wbf` call,
+    with the weights `report.alpha`; the result maps every target image id,
+    in target order, to its fused boxes.
     """
     weights = tuple(report.alpha[s.source_id] for s in scorer.sources)
     params = replace(scorer.params, model_weights=weights)
-    return dict(zip(scorer.target_image_ids, _wbf_images(scorer._gated, params)))
+    return dict(zip(scorer.target_image_ids, wbf(scorer._gated, params)))

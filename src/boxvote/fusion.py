@@ -1,13 +1,15 @@
 """Box-combination algorithms: NMS, soft-NMS, WBF, and the gated knowledge vote.
 
-All four have one call shape: `fn(per_model, params)`, where `per_model`
-holds one image's boxes as one box sequence per model, in model order, and
-each returns a list: NMS and soft-NMS the `Box`es they keep, in the priority
-order below (soft-NMS by decayed confidence), WBF and the knowledge vote
-`FusedBox`es. Boxes of different classes never interact. Every function is
-pure. Only the knowledge vote reads `params.gates`, the relevance of each
-class in the target label space: which classes vote, and how confident a box
-of each must be. NMS, soft-NMS and WBF take every box.
+All four have one call shape: `fn(per_model, params)`, where
+`per_model[m][k]` holds model m's boxes on image k, models in model order.
+Every model holds the same number of images (else ValueError), and no model
+means no image. Each returns one list per image, in image order: NMS and
+soft-NMS the `Box`es they keep, in the priority order below (soft-NMS by
+decayed confidence), WBF and the knowledge vote `FusedBox`es. Boxes of
+different images or classes never interact. Every function is pure. Only
+the knowledge vote reads `params.gates`, the relevance of each class in the
+target label space: which classes vote, and how confident a box of each
+must be. NMS, soft-NMS and WBF take every box.
 
 NMS, soft-NMS and WBF split the boxes by class and sort each group once, by
 the algorithm's priority; then one greedy pass runs over each group. All
@@ -34,8 +36,7 @@ is swept.
   with running sums per cluster, and emits a cluster of one box as that
   box's corners and confidence, with support 1.
 
-WBF has one path, `_wbf_images`, which fuses many images in one call: `fuse`
-and `consensus` pass it every image, and `wbf` is its view of one image.
+NMS and soft-NMS sweep one image at a time; WBF fuses its images together.
 Sparse detector output has tens of thousands of small class groups, and a
 Python sweep per group spends most of its time on overhead. So the images
 run in batches (`_batches`: consecutive images with at most `BATCH_BOXES`
@@ -264,14 +265,17 @@ def _nms_keep(boxes, threshold: float) -> list[int]:
     return kept
 
 
-def nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
-    """Greedy per-class suppression at params.iou_threshold."""
-    kept = []
-    for _, group in _class_groups(per_model, _priority):
-        boxes = [b for b, _ in group]
-        kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
-    kept.sort(key=_priority)
-    return [item[0] for item in kept]
+def nms(per_model: Sequence[Sequence[Iterable[Box]]], params: FusionParams) -> list[list[Box]]:
+    """Greedy per-class suppression at params.iou_threshold, image by image."""
+    out = []
+    for image in zip(*per_model, strict=True):
+        kept = []
+        for _, group in _class_groups(image, _priority):
+            boxes = [b for b, _ in group]
+            kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
+        kept.sort(key=_priority)
+        out.append([item[0] for item in kept])
+    return out
 
 
 def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
@@ -316,19 +320,23 @@ def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]
     return picks
 
 
-def soft_nms(per_model: Sequence[Iterable[Box]], params: FusionParams) -> list[Box]:
-    """Gaussian soft-NMS: decay overlapping same-class confidences instead of
-    discarding, then drop boxes below params.score_floor."""
+def soft_nms(per_model: Sequence[Sequence[Iterable[Box]]],
+             params: FusionParams) -> list[list[Box]]:
+    """Gaussian soft-NMS, image by image: decay overlapping same-class
+    confidences instead of discarding, then drop boxes below params.score_floor."""
     out = []
-    for _, group in _class_groups(per_model, _source_order):
-        boxes = [b for b, _ in group]
-        for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
-            b, idx = group[i]
-            if c != b.confidence:
-                b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
-            out.append((b, idx))
-    out.sort(key=_priority)
-    return [b for b, _ in out]
+    for image in zip(*per_model, strict=True):
+        kept = []
+        for _, group in _class_groups(image, _source_order):
+            boxes = [b for b, _ in group]
+            for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
+                b, idx = group[i]
+                if c != b.confidence:
+                    b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
+                kept.append((b, idx))
+        kept.sort(key=_priority)
+        out.append([b for b, _ in kept])
+    return out
 
 
 _NO_SUMS = (0.0,) * 7
@@ -426,17 +434,6 @@ def _wbf_clusters(cls: int, rows, weights, corners,
     return of, [rows[i] if s is None else _fused(s, rows[i]) for i, s in zip(lead, sums)]
 
 
-def _model_weights(params: FusionParams, n_models: int) -> tuple[float, ...]:
-    weights = params.model_weights
-    if weights is None:
-        return (1.0,) * n_models
-    if len(weights) != n_models:
-        raise WeightArityMismatchError(
-            f"{len(weights)} weights for {n_models} models"
-        )
-    return weights
-
-
 # Boxes per batch of `_wbf_batch`: images are batched in order while their
 # boxes fit, and an image with more boxes is a batch of its own. A batch's
 # columns and cluster state take about 50 numbers per box, about 1.6 MB at
@@ -497,6 +494,24 @@ class _Rows(NamedTuple):
     starts: np.ndarray  # the first row of each (image, class) group
 
 
+def _columns(boxes) -> np.ndarray:
+    """The boxes as float64 rows (cls, x1, y1, x2, y2, confidence, source).
+
+    float64 holds integers exactly only below 2**53; past that, class ids and
+    sources become dense codes in their order, so grouping, priority and
+    support stay exact."""
+    n = len(boxes)
+    try:
+        cols = np.fromiter(chain.from_iterable(boxes), float, 7 * n).reshape(n, 7)
+        if np.abs(cols[:, ::6]).max() < 2.0**53:  # columns cls and source
+            return cols
+    except OverflowError:  # an id past the largest float
+        pass
+    cls, source = ({v: k for k, v in enumerate(sorted({b[i] for b in boxes}))} for i in (0, 6))
+    coded = ((cls[b[0]], *b[1:6], source[b[6]]) for b in boxes)
+    return np.fromiter(chain.from_iterable(coded), float, 7 * n).reshape(n, 7)
+
+
 def _gather(lists, weights) -> _Rows | None:
     """The boxes of a batch of images as sorted columns, or None without a box.
 
@@ -505,15 +520,14 @@ def _gather(lists, weights) -> _Rows | None:
     are grouped by image and then class, and each group is in WBF's
     priority order: confidence times weight descending, then source, then
     position in the model's list, ties in model order. Class ids and sources
-    become float64 columns, exact for integers below 2**53.
+    are read as `_columns` gives them.
     """
     lens = np.fromiter(map(len, lists), np.intp, len(lists))
     boxes = list(chain.from_iterable(lists))
     n = len(boxes)
     if not n:
         return None
-    # a Box is the tuple (cls, x1, y1, x2, y2, confidence, source)
-    cols = np.fromiter(chain.from_iterable(boxes), float, 7 * n).reshape(n, 7)
+    cols = _columns(boxes)
     entry = np.repeat(np.arange(len(lists)), lens)  # the list of each box
     index = np.arange(n) - (np.cumsum(lens) - lens)[entry]
     image, model = np.divmod(entry, len(weights))
@@ -573,7 +587,7 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
     The rows are the boxes of the groups (`box` holds their x1, y1, x2 and
     y2 rows), group after group, and each group in priority order: group g
     has `lengths[g]` rows of class `cls[g]`. Every weight is positive, as
-    `_wbf_images` drops the models without. Each box joins the first cluster
+    `wbf` drops the models without. Each box joins the first cluster
     whose fused box overlaps it beyond `threshold`, or opens a new one. A
     group of at least `TABLE_MIN` boxes is swept by `_wbf_clusters`, which
     indexes it. The smaller groups run in lockstep: step r takes the r-th
@@ -674,51 +688,43 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
                      fconf[slots], support)
 
 
-def _wbf_images(per_model: Sequence[Sequence[Collection[Box]]],
-                params: FusionParams) -> list[list[FusedBox]]:
-    """Weighted box fusion of every image, where per_model[m][k] are model
-    m's boxes on image k; one list of `FusedBox`es per image, for one model
-    or more (see `wbf`).
+def wbf(per_model: Sequence[Sequence[Collection[Box]]],
+        params: FusionParams) -> list[list[FusedBox]]:
+    """Weighted box fusion of every image across models, counting distinct supporting sources.
 
-    The images' class groups run through `_wbf_batch`, in batches of images
-    that hold about `BATCH_BOXES` boxes.
+    Models of weight 0 are left out. Per image and class, boxes are
+    processed in descending weighted-confidence order; each joins the first
+    cluster whose current fused box overlaps it beyond params.iou_threshold,
+    else starts a new cluster. A one-member cluster passes its box through
+    exactly. The images' class groups run through `_wbf_batch`, in batches
+    of images that hold about `BATCH_BOXES` boxes.
     """
-    weights = _model_weights(params, len(per_model))
-    kept = [(boxes, w) for boxes, w in zip(per_model, weights) if w > 0.0]
-    kept_weights = [w for _, w in kept]
+    weights = params.model_weights or (1.0,) * len(per_model)
+    if len(weights) != len(per_model):
+        raise WeightArityMismatchError(f"{len(weights)} weights for {len(per_model)} models")
+    kept = [m for m, w in enumerate(weights) if w > 0.0]
+    images = list(zip(*per_model, strict=True))
+    sizes = [sum(len(image[m]) for m in kept) for image in images]
     rescale = params.confidence_rescale == "support_ratio"
-    sizes = [sum(map(len, image)) for image in zip(*(boxes for boxes, _ in kept))]
-    out: list = [None] * len(sizes)
+    out = []
     for batch in _batches(sizes):
-        lists = [boxes[k] for k in batch for boxes, _ in kept]
-        out[batch.start:batch.stop] = _wbf_image_batch(
-            lists, len(batch), kept_weights, rescale, params.iou_threshold)
+        out += _wbf_image_batch([images[k][m] for k in batch for m in kept], len(batch),
+                                [weights[m] for m in kept], rescale, params.iou_threshold)
     return out
 
 
-def wbf(per_model: Sequence[Collection[Box]], params: FusionParams) -> list[FusedBox]:
-    """Weighted box fusion of one image across models, counting distinct supporting sources.
-
-    Models of weight 0 are left out. Per class, boxes are processed in
-    descending weighted-confidence order; each joins the first cluster whose
-    current fused box overlaps it beyond params.iou_threshold, else starts a
-    new cluster. A one-member cluster passes its box through exactly. This
-    is `_wbf_images` of one image; one call per image costs more than one
-    call for many images (README, "Performance").
-    """
-    images = _wbf_images([[boxes] for boxes in per_model], params)
-    return images[0] if images else []  # no model, no image
-
-
-def knowledge_vote(per_model: Sequence[Collection[Box]], params: FusionParams) -> list[FusedBox]:
-    """Class-gated, support-counting WBF: gate each model's boxes by params.gates, then fuse."""
-    return wbf([apply_gates(boxes, params.gates) for boxes in per_model], params)
+def knowledge_vote(per_model: Sequence[Sequence[Collection[Box]]],
+                   params: FusionParams) -> list[list[FusedBox]]:
+    """Class-gated, support-counting WBF: gate each model's boxes on each
+    image by params.gates, then fuse every image with `wbf`."""
+    return wbf([[apply_gates(boxes, params.gates) for boxes in images] for images in per_model],
+               params)
 
 
 def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
                      threshold: float) -> list[list[FusedBox]]:
-    """`_wbf_images` of one batch of images (see `_gather` for `lists`),
-    whose models all have a positive weight."""
+    """`wbf` of one batch of images (see `_gather` for `lists`), whose
+    models all have a positive weight."""
     rows = _gather(lists, weights)
     if rows is None:
         return [[] for _ in range(n_images)]

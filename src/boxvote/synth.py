@@ -178,23 +178,17 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[SourceDomain]]:
         detections: dict[str, DetectionSet] = {}
         for image_id in ids:
             boxes: list[Box] = []
-            if src.poisonous:
-                k = int(rng.poisson(src.fp_rate))
-                for _ in range(k):
-                    conf = _uniform(*POISON_CONF_RANGE, rng.random())
-                    cls = class_ids[int(rng.integers(0, n_classes))]
-                    boxes.append(_random_box(rng, cls, src_idx, conf))
-            else:
+            if not src.poisonous:
                 for gt_box in gt_entries[image_id]:
                     p = src.detect_prob.get(gt_box.cls, 1.0)
                     if rng.random() < p:
                         conf = min(1.0, max(0.05, rng.normal(src.conf_mean, src.conf_std)))
                         boxes.append(_jitter(rng, gt_box, src.coord_noise, src_idx, conf))
-                k = int(rng.poisson(src.fp_rate))
-                for _ in range(k):
-                    conf = _uniform(*FP_CONF_RANGE, rng.random())
-                    cls = class_ids[int(rng.integers(0, n_classes))]
-                    boxes.append(_random_box(rng, cls, src_idx, conf))
+            lo, hi = POISON_CONF_RANGE if src.poisonous else FP_CONF_RANGE
+            for _ in range(int(rng.poisson(src.fp_rate))):
+                conf = _uniform(lo, hi, rng.random())
+                cls = class_ids[int(rng.integers(0, n_classes))]
+                boxes.append(_random_box(rng, cls, src_idx, conf))
             detections[image_id] = DetectionSet(image_id, tuple(boxes))
         domains.append(
             SourceDomain(

@@ -28,6 +28,7 @@ from boxvote.evaluation import average_precision, evaluate
 from boxvote.fusion import ConfidenceGates, FusionParams, knowledge_vote, wbf
 from boxvote.geometry import Box, DetectionSet
 from boxvote.synth import generate, reference_scenarios, scaled
+from helpers import one_image
 from oracles import (
     fused_box_key,
     oracle_average_precision,
@@ -153,10 +154,9 @@ def test_c04_poisonous_source_detection():
     from boxvote.consensus import weighted_fusion
 
     weighted = weighted_fusion(scorer, report)
-    plain = {
-        iid: wbf([s.for_image(iid) for s in ensemble.sources], PARAMS)
-        for iid in ensemble.target_image_ids
-    }
+    ids = ensemble.target_image_ids
+    plain = dict(zip(ids, wbf([[s.for_image(iid) for iid in ids] for s in ensemble.sources],
+                              PARAMS)))
 
     def precision_at(fused, thresh):
         boxes = {
@@ -205,7 +205,7 @@ def test_c06_fusion_algebra_property_suites():
             boxes.append(Box(cls=int(rng.integers(0, 3)), x1=cx + 0.02, y1=cy + 0.02,
                              x2=cx + 0.2, y2=cy + 0.2,
                              confidence=round(float(rng.uniform(0.1, 1.0)), 6)))
-        out = wbf([DetectionSet("img", tuple(boxes))], FusionParams())
+        out = one_image(wbf, [DetectionSet("img", tuple(boxes))], FusionParams())
         got = sorted((f.cls, f.x1, f.y1, f.x2, f.y2, f.confidence) for f in out)
         want = sorted((b.cls, b.x1, b.y1, b.x2, b.y2, b.confidence) for b in boxes)
         assert got == want
@@ -223,16 +223,17 @@ def test_c06_fusion_algebra_property_suites():
     # uniform-weight reduction: zero-gated knowledge vote is plain WBF
     for _ in range(1000):
         ms = models(int(rng.integers(1, 4)))
-        kv = knowledge_vote(ms, PARAMS)
-        assert sorted(kv, key=fused_box_key) == sorted(wbf(ms, PARAMS), key=fused_box_key)
+        kv = one_image(knowledge_vote, ms, PARAMS)
+        plain = one_image(wbf, ms, PARAMS)
+        assert sorted(kv, key=fused_box_key) == sorted(plain, key=fused_box_key)
 
     # weight-scale invariance (exact for power-of-two scale factors)
     for _ in range(1000):
         ms = models(3)
         w = tuple(float(rng.uniform(0.1, 2.0)) for _ in range(3))
         k = 2.0 ** int(rng.integers(-4, 9))
-        a = wbf(ms, FusionParams(model_weights=w))
-        b = wbf(ms, FusionParams(model_weights=tuple(k * x for x in w)))
+        a = one_image(wbf, ms, FusionParams(model_weights=w))
+        b = one_image(wbf, ms, FusionParams(model_weights=tuple(k * x for x in w)))
         assert sorted(a, key=fused_box_key) == sorted(b, key=fused_box_key)
 
     # permutation invariance
@@ -241,9 +242,9 @@ def test_c06_fusion_algebra_property_suites():
         ms = models(n)
         w = tuple(float(rng.uniform(0.1, 2.0)) for _ in range(n))
         perm = rng.permutation(n)
-        a = wbf(ms, FusionParams(model_weights=w))
-        b = wbf([ms[i] for i in perm],
-                FusionParams(model_weights=tuple(w[i] for i in perm)))
+        a = one_image(wbf, ms, FusionParams(model_weights=w))
+        b = one_image(wbf, [ms[i] for i in perm],
+                      FusionParams(model_weights=tuple(w[i] for i in perm)))
         assert sorted(a, key=fused_box_key) == sorted(b, key=fused_box_key)
 
     # gate idempotence

@@ -126,24 +126,32 @@ class TestFuse:
         # only the knowledge vote gates; this scenario's gates drop boxes
         assert (summary["gate_dropped_boxes"] > 0) == (algorithm == "knowledge-vote")
 
-    @pytest.mark.parametrize("algorithm,name", [("nms", "nms"), ("soft-nms", "soft_nms")])
-    def test_run_fuse_calls_the_module_name_once_per_image(self, scenario_dir, monkeypatch,
-                                                          algorithm, name):
+    @pytest.mark.parametrize("algorithm,name", [
+        ("nms", "nms"), ("soft-nms", "soft_nms"), ("wbf", "wbf"), ("knowledge-vote", "wbf")])
+    def test_run_fuse_calls_the_module_name_once(self, scenario_dir, monkeypatch, algorithm,
+                                                 name):
         manifest = data_io.parse_manifest(manifest_path(scenario_dir))
         ensemble = data_io.load_ensemble(manifest)
-        calls = []
-        fn = getattr(cli, name)
+        calls = {}
+        for fusion_name in ("nms", "soft_nms", "wbf", "knowledge_vote"):
+            fn = getattr(cli, fusion_name)
 
-        def patched(per_model, *rest):
-            calls.append(per_model)
-            return fn(per_model, *rest)
+            def patched(per_model, *rest, fn=fn, fusion_name=fusion_name):
+                calls.setdefault(fusion_name, []).append(per_model)
+                return fn(per_model, *rest)
 
-        monkeypatch.setattr(cli, name, patched)
+            monkeypatch.setattr(cli, fusion_name, patched)
         per_image, _ = cli.run_fuse(manifest, ensemble, algorithm)
         ids = ensemble.target_image_ids
         assert list(per_image) == list(ids)
-        # one call per target image, each given one box set per source, in source order
-        assert calls == [[s.for_image(iid) for s in ensemble.sources] for iid in ids]
+        # one call with every target image: each source's boxes on each image,
+        # sources in source order; the knowledge vote passes its gated sets to `wbf`
+        want = [[s.for_image(iid) for iid in ids] for s in ensemble.sources]
+        if algorithm == "knowledge-vote":
+            want = [[apply_gates(boxes, manifest.fusion.gates) for boxes in images]
+                    for images in want]
+            assert want != [[s.for_image(iid) for iid in ids] for s in ensemble.sources]
+        assert calls == {name: [want]}
 
     @pytest.mark.parametrize("algorithm", ["wbf", "knowledge-vote"])
     def test_run_fuse_equals_oracle_wbf_per_image(self, scenario_dir, algorithm):
@@ -291,7 +299,7 @@ class TestConsensus:
         mpath = tmp_path / "wide.json"
         mpath.write_text(json.dumps(doc))
         calls = []
-        for name in ("apply_gates", "_wbf_batch", "_wbf_images"):
+        for name in ("apply_gates", "_wbf_batch", "wbf"):
             fn = getattr(consensus, name)
             monkeypatch.setattr(consensus, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
         out = tmp_path / "o"
@@ -724,10 +732,9 @@ def write_at_iou(scenario_dir, command, iou_threshold, out):
     elif command[-1] == "wbf":
         cli._write_fuse(str(out), *cli.run_fuse(manifest, ensemble, "wbf"))
     else:  # NMS suppresses the boxes of every source together
-        per_image = {
-            iid: nms([src.for_image(iid) for src in ensemble.sources], manifest.fusion)
-            for iid in ensemble.target_image_ids
-        }
+        ids = ensemble.target_image_ids
+        per_model = [[src.for_image(iid) for iid in ids] for src in ensemble.sources]
+        per_image = dict(zip(ids, nms(per_model, manifest.fusion)))
         out.mkdir()
         data_io.write_detections(per_image, str(out / "fused.txt"))
 
@@ -1168,3 +1175,19 @@ class TestObservability:
         assert "internal error: broken fusion" in capsys.readouterr().err
         with pytest.raises(RuntimeError, match="broken fusion"):
             main(["--debug", *argv])
+
+
+@pytest.mark.parametrize("algorithm", cli.FUSE_ALGORITHMS)
+def test_fuse_keeps_class_ids_one_apart_past_2_to_53(tmp_path, algorithm):
+    # float64 cannot tell 2**53 from 2**53 + 1
+    classes = (2**53 + 1, 2**53)
+    (tmp_path / "a.txt").write_text(
+        "".join(f"img {c} 0.1 0.1 0.5 0.5 0.9\n" for c in classes))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({
+        "classes": ["car"], "sources": [{"name": "a", "detections_path": "a.txt"}]}))
+    out = tmp_path / "o"
+    assert main(["fuse", "--manifest", str(mpath), "--algorithm", algorithm,
+                 "--out", str(out)]) == 0
+    lines = (out / "fused.txt").read_text().splitlines()
+    assert sorted(int(line.split()[1]) for line in lines) == sorted(classes)

@@ -295,10 +295,11 @@ class TestWeightedFusion:
         ens = random_ensemble(rng, 3, 3)
         fused = self._weighted(ens, {1: 0.25, 2: 0.25, 3: 0.25})
         uparams = FusionParams(model_weights=(1.0, 1.0, 1.0))
-        for iid in ens.target_image_ids:
-            plain = knowledge_vote([s.for_image(iid) for s in ens.sources], uparams)
+        ids = ens.target_image_ids
+        plain = knowledge_vote([[s.for_image(iid) for iid in ids] for s in ens.sources], uparams)
+        for iid, out in zip(ids, plain, strict=True):
             got = sorted(fused[iid], key=fused_box_key)
-            want = sorted(plain, key=fused_box_key)
+            want = sorted(out, key=fused_box_key)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.support_count == b.support_count
@@ -310,9 +311,11 @@ class TestWeightedFusion:
         ens = random_ensemble(rng, 3, 3)
         fused = self._weighted(ens, {1: 0.5, 2: 0.5, 3: 0.0})
         uparams = FusionParams(model_weights=(0.5, 0.5))
-        for iid in ens.target_image_ids:
-            want = knowledge_vote([s.for_image(iid) for s in ens.sources[:2]], uparams)
-            assert sorted(fused[iid], key=fused_box_key) == sorted(want, key=fused_box_key)
+        ids = ens.target_image_ids
+        want = knowledge_vote([[s.for_image(iid) for iid in ids] for s in ens.sources[:2]],
+                              uparams)
+        for iid, out in zip(ids, want, strict=True):
+            assert sorted(fused[iid], key=fused_box_key) == sorted(out, key=fused_box_key)
 
     def test_one_member_clusters_reuse_their_box_fields(self):
         rng = np.random.default_rng(93)
@@ -359,13 +362,13 @@ class TestWeightedFusionQuality:
             return max(candidates, key=lambda b: iou(b, g), default=None)
 
         compared = 0
-        for iid in ens.target_image_ids:
-            plain = knowledge_vote(
-                [s.for_image(iid) for s in ens.sources], replace(PARAMS, gates=scenario.gates)
-            )
+        ids = ens.target_image_ids
+        plain = knowledge_vote([[s.for_image(iid) for iid in ids] for s in ens.sources],
+                               replace(PARAMS, gates=scenario.gates))
+        for iid, plain_boxes in zip(ids, plain, strict=True):
             for g in gt.entries[iid]:
                 w = best_match(weighted[iid], g)
-                p = best_match(plain, g)
+                p = best_match(plain_boxes, g)
                 if w is None or p is None:
                     continue
                 assert w.confidence >= p.confidence - 0.01
@@ -487,9 +490,8 @@ class TestSharedScoring:
             params, model_weights=tuple(report.alpha[s.source_id] for s in ens.sources)
         )
         assert list(fused) == list(ens.target_image_ids)
-        for iid in ens.target_image_ids:
-            per_model = [s.for_image(iid) for s in ens.sources]
-            assert fused[iid] == knowledge_vote(per_model, weighted)
+        per_model = [[s.for_image(iid) for iid in ens.target_image_ids] for s in ens.sources]
+        assert list(fused.values()) == knowledge_vote(per_model, weighted)
 
     @pytest.mark.parametrize("n_sources,rescale,seed", SCORING_CASES)
     def test_qualities_match_bruteforce_oracle(self, n_sources, rescale, seed):
@@ -529,15 +531,14 @@ class TestSharedScoring:
             return batch(box, conf, weight, source, lengths, cls, threshold)
 
         monkeypatch.setattr(consensus, "_wbf_batch", recording)
-        monkeypatch.setattr(consensus, "_wbf_images",
-                            counting("_wbf_images", consensus._wbf_images))
+        monkeypatch.setattr(consensus, "wbf", counting("wbf", consensus.wbf))
         monkeypatch.setattr(
             consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
         )
         manifest = SimpleNamespace(fusion=params)
         run_consensus(manifest, ens, shapley=True)
         images = len(ens.target_image_ids)
-        assert calls["_wbf_images"] == 1  # the weighted pass, every image at once
+        assert calls["wbf"] == 1  # the weighted pass, every image at once
         assert calls["apply_gates"] == 3 * images
 
         # one clustering per distinct non-empty S & P of each (image, class):
@@ -698,8 +699,8 @@ def test_batches_of_any_size_score_and_fuse_as_per_image_calls(monkeypatch, limi
                                                 replace(params, confidence_rescale=rescale)),
                                 report)
         assert list(fused) == list(ens.target_image_ids)
-        for iid in ens.target_image_ids:
-            assert fused[iid] == knowledge_vote([s.for_image(iid) for s in ens.sources], weighted)
+        per_model = [[s.for_image(iid) for iid in ens.target_image_ids] for s in ens.sources]
+        assert list(fused.values()) == knowledge_vote(per_model, weighted)
 
 
 def test_leave_one_out_over_seventy_sources():
@@ -722,3 +723,23 @@ def test_leave_one_out_over_seventy_sources():
         assert report.q_leave_one_out[src.source_id] == knowledge_vote_quality(
             without(ens, i), ens, params)
     assert len(set(report.q_leave_one_out.values())) > 1
+
+
+@pytest.mark.parametrize("big", [2**53, 10**400], ids=["2**53", "10**400"])
+def test_quality_keeps_ids_one_apart_past_2_to_53(big):
+    """Class ids and sources that float64 cannot tell apart: classes big and
+    big + 1 never fuse, and sources big and big + 1 both count as support."""
+    shared = Box(big, 0.1, 0.1, 0.5, 0.5, 0.9, big)
+    sources = [
+        domain(1, {"img0": [shared, shared._replace(cls=big + 1, y2=0.6)]}),
+        domain(2, {"img0": [shared._replace(source=big + 1, confidence=0.8)],
+                   "img1": [shared._replace(cls=big + 1, source=big + 1)]}),
+    ]
+    ens = SourceEnsemble(sources=tuple(sources), target_image_ids=("img0", "img1"))
+    for subset in ([0, 1], [0], [1]):
+        got = make_scorer(ens).quality(subset)
+        want = oracle_consensus_quality([sources[p] for p in subset], ens.target_image_ids,
+                                        NO_GATES, PARAMS.iou_threshold)
+        assert got == pytest.approx(want, abs=1e-12)
+    # the shared box fuses with support 2; the other two stay alone
+    assert make_scorer(ens).quality([0, 1]) == pytest.approx(2 * 0.85 + 0.9 + 0.9, abs=1e-12)

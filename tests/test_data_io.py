@@ -76,13 +76,10 @@ class TestDetectionFiles:
 
     def test_fused_boxes_write_as_the_same_boxes_converted(self, tmp_path):
         rng = np.random.default_rng(17)
-        per_image = {}
-        for j in range(4):
-            per_model = [
-                DetectionSet(f"im{j}", tuple(random_box(rng, source=s) for _ in range(6)))
-                for s in (1, 2, 3)
-            ]
-            per_image[f"im{j}"] = wbf(per_model, FusionParams())
+        images = [[tuple(random_box(rng, source=s) for _ in range(6)) for s in (1, 2, 3)]
+                  for _ in range(4)]
+        per_model = [list(boxes) for boxes in zip(*images)]
+        per_image = dict(zip([f"im{j}" for j in range(4)], wbf(per_model, FusionParams())))
         per_image["im4"] = []
         as_boxes = {
             iid: DetectionSet(iid, tuple(

@@ -23,6 +23,7 @@ from boxvote.fusion import (
 )
 from boxvote.geometry import Box, DetectionSet, iou
 from boxvote.synth import BOX_SIZE_RANGE, FP_CONF_RANGE
+from helpers import one_image
 from oracles import (
     check_nms_fixpoint,
     fused_box_key,
@@ -151,11 +152,11 @@ class TestApplyGates:
 
 class TestNms:
     def test_exact_duplicate_suppressed(self):
-        out = nms([ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], PARAMS_50)
+        out = one_image(nms, [ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], PARAMS_50)
         assert [b.confidence for b in out] == [0.9]
 
     def test_disjoint_both_kept(self):
-        out = nms([ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
+        out = one_image(nms, [ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
         assert len(out) == 2
 
     def test_chain_hand_trace(self):
@@ -165,19 +166,20 @@ class TestNms:
         c = box(0.25, 0, 0.75, 1, 0.7)
         assert iou(a, b) == pytest.approx(0.6)
         assert iou(b, c) == pytest.approx(0.6)
-        out = nms([ds(a, b, c)], PARAMS_50)
+        out = one_image(nms, [ds(a, b, c)], PARAMS_50)
         assert set(bx.confidence for bx in out) == {0.9, 0.7}
         assert check_nms_fixpoint([a, b, c], out, 0.5)
 
     def test_classes_do_not_interact(self):
-        out = nms([ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.8, cls=1))], PARAMS_50)
+        out = one_image(nms, [ds(box(0, 0, 1, 1, 0.9, cls=0), box(0, 0, 1, 1, 0.8, cls=1))],
+                        PARAMS_50)
         assert len(out) == 2
 
     def test_antichain_and_greedy_fixpoint_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             boxes = [random_box(rng) for _ in range(int(rng.integers(1, 12)))]
-            out = nms([ds(*boxes)], PARAMS_50)
+            out = one_image(nms, [ds(*boxes)], PARAMS_50)
             for i, b1 in enumerate(out):
                 for b2 in out[i + 1 :]:
                     if b1.cls == b2.cls:
@@ -188,13 +190,13 @@ class TestNms:
 class TestSoftNms:
     def test_gaussian_decay_closed_form(self):
         params = FusionParams(soft_nms_sigma=0.5)
-        out = soft_nms([ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], params)
+        out = one_image(soft_nms, [ds(box(0, 0, 1, 1, 0.9), box(0, 0, 1, 1, 0.8))], params)
         assert len(out) == 2
         assert out[0].confidence == 0.9
         assert out[1].confidence == pytest.approx(0.8 * math.exp(-1 / 0.5), abs=1e-12)
 
     def test_disjoint_confidences_unchanged(self):
-        out = soft_nms([ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
+        out = one_image(soft_nms, [ds(box(0, 0, 0.4, 1, 0.9), box(0.6, 0, 1, 1, 0.8))], PARAMS_50)
         assert sorted(b.confidence for b in out) == [0.8, 0.9]
 
     def test_score_floor_one_keeps_one_per_class(self):
@@ -202,7 +204,7 @@ class TestSoftNms:
         boxes = [random_box(rng, cls=int(rng.integers(0, 2))) for _ in range(20)]
         boxes = [b for b in boxes if b.confidence < 1.0]
         params = FusionParams(score_floor=1.0)
-        out = soft_nms([ds(*boxes)], params)
+        out = one_image(soft_nms, [ds(*boxes)], params)
         per_class = {}
         for b in out:
             per_class[b.cls] = per_class.get(b.cls, 0) + 1
@@ -210,7 +212,7 @@ class TestSoftNms:
 
     def test_output_sorted_by_decayed_confidence(self):
         rng = np.random.default_rng(4)
-        out = soft_nms([ds(*(random_box(rng) for _ in range(15)))], PARAMS_50)
+        out = one_image(soft_nms, [ds(*(random_box(rng) for _ in range(15)))], PARAMS_50)
         confs = [b.confidence for b in out]
         assert confs == sorted(confs, reverse=True)
 
@@ -225,53 +227,53 @@ class TestWbf:
     def test_no_model_and_no_box_fuse_to_nothing(self):
         assert wbf([], FusionParams()) == []
         assert knowledge_vote([], FusionParams()) == []
-        assert wbf([ds(), ()], FusionParams()) == []
+        assert one_image(wbf, [ds(), ()], FusionParams()) == []
 
     def test_singleton_identity(self):
         b = box(0.1, 0.2, 0.6, 0.9, 0.77)
-        [f] = wbf([ds(b)], FusionParams())
+        [f] = one_image(wbf, [ds(b)], FusionParams())
         assert (f.x1, f.y1, f.x2, f.y2, f.confidence) == (0.1, 0.2, 0.6, 0.9, 0.77)
         assert f.support_count == 1
 
     def test_weighted_mean_hand_arithmetic(self):
-        [f] = wbf(two_model_pair(), FusionParams())
+        [f] = one_image(wbf, two_model_pair(), FusionParams())
         assert f.x1 == pytest.approx(0.0, abs=1e-12)
         assert f.y1 == pytest.approx((0.8 * 0 + 0.4 * 0.2) / 1.2, abs=1e-12)
         assert f.confidence == pytest.approx(0.6, abs=1e-12)
         assert f.support_count == 2
 
     def test_support_ratio_rescale_full_support_is_noop(self):
-        [f] = wbf(two_model_pair(), FusionParams(confidence_rescale="support_ratio"))
+        [f] = one_image(wbf, two_model_pair(), FusionParams(confidence_rescale="support_ratio"))
         assert f.confidence == pytest.approx(0.6, abs=1e-12)
 
     def test_support_ratio_rescale_partial_support(self):
         m1 = ds(box(0, 0, 1, 1, 0.8, source=0))
         m2 = ds(image_id="img")
-        [f] = wbf([m1, m2], FusionParams(confidence_rescale="support_ratio"))
+        [f] = one_image(wbf, [m1, m2], FusionParams(confidence_rescale="support_ratio"))
         assert f.confidence == pytest.approx(0.4, abs=1e-12)
 
     def test_disjoint_third_model_two_clusters(self):
         m1 = ds(box(0, 0, 0.4, 0.4, 0.8, source=0))
         m2 = ds(box(0, 0, 0.4, 0.42, 0.7, source=1))
         m3 = ds(box(0.6, 0.6, 1, 1, 0.6, source=2))
-        out = wbf([m1, m2, m3], FusionParams())
+        out = one_image(wbf, [m1, m2, m3], FusionParams())
         assert sorted(f.support_count for f in out) == [1, 2]
 
     def test_weight_arity_mismatch(self):
         with pytest.raises(WeightArityMismatchError):
-            wbf(two_model_pair(), FusionParams(model_weights=(1.0,)))
+            one_image(wbf, two_model_pair(), FusionParams(model_weights=(1.0,)))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(WeightArityMismatchError):
-            wbf(two_model_pair(), FusionParams(model_weights=(0.0, 0.0)))
+            one_image(wbf, two_model_pair(), FusionParams(model_weights=(0.0, 0.0)))
 
     def test_negative_weight_rejected_as_weight_error(self):
         with pytest.raises(NegativeWeightError) as exc:
-            wbf(two_model_pair(), FusionParams(model_weights=(1.0, -1.0)))
+            one_image(wbf, two_model_pair(), FusionParams(model_weights=(1.0, -1.0)))
         assert isinstance(exc.value, WeightArityMismatchError)
 
     def test_zero_weight_model_excluded_entirely(self):
-        out = wbf(two_model_pair(), FusionParams(model_weights=(1.0, 0.0)))
+        out = one_image(wbf, two_model_pair(), FusionParams(model_weights=(1.0, 0.0)))
         assert len(out) == 1
         assert out[0].support_count == 1
         assert out[0].confidence == 0.8
@@ -280,7 +282,7 @@ class TestWbf:
         rng = np.random.default_rng(21)
         for _ in range(100):
             models = _random_models(rng)
-            out = wbf(models, FusionParams())
+            out = one_image(wbf, models, FusionParams())
             want = oracle_wbf(models, (1.0,) * len(models), 0.55)
             assert wbf_rows(out) == oracle_rows(want)
             for f, row in zip(out, want):
@@ -293,8 +295,8 @@ class TestWbf:
         rng = np.random.default_rng(22)
         for _ in range(50):
             models = _random_models(rng)
-            plain = wbf(models, FusionParams())
-            rescaled = wbf(models, FusionParams(confidence_rescale="support_ratio"))
+            plain = one_image(wbf, models, FusionParams())
+            rescaled = one_image(wbf, models, FusionParams(confidence_rescale="support_ratio"))
             for a, b in zip(
                 sorted(plain, key=fused_box_key), sorted(rescaled, key=fused_box_key)
             ):
@@ -306,7 +308,7 @@ class TestWbf:
         lone = [box(0.11, 0.12, 0.31, 0.32, 0.93, cls=300, source=0),
                 box(0.61, 0.62, 0.91, 0.92, 0.43, cls=300, source=1)]
         m1, m2 = two_model_pair()
-        out = wbf([ds(lone[0], *m1), ds(*m2, lone[1])],
+        out = one_image(wbf, [ds(lone[0], *m1), ds(*m2, lone[1])],
                   FusionParams(confidence_rescale=rescale))
         single = [f for f in out if f.support_count == 1]  # the pair fuses
         assert len(out) == 3 and len(single) == 2
@@ -336,7 +338,7 @@ class TestKnowledgeVote:
         )
         m2 = ds(box(0.1, 0.1, 0.4, 0.41, 0.6, cls=1, source=1))
         m3 = ds(image_id="img")
-        out = knowledge_vote([m1, m2, m3], FusionParams(gates=gates))
+        out = one_image(knowledge_vote, [m1, m2, m3], FusionParams(gates=gates))
         assert len(out) == 1
         assert out[0].cls == 1
         assert out[0].support_count == 2
@@ -345,9 +347,9 @@ class TestKnowledgeVote:
         rng = np.random.default_rng(31)
         for _ in range(30):
             models = _random_models(rng)
-            kv = knowledge_vote(models, FusionParams())
+            kv = one_image(knowledge_vote, models, FusionParams())
             assert sorted(kv, key=fused_box_key) == sorted(
-                wbf(models, FusionParams()), key=fused_box_key
+                one_image(wbf, models, FusionParams()), key=fused_box_key
             )
 
     def test_impossible_gates_empty_output(self):
@@ -357,7 +359,8 @@ class TestKnowledgeVote:
             ds(*(b for b in m.boxes if b.confidence < 1.0), image_id=m.image_id)
             for m in models
         ]
-        out = knowledge_vote(models, FusionParams(gates=ConfidenceGates(default_gate=1.0)))
+        params = FusionParams(gates=ConfidenceGates(default_gate=1.0))
+        out = one_image(knowledge_vote, models, params)
         assert out == []
 
     def test_every_member_passes_its_gate(self):
@@ -365,7 +368,7 @@ class TestKnowledgeVote:
         gates = ConfidenceGates(gates={0: 0.3, 1: 0.6}, default_gate=0.5)
         for _ in range(30):
             models = _random_models(rng)
-            out = knowledge_vote(models, FusionParams(gates=gates))
+            out = one_image(knowledge_vote, models, FusionParams(gates=gates))
             want = oracle_wbf([ds(*apply_gates(m, gates)) for m in models],
                               (1.0,) * len(models), 0.55)
             assert wbf_rows(out) == oracle_rows(want)
@@ -381,7 +384,7 @@ def test_only_the_knowledge_vote_reads_the_gates(fn):
     gated = FusionParams(gates=ConfidenceGates(default_gate=1.0, classes=frozenset({0})))
     for _ in range(30):
         models = _random_models(rng)
-        assert fn(models, gated) == fn(models, FusionParams())
+        assert one_image(fn, models, gated) == one_image(fn, models, FusionParams())
 
 
 class TestWbfAlgebra:
@@ -390,11 +393,11 @@ class TestWbfAlgebra:
         for _ in range(50):
             models = _random_models(rng, n_models=4)
             weights = tuple(float(rng.uniform(0.1, 2.0)) for _ in range(4))
-            base = wbf(models, FusionParams(model_weights=weights))
+            base = one_image(wbf, models, FusionParams(model_weights=weights))
             perm = rng.permutation(4)
             shuffled = [models[i] for i in perm]
             wperm = tuple(weights[i] for i in perm)
-            out = wbf(shuffled, FusionParams(model_weights=wperm))
+            out = one_image(wbf, shuffled, FusionParams(model_weights=wperm))
             assert sorted(base, key=fused_box_key) == sorted(out, key=fused_box_key)
 
     def test_weight_scaling_invariance_power_of_two(self):
@@ -403,9 +406,9 @@ class TestWbfAlgebra:
             models = _random_models(rng, n_models=3)
             weights = tuple(float(rng.uniform(0.1, 2.0)) for _ in range(3))
             k = 2.0 ** int(rng.integers(-3, 8))
-            base = wbf(models, FusionParams(model_weights=weights))
-            scaled = wbf(
-                models, FusionParams(model_weights=tuple(k * w for w in weights))
+            base = one_image(wbf, models, FusionParams(model_weights=weights))
+            scaled = one_image(
+                wbf, models, FusionParams(model_weights=tuple(k * w for w in weights))
             )
             assert sorted(base, key=fused_box_key) == sorted(scaled, key=fused_box_key)
 
@@ -415,9 +418,10 @@ class TestWbfAlgebra:
             models = _random_models(rng, n_models=3)
             weights = tuple(float(rng.uniform(0.1, 2.0)) for _ in range(3))
             k = float(rng.uniform(0.2, 9.0))
-            base = sorted(wbf(models, FusionParams(model_weights=weights)), key=fused_box_key)
+            base = sorted(one_image(wbf, models, FusionParams(model_weights=weights)),
+                          key=fused_box_key)
             scaled = sorted(
-                wbf(models, FusionParams(model_weights=tuple(k * w for w in weights))),
+                one_image(wbf, models, FusionParams(model_weights=tuple(k * w for w in weights))),
                 key=fused_box_key,
             )
             assert len(base) == len(scaled)
@@ -430,7 +434,7 @@ class TestWbfAlgebra:
         rng = np.random.default_rng(44)
         for _ in range(50):
             boxes = [random_box(rng) for _ in range(int(rng.integers(1, 8)))]
-            out = wbf([ds(*boxes)], FusionParams())
+            out = one_image(wbf, [ds(*boxes)], FusionParams())
             got = sorted(
                 (f.x1, f.y1, f.x2, f.y2, f.confidence, f.cls) for f in out
             )
@@ -455,28 +459,29 @@ class TestTiesAcrossModels:
 
     def test_model_order_breaks_a_full_tie(self):
         a, b = self.A, self.B
-        assert nms([ds(a), ds(b)], PARAMS_50) == [a]
-        assert nms([ds(b), ds(a)], PARAMS_50) == [b]
+        assert one_image(nms, [ds(a), ds(b)], PARAMS_50) == [a]
+        assert one_image(nms, [ds(b), ds(a)], PARAMS_50) == [b]
         for first, second in ((a, b), (b, a)):
-            out = soft_nms([ds(first), ds(second)], PARAMS_50)
+            out = one_image(soft_nms, [ds(first), ds(second)], PARAMS_50)
             assert out[0] == first
             assert out[1] == second._replace(confidence=out[1].confidence)
             assert out[1].confidence < 0.7
             zero = [ds(first._replace(confidence=0.0)), ds(second._replace(confidence=0.0))]
-            assert wbf(zero, PARAMS_50) == [(*first[:5], 0.0, 1)]  # y2 0.5 for A, 0.6 for B
+            # y2 0.5 for A, 0.6 for B
+            assert one_image(wbf, zero, PARAMS_50) == [(*first[:5], 0.0, 1)]
 
     def test_source_and_position_come_before_model_order(self):
         a, b = self.A._replace(source=2), self.B._replace(source=1)
-        assert nms([ds(a), ds(b)], PARAMS_50) == [b]
+        assert one_image(nms, [ds(a), ds(b)], PARAMS_50) == [b]
         a0, b0 = a._replace(confidence=0.0), b._replace(confidence=0.0)
-        assert wbf([ds(a0), ds(b0)], PARAMS_50) == [(*b[:5], 0.0, 2)]
+        assert one_image(wbf, [ds(a0), ds(b0)], PARAMS_50) == [(*b[:5], 0.0, 2)]
         far = box(0.8, 0.8, 0.9, 0.9, 0.7)
         a, b = self.A, self.B
         # b is first in its list, a second in its own
-        assert nms([ds(far, a), ds(b)], PARAMS_50) == [far, b]
-        assert soft_nms([ds(far, a), ds(b)], PARAMS_50)[:2] == [far, b]
+        assert one_image(nms, [ds(far, a), ds(b)], PARAMS_50) == [far, b]
+        assert one_image(soft_nms, [ds(far, a), ds(b)], PARAMS_50)[:2] == [far, b]
         a0, b0 = a._replace(confidence=0.0), b._replace(confidence=0.0)
-        assert wbf([ds(far, a0), ds(b0)], PARAMS_50) == [(*far[:6], 1), (*b[:5], 0.0, 1)]
+        assert one_image(wbf, [ds(far, a0), ds(b0)], PARAMS_50) == [(*far[:6], 1), (*b[:5], 0.0, 1)]
 
 
 def table_group(rng, n, cls=0):
@@ -562,7 +567,7 @@ class TestTablePathAgainstOracles:
     def test_nms_is_the_greedy_fixpoint(self, n, seed):
         boxes = table_boxes(seed, n)
         for threshold in (0.5, 0.3):
-            out = nms([ds(*boxes)], FusionParams(iou_threshold=threshold))
+            out = one_image(nms, [ds(*boxes)], FusionParams(iou_threshold=threshold))
             assert check_nms_fixpoint(boxes, out, threshold)
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
@@ -570,7 +575,8 @@ class TestTablePathAgainstOracles:
     @pytest.mark.parametrize("sigma,floor", [(0.5, 0.001), (2.0, 0.05), (0.5, 1.0)])
     def test_soft_nms_equals_oracle(self, n, seed, sigma, floor):
         boxes = table_boxes(seed, n)
-        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
+        params = FusionParams(soft_nms_sigma=sigma, score_floor=floor)
+        out = one_image(soft_nms, [ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, sigma, floor)
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
@@ -580,11 +586,11 @@ class TestTablePathAgainstOracles:
         # model's order, models in turn
         models = by_source(table_boxes(seed, n))
         pooled = [b for m in models for b in m]
-        out = nms(models, PARAMS_50)
+        out = one_image(nms, models, PARAMS_50)
         assert check_nms_fixpoint(pooled, out, 0.5)
-        assert out == nms([ds(*pooled)], PARAMS_50)
+        assert out == one_image(nms, [ds(*pooled)], PARAMS_50)
         params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
-        assert soft_nms(models, params) == oracle_soft_nms(pooled, 0.5, 0.001)
+        assert one_image(soft_nms, models, params) == oracle_soft_nms(pooled, 0.5, 0.001)
 
     @pytest.mark.parametrize("n", TABLE_SIZES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -594,7 +600,8 @@ class TestTablePathAgainstOracles:
         zero_mass = [box(0.1, 0.1, 0.5, 0.5, 0.0, cls=2, source=1),
                      box(0.12, 0.1, 0.5, 0.52, 0.0, cls=2, source=2)]
         models = by_source(table_boxes(seed, n) + zero_mass)
-        got = wbf_rows(wbf(models, FusionParams(iou_threshold=0.5, model_weights=weights)))
+        params = FusionParams(iou_threshold=0.5, model_weights=weights)
+        got = wbf_rows(one_image(wbf, models, params))
         assert got == oracle_rows(oracle_wbf(models, weights, 0.5))
         assert (2, *zero_mass[0][1:5], 0.0, 2) in got
 
@@ -631,12 +638,12 @@ class TestNeighbourSweepsAgainstOracles:
         pooled = [b for m in models for b in m]
         for sigma, floor in [(0.5, 0.001), (0.05, 0.3)]:
             params = FusionParams(soft_nms_sigma=sigma, score_floor=floor)
-            assert soft_nms(models, params) == oracle_soft_nms(pooled, sigma, floor)
+            assert one_image(soft_nms, models, params) == oracle_soft_nms(pooled, sigma, floor)
         for threshold in (0.55, 0.3):
             for weights in [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0)]:
                 params = FusionParams(iou_threshold=threshold, model_weights=weights)
                 want = oracle_wbf(models, weights, threshold)
-                assert wbf_rows(wbf(models, params)) == oracle_rows(want)
+                assert wbf_rows(one_image(wbf, models, params)) == oracle_rows(want)
                 assert any(len(row[7]) > 1 for row in want)
 
     @PADDED
@@ -646,7 +653,8 @@ class TestNeighbourSweepsAgainstOracles:
         boxes = [box(0.0, 0.0, 0.2, 0.2, 0.9), second, victim]
         boxes += filler(TABLE_MIN, 0.3) if padded else []
         sigma, floor = 0.1, 0.15
-        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=floor))
+        params = FusionParams(soft_nms_sigma=sigma, score_floor=floor)
+        out = one_image(soft_nms, [ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, sigma, floor)
         # kept after the first pick, dropped by the second, before the filler is picked
         assert len(out) == len(boxes) - 1 and victim not in out
@@ -660,7 +668,7 @@ class TestNeighbourSweepsAgainstOracles:
         boxes = [first, sliver, box(0.6, 0.6, 0.8, 0.8, 0.5)]
         boxes += filler(TABLE_MIN, 0.3) if padded else []
         params = FusionParams(soft_nms_sigma=0.5, score_floor=0.001)
-        out = soft_nms([ds(*boxes)], params)
+        out = one_image(soft_nms, [ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, 0.5, 0.001)
         assert out[:3] == boxes[:3]
 
@@ -675,7 +683,8 @@ class TestNeighbourSweepsAgainstOracles:
         under_both = box(0.35, 0.35, 0.65, 0.65, 0.3)  # decayed by both, in pick order
         pair = [decayed, tied] if decayed_first else [tied, decayed]
         boxes = [pick, *pair, under_both] + (filler(TABLE_MIN, 0.1) if padded else [])
-        out = soft_nms([ds(*boxes)], FusionParams(soft_nms_sigma=sigma, score_floor=0.001))
+        params = FusionParams(soft_nms_sigma=sigma, score_floor=0.001)
+        out = one_image(soft_nms, [ds(*boxes)], params)
         assert out == oracle_soft_nms(boxes, sigma, 0.001)
         assert out[1].confidence == out[2].confidence == tied.confidence
         assert out[1][1:5] == pair[0][1:5]
@@ -693,7 +702,8 @@ class TestNeighbourSweepsAgainstOracles:
         lead = [b._replace(confidence=c) for b, c in zip(lead, (0.9, 0.85, 0.8))]
         boxes = [*lead, probe] + (filler(TABLE_MIN, 0.1) if padded else [])
         want = oracle_wbf([ds(*boxes)], (1.0,), 0.55)
-        assert wbf_rows(wbf([ds(*boxes)], FusionParams(iou_threshold=0.55))) == oracle_rows(want)
+        got = one_image(wbf, [ds(*boxes)], FusionParams(iou_threshold=0.55))
+        assert wbf_rows(got) == oracle_rows(want)
         joined = lead[:2] if merged_first else lead[:1]
         assert (*joined, probe) in [tuple(b for _, b in row[7]) for row in want]
 
@@ -884,13 +894,13 @@ def row_bits(images_rows):
 
 
 class TestBatchedWbf:
-    """The batched sweep (`_wbf_batch`, `_wbf_images`) against `oracle_wbf`, with `==`."""
+    """The batched sweep (`_wbf_batch`, `wbf`) against `oracle_wbf`, with `==`."""
 
     @pytest.mark.parametrize("params", BATCH_PARAMS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_images_equal_per_image_wbf(self, params, seed):
         images = batch_images(seed, sizes=(TABLE_MIN - 1, TABLE_MIN, TABLE_MIN + 1))
-        got = fusion._wbf_images(per_model(images), params)
+        got = fusion.wbf(per_model(images), params)
         want = oracle_images(images, params)
         assert [wbf_rows(out) for out in got] == want
         assert row_bits([wbf_rows(out) for out in got]) == row_bits(want)
@@ -906,7 +916,7 @@ class TestBatchedWbf:
         sizes = [sum(map(len, image)) for image in images]
         assert (len(fusion._batches(sizes)) > 1) == (sum(sizes) > limit)
         for params in BATCH_PARAMS:
-            got = fusion._wbf_images(per_model(images), params)
+            got = fusion.wbf(per_model(images), params)
             assert [wbf_rows(out) for out in got] == oracle_images(images, params)
 
     def test_run_past_one_batch_and_an_image_past_a_batch(self):
@@ -918,7 +928,7 @@ class TestBatchedWbf:
         sizes = [sum(map(len, image)) for image in images]
         assert sum(sizes) > 2 * fusion.BATCH_BOXES and sizes[-1] > fusion.BATCH_BOXES
         assert fusion._batches(sizes)[-1] == range(len(images) - 1, len(images))
-        got = fusion._wbf_images(per_model(images), BATCH_PARAMS[0])
+        got = fusion.wbf(per_model(images), BATCH_PARAMS[0])
         assert [wbf_rows(out) for out in got] == oracle_images(images, BATCH_PARAMS[0])
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -948,3 +958,72 @@ class TestBatchedWbf:
         ends = np.cumsum(cl.count).tolist()
         for w, a, b in zip(want, [0, *ends], ends):  # in cluster order, sorted as the oracle's
             assert sorted(got[a:b], key=lambda r: (-r[5], *r[:5])) == w
+
+
+FUSIONS = pytest.mark.parametrize("fn", [nms, soft_nms, wbf, knowledge_vote],
+                                  ids=["nms", "soft_nms", "wbf", "knowledge_vote"])
+
+
+class TestCallShape:
+    """Every fusion takes per_model[m][k], model m's boxes on image k, and
+    returns one list per image, in image order."""
+
+    @FUSIONS
+    def test_one_list_per_image_each_as_its_own_call(self, fn):
+        images = batch_images(8, n_images=12)
+        params = FusionParams(gates=ConfidenceGates(default_gate=0.4))
+        got = fn(per_model(images), params)
+        assert len(got) == len(images) and [] in got
+        assert got == [one_image(fn, image, params) for image in images]
+
+    @FUSIONS
+    def test_no_model_gives_no_image(self, fn):
+        assert fn([], FusionParams()) == []
+
+    @FUSIONS
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 2), (0, 1), (2, 2, 3)])
+    def test_models_with_different_image_counts_raise(self, fn, counts):
+        b = box(0.1, 0.1, 0.5, 0.5, 0.9)
+        models = [[(b,)] * n for n in counts]
+        with pytest.raises(ValueError):
+            fn(models, FusionParams())
+
+    def test_a_zero_weight_model_is_counted_too(self):
+        b = box(0.1, 0.1, 0.5, 0.5, 0.9)
+        with pytest.raises(ValueError):
+            wbf([[(b,)], [(b,), (b,)]], FusionParams(model_weights=(1.0, 0.0)))
+
+
+# class ids and sources past 2**53, which float64 does not hold exactly, and
+# past the largest float
+class TestIdsPastFloat:
+    """WBF groups, orders and counts support by the exact ids, as `nms` and `oracle_wbf` do."""
+
+    @pytest.mark.parametrize("low", [2**53, 2**53 + 1, 2**64 + 7, 10**400],
+                             ids=["2**53", "2**53+1", "2**64+7", "10**400"])
+    def test_classes_one_apart_stay_apart(self, low):
+        classes = [low + 1, low, 7]  # not in class order
+        boxes = [box(0.1, 0.1, 0.5, 0.5, 0.9, cls=c, source=1) for c in classes]
+        models = [ds(b) for b in boxes]
+        got = one_image(wbf, models, FusionParams())
+        assert wbf_rows(got) == oracle_rows(oracle_wbf(models, (1.0,) * 3, 0.55))
+        assert [f.cls for f in got] == sorted(classes)
+        assert all(f.support_count == 1 for f in got)
+        assert sorted(one_image(nms, models, PARAMS_50)) == sorted(boxes)
+
+    @pytest.mark.parametrize("sources", [(2**53, 2**53 + 1), (10**400, 10**400 + 1), (-1, 2**63)])
+    def test_sources_one_apart_both_count(self, sources):
+        models = [ds(box(0.1, 0.1, 0.5, 0.5, 0.9, cls=3, source=s)) for s in sources]
+        models.append(ds(box(0.1, 0.1, 0.5, 0.52, 0.9, cls=3, source=sources[0])))
+        got = one_image(wbf, models, FusionParams())
+        assert wbf_rows(got) == oracle_rows(oracle_wbf(models, (1.0,) * 3, 0.55))
+        assert [f.support_count for f in got] == [2]
+
+    def test_source_order_breaks_a_tie_exactly(self):
+        # equal confidences: the lower source leads, and with no mass its box is kept
+        a = box(0.0, 0.0, 0.5, 0.5, 0.0, cls=2**53, source=2**53 + 1)
+        b = box(0.0, 0.0, 0.5, 0.6, 0.0, cls=2**53, source=2**53)
+        models = [ds(a), ds(b)]
+        got = one_image(wbf, models, PARAMS_50)
+        assert wbf_rows(got) == oracle_rows(oracle_wbf(models, (1.0, 1.0), 0.5))
+        assert got == [(*b[:5], 0.0, 2)]
