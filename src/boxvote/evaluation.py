@@ -36,7 +36,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import EmptyGroundTruthError
-from .geometry import Box, pair_ious, running_sum
+from .geometry import Box, pair_chunks, pair_ious, running_sum
 from .geometry import iou  # noqa: F401  not called here; bench/spans.py counts calls through it
 
 AP_RECALL_POINTS = 101
@@ -188,15 +188,8 @@ def _candidates(key, det, order, gt_key, truth, gt_order) -> tuple:
     """
     lo = np.searchsorted(gt_key, key, side="left")
     n_gt = np.searchsorted(gt_key, key, side="right") - lo
-    ends = np.cumsum(n_gt)
-    cuts = np.searchsorted(ends, np.arange(PAIR_CHUNK, ends[-1] if len(ends) else 0, PAIR_CHUNK),
-                           side="right")
-    bounds = [0, *cuts.tolist(), len(key)]
     parts = []
-    for a, b in zip(bounds, bounds[1:]):
-        counts = n_gt[a:b]
-        d = np.repeat(np.arange(a, b), counts)
-        g = np.arange(len(d)) + np.repeat(lo[a:b] - (np.cumsum(counts) - counts), counts)
+    for _, _, d, g in pair_chunks(lo, n_gt, PAIR_CHUNK):
         hit, ov = pair_ious(det, order[d], truth, gt_order[g])
         parts.append((d[hit], g[hit], ov))
     d, g, ov = (np.concatenate(column) for column in zip(*parts))

@@ -11,46 +11,40 @@ the knowledge vote reads `params.gates`, the relevance of each class in the
 target label space: which classes vote, and how confident a box of each
 must be. NMS, soft-NMS and WBF take every box.
 
-NMS, soft-NMS and WBF split the boxes by class and sort each group once, by
-the algorithm's priority; then one greedy pass runs over each group. All
-three break ties the same way: confidence descending (times the model
+NMS, soft-NMS and WBF fuse their images in batches (`_batches`: consecutive
+images with at most `BATCH_BOXES` boxes, an image with more alone), as a
+Python pass per class group would spend most of its time on overhead on the
+tens of thousands of small groups of sparse detector output. `_gather`
+turns a batch's boxes into numpy columns, grouped by (image, class), each
+group sorted once by priority: confidence descending (times the model
 weight, for WBF), then the box's source, then its position in its model's
-list, then model order.
+list, then model order. One greedy pass runs over each group. NMS and
+soft-NMS give each image's boxes in that order, then class, then model.
 
-A sweep visits a box's neighbours: the boxes that overlap it beyond a
-threshold, listed once per group by `_neighbours`, the one place that picks
-numpy or scalar `iou` by group size. A group of at least `TABLE_MIN` boxes
-lists them with numpy (`_overlaps`), pairing each box in x1 order only with
-the later ones whose x1 lies below its x2 (about 23% of a `dense-fuse`
-group's pairs), with `geometry.iou`'s IEEE operations, so each IoU is
-bit-equal to the scalar call. A smaller group, such as the about 3 boxes of
-a class group in sparse detector output, calls `iou` once per pair that
-passes a four-comparison axis test. The lists live only while their group
-is swept.
+A sweep visits a box's neighbours, the boxes of its group that overlap it
+beyond a threshold, listed by `_neighbours` from one numpy pass over a
+batch's groups (`_overlaps`). Sorted by x1 within its group, each box is
+paired only with the later ones whose x1 lies below its x2 (about 23% of a
+`dense-fuse` group's pairs), with `geometry.iou`'s IEEE operations. The
+lists are built in chunks of whole groups of about `PAIR_CHUNK` pairs.
 
 - NMS: each kept box suppresses its neighbours beyond the threshold.
-- Soft-NMS takes the first maximum confidence of the group, kept in
-  (source, index) order, from a lazy max-heap, and decays its neighbours
+- Soft-NMS takes the first maximum confidence of the group, in (source,
+  index, model) order, from a lazy max-heap, and decays its neighbours
   beyond 0 by exp(-iou^2 / sigma) instead of re-sorting.
 - WBF puts each box into the first cluster whose fused box overlaps it,
   with running sums per cluster, and emits a cluster of one box as that
   box's corners and confidence, with support 1.
 
-NMS and soft-NMS sweep one image at a time; WBF fuses its images together.
-Sparse detector output has tens of thousands of small class groups, and a
-Python sweep per group spends most of its time on overhead. So the images
-run in batches (`_batches`: consecutive images with at most `BATCH_BOXES`
-boxes, an image with more alone). `_gather` turns a batch's boxes into
-numpy columns, grouped by (image, class) and in priority order, and
-`_wbf_batch` clusters all its groups at once: step r takes the r-th box of
-every group that has one and compares it with all of that group's clusters.
-A step compares a box with every earlier cluster of its group, so a group
-of at least `TABLE_MIN` boxes is swept alone by `_wbf_clusters`, which
-finds through the group's neighbour lists the one-member cluster a box
-joins. Both sweeps take `geometry.iou`'s IEEE operations and `_add_member`'s
-sums in join order, so they give the same floats. `FusedBox` is a named
-tuple like `geometry.Box` (see there): the weighted consensus pass builds
-one per cluster, about 18,500 for three sources on 3,000 images.
+`_wbf_batch` clusters a batch's groups at once: step r takes the r-th box
+of every group that has one and compares it with all of that group's
+clusters. So a group of at least `TABLE_MIN` boxes is swept alone by
+`_wbf_clusters`, which finds through the group's neighbours the one-member
+cluster a box joins. Both sweeps take `geometry.iou`'s IEEE operations and
+`_add_member`'s sums in join order, so they give the same floats.
+`FusedBox` is a named tuple like `geometry.Box` (see there): the weighted
+consensus pass builds one per cluster, about 18,500 for three sources on
+3,000 images.
 
 Soft-NMS decays with `math.exp`, one box at a time. `np.exp` is not bound
 to round like the C library's `exp`, and on dense detector output it gave
@@ -71,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NegativeWeightError, WeightArityMismatchError
-from .geometry import Box, box_areas, iou, pair_ious
+from .geometry import Box, box_areas, iou, pair_chunks, pair_ious
 
 
 @dataclass(frozen=True)
@@ -170,172 +164,151 @@ def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates) -> tuple:
     return tuple(filter(passes, boxes))
 
 
-# `_neighbours` lists a class group of at least this many boxes with `_overlaps`,
-# a smaller one with `iou` per pair; WBF indexes only such groups. Summed over
-# the three sweeps, the two methods measured even at 32-36 boxes.
+# `_wbf_run` sweeps a class group of at least this many boxes alone, through
+# its neighbour lists (`_wbf_clusters`), and the smaller groups in lockstep.
 TABLE_MIN = 32
 
-
-def _source_order(item):
-    return (item[0].source, item[1])
-
-
-def _priority(item):
-    return (-item[0].confidence, item[0].source, item[1])
+# Candidate pairs per chunk of `_overlaps`, which holds one chunk's pairs at a time.
+PAIR_CHUNK = 4096
 
 
-def _class_groups(per_model, key):
-    """(class, items) for each class in ascending order, each group sorted once by `key`.
+def _overlaps(box, starts, threshold: float):
+    """Yield (a, b, rows, cols, ious) per chunk of whole groups of about
+    PAIR_CHUNK candidate pairs, rows a to b - 1: every pair of rows of one
+    group whose IoU is > `threshold` (>= 0), both ways, in row-then-column
+    order, each IoU bit-equal to `iou`'s (`geometry.pair_ious`).
 
-    An item is (box, index of the box in its model's list), in model order.
-    The sort is stable, so items that `key` ties stay in model order. `key`
-    is `_priority` for NMS, or `_source_order` for soft-NMS.
+    `box` holds the rows' x1, y1, x2 and y2 rows; group g starts at row
+    starts[g]. Sorted by x1, each row pairs with the later rows of its group
+    whose x1 is below its x2. The sort key is an integer, the group times
+    (n + 1) plus the rank of x1, so no search leaves its group, at any corners.
     """
-    by_class: dict[int, list] = {}
-    for boxes in per_model:
-        for idx, b in enumerate(boxes):
-            by_class.setdefault(b.cls, []).append((b, idx))
-    return [(cls, sorted(by_class[cls], key=key)) for cls in sorted(by_class)]
-
-
-def _overlaps(corners) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, ious) of every pair of boxes that overlap, both ways, in row-then-column order.
-
-    `corners` holds the boxes' x1, y1, x2 and y2 rows. Each IoU equals
-    iou(boxes[row], boxes[col]) bit for bit, and a pair is
-    listed iff that IoU is > 0; no box is paired with itself. A sweep over
-    the boxes sorted by x1 lists only the pairs whose x-intervals can
-    intersect: the boxes after a box in that order whose x1 is below its x2.
-    Those pairs' IoUs are `geometry.pair_ious`.
-    """
-    x1, x2 = corners[0], corners[2]
+    x1, x2 = box[0], box[2]
     n = len(x1)
-    order = np.argsort(x1, kind="stable")
-    # sorted position p pairs with the next counts[p] positions, whose x1 is below its x2
-    counts = np.searchsorted(x1[order], x2[order]) - np.arange(1, n + 1)
+    base = np.repeat(np.arange(len(starts)) * (n + 1), np.diff(starts, append=n))
+    ranks = np.sort(x1)
+    key = base + np.searchsorted(ranks, x1)
+    order = np.argsort(key, kind="stable")  # keeps each group at its rows
+    # sorted position p pairs with the next counts[p] positions
+    counts = np.searchsorted(key[order], base[order] + np.searchsorted(ranks, x2[order]))
+    counts -= np.arange(1, n + 1)
     np.maximum(counts, 0, out=counts)
-    p = np.repeat(np.arange(n), counts)
-    k = np.arange(len(p)) - np.repeat(np.cumsum(counts) - counts, counts)  # rank within p's run
-    i, j = order[p], order[p + 1 + k]
-    hit, ov = pair_ious(corners, i, corners, j)
-    rows = np.concatenate((i[hit], j[hit]))
-    cols = np.concatenate((j[hit], i[hit]))
-    by_row = np.argsort(rows * n + cols)
-    return rows[by_row], cols[by_row], np.concatenate((ov, ov))[by_row]
+    for a, b, p, q in pair_chunks(np.arange(1, n + 1), counts, PAIR_CHUNK, starts):
+        i, j = order[p], order[q]
+        hit, ov = pair_ious(box, i, box, j)
+        over = ov > threshold
+        rows = np.concatenate((i[hit[over]], j[hit[over]]))
+        cols = np.concatenate((j[hit[over]], i[hit[over]]))
+        by_row = np.argsort(rows * n + cols)
+        yield a, b, rows[by_row], cols[by_row], np.concatenate((ov[over], ov[over]))[by_row]
 
 
-def _neighbours(boxes, threshold: float, corners=None) -> list[list[tuple[int, float]]]:
-    """Per position, the (position, iou) of every other box that overlaps it
-    beyond `threshold`, in position order; each IoU equals `iou`'s bit for bit.
+def _neighbours(box, starts, threshold: float):
+    """Yield (a, b, near) per chunk of `_overlaps`: near[i] lists the (j, iou)
+    of each row a + j that overlaps row a + i beyond `threshold`, in row order."""
+    for a, b, rows, cols, ovs in _overlaps(box, starts, threshold):
+        bounds = np.searchsorted(rows, np.arange(a, b + 1)).tolist()
+        edges = list(zip((cols - a).tolist(), ovs.tolist()))
+        yield a, b, [edges[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    A group of at least `TABLE_MIN` boxes reads `_overlaps`, of `corners`
-    when the caller has the boxes' corners as rows; a smaller one calls
-    `iou` once per pair that passes the four-comparison axis test.
+
+def nms(per_model: Sequence[Sequence[Collection[Box]]], params: FusionParams) -> list[list[Box]]:
+    """Greedy per-class suppression at params.iou_threshold.
+
+    A kept box suppresses its neighbours beyond the threshold, so no box
+    suppresses a kept box: a later box that overlaps it is suppressed first.
     """
-    n = len(boxes)
-    if n >= TABLE_MIN:
-        if corners is None:
-            corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T
-        rows, cols, ovs = _overlaps(corners)
-        over = ovs > threshold
-        starts = np.searchsorted(rows[over], np.arange(n + 1)).tolist()
-        edges = list(zip(cols[over].tolist(), ovs[over].tolist()))
-        return [edges[starts[i]:starts[i + 1]] for i in range(n)]
-    near: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, a in enumerate(boxes):  # row i gets its j < i from the earlier rows' loops
-        for j in range(i + 1, n):
-            b = boxes[j]
-            if a.x1 < b.x2 and b.x1 < a.x2 and a.y1 < b.y2 and b.y1 < a.y2:
-                ov = iou(a, b)
-                if ov > threshold:
-                    near[i].append((j, ov))
-                    near[j].append((i, ov))
-    return near
+    def keep(rows):
+        suppressed = np.empty(len(rows.conf), bool)
+        for a, b, near in _neighbours(rows.box, rows.starts, params.iou_threshold):
+            out = [False] * (b - a)
+            for i, nb in enumerate(near):
+                if not out[i]:
+                    for j, _ in nb:
+                        out[j] = True
+            suppressed[a:b] = out
+        return ~suppressed, rows.conf
+    return _sweep(per_model, keep)
 
 
-def _nms_keep(boxes, threshold: float) -> list[int]:
-    """Positions of the boxes (in priority order) that greedy suppression keeps."""
-    kept = []
-    suppressed = [False] * len(boxes)
-    for i, near in enumerate(_neighbours(boxes, threshold)):
-        if not suppressed[i]:
-            kept.append(i)
-            for j, _ in near:
-                suppressed[j] = True
-    return kept
-
-
-def nms(per_model: Sequence[Sequence[Iterable[Box]]], params: FusionParams) -> list[list[Box]]:
-    """Greedy per-class suppression at params.iou_threshold, image by image."""
-    out = []
-    for image in zip(*per_model, strict=True):
-        kept = []
-        for _, group in _class_groups(image, _priority):
-            boxes = [b for b, _ in group]
-            kept.extend(group[i] for i in _nms_keep(boxes, params.iou_threshold))
-        kept.sort(key=_priority)
-        out.append([item[0] for item in kept])
-    return out
-
-
-def _soft_nms_picks(boxes, sigma: float, floor: float) -> list[tuple[int, float]]:
-    """(position, decayed confidence) of each box soft-NMS keeps, in pick order.
-
-    `boxes` are in (source, index) order, so the first maximum of the
-    confidences is the box that the (-confidence, source, index) order puts
-    first. Each box still in play has one entry, (-confidence, position), in
-    a lazy max-heap, so the least entry is the first maximum. A decay leaves
-    the box's entry stale: it stands for a higher confidence, so it is
-    popped before the box is due, and the pop pushes the box again at its
-    current confidence. A pop skips the entry of a picked or dropped box. A
-    pick decays only the live boxes it overlaps (`_neighbours`), each by
-    exp(-iou^2 / sigma); a factor that rounds to 1.0 leaves the entry
-    current. The first pick is taken before any box is checked against
-    `floor`; confidences only fall, so a box below `floor` can drop before
-    the first pick, and later only a box just decayed can drop.
-    """
-    near = _neighbours(boxes, 0.0)
-    conf = [b.confidence for b in boxes]
-    top = max(range(len(boxes)), key=conf.__getitem__)
-    alive = [c >= floor for c in conf]
-    alive[top] = True
-    heap = [(-c, j) for j, c in enumerate(conf) if alive[j]]
-    heapq.heapify(heap)
-    picks = []
-    while heap:
-        neg, top = heapq.heappop(heap)
-        if not alive[top]:
-            continue
-        c = conf[top]
-        if -neg != c:
-            heapq.heappush(heap, (-c, top))
-            continue
-        alive[top] = False
-        picks.append((top, c))
-        for j, ov in near[top]:
-            if alive[j]:
-                c = conf[j] = conf[j] * math.exp(-(ov * ov) / sigma)
-                if c < floor:
-                    alive[j] = False
-    return picks
-
-
-def soft_nms(per_model: Sequence[Sequence[Iterable[Box]]],
+def soft_nms(per_model: Sequence[Sequence[Collection[Box]]],
              params: FusionParams) -> list[list[Box]]:
-    """Gaussian soft-NMS, image by image: decay overlapping same-class
-    confidences instead of discarding, then drop boxes below params.score_floor."""
+    """Gaussian soft-NMS: decay overlapping same-class confidences instead
+    of discarding, then drop boxes below params.score_floor.
+
+    A group's first pick, its first box in priority order, is taken before
+    any box is checked against the floor. Each box in play has one entry,
+    (-confidence, place, box), in a lazy max-heap of its group, where place
+    is its rank in (source, index, model) order, so the least entry is the
+    first maximum.
+    A pick decays only the live boxes it overlaps, each by exp(-iou^2 /
+    sigma), which leaves their entries stale: a stale entry pops before its
+    box is due and pushes the box again at its current confidence. A pop
+    skips a picked or dropped box. Confidences only fall, so later only a
+    box just decayed can drop below the floor.
+    """
+    sigma, floor = params.soft_nms_sigma, params.score_floor
+
+    def keep(rows):
+        live = rows.conf >= floor
+        live[rows.starts] = True
+        places = np.argsort(np.lexsort((rows.model, rows.index, rows.source, rows.cls,
+                                        rows.image)))
+        picked, decayed = [], []
+        for a, b, near in _neighbours(rows.box, rows.starts, 0.0):
+            conf, alive, place = rows.conf[a:b].tolist(), live[a:b].tolist(), places[a:b].tolist()
+            took = [False] * (b - a)
+            first, last = np.searchsorted(rows.starts, (a, b))
+            heads = [*(rows.starts[first:last] - a).tolist(), b - a]  # the chunk's groups
+            for lo, hi in zip(heads, heads[1:]):
+                heap = [(-conf[j], place[j], j) for j in range(lo, hi) if alive[j]]
+                heapq.heapify(heap)
+                while heap:
+                    neg, _, top = heapq.heappop(heap)
+                    if not alive[top]:
+                        continue
+                    c = conf[top]
+                    if -neg != c:
+                        heapq.heappush(heap, (-c, place[top], top))
+                        continue
+                    alive[top] = False
+                    took[top] = True
+                    for j, ov in near[top]:
+                        if alive[j]:
+                            c = conf[j] = conf[j] * math.exp(-(ov * ov) / sigma)
+                            if c < floor:
+                                alive[j] = False
+            picked += took
+            decayed += conf
+        return picked, np.array(decayed)
+    return _sweep(per_model, keep)
+
+
+def _sweep(per_model, keep) -> list[list[Box]]:
+    """NMS or soft-NMS of every image. `keep(rows)` takes a batch's `_gather`
+    at uniform weights and gives (whether it keeps each row, each row's
+    confidence after). Each image's kept boxes are sorted by that confidence
+    descending, source, list position, class and model, and are the input
+    objects unless their confidence changed."""
+    weights = (1.0,) * len(per_model)
     out = []
-    for image in zip(*per_model, strict=True):
-        kept = []
-        for _, group in _class_groups(image, _source_order):
-            boxes = [b for b, _ in group]
-            for i, c in _soft_nms_picks(boxes, params.soft_nms_sigma, params.score_floor):
-                b, idx = group[i]
-                if c != b.confidence:
-                    b = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
-                kept.append((b, idx))
-        kept.sort(key=_priority)
-        out.append([b for b, _ in kept])
+    for lists, n_images in _image_batches(per_model, range(len(per_model))):
+        rows = _gather(lists, weights)
+        if rows is None:
+            out += [[] for _ in range(n_images)]
+            continue
+        kept, conf = keep(rows)
+        k = np.flatnonzero(kept)
+        image = rows.image[k]
+        k = k[_lexsort((-conf[k], image),
+                       (rows.model[k], rows.cls[k], rows.index[k], rows.source[k]))]
+        boxes = list(map(rows.boxes.__getitem__, rows.order[k].tolist()))
+        changed = np.flatnonzero(conf[k] != rows.conf[k])
+        for t, c in zip(changed.tolist(), conf[k[changed]].tolist()):
+            b = boxes[t]
+            boxes[t] = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
+        ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
+        out += [boxes[lo:hi] for lo, hi in zip([0, *ends], ends)]
     return out
 
 
@@ -395,7 +368,7 @@ def _wbf_clusters(cls: int, rows, weights, corners,
     fused box is built by `_fused` when it is next compared. A one-member
     cluster's fused box is its box.
     """
-    near = _neighbours(rows, threshold, corners)
+    (_, _, near), = _neighbours(corners, np.zeros(1, np.intp), threshold)
     of: list[int] = []  # the cluster of each position
     lead: list[int] = []  # the first position of each cluster
     led = [-1] * len(rows)  # the cluster a position leads, else -1
@@ -456,6 +429,14 @@ def _batches(sizes: Sequence[int]) -> list[range]:
     return out
 
 
+def _image_batches(per_model, models: Sequence[int]):
+    """Yield per batch (`_batches`) each image's box list of each model of
+    `models`, image after image, and the number of images."""
+    images = list(zip(*per_model, strict=True))
+    for batch in _batches([sum(len(image[m]) for m in models) for image in images]):
+        yield [images[k][m] for k in batch for m in models], len(batch)
+
+
 def _lexsort(keys, tiebreaks) -> np.ndarray:
     """`np.lexsort(tiebreaks + keys)`, sorted on `keys` alone where that gives the same order.
 
@@ -491,6 +472,7 @@ class _Rows(NamedTuple):
     conf: np.ndarray
     weight: np.ndarray
     source: np.ndarray
+    index: np.ndarray  # the position of the row's box in its model's list
     starts: np.ndarray  # the first row of each (image, class) group
 
 
@@ -535,12 +517,12 @@ def _gather(lists, weights) -> _Rows | None:
     cls, conf, source = cols[:, 0], cols[:, 5], cols[:, 6]
     # a stable sort, so rows that tie on every key stay in model order
     order = _lexsort((-(conf * weight), cls, image), (index, source))
-    image, model, weight = image[order], model[order], weight[order]
-    cols = cols[order].T.copy()
+    image, model, weight, index = image[order], model[order], weight[order], index[order]
+    cols = cols.T.take(order, axis=1)  # one copy, C-ordered
     cls = cols[0]
     new = np.ones(n, bool)
     new[1:] = (image[1:] != image[:-1]) | (cls[1:] != cls[:-1])
-    return _Rows(boxes, order, image, model, cls, cols[1:5], cols[5], weight, cols[6],
+    return _Rows(boxes, order, image, model, cls, cols[1:5], cols[5], weight, cols[6], index,
                  np.flatnonzero(new))
 
 
@@ -703,13 +685,11 @@ def wbf(per_model: Sequence[Sequence[Collection[Box]]],
     if len(weights) != len(per_model):
         raise WeightArityMismatchError(f"{len(weights)} weights for {len(per_model)} models")
     kept = [m for m, w in enumerate(weights) if w > 0.0]
-    images = list(zip(*per_model, strict=True))
-    sizes = [sum(len(image[m]) for m in kept) for image in images]
     rescale = params.confidence_rescale == "support_ratio"
     out = []
-    for batch in _batches(sizes):
-        out += _wbf_image_batch([images[k][m] for k in batch for m in kept], len(batch),
-                                [weights[m] for m in kept], rescale, params.iou_threshold)
+    for lists, n_images in _image_batches(per_model, kept):
+        out += _wbf_image_batch(lists, n_images, [weights[m] for m in kept], rescale,
+                                params.iou_threshold)
     return out
 
 

@@ -3,7 +3,8 @@
 All coordinates are normalized corner coordinates (x1, y1, x2, y2) in [0, 1].
 Everything here is a pure function on immutable values. `iou` scores one
 pair of boxes, and `pair_ious` many pairs at once with numpy, in the same
-IEEE operations, so both give the same floats.
+IEEE operations, so both give the same floats. `pair_chunks` lists those
+pairs, for each box a run of partners, in chunks of bounded size.
 
 The two box types, `Box` here (detections and ground truth) and
 `fusion.FusedBox`, are `typing.NamedTuple`s: immutable, hashable and equal by
@@ -157,3 +158,23 @@ def pair_ious(a, i, b, j) -> tuple[np.ndarray, np.ndarray]:
     np.divide(inter, union, out=ov, where=union > 0.0)
     hit = ov > 0.0
     return k[hit], ov[hit]
+
+
+def pair_chunks(first, counts, budget: int, heads=None):
+    """Yield (a, b, r, k) per chunk of about `budget` pairs: rows a to b - 1,
+    and one (r[t], k[t]) per pair, row r with each of its partners first[r]
+    to first[r] + counts[r] - 1, in row and then partner order.
+
+    A chunk starts only at a row of `heads`, ascending from row 0 (every row
+    by default). Only without rows is a chunk empty."""
+    n = len(counts)
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1] if n else 0, budget), side="right")
+    if heads is not None:
+        cuts = heads[np.searchsorted(heads, cuts, side="right") - 1]
+    # ascending; not np.unique, whose import of numpy.ma costs a megabyte
+    bounds = [0, *cuts[np.diff(cuts, prepend=0) > 0].tolist(), n]
+    for a, b in zip(bounds, bounds[1:]):
+        c = counts[a:b]
+        r = np.repeat(np.arange(a, b), c)
+        yield a, b, r, np.arange(len(r)) + np.repeat(first[a:b] - (np.cumsum(c) - c), c)

@@ -625,6 +625,8 @@ def filler(n, conf):
     return [box(i / 32, 0.95, (i + 0.5) / 32, 0.99, conf) for i in range(n)]
 
 
+# the ids date from when a small group's pairs were listed with scalar `iou`;
+# a padded group of TABLE_MIN boxes is still the one WBF sweeps indexed
 PADDED = pytest.mark.parametrize("padded", [True, False], ids=["indexed", "scalar"])
 
 
@@ -689,6 +691,23 @@ class TestNeighbourSweepsAgainstOracles:
         assert out[1].confidence == out[2].confidence == tied.confidence
         assert out[1][1:5] == pair[0][1:5]
 
+    @PADDED
+    def test_a_tie_after_decay_goes_to_the_earlier_box(self, padded):
+        # `later` decays to exactly `earlier`'s confidence, and the two overlap:
+        # the one picked first, `earlier` in (source, position) order although
+        # `later` had the higher confidence, decays the other
+        sigma = 0.5
+        pick = box(0.0, 0.0, 0.3, 0.3, 0.9)
+        later = box(0.1, 0.1, 0.4, 0.4, 0.8)
+        ov = iou(pick, later)
+        earlier = box(0.35, 0.35, 0.65, 0.65, 0.8 * math.exp(-(ov * ov) / sigma))
+        assert iou(pick, earlier) == 0.0 < iou(earlier, later)
+        boxes = [pick, earlier, later] + (filler(TABLE_MIN, 0.1) if padded else [])
+        params = FusionParams(soft_nms_sigma=sigma, score_floor=0.001)
+        out = one_image(soft_nms, [ds(*boxes)], params)
+        assert out == oracle_soft_nms(boxes, sigma, 0.001)
+        assert out[1] == earlier and out[2][1:5] == later[1:5]
+
     @pytest.mark.parametrize("padded", [True, False], ids=["indexed", "scan-all"])
     @pytest.mark.parametrize("merged_first", [True, False])
     def test_wbf_first_overlapping_cluster(self, merged_first, padded):
@@ -727,13 +746,46 @@ def degenerate_boxes():
     ]
 
 
-def overlap_pairs(boxes):
-    """`_overlaps` of the boxes as {(row, col): iou.hex()}, after checking its order and shape."""
-    rows, cols, ovs = _overlaps(np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).T)
-    assert len(rows) == len(cols) == len(ovs)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    assert pairs == sorted(set(pairs))  # row then column, each pair once
-    got = {p: float(ov).hex() for p, ov in zip(pairs, ovs.tolist())}
+def grouped(groups):
+    """The boxes of `groups`, one list per group, as `_overlaps` takes them:
+    (their corners as rows, the first row of each group)."""
+    boxes = [b for g in groups for b in g]
+    corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes]).reshape(-1, 4).T
+    return corners, np.cumsum([0] + [len(g) for g in groups[:-1]])
+
+
+def scalar_groups(groups, threshold=0.0):
+    """{(row, col): iou.hex()} of every pair of rows of one group whose
+    scalar IoU is > threshold, rows numbered across the groups."""
+    want, offset = {}, 0
+    for g in groups:
+        want.update(((offset + i, offset + j), ov) for (i, j), ov in scalar_pairs(g).items()
+                    if float.fromhex(ov) > threshold)
+        offset += len(g)
+    return want
+
+
+def chunk_bounds(chunks, starts, n):
+    """Check that the chunks (a, b, ...) cut rows 0 to n at group starts, in order."""
+    bounds = [(c[0], c[1]) for c in chunks]
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(b == a2 for (_, b), (a2, _) in zip(bounds, bounds[1:]))
+    assert all(a < b for a, b in bounds) and {a for a, _ in bounds} <= set(starts.tolist())
+
+
+def overlap_pairs(groups, threshold=0.0):
+    """`_overlaps` of the groups as {(row, col): iou.hex()}, after checking its
+    chunks, order and shape."""
+    corners, starts = grouped(groups)
+    chunks = list(_overlaps(corners, starts, threshold))
+    chunk_bounds(chunks, starts, corners.shape[1])
+    got = {}
+    for a, b, rows, cols, ovs in chunks:
+        assert len(rows) == len(cols) == len(ovs)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert pairs == sorted(set(pairs))  # row then column, each pair once
+        assert all(a <= i < b for i, _ in pairs)
+        got.update((p, float(ov).hex()) for p, ov in zip(pairs, ovs.tolist()))
     assert all(got[j, i] == v for (i, j), v in got.items())  # both ways, same bits
     return got
 
@@ -748,85 +800,121 @@ def scalar_pairs(boxes):
     }
 
 
+def shuffled_mix(seed):
+    """Degenerate, off-grid and random boxes and a `table_group`, shuffled."""
+    rng = np.random.default_rng(seed)
+    boxes = degenerate_boxes()
+    for _ in range(60):  # off-grid floats, so rounding differs pair to pair
+        x = np.sort(rng.uniform(0, 1, 2))
+        y = np.sort(rng.uniform(0, 1, 2))
+        boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
+    boxes += [random_box(rng) for _ in range(30)] + table_group(rng, 60)
+    rng.shuffle(boxes)  # the sweep sorts by x1 itself
+    return boxes
+
+
+def split(boxes, sizes):
+    """`boxes` cut into consecutive groups of `sizes`, and the rest as the last group."""
+    ends = np.cumsum(sizes).tolist()
+    return [boxes[a:b] for a, b in zip([0, *ends], [*ends, len(boxes)])]
+
+
+def wide_groups(seed):
+    """Groups whose corners reach past [0, 1], the same boxes in neighbouring
+    groups, and equal x1 across neighbouring groups: boxes that would
+    overlap if a pair crossed a group."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for _ in range(6):
+        x = np.sort(rng.uniform(-3.0, 3.5, (int(rng.integers(2, 12)), 2)), axis=1)
+        y = np.sort(rng.uniform(-3.0, 3.5, (len(x), 2)), axis=1)
+        groups.append([box(xs[0], ys[0], xs[1], ys[1], 0.5)
+                       for xs, ys in zip(x.tolist(), y.tolist())])
+    groups.insert(2, list(groups[1]))  # a copy next to its group
+    shared = [box(0.25, 0.0, 0.75 + k / 8, 1.0, 0.5) for k in range(3)]
+    groups += [shared[:1], shared[1:], [], degenerate_boxes(), shared]
+    return [g for g in groups if g]
+
+
 class TestOverlaps:
-    """`_overlaps` lists exactly the pairs with IoU > 0, each IoU bit-equal to `iou`."""
+    """`_overlaps` lists, group by group, exactly the pairs with IoU over the
+    threshold, each IoU bit-equal to `iou`, and no pair across two groups."""
 
     def test_degenerate_boxes(self):
         boxes = degenerate_boxes()
-        assert overlap_pairs(boxes) == scalar_pairs(boxes)
+        assert overlap_pairs([boxes]) == scalar_pairs(boxes)
 
     def test_pairs_equal_scalar_iou_bit_for_bit(self):
-        rng = np.random.default_rng(77)
-        boxes = degenerate_boxes()
-        for _ in range(60):  # off-grid floats, so rounding differs pair to pair
-            x = np.sort(rng.uniform(0, 1, 2))
-            y = np.sort(rng.uniform(0, 1, 2))
-            boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
-        boxes += [random_box(rng) for _ in range(30)] + table_group(rng, 60)
-        rng.shuffle(boxes)  # the sweep sorts by x1 itself
+        boxes = shuffled_mix(77)
         want = scalar_pairs(boxes)
         assert 0 < len(want) < len(boxes) * (len(boxes) - 1)
-        assert overlap_pairs(boxes) == want
+        assert overlap_pairs([boxes]) == want
 
     def test_crowded_group_with_tied_x1(self):
         # every pair overlaps, and x1 ties in every run of three boxes
         boxes = [box(0.1 + (k // 3) * 0.001, 0.2, 0.6 + k * 0.002, 0.7 - k * 0.001, 0.5)
                  for k in range(40)]
-        got = overlap_pairs(boxes)
+        got = overlap_pairs([boxes])
         assert len(got) == 40 * 39
         assert got == scalar_pairs(boxes)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.55])
+    def test_several_groups(self, threshold):
+        groups = split(shuffled_mix(5), [1, 7, 40, 2, 31]) + [degenerate_boxes()]
+        want = scalar_groups(groups, threshold)
+        assert want and overlap_pairs(groups, threshold) == want
 
-def shuffled_mix(seed):
-    """Degenerate, off-grid and random boxes and a `table_group`, shuffled."""
-    rng = np.random.default_rng(seed)
-    boxes = degenerate_boxes()
-    for _ in range(60):
-        x = np.sort(rng.uniform(0, 1, 2))
-        y = np.sort(rng.uniform(0, 1, 2))
-        boxes.append(box(float(x[0]), float(y[0]), float(x[1]), float(y[1]), 0.5))
-    boxes += [random_box(rng) for _ in range(30)] + table_group(rng, 60)
-    rng.shuffle(boxes)
-    return boxes
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_pair_crosses_a_group_at_any_corners(self, seed):
+        groups = wide_groups(seed)
+        corners, _ = grouped(groups)
+        assert corners.min() < 0.0 and corners.max() > 1.0
+        assert overlap_pairs(groups) == scalar_groups(groups)
+        # pooled into one group, boxes of different groups would pair
+        assert set(scalar_pairs([b for g in groups for b in g])) > set(scalar_groups(groups))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunks_of_whole_groups(self, monkeypatch, chunk):
+        monkeypatch.setattr(fusion, "PAIR_CHUNK", chunk)
+        groups = split(shuffled_mix(9), [3, 3, 50, 1, 12]) + wide_groups(4)
+        corners, starts = grouped(groups)
+        assert len(list(_overlaps(corners, starts, 0.0))) > 1
+        assert overlap_pairs(groups) == scalar_groups(groups)
 
 
 class TestNeighbours:
-    """`_neighbours` on both sides of TABLE_MIN: per position, every other box whose
-    IoU with it is over the threshold, in position order, each IoU bit-equal to `iou`."""
+    """`_neighbours`: per row, every other row of its group whose IoU with it
+    is over the threshold, in row order, each IoU bit-equal to `iou`."""
 
     @staticmethod
-    def check(boxes):
-        pairs = sorted(scalar_pairs(boxes).items())
+    def check(groups):
+        corners, starts = grouped(groups)
         for threshold in (0.0, 0.3, 0.5, 0.55):
-            want = [[] for _ in boxes]
-            for (i, j), ov in pairs:
-                if float.fromhex(ov) > threshold:
-                    want[i].append((j, ov))
-            got = [[(j, ov.hex()) for j, ov in row] for row in _neighbours(boxes, threshold)]
+            want = [[] for _ in range(corners.shape[1])]
+            for (i, j), ov in sorted(scalar_groups(groups, threshold).items()):
+                want[i].append((j, ov))
+            chunks = list(_neighbours(corners, starts, threshold))
+            chunk_bounds(chunks, starts, len(want))
+            got = [[(a + j, ov.hex()) for j, ov in row] for a, _, near in chunks for row in near]
             assert got == want
 
     def test_degenerate_boxes(self):
-        self.check(degenerate_boxes())
+        self.check([degenerate_boxes()])
 
     def test_shuffled_mix(self):
-        self.check(shuffled_mix(77))
+        self.check([shuffled_mix(77)])
 
     @pytest.mark.parametrize("n", [TABLE_MIN - 1, TABLE_MIN])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_table_group(self, n, seed):
-        self.check(table_group(np.random.default_rng(seed), n))
+        # followed by groups of the same kind of boxes, which must stay apart
+        rng = np.random.default_rng(seed)
+        self.check([table_group(rng, n), table_group(rng, 1), table_group(rng, n)])
 
-    def test_small_group_calls_iou_once_per_pair_that_can_overlap(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fusion, "iou", lambda a, b: calls.append((a, b)) or iou(a, b))
-        boxes = degenerate_boxes()
-        assert len(boxes) < TABLE_MIN
-        _neighbours(boxes, 0.0)
-        # the pairs i < j that pass the strict axis test; boxes that touch fail it
-        want = [(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1:]
-                if a.x1 < b.x2 and b.x1 < a.x2 and a.y1 < b.y2 and b.y1 < a.y2]
-        assert len(want) < len(boxes) * (len(boxes) - 1) // 2
-        assert calls == want
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_groups_past_the_frame(self, monkeypatch, chunk):
+        monkeypatch.setattr(fusion, "PAIR_CHUNK", chunk)
+        self.check(wide_groups(7) + [degenerate_boxes()])
 
 
 def batch_images(seed, n_images=15, sizes=()):
@@ -893,8 +981,48 @@ def row_bits(images_rows):
     return [[(r[0], *map(repr, r[1:6]), *r[6:]) for r in rows] for rows in images_rows]
 
 
+def shared_source(images):
+    """The images with a fourth model that shares source 0 with model 0:
+    model 0's boxes moved down by 1/64, every other one to the next class, so
+    they tie with model 0's on confidence, source and list position."""
+    return [[*image, [b._replace(cls=b.cls + k % 2, y1=b.y1 + 1 / 64, y2=b.y2 + 1 / 64)
+                      for k, b in enumerate(image[0])]] for image in images]
+
+
+def pooled(image):
+    """One image's boxes of every model as one list for the oracles, in the
+    (source, list position, class, model) order in which fusion breaks ties."""
+    items = [(b.source, k, b.cls, m, b) for m, boxes in enumerate(image)
+             for k, b in enumerate(boxes)]
+    return [item[-1] for item in sorted(items, key=lambda item: item[:4])]
+
+
+def check_nms_and_soft_nms(images, threshold=0.5, sigma=0.5, floor=0.001):
+    """`nms` and `soft_nms` of all images at once against the oracles on each
+    image's `pooled` boxes. NMS returns the input objects, in priority order;
+    each input box is made its own object first, so that identity tells them apart."""
+    images = [[[Box(*b) for b in boxes] for boxes in image] for image in images]
+    models = per_model(images)
+    pools = [pooled(image) for image in images]
+    got = nms(models, FusionParams(iou_threshold=threshold))
+    assert len(got) == len(images)
+    for out, pool in zip(got, pools):
+        # classes never interact, and the oracle checks each alone in less time
+        groups = {}
+        for k, boxes in enumerate((pool, out)):
+            for b in boxes:
+                groups.setdefault(b.cls, ([], []))[k].append(b)
+        assert all(check_nms_fixpoint(*group, threshold) for group in groups.values())
+        place = {id(b): k for k, b in enumerate(pool)}
+        ks = [place[id(b)] for b in out]  # the input objects themselves
+        assert ks == sorted(ks, key=lambda k: (-pool[k].confidence, pool[k].source, k))
+    params = FusionParams(soft_nms_sigma=sigma, score_floor=floor)
+    assert soft_nms(models, params) == [oracle_soft_nms(pool, sigma, floor) for pool in pools]
+
+
 class TestBatchedWbf:
-    """The batched sweep (`_wbf_batch`, `wbf`) against `oracle_wbf`, with `==`."""
+    """The batched sweeps against the oracles, with `==`: WBF's (`_wbf_batch`,
+    `wbf`), and NMS's and soft-NMS's on the same batches."""
 
     @pytest.mark.parametrize("params", BATCH_PARAMS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -910,14 +1038,23 @@ class TestBatchedWbf:
 
     @pytest.mark.parametrize("limit", [1, 3, 40, 4096])
     def test_batches_of_any_size(self, monkeypatch, limit):
-        # with 1 or 3 boxes per batch, most images pass a batch alone
+        # with 1 or 3 boxes per batch, most images pass a batch alone, and
+        # with 1 or 3 pairs per chunk, most groups are listed alone
         monkeypatch.setattr(fusion, "BATCH_BOXES", limit)
+        monkeypatch.setattr(fusion, "PAIR_CHUNK", limit)
         images = batch_images(4, n_images=40)
         sizes = [sum(map(len, image)) for image in images]
         assert (len(fusion._batches(sizes)) > 1) == (sum(sizes) > limit)
         for params in BATCH_PARAMS:
             got = fusion.wbf(per_model(images), params)
             assert [wbf_rows(out) for out in got] == oracle_images(images, params)
+        images = shared_source(images)
+        # an empty image in mid-run, and ties that only model order breaks
+        assert [[], [], [], []] in images[1:-1]
+        assert any(a.confidence == b.confidence and a.cls == b.cls
+                   for image in images for a, b in zip(image[0], image[3]))
+        check_nms_and_soft_nms(images)
+        check_nms_and_soft_nms(images, threshold=0.3, sigma=0.05, floor=0.3)
 
     def test_run_past_one_batch_and_an_image_past_a_batch(self):
         images = batch_images(5, n_images=fusion.BATCH_BOXES // 4)
@@ -930,6 +1067,12 @@ class TestBatchedWbf:
         assert fusion._batches(sizes)[-1] == range(len(images) - 1, len(images))
         got = fusion.wbf(per_model(images), BATCH_PARAMS[0])
         assert [wbf_rows(out) for out in got] == oracle_images(images, BATCH_PARAMS[0])
+        # the sweeps on the same run, with the last image's boxes in classes of
+        # 21, which the oracles check in a fraction of the time
+        boxes = [b for cls in range(fusion.BATCH_BOXES // 20) for b in table_group(rng, 21, cls)]
+        images[-1] = [[b for b in boxes if b.source == s] for s in range(3)]
+        assert len(boxes) > fusion.BATCH_BOXES
+        check_nms_and_soft_nms(shared_source(images))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_groups_equal_oracle_wbf(self, seed):
@@ -958,6 +1101,43 @@ class TestBatchedWbf:
         ends = np.cumsum(cl.count).tolist()
         for w, a, b in zip(want, [0, *ends], ends):  # in cluster order, sorted as the oracle's
             assert sorted(got[a:b], key=lambda r: (-r[5], *r[:5])) == w
+
+
+# a box on a 1/8 grid, reaching past the frame, so boxes tie, touch, repeat and
+# have no area; few confidences and sources, so priorities tie too
+GRID_BOXES = st.builds(
+    lambda cls, x, y, w, h, conf, source: Box(cls, x / 8, y / 8, (x + w) / 8, (y + h) / 8,
+                                              conf, source),
+    st.integers(0, 2), st.integers(-1, 7), st.integers(-1, 7), st.integers(0, 4),
+    st.integers(0, 4), st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]), st.integers(0, 2))
+
+
+@st.composite
+def fusion_inputs(draw):
+    """(images, model weights): 1-3 images of 1-3 models, each image one box list per model."""
+    n_models, n_images = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    images = [[draw(st.lists(GRID_BOXES, max_size=8)) for _ in range(n_models)]
+              for _ in range(n_images)]
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n_models,
+                            max_size=n_models).filter(any))
+    return images, tuple(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=fusion_inputs(), limit=st.sampled_from([1, 3, 17, 4096]),
+       chunk=st.sampled_from([1, 5, 4096]), threshold=st.sampled_from([0.3, 0.5]),
+       floor=st.sampled_from([0.001, 0.3]))
+def test_fusions_equal_oracles_on_random_batches(inputs, limit, chunk, threshold, floor):
+    """`nms`, `soft_nms` and `wbf` of random images, in batches of `limit`
+    boxes and pair chunks of `chunk`, against the oracles image by image."""
+    images, weights = inputs
+    params = FusionParams(iou_threshold=threshold, model_weights=weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fusion, "BATCH_BOXES", limit)
+        patch.setattr(fusion, "PAIR_CHUNK", chunk)
+        got = wbf(per_model(images), params)
+        assert [wbf_rows(out) for out in got] == oracle_images(images, params)
+        check_nms_and_soft_nms(images, threshold=threshold, floor=floor)
 
 
 FUSIONS = pytest.mark.parametrize("fn", [nms, soft_nms, wbf, knowledge_vote],
