@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError
 from .evaluation import evaluate, f1_curve
 from .fusion import (
     FusionParams,
-    apply_gates,
+    gated,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `cli.knowledge_vote`
     nms,
     soft_nms,
@@ -54,8 +54,8 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     every overlapping box, reading only soft_nms_sigma and score_floor. The
     manifest's iou_threshold governs WBF and knowledge-vote clustering. Only
     `knowledge-vote` reads the manifest's gates and filter (`fusion.gates`):
-    it gates each (source, image) pair once, counts the boxes the gates drop
-    for its summary, and fuses the gated sets with `wbf`.
+    it gates each source once, with one mask over its table, counts the boxes
+    the gates drop for its summary, and fuses the gated sets with `wbf`.
     """
     if algorithm not in FUSE_ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {FUSE_ALGORITHMS}")
@@ -63,13 +63,12 @@ def run_fuse(manifest, ensemble, algorithm, nms_iou=None):
     if algorithm == "nms":
         params = replace(params, iou_threshold=NMS_DEFAULT_IOU if nms_iou is None else nms_iou)
     ids = ensemble.target_image_ids
-    per_model = [[s.for_image(image_id) for image_id in ids] for s in ensemble.sources]
-    input_boxes = sum(len(boxes) for images in per_model for boxes in images)
+    per_model = [s.images(ids) for s in ensemble.sources]
+    input_boxes = sum(int(images.sizes().sum()) for images in per_model)
     gate_dropped = 0
     if algorithm == "knowledge-vote":
-        per_model = [[apply_gates(boxes, params.gates) for boxes in images]
-                     for images in per_model]
-        gate_dropped = input_boxes - sum(len(boxes) for images in per_model for boxes in images)
+        per_model = [gated(images, params.gates) for images in per_model]
+        gate_dropped = input_boxes - sum(int(images.sizes().sum()) for images in per_model)
     # looked up per call, so the span wrappers that bench/spans.py sets on
     # these module names are the functions that run
     fuse = {"nms": nms, "soft-nms": soft_nms}.get(algorithm, wbf)

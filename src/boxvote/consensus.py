@@ -9,9 +9,10 @@ whose fused boxes are the pseudo-labels.
 All scoring goes through one `ConsensusScorer`, which does each piece of
 work once:
 
-- It gates every (source, target image) pair once, when it is built, by
-  `params.gates`. The knowledge vote is `apply_gates` followed by `wbf`, so
-  fusing the gated sets gives the knowledge vote's boxes.
+- It gates every source once, when it is built, with one mask over its
+  table by `params.gates` (`fusion.gated`). The knowledge vote gates the
+  same way and then runs `wbf`, so fusing the gated sets gives the
+  knowledge vote's boxes.
 - It scores every subset the run reads in one pass over the images, on the
   first quality read: the full set and each leave-one-out subset, and with
   `--shapley` every non-empty subset (7 for three sources, not the 11 reads).
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,11 +61,11 @@ from .fusion import (
     _fused_rank,
     _gather,
     _wbf_batch,
-    apply_gates,
+    gated,
     knowledge_vote,  # noqa: F401 - bench/spans.py wraps `consensus.knowledge_vote`
     wbf,
 )
-from .geometry import Box, running_sum
+from .geometry import Box, ImageRows, running_sum
 
 # Non-positive contributions are clamped to this before normalization, so
 # every source keeps a representable (if negligible) weight.
@@ -81,11 +82,16 @@ class SourceDomain:
     source_id: int
     name: str
     dataset_size: int
-    detections: dict[str, Collection[Box]]  # image id -> boxes
+    # image id -> boxes: a `BoxTable` as `data_io` reads it, or any mapping
+    detections: Mapping[str, Collection[Box]]
 
     def for_image(self, image_id: str) -> Collection[Box]:
         """The source's boxes on the image; `()` for an image it has none on."""
         return self.detections.get(image_id, ())
+
+    def images(self, image_ids) -> ImageRows:
+        """The source's boxes on each of the images, as table rows."""
+        return ImageRows.over(self.detections, image_ids)
 
 
 @dataclass(frozen=True)
@@ -132,10 +138,8 @@ class ConsensusScorer:
         self.target_image_ids = tuple(target_image_ids)
         self.params = params
         # _gated[p][k]: the boxes of source p on image k that pass params.gates
-        self._gated = [
-            [apply_gates(s.for_image(iid), params.gates) for iid in self.target_image_ids]
-            for s in self.sources
-        ]
+        self._gated = [gated(s.images(self.target_image_ids), params.gates)
+                       for s in self.sources]
         self._unscored = {tuple(s) for s in subsets}
         self._quality: dict[tuple[int, ...], float] = {}
 
@@ -165,11 +169,12 @@ class ConsensusScorer:
         n = len(self._gated)
         masks = [sum(1 << p for p in s) for s in subsets]
         reach = [max(1, sum(m >> p & 1 for m in masks)) for p in range(n)]
-        sizes = [sum(len(gated[k]) * r for gated, r in zip(self._gated, reach))
-                 for k in range(len(self.target_image_ids))]
+        sizes = np.zeros(len(self.target_image_ids), np.intp)
+        for gated_p, r in zip(self._gated, reach):
+            sizes += gated_p.sizes() * r
         totals = [0.0] * len(subsets)
         restrictions: dict[int, tuple] = {}  # P -> _restrictions(P, ...)
-        for batch in _batches(sizes):
+        for batch in _batches(sizes.tolist()):
             self._score_batch(batch, masks, totals, restrictions)
         self._quality.update(zip(subsets, totals))
 
@@ -185,7 +190,7 @@ class ConsensusScorer:
         of its clusters in that order.
         """
         n = len(self._gated)
-        rows = _gather([gated[k] for k in images for gated in self._gated], (1.0,) * n)
+        rows = _gather(self._gated, images, (1.0,) * n)
         if rows is None:
             return
         n_groups = len(rows.starts)

@@ -7,12 +7,14 @@ Detection files are plain text, one box per line:
 Pseudo-label files append the support count as an eighth column and mark
 each image without boxes with a `# empty <image_id>` comment line; the
 detection reader reads them, ignoring the eighth column. Ground truth uses
-the same layout without the confidence column, and reads as the same `Box`
-with confidence 1.0 and source 0. The manifest is a single
-JSON document; its `gates` and `filter` sections fill `FusionParams.gates`,
-and its `fusion` section the other fields of `EnsembleManifest.fusion`. All
-writers are deterministic: sorted keys, floats at 9 significant digits, so
-identical inputs produce byte-identical files.
+the same layout without the confidence column, and reads with confidence
+1.0 and source 0. Both readers return columns, not boxes: a
+`geometry.BoxTable` per file, which reads as image id -> `Box` tuple. The
+manifest is a single JSON document; its `gates` and `filter` sections fill
+`FusionParams.gates`, and its `fusion` section the other fields of
+`EnsembleManifest.fusion`. All writers are deterministic: sorted keys,
+floats at 9 significant digits, so identical inputs produce byte-identical
+files.
 
 Each text format has one `%` template for its box lines (`_DETECTION_LINE`,
 `_PSEUDO_LABEL_LINE`, `_GROUND_TRUTH_LINE`): `%s` for the image id, class and
@@ -21,36 +23,53 @@ support count, as `str` gives them, and `%.9g` for every float, as
 pseudo-label line is a detection line with the support count before its
 end, so `consensus` formats each fused box once: `write_pseudo_labels` can
 take the lines of the detection file just written of the same boxes.
-One reader (`_box_lines`) applies the same rules to the detection and
-ground-truth formats: blank lines and lines starting with `#` are skipped;
-each box line must have the format's field count; the class id is an
-integer >= 0; coordinates and confidence are floats in [0, 1], where
-coordinates up to `geometry.CLAMP_SLOP` outside are clamped and stored
-clamped; corners must not be inverted. Any violation raises ParseError
-naming the file and the exact line (CLI exit 3), also for a byte that is
-not UTF-8. A file that cannot be read, such as one without read permission,
-raises ConfigError naming the path (CLI exit 2). A UTF-8 byte-order mark at
-the start of a file is skipped. Lines end at `\n`, `\r\n` or a lone `\r`;
-other whitespace, such as `\f`, only separates fields. The manifest reader
-rejects a key repeated within one JSON object. Every writer opens its file
-with `open_output`.
+The rules of the detection and ground-truth formats: blank lines and lines
+starting with `#` are skipped; each box line must have the format's field
+count; the class id is an integer >= 0; coordinates and confidence are
+floats in [0, 1], where coordinates up to `geometry.CLAMP_SLOP` outside are
+clamped and stored clamped; corners must not be inverted. Any violation
+raises ParseError naming the file and the exact line (CLI exit 3), also for
+a byte that is not UTF-8. A file that cannot be read, such as one without
+read permission, raises ConfigError naming the path (CLI exit 2). A UTF-8
+byte-order mark at the start of a file is skipped. Lines end at `\n`,
+`\r\n` or a lone `\r`; other whitespace, such as `\f`, only separates
+fields.
+
+Each file is read once, as bytes, by one of two paths with those rules.
+The bulk path (`_bulk_rows`) reads a file in its grammar: ASCII text, every
+non-blank line with the format's one field count (6 for ground truth, 7
+for detections, 8 for pseudo-labels), and no line whose first field starts
+with `#`. `np.loadtxt`'s C tokenizer splits it into columns, and numpy
+checks the rules on whole columns. Every file the bulk path declines, and
+every file with a row that fails a rule or a token its parsers refuse, is
+read by the reference line loop (`_box_lines`), line by line:
+comment lines, a byte-order mark, a mix of 7 and 8 fields, non-ASCII text,
+a class past int64, a coordinate to clamp and every error. So each
+ParseError, and each clamped value, comes from the line loop. Every file
+that `boxvote` writes, but pseudo-labels with `# empty` lines, is in the
+grammar. The manifest reader rejects a key repeated within one JSON object.
+Every writer opens its file with `open_output`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import os
+import re
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .consensus import ContributionReport, SourceDomain, SourceEnsemble
 from .errors import ConfigError, InvalidBoxError, ManifestError, ParseError
 from .evaluation import GroundTruth, MetricsReport
 from .fusion import NO_GATES, ConfidenceGates, FusionParams, fused_order
-from .geometry import Box, validate_box
+from .geometry import Box, BoxTable, box_columns, exact_ids, runs, validate_box
 
 log = logging.getLogger(__name__)
 
@@ -117,97 +136,208 @@ _PSEUDO_LABEL_LINE = "%s %s %.9g %.9g %.9g %.9g %.9g %s\n"
 _GROUND_TRUTH_LINE = "%s %s %.9g %.9g %.9g %.9g\n"
 
 
-def _not_utf8(path) -> ParseError:
+def _not_utf8(data: bytes, path) -> ParseError:
     """The error for a file that is not UTF-8, naming the line of its first bad byte.
 
     Text mode decodes in chunks, so its decode error does not say where in
-    the file the byte is. This reads the raw bytes again, on the error path
-    only, and counts line breaks as text mode does: `\n`, `\r\n` and a lone
-    `\r`.
+    the file the byte is. This decodes the file's bytes again, on the error
+    path only, and counts line breaks as text mode does: `\n`, `\r\n` and a
+    lone `\r`.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return ParseError(f"not UTF-8 text: {exc}", str(path), line)
-    return ParseError("not UTF-8 text", str(path))  # the file changed since it was read
+    return ParseError("not UTF-8 text", str(path))
 
 
-def _box_lines(path, field_counts, source=0):
-    """The `(image id, validated Box)` rows of a text file's box lines, in file order.
+def _box_lines(data: bytes, path, field_counts):
+    """The `(image id, validated Box)` rows of a file's box lines, in file order.
 
-    The one reader behind the detection and ground-truth formats (see the
-    module docstring for the rules). A line without a confidence
-    column (ground truth) gets confidence 1.0. `validate_box` returns a box
-    inside [0, 1] with ordered corners as it is, so it runs only on a box
-    that fails that check here (NaN fails it too).
+    The reference reader, line by line, of every file that `_bulk_rows`
+    declines (see the module docstring for the rules). A line without a
+    confidence column (ground truth) gets confidence 1.0. `validate_box`
+    returns a box inside [0, 1] with ordered corners as it is, so it runs
+    only on a box that fails that check here (NaN fails it too).
     """
     where = str(path)
     expected = " or ".join(map(str, field_counts))
     rows = []
     append = rows.append
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                parts = raw.split()
-                if not parts:
-                    continue
-                n = len(parts)
-                if parts[0].startswith("#"):
-                    continue
-                if n not in field_counts:
-                    raise ParseError(f"expected {expected} fields, got {n}", where, lineno)
+        for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"),
+                                     start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            n = len(parts)
+            if parts[0].startswith("#"):
+                continue
+            if n not in field_counts:
+                raise ParseError(f"expected {expected} fields, got {n}", where, lineno)
+            try:
+                cls = int(parts[1])
+                x1 = float(parts[2])
+                y1 = float(parts[3])
+                x2 = float(parts[4])
+                y2 = float(parts[5])
+                conf = float(parts[6]) if n > 6 else 1.0
+            except ValueError as exc:
+                raise ParseError(str(exc), where, lineno) from exc
+            if cls < 0:
+                raise ParseError(f"negative class id {cls}", where, lineno)
+            box = Box(cls, x1, y1, x2, y2, conf)
+            if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0
+                    and 0.0 <= conf <= 1.0):
                 try:
-                    cls = int(parts[1])
-                    x1 = float(parts[2])
-                    y1 = float(parts[3])
-                    x2 = float(parts[4])
-                    y2 = float(parts[5])
-                    conf = float(parts[6]) if n > 6 else 1.0
-                except ValueError as exc:
+                    box = validate_box(box)
+                except InvalidBoxError as exc:
                     raise ParseError(str(exc), where, lineno) from exc
-                if cls < 0:
-                    raise ParseError(f"negative class id {cls}", where, lineno)
-                box = Box(cls, x1, y1, x2, y2, conf, source)
-                if not (0.0 <= x1 <= x2 <= 1.0 and 0.0 <= y1 <= y2 <= 1.0
-                        and 0.0 <= conf <= 1.0):
-                    try:
-                        box = validate_box(box)
-                    except InvalidBoxError as exc:
-                        raise ParseError(str(exc), where, lineno) from exc
-                append((parts[0], box))
+            append((parts[0], box))
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from exc
+        raise _not_utf8(data, path) from exc
     return rows
 
 
-def parse_detections(path, source: int = 0) -> dict[str, tuple[Box, ...]]:
-    """Parse a detection file into each image's boxes, as a tuple in file order.
+# The bytes of a file in the bulk grammar: printable ASCII and the ASCII
+# whitespace that `str.split` splits on; `_bulk_rows` turns that whitespace
+# into spaces, and `\r\n` and a lone `\r` into `\n`.
+_TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+_TO_SPACE = bytes.maketrans(b"\t\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 7)
+_NOT_TO_SPACE = bytes(b for b in range(256) if b not in b"\t\x0b\x0c\x1c\x1d\x1e\x1f")
+_COMMENT = re.compile(rb"^ *#", re.MULTILINE)
+_FIRST_LINE = re.compile(rb"\s*([^\n]*)")  # the first line that is not blank
+# The id and class fields of `_tokens` take their width on every line; past
+# this many times the file's bytes, as with one very long line among many
+# short ones, the line loop reads the file instead.
+_MAX_FIELD_BYTES = 8
+
+
+def _bulk_rows(data: bytes, field_counts):
+    """(image ids, cls, box, conf) of every box line, as `_read_rows` gives
+    them, for a file in the bulk grammar whose rows all pass the rules; else
+    None, and the line loop reads the file.
+
+    The grammar: ASCII text whose non-blank lines all have one of
+    `field_counts` fields, and no line whose first field starts with `#`.
+    `np.loadtxt`'s C tokenizer reads the fields (`_tokens`): the image id and
+    class as bytes, sized from the first line's, or to the longest line when
+    a token fills that size, so that none is cut; and the corners and
+    confidence as float64, which parses as `float` does. The class is an int
+    as `int` reads it, below 2**63. A row that fails a rule, a token either
+    parser rejects, and a class past int64 are left to the line loop, which
+    clamps within `CLAMP_SLOP` or names the line.
+    """
+    if data.translate(None, _TEXT_BYTES):
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data.translate(None, _NOT_TO_SPACE):
+        data = data.translate(_TO_SPACE)
+    if b"#" in data and _COMMENT.search(data):
+        return None
+    head = _FIRST_LINE.match(data)[1].split()
+    if not head:  # no box line; np.loadtxt would warn on no data
+        return np.empty(0, "S1"), np.empty(0, np.int64), np.empty((4, 0)), np.empty(0)
+    if len(head) not in field_counts:
+        return None
+    # room for ids and classes longer than the first line's: a wider field
+    # costs memory on every row
+    try:
+        rows = _tokens(data, len(head), 2 * len(head[0]), 2 * len(head[1]) + 1)
+        if rows is not None and (_full(rows["id"]) or _full(rows["cls"])):
+            # a token may have been cut: read again at the longest line's width
+            breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+            line = int(np.diff(breaks, prepend=-1, append=len(data)).max())
+            rows = _tokens(data, len(head), line, line)
+        if rows is None:
+            return None
+        cls = rows["cls"].astype(np.int64)  # int() of each token
+    except (ValueError, OverflowError):
+        return None
+    box = np.array([rows["x1"], rows["y1"], rows["x2"], rows["y2"]])
+    conf = rows["conf"].copy() if len(head) > 6 else np.ones(len(rows))
+    x1, y1, x2, y2 = box
+    ok = ((cls >= 0) & (0.0 <= x1) & (x1 <= x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 <= y2)
+          & (y2 <= 1.0) & (0.0 <= conf) & (conf <= 1.0))
+    if not ok.all():
+        return None
+    return rows["id"], cls, box, conf
+
+
+def _tokens(data: bytes, n_fields: int, id_width: int, cls_width: int) -> np.ndarray | None:
+    """The fields of every line of `data` as `np.loadtxt` reads them: the id
+    and the class as bytes of at most the given widths, which cuts a longer
+    one silently, the rest as float64 (the eighth field, ignored, as one byte).
+    A line with another number of fields is a ValueError. None when the id
+    and class fields would take more than `_MAX_FIELD_BYTES` times the bytes
+    of the file."""
+    if (id_width + cls_width) * (data.count(b"\n") + 1) > _MAX_FIELD_BYTES * len(data):
+        return None
+    dtype = [("id", f"S{id_width}"), ("cls", f"S{cls_width}"), ("x1", "f8"), ("y1", "f8"),
+             ("x2", "f8"), ("y2", "f8"), ("conf", "f8"), ("support", "S1")][:n_fields]
+    # line by line from the bytes, which neither copies the file nor holds it as UCS-4
+    return np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"), dtype=dtype,
+                      comments=None, ndmin=1)
+
+
+def _full(column) -> bool:
+    """Whether a value of a bytes column fills its width, so that it may have been cut."""
+    width = column.dtype.itemsize
+    return bool(np.ascontiguousarray(column).view(np.uint8)[width - 1::width].any())
+
+
+def _read_rows(path, field_counts):
+    """(image ids, cls, box, conf) of a box file's lines, in file order, one
+    entry per box: the ids as an array of `str` or of ASCII bytes, the rest as
+    `geometry.box_columns` gives them. The file is read once, by `_bulk_rows`
+    when it can vouch for it, else by the line loop `_box_lines`."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc.strerror}") from exc
+    rows = _bulk_rows(data, field_counts)
+    if rows is None:
+        lines = _box_lines(data, path, field_counts)
+        cls, box, conf, _ = box_columns([b for _, b in lines])
+        rows = np.array([i for i, _ in lines], dtype=object), cls, box, conf
+    return rows
+
+
+def _grouped(ids, cls, box, conf, source: int) -> BoxTable:
+    """The rows as a table of `source`'s boxes, grouped by image id in
+    first-seen order, each image's rows in their order."""
+    firsts = runs(ids)
+    heads = ids[firsts].tolist()
+    if len(set(heads)) < len(heads):  # an image's lines are not all together
+        seen: dict = {}
+        image = [seen.setdefault(h, len(seen)) for h in heads]  # of each run, first-seen order
+        order = np.argsort(np.repeat(image, np.diff(firsts, append=len(ids))), kind="stable")
+        ids, cls, box, conf = ids[order], cls[order], box[:, order], conf[order]
+        firsts, heads = runs(ids), list(seen)
+    if ids.dtype.kind == "S":
+        heads = [i.decode("ascii") for i in heads]
+    return BoxTable(heads, np.append(firsts, len(ids)), cls, box, conf,
+                    np.repeat(exact_ids((source,)), len(ids)))
+
+
+def parse_detections(path, source: int = 0) -> BoxTable:
+    """Parse a detection file into a table of each image's boxes, in file order.
 
     Zero-area boxes are dropped (with a warning carrying the count). A
     pseudo-label file reads as the detections it holds: its eighth column
     (the support count) is ignored, and its `# empty` lines are comments.
     """
-    per_image: dict[str, list[Box]] = {}
-    dropped = 0
-    for image_id, box in _box_lines(path, (7, 8), source=source):
-        # a validated box's corners are ordered, so its area needs no max(0, ...)
-        if (box.x2 - box.x1) * (box.y2 - box.y1) == 0.0:
-            dropped += 1
-            continue
-        boxes = per_image.get(image_id)
-        if boxes is None:
-            per_image[image_id] = [box]
-        else:
-            boxes.append(box)
-    if dropped:
-        log.warning("%s: dropped %d zero-area box(es)", path, dropped)
-    return {image_id: tuple(boxes) for image_id, boxes in per_image.items()}
+    ids, cls, box, conf = _read_rows(path, (7, 8))
+    # a validated box's corners are ordered, so its area needs no max(0, ...)
+    keep = (box[2] - box[0]) * (box[3] - box[1]) != 0.0
+    if not keep.all():
+        log.warning("%s: dropped %d zero-area box(es)", path, len(keep) - keep.sum())
+        ids, cls, box, conf = ids[keep], cls[keep], box[:, keep], conf[keep]
+    return _grouped(ids, cls, box, conf, source)
 
 
 def write_detections(per_image, path) -> None:
@@ -257,14 +387,9 @@ def write_pseudo_labels(per_image, path, *, detections=None) -> None:
 
 
 def parse_ground_truth(path) -> GroundTruth:
-    """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line, read as
-    `Box`es with confidence 1.0 and source 0. Zero-area boxes are kept."""
-    entries: dict[str, list[Box]] = {}
-    for image_id, b in _box_lines(path, (6,)):
-        entries.setdefault(image_id, []).append(b)
-    return GroundTruth(
-        entries={k: tuple(v) for k, v in entries.items()}
-    )
+    """Ground-truth file: `image_id class_id x1 y1 x2 y2` per line, read as a
+    table of boxes with confidence 1.0 and source 0. Zero-area boxes are kept."""
+    return GroundTruth(entries=_grouped(*_read_rows(path, (6,)), 0))
 
 
 def write_ground_truth(gt: GroundTruth, path) -> None:

@@ -8,7 +8,9 @@ IoU thresholds 0.50 to 0.95 in steps of 0.05.
 Each evaluation matches once, and the metrics and the F1 curve share that
 match. `match_all` matches every detection, whatever its confidence, at all
 ten IoU thresholds, in numpy columns. It reads the detections' and the
-ground truth's fields once into columns (`_columns`), ranks the detections
+ground truth's columns from their tables (`geometry.ImageRows.over`; a
+mapping of box collections is converted once by `geometry.box_columns`),
+keeps the rows of the classes in the ground truth (`_slices`), ranks the detections
 of each (image, class) slice (confidence descending, then ingestion order),
 and pairs each detection with the ground-truth boxes of its slice. Each
 pair's IoU takes `geometry.iou`'s IEEE operations (`geometry.pair_ious`),
@@ -28,15 +30,13 @@ column of the same flags (`MetricsReport.matches`).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import EmptyGroundTruthError
-from .geometry import Box, pair_chunks, pair_ious, running_sum
+from .geometry import Box, ImageRows, pair_chunks, pair_ious, running_sum, runs
 from .geometry import iou  # noqa: F401  not called here; bench/spans.py counts calls through it
 
 AP_RECALL_POINTS = 101
@@ -49,14 +49,20 @@ _RECALL_GRID = np.arange(AP_RECALL_POINTS) / (AP_RECALL_POINTS - 1)
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Ground-truth boxes per image id: `Box`es with confidence 1.0 and source 0."""
+    """Ground-truth boxes per image id, with confidence 1.0 and source 0: a
+    `BoxTable` as `data_io` reads it, or any mapping to `Box` collections."""
 
-    entries: dict[str, tuple[Box, ...]]
+    entries: Mapping[str, Collection[Box]]
 
     def class_counts(self) -> dict[int, int]:
         """Number of boxes per class present, in ascending class order."""
-        counts = Counter(b.cls for boxes in self.entries.values() for b in boxes)
-        return dict(sorted(counts.items()))
+        return dict(zip(*(column.tolist() for column in self._classes())))
+
+    def _classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the classes present, ascending, and the boxes of each)."""
+        cls = np.sort(ImageRows.over(self.entries, self.entries).table.cls)
+        firsts = runs(cls)
+        return cls[firsts], np.diff(firsts, append=len(cls))
 
 
 @dataclass
@@ -107,58 +113,48 @@ def average_precision(matched_flags, num_gt: int) -> float:
     return total / AP_RECALL_POINTS
 
 
-_CLS = attrgetter("cls")
-_CORNERS = attrgetter("x1", "y1", "x2", "y2")
-_CORNERS_CONFIDENCE = attrgetter("x1", "y1", "x2", "y2", "confidence")
 _THRESHOLDS = np.array(MAP_IOU_THRESHOLDS)[:, None]
 
 
-def _columns(lists, position: dict, fields, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(slice key, columns) of the boxes of `lists` whose class is in `position`.
-
-    `lists` holds one image's boxes per entry. A box's slice key is its
-    image's position in `lists` times len(position), plus its class's
-    position. The columns are a (width, boxes) array of the values that
-    `fields` reads. Both are in input order.
-    """
-    boxes = list(chain.from_iterable(lists))
-    n = len(boxes)
-    lens = np.fromiter(map(len, lists), np.intp, len(lists))
-    cls = np.fromiter(map(position.get, map(_CLS, boxes), repeat(-1)), np.intp, n)
-    cols = np.fromiter(chain.from_iterable(map(fields, boxes)), float, width * n)
-    key = np.repeat(np.arange(len(lists)) * len(position), lens) + cls
-    known = cls >= 0
-    if known.all():
-        return key, cols.reshape(n, width).T
-    return key[known], cols.reshape(n, width)[known].T
+def _slices(images: ImageRows, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slice key, table row) of each box of `images` whose class is in
+    `classes`, sorted, in input order. A box's slice key is its image's
+    position times len(classes), plus its class's position."""
+    image, row, _ = images.rows()
+    cls = images.table.cls[row]
+    at = np.searchsorted(classes, cls)
+    known = classes[np.minimum(at, len(classes) - 1)] == cls
+    return (image * len(classes) + at)[known], row[known]
 
 
 def match_all(fused, gt: GroundTruth) -> Matches:
     """Match every detection of `fused`, with no confidence filter, at every
     mAP IoU threshold (see the module docstring).
 
-    `fused` maps an image id to that image's boxes: any sized iterable of
-    objects with `cls`, `x1`, `y1`, `x2`, `y2` and `confidence`, such as a
-    `Box` tuple or a list of `FusedBox`. The result does not depend on the
-    order of `fused`.
+    `fused` maps an image id to that image's boxes: a `BoxTable`, or any
+    mapping to sized iterables of `Box`-shaped tuples, such as `Box` tuples
+    or lists of `FusedBox`, which `geometry.box_columns` converts. The result
+    does not depend on the order of `fused`.
     """
-    counts = gt.class_counts()
+    classes, n_boxes = gt._classes()
+    counts = dict(zip(classes.tolist(), n_boxes.tolist()))
     if not counts:
         return Matches(counts, {}, {})
-    position = {cls: k for k, cls in enumerate(counts)}
     ids = sorted(fused)
-    key, det = _columns([fused[i] for i in ids], position, _CORNERS_CONFIDENCE, 5)
-    gt_key, truth = _columns([gt.entries.get(i, ()) for i in ids], position, _CORNERS, 4)
+    dets, truths = ImageRows.over(fused, ids), ImageRows.over(gt.entries, ids)
+    key, row = _slices(dets, classes)
+    gt_key, gt_row = _slices(truths, classes)
+    det, conf = dets.table.box[:, row], dets.table.conf[row]
     # rank order within each slice; a stable sort, so equal confidences keep input order
-    order = np.lexsort((-det[4], key))
+    order = np.lexsort((-conf, key))
     key = key[order]
     gt_order = np.argsort(gt_key, kind="stable")
     gt_key = gt_key[gt_order]
-    flags = _greedy_flags(*_candidates(key, det, order, gt_key, truth, gt_order),
-                          len(key), len(gt_key))
+    flags = _greedy_flags(*_candidates(key, det, order, gt_key, truths.table.box[:, gt_row],
+                                       gt_order), len(key), len(gt_key))
     # each class's detections by confidence descending; the sort is stable, so
     # ties stay in (image id, rank) order
-    conf = det[4][order]
+    conf = conf[order]
     cls = key % len(counts)
     by_class = np.lexsort((-conf, cls))
     bounds = np.searchsorted(cls[by_class], np.arange(len(counts) + 1)).tolist()

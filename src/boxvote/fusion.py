@@ -3,23 +3,30 @@
 All four have one call shape: `fn(per_model, params)`, where
 `per_model[m][k]` holds model m's boxes on image k, models in model order.
 Every model holds the same number of images (else ValueError), and no model
-means no image. Each returns one list per image, in image order: NMS and
-soft-NMS the `Box`es they keep, in the priority order below (soft-NMS by
-decayed confidence), WBF and the knowledge vote `FusedBox`es. Boxes of
-different images or classes never interact. Every function is pure. Only
+means no image. A model's images are a `geometry.ImageRows`, whose table
+columns are read in place, or any sequence of box collections, which
+`geometry.box_columns` converts once (a NaN confidence is a ValueError
+there). Each returns one list per image, in image order: NMS and soft-NMS
+the `Box`es they keep, in the priority order below (soft-NMS by decayed
+confidence), WBF and the knowledge vote `FusedBox`es. Every output box is
+built from the columns: equal to its input box, not the same object. Boxes
+of different images or classes never interact. Every function is pure. Only
 the knowledge vote reads `params.gates`, the relevance of each class in the
 target label space: which classes vote, and how confident a box of each
-must be. NMS, soft-NMS and WBF take every box.
+must be (`ConfidenceGates.mask`, one mask per model). NMS, soft-NMS and WBF
+take every box.
 
 NMS, soft-NMS and WBF fuse their images in batches (`_batches`: consecutive
 images with at most `BATCH_BOXES` boxes, an image with more alone), as a
 Python pass per class group would spend most of its time on overhead on the
 tens of thousands of small groups of sparse detector output. `_gather`
-turns a batch's boxes into numpy columns, grouped by (image, class), each
-group sorted once by priority: confidence descending (times the model
+takes a batch's rows from each model's columns, grouped by (image, class),
+each group sorted once by priority: confidence descending (times the model
 weight, for WBF), then the box's source, then its position in its model's
-list, then model order. One greedy pass runs over each group. NMS and
-soft-NMS give each image's boxes in that order, then class, then model.
+list, then model order. Class ids and sources stay exact (int64, or Python
+ints past it), so ids past 2**53 never merge. One greedy pass runs over
+each group. NMS and soft-NMS give each image's boxes in that order, then
+class, then model.
 
 A sweep visits a box's neighbours, the boxes of its group that overlap it
 beyond a threshold, listed by `_neighbours` from one numpy pass over a
@@ -58,14 +65,13 @@ import math
 from bisect import insort
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NegativeWeightError, WeightArityMismatchError
-from .geometry import Box, box_areas, iou, pair_chunks, pair_ious
+from .geometry import Box, ImageRows, box_areas, iou, named_rows, pair_chunks, pair_ious
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,20 @@ class ConfidenceGates:
 
     def gate(self, cls: int) -> float:
         return self.gates.get(cls, self.default_gate)
+
+    def mask(self, cls: np.ndarray, conf: np.ndarray) -> np.ndarray:
+        """Whether each box, of class cls[i] and confidence conf[i], passes:
+        its class is kept, and its confidence is >= its class's gate."""
+        gate = np.full(len(conf), self.default_gate)
+        for c, g in self.gates.items():
+            gate[cls == c] = g
+        keep = conf >= gate
+        if self.classes is not None:
+            listed = np.zeros(len(cls), bool)
+            for c in self.classes:
+                listed |= cls == c
+            keep &= listed
+        return keep
 
 
 NO_GATES = ConfidenceGates()
@@ -152,16 +172,15 @@ def apply_gates(boxes: Iterable[Box], gates: ConfidenceGates) -> tuple:
     """The boxes, in input order, whose class the gates keep and whose confidence >= its gate.
 
     A tuple of boxes that all pass is returned as is: no second tuple of the
-    same boxes is built or held.
+    same boxes is built or held. The rule is `ConfidenceGates.mask`, which
+    the knowledge vote and consensus scoring apply to whole tables.
     """
-    classes = gates.classes
-
-    def passes(b) -> bool:
-        return (classes is None or b.cls in classes) and b.confidence >= gates.gate(b.cls)
-
-    if type(boxes) is tuple and all(map(passes, boxes)):
+    given, boxes = boxes, tuple(boxes)
+    keep = gates.mask(np.array([b.cls for b in boxes], dtype=object),
+                      np.array([b.confidence for b in boxes], float))
+    if given is boxes and keep.all():
         return boxes
-    return tuple(filter(passes, boxes))
+    return tuple(compress(boxes, keep.tolist()))
 
 
 # `_wbf_run` sweeps a class group of at least this many boxes alone, through
@@ -288,26 +307,22 @@ def _sweep(per_model, keep) -> list[list[Box]]:
     """NMS or soft-NMS of every image. `keep(rows)` takes a batch's `_gather`
     at uniform weights and gives (whether it keeps each row, each row's
     confidence after). Each image's kept boxes are sorted by that confidence
-    descending, source, list position, class and model, and are the input
-    objects unless their confidence changed."""
-    weights = (1.0,) * len(per_model)
+    descending, source, list position, class and model."""
+    models = _models(per_model)
+    weights = (1.0,) * len(models)
     out = []
-    for lists, n_images in _image_batches(per_model, range(len(per_model))):
-        rows = _gather(lists, weights)
+    for images in _image_batches(models, range(len(models))):
+        rows = _gather(models, images, weights)
         if rows is None:
-            out += [[] for _ in range(n_images)]
+            out += [[] for _ in images]
             continue
         kept, conf = keep(rows)
         k = np.flatnonzero(kept)
         image = rows.image[k]
         k = k[_lexsort((-conf[k], image),
                        (rows.model[k], rows.cls[k], rows.index[k], rows.source[k]))]
-        boxes = list(map(rows.boxes.__getitem__, rows.order[k].tolist()))
-        changed = np.flatnonzero(conf[k] != rows.conf[k])
-        for t, c in zip(changed.tolist(), conf[k[changed]].tolist()):
-            b = boxes[t]
-            boxes[t] = Box(b.cls, b.x1, b.y1, b.x2, b.y2, c, b.source)
-        ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
+        boxes = named_rows(Box, rows.cls[k], rows.box[:, k], conf[k], rows.source[k])
+        ends = np.cumsum(np.bincount(image, minlength=len(images))).tolist()
         out += [boxes[lo:hi] for lo, hi in zip([0, *ends], ends)]
     return out
 
@@ -429,12 +444,21 @@ def _batches(sizes: Sequence[int]) -> list[range]:
     return out
 
 
-def _image_batches(per_model, models: Sequence[int]):
-    """Yield per batch (`_batches`) each image's box list of each model of
-    `models`, image after image, and the number of images."""
-    images = list(zip(*per_model, strict=True))
-    for batch in _batches([sum(len(image[m]) for m in models) for image in images]):
-        yield [images[k][m] for k in batch for m in models], len(batch)
+def _models(per_model) -> list[ImageRows]:
+    """Each model's images as table rows (`geometry.ImageRows.of`), which
+    must all hold the same number of images."""
+    models = [ImageRows.of(images) for images in per_model]
+    if len({len(m) for m in models}) > 1:
+        raise ValueError(f"models hold different numbers of images: {[len(m) for m in models]}")
+    return models
+
+
+def _image_batches(models: Sequence[ImageRows], kept: Sequence[int]) -> list[range]:
+    """The batches (`_batches`) of the images, sized by the boxes of the models `kept`."""
+    sizes = np.zeros(len(models[0]) if models else 0, np.intp)
+    for m in kept:
+        sizes += models[m].sizes()
+    return _batches(sizes.tolist())
 
 
 def _lexsort(keys, tiebreaks) -> np.ndarray:
@@ -463,67 +487,46 @@ def _fused_rank(image, cls, box, conf) -> np.ndarray:
 class _Rows(NamedTuple):
     """The boxes of a batch of images as columns, one row per box (see `_gather`)."""
 
-    boxes: list  # the boxes in input order: image, then model, then list position
-    order: np.ndarray  # the position in `boxes` of each row
     image: np.ndarray  # the position of the row's image in the batch
     model: np.ndarray
-    cls: np.ndarray
+    cls: np.ndarray  # exact: int64, or an object array past int64
     box: np.ndarray  # x1, y1, x2, y2: four rows
     conf: np.ndarray
     weight: np.ndarray
-    source: np.ndarray
+    source: np.ndarray  # exact, as `cls`
     index: np.ndarray  # the position of the row's box in its model's list
     starts: np.ndarray  # the first row of each (image, class) group
 
 
-def _columns(boxes) -> np.ndarray:
-    """The boxes as float64 rows (cls, x1, y1, x2, y2, confidence, source).
-
-    float64 holds integers exactly only below 2**53; past that, class ids and
-    sources become dense codes in their order, so grouping, priority and
-    support stay exact."""
-    n = len(boxes)
-    try:
-        cols = np.fromiter(chain.from_iterable(boxes), float, 7 * n).reshape(n, 7)
-        if np.abs(cols[:, ::6]).max() < 2.0**53:  # columns cls and source
-            return cols
-    except OverflowError:  # an id past the largest float
-        pass
-    cls, source = ({v: k for k, v in enumerate(sorted({b[i] for b in boxes}))} for i in (0, 6))
-    coded = ((cls[b[0]], *b[1:6], source[b[6]]) for b in boxes)
-    return np.fromiter(chain.from_iterable(coded), float, 7 * n).reshape(n, 7)
-
-
-def _gather(lists, weights) -> _Rows | None:
+def _gather(models: Sequence[ImageRows], images: range, weights) -> _Rows | None:
     """The boxes of a batch of images as sorted columns, or None without a box.
 
-    `lists` holds the box lists of each image, one per model in model
-    order, image after image, and `weights` one weight per model. The rows
-    are grouped by image and then class, and each group is in WBF's
+    `models` holds each model's images, and `weights` one weight per model.
+    The rows are grouped by image and then class, and each group is in WBF's
     priority order: confidence times weight descending, then source, then
-    position in the model's list, ties in model order. Class ids and sources
-    are read as `_columns` gives them.
+    position in the model's list, ties in model order.
     """
-    lens = np.fromiter(map(len, lists), np.intp, len(lists))
-    boxes = list(chain.from_iterable(lists))
-    n = len(boxes)
-    if not n:
+    parts = [m.rows(images.start, images.stop) for m in models]
+    counts = [len(row) for _, row, _ in parts]
+    if not sum(counts):
         return None
-    cols = _columns(boxes)
-    entry = np.repeat(np.arange(len(lists)), lens)  # the list of each box
-    index = np.arange(n) - (np.cumsum(lens) - lens)[entry]
-    image, model = np.divmod(entry, len(weights))
+
+    def column(name):
+        return np.concatenate([getattr(m.table, name)[..., row]
+                               for m, (_, row, _) in zip(models, parts)], axis=-1)
+
+    cls, box, conf, source = map(column, ("cls", "box", "conf", "source"))
+    image = np.concatenate([image for image, _, _ in parts])
+    index = np.concatenate([place for _, _, place in parts])
+    model = np.repeat(np.arange(len(models)), counts)
     weight = np.asarray(weights, dtype=float)[model]
-    cls, conf, source = cols[:, 0], cols[:, 5], cols[:, 6]
     # a stable sort, so rows that tie on every key stay in model order
     order = _lexsort((-(conf * weight), cls, image), (index, source))
-    image, model, weight, index = image[order], model[order], weight[order], index[order]
-    cols = cols.T.take(order, axis=1)  # one copy, C-ordered
-    cls = cols[0]
-    new = np.ones(n, bool)
+    image, cls = image[order], cls[order]
+    new = np.ones(len(order), bool)
     new[1:] = (image[1:] != image[:-1]) | (cls[1:] != cls[:-1])
-    return _Rows(boxes, order, image, model, cls, cols[1:5], cols[5], weight, cols[6], index,
-                 np.flatnonzero(new))
+    return _Rows(image, model[order], cls, box.take(order, axis=1), conf[order], weight[order],
+                 source[order], index[order], np.flatnonzero(new))
 
 
 class _Clusters(NamedTuple):
@@ -531,14 +534,9 @@ class _Clusters(NamedTuple):
 
     count: np.ndarray  # the clusters of each group
     of_row: np.ndarray  # the cluster of each row
-    size: np.ndarray  # the members of each cluster
     box: np.ndarray  # the fused box, four rows; a one-member cluster's box
     conf: np.ndarray
     support: np.ndarray  # the distinct sources of each cluster's members
-
-
-# builds a named tuple from the tuple of its fields, without its Python-level __new__
-_new_tuple = tuple.__new__
 
 
 def _wbf_batch(box, conf, weight, source, lengths, cls, threshold: float) -> _Clusters:
@@ -666,8 +664,7 @@ def _wbf_run(box, conf, weight, source, lengths, cls, threshold: float) -> _Clus
     distinct = np.ones(n, bool)
     distinct[1:] = (oc[1:] != oc[:-1]) | (os_[1:] != os_[:-1])
     support = np.bincount(oc[distinct], minlength=total)
-    return _Clusters(count, of_row, np.bincount(of_row, minlength=total), state[:4, slots],
-                     fconf[slots], support)
+    return _Clusters(count, of_row, state[:4, slots], fconf[slots], support)
 
 
 def wbf(per_model: Sequence[Sequence[Collection[Box]]],
@@ -684,30 +681,36 @@ def wbf(per_model: Sequence[Sequence[Collection[Box]]],
     weights = params.model_weights or (1.0,) * len(per_model)
     if len(weights) != len(per_model):
         raise WeightArityMismatchError(f"{len(weights)} weights for {len(per_model)} models")
+    models = _models(per_model)
     kept = [m for m, w in enumerate(weights) if w > 0.0]
     rescale = params.confidence_rescale == "support_ratio"
     out = []
-    for lists, n_images in _image_batches(per_model, kept):
-        out += _wbf_image_batch(lists, n_images, [weights[m] for m in kept], rescale,
-                                params.iou_threshold)
+    for images in _image_batches(models, kept):
+        out += _wbf_image_batch([models[m] for m in kept], images, [weights[m] for m in kept],
+                                rescale, params.iou_threshold)
     return out
 
 
 def knowledge_vote(per_model: Sequence[Sequence[Collection[Box]]],
                    params: FusionParams) -> list[list[FusedBox]]:
-    """Class-gated, support-counting WBF: gate each model's boxes on each
-    image by params.gates, then fuse every image with `wbf`."""
-    return wbf([[apply_gates(boxes, params.gates) for boxes in images] for images in per_model],
-               params)
+    """Class-gated, support-counting WBF: gate each model's boxes by
+    params.gates (`ConfidenceGates.mask`), then fuse every image with `wbf`."""
+    return wbf([gated(images, params.gates) for images in per_model], params)
 
 
-def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
+def gated(images, gates: ConfidenceGates) -> ImageRows:
+    """A model's images (`geometry.ImageRows.of`) with only the boxes that pass `gates`."""
+    images = ImageRows.of(images)
+    return images.where(gates.mask(images.table.cls, images.table.conf))
+
+
+def _wbf_image_batch(models, images: range, weights, rescale: bool,
                      threshold: float) -> list[list[FusedBox]]:
-    """`wbf` of one batch of images (see `_gather` for `lists`), whose
-    models all have a positive weight."""
-    rows = _gather(lists, weights)
+    """`wbf` of one batch of images (see `_gather`), whose models all have a
+    positive weight."""
+    rows = _gather(models, images, weights)
     if rows is None:
-        return [[] for _ in range(n_images)]
+        return [[] for _ in images]
     lengths = np.diff(rows.starts, append=len(rows.conf))
     cl = _wbf_batch(rows.box, rows.conf, rows.weight, rows.source, lengths,
                     rows.cls[rows.starts], threshold)
@@ -718,18 +721,8 @@ def _wbf_image_batch(lists, n_images: int, weights, rescale: bool,
     head = rows.starts[np.repeat(np.arange(len(lengths)), cl.count)]  # each cluster's group
     image = rows.image[head]
     rank = _fused_rank(image, rows.cls[head], cl.box, conf)  # the clusters in output order
-    # clusters are numbered in the order of their first rows, so a cluster's
-    # first row is one where the running maximum of `of_row` rises
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(cl.of_row), prepend=-1))
-    firsts = list(map(rows.boxes.__getitem__, rows.order[first[rank]].tolist()))
-    # every cluster as a one-member one, which passes its box through: its
-    # (cls, x1, y1, x2, y2), and its confidence unless rescaled, are the same objects
-    confs = conf[rank].tolist() if rescale else map(itemgetter(5), firsts)
-    fused = list(map(_new_tuple, repeat(FusedBox), map(
-        tuple.__add__, map(itemgetter(slice(5)), firsts), zip(confs, repeat(1)))))
-    more = np.flatnonzero(cl.size[rank] > 1)
-    for c, x1, y1, x2, y2, f, n_b in zip(*(v.tolist() for v in (
-            more, *cl.box[:, rank[more]], conf[rank[more]], cl.support[rank[more]]))):
-        fused[c] = _new_tuple(FusedBox, (firsts[c][0], x1, y1, x2, y2, f, n_b))
-    ends = np.cumsum(np.bincount(image, minlength=n_images)).tolist()
+    # a one-member cluster's box and confidence are its box's own floats
+    fused = named_rows(FusedBox, rows.cls[head[rank]], cl.box[:, rank], conf[rank],
+                       cl.support[rank])
+    ends = np.cumsum(np.bincount(image, minlength=len(images))).tolist()
     return [fused[a:b] for a, b in zip([0, *ends], ends)]

@@ -18,11 +18,20 @@ plain tuple of the same values, with the same hash. Both types have 7 fields,
 so a `Box` and a `FusedBox` of the same values are equal too, although the
 seventh field is a source in one and a support count in the other. Code reads
 their fields by name.
+
+Files and fusion inputs are held as columns, not as boxes: a `BoxTable`
+holds one file's boxes, grouped by image id, and an `ImageRows` a list of
+images' rows of one table, as each fusion takes a model's images.
+`box_columns` is the one converter from box collections to columns, and
+`named_rows` builds boxes from columns, for output.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +71,7 @@ class DetectionSet:
     """One image's generated boxes, in generation order; a collection of `boxes`.
 
     Only `synth.generate` builds these, because the bench counts generated
-    boxes through `.boxes`. Past the file reader, boxes are plain tuples.
+    boxes through `.boxes`. The file readers return a `BoxTable`.
     """
 
     image_id: str
@@ -76,6 +85,155 @@ class DetectionSet:
 
     def __contains__(self, box) -> bool:
         return box in self.boxes
+
+
+def exact_ids(values) -> np.ndarray:
+    """The ids as int64, or, when one is past int64 or not an int, as an
+    object array of the values themselves: either way every id is exact."""
+    try:
+        col = np.fromiter(values, np.int64, len(values))
+        if col.tolist() == list(values):  # fromiter truncates a float such as 1.5
+            return col
+    except (OverflowError, TypeError, ValueError):
+        pass
+    return np.array(values, dtype=object)
+
+
+def box_columns(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cls, box, conf, source) of a sequence of `Box`-shaped tuples, in order.
+
+    The one converter from boxes to columns. `box` holds the x1, y1, x2 and
+    y2 rows, and `conf` the confidences, as float64. `cls` and `source` are
+    exact (see `exact_ids`), so ids past 2**53 never merge. A NaN confidence is
+    a ValueError: it has no place in confidence order.
+    """
+    fields = list(zip(*boxes)) or [()] * 7
+    conf = np.array(fields[5], float)
+    nan = np.flatnonzero(np.isnan(conf))
+    if len(nan):
+        raise ValueError(f"box {nan[0]} has confidence NaN; a confidence must be a number")
+    return exact_ids(fields[0]), np.array(fields[1:5], float), conf, exact_ids(fields[6])
+
+
+def runs(values) -> np.ndarray:
+    """The first position of each run of equal values."""
+    new = np.ones(len(values), bool)
+    new[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(new)
+
+
+def named_rows(kind, cls, box, conf, last) -> list:
+    """A `kind` tuple (`Box` or `fusion.FusedBox`) per column: cls, the four
+    rows of `box`, conf and `last` (the source or the support count)."""
+    return list(map(tuple.__new__, repeat(kind), zip(
+        cls.tolist(), *box.tolist(), conf.tolist(), last.tolist())))
+
+
+class BoxTable(Mapping):
+    """The boxes of one file or collection as columns, grouped by image id.
+
+    Image k's rows are bounds[k] to bounds[k + 1] - 1, in their input order;
+    `ids` are in first-seen order. The columns are those of `box_columns`.
+    Read as a mapping, a table gives each image id's boxes as a `Box`
+    tuple, built on each read: the writers, `SourceDomain.for_image` and
+    tests read it so. The fusions and the matcher read the columns.
+    """
+
+    def __init__(self, ids, bounds, cls, box, conf, source):
+        self.ids = tuple(ids)
+        self.bounds = bounds
+        self.cls, self.box, self.conf, self.source = cls, box, conf, source
+
+    @cached_property
+    def index(self) -> dict:
+        """The position of each image id in `ids`."""
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def __getitem__(self, image_id) -> tuple[Box, ...]:
+        k = self.index[image_id]
+        return self.boxes(int(self.bounds[k]), int(self.bounds[k + 1]))
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def boxes(self, lo: int, hi: int) -> tuple[Box, ...]:
+        """Rows lo to hi - 1 as `Box`es."""
+        return tuple(named_rows(Box, self.cls[lo:hi], self.box[:, lo:hi], self.conf[lo:hi],
+                                self.source[lo:hi]))
+
+    def compress(self, keep) -> BoxTable:
+        """The rows where `keep` is true; an image left without rows is left out."""
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.bounds]
+        some = np.flatnonzero(np.diff(kept))
+        return BoxTable([self.ids[k] for k in some.tolist()], np.append(kept[some], kept[-1]),
+                        self.cls[keep], self.box[:, keep], self.conf[keep], self.source[keep])
+
+
+class ImageRows(Sequence):
+    """A list of images' rows of one `BoxTable`: image k's are lo[k] to hi[k] - 1.
+
+    Read as a sequence, item k is image k's `Box` tuple. Every fusion takes
+    a model's images as a sequence of box collections; it reads this one's
+    columns in place and converts any other (`of`).
+    """
+
+    def __init__(self, table: BoxTable, lo, hi):
+        self.table, self.lo, self.hi = table, lo, hi
+
+    @classmethod
+    def of(cls, images) -> ImageRows:
+        """`images` itself if it is an ImageRows, else its box collections as columns."""
+        if isinstance(images, ImageRows):
+            return images
+        lists = list(images)
+        bounds = np.concatenate(([0], np.cumsum([len(boxes) for boxes in lists], dtype=np.intp)))
+        table = BoxTable(range(len(lists)), bounds, *box_columns(chain.from_iterable(lists)))
+        return cls(table, bounds[:-1], bounds[1:])
+
+    @classmethod
+    def over(cls, per_image, ids) -> ImageRows:
+        """The rows of each of `ids` in `per_image`, a mapping of image ids to
+        boxes: a BoxTable is read in place, any other is converted. An id that
+        `per_image` lacks has no rows."""
+        if not isinstance(per_image, BoxTable):
+            return cls.of([per_image.get(i, ()) for i in ids])
+        t = per_image
+        k = np.fromiter(map(t.index.get, ids, repeat(len(t.ids))), np.intp, len(ids))
+        return cls(t, np.append(t.bounds[:-1], 0)[k], np.append(t.bounds[1:], 0)[k])
+
+    def __getitem__(self, k) -> tuple[Box, ...]:
+        return self.table.boxes(int(self.lo[k]), int(self.hi[k]))
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence of equal box collections, as a list of them is."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def sizes(self) -> np.ndarray:
+        return self.hi - self.lo
+
+    def rows(self, start: int = 0, stop: int | None = None):
+        """(image, row, place) of every row of images start to stop - 1, image
+        after image: its image's position from `start`, its row in the table,
+        and its place in the image's list."""
+        lo, counts = self.lo[start:stop], self.sizes()[start:stop]
+        image = np.repeat(np.arange(len(counts)), counts)
+        place = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return image, lo[image] + place, place
+
+    def where(self, keep) -> ImageRows:
+        """The same images with only the table rows where `keep` is true."""
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return ImageRows(self.table.compress(keep), kept[self.lo], kept[self.hi])
 
 
 def _clamp(v: float) -> float:

@@ -111,6 +111,21 @@ class TestSimulate:
 
 
 class TestFuse:
+    @pytest.mark.parametrize("algorithm", ["nms", "knowledge-vote"])
+    def test_empty_source_file_is_silent(self, scenario_dir, tmp_path, capsys, algorithm):
+        doc = absolute_manifest_doc(scenario_dir)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        doc["sources"][0]["detections_path"] = str(empty)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "fuse"
+        rc = main(["fuse", "--manifest", str(mpath), "--algorithm", algorithm, "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "summary.json").read_text())["output_boxes"] > 0
+
     @pytest.mark.parametrize("algorithm", ["nms", "soft-nms", "wbf", "knowledge-vote"])
     def test_algorithms_produce_artifacts(self, scenario_dir, tmp_path, algorithm):
         out = tmp_path / algorithm
@@ -176,9 +191,9 @@ class TestFuse:
                               (1.0,) * len(per_model), params.iou_threshold)
             assert [tuple(f) for f in per_image[iid]] == [row[:7] for row in want]
             for f, row in zip(per_image[iid], want):
-                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's own
+                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's
                     b = row[7][0][1]
-                    assert all(x is y for x, y in zip(f[:6], b[:6]))
+                    assert f[:6] == b[:6]
                     reused += 1
         assert summary["gate_dropped_boxes"] == dropped
         assert (dropped > 0) == (algorithm == "knowledge-vote")
@@ -299,7 +314,7 @@ class TestConsensus:
         mpath = tmp_path / "wide.json"
         mpath.write_text(json.dumps(doc))
         calls = []
-        for name in ("apply_gates", "_wbf_batch", "wbf"):
+        for name in ("gated", "_wbf_batch", "wbf"):
             fn = getattr(consensus, name)
             monkeypatch.setattr(consensus, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
         out = tmp_path / "o"
@@ -324,6 +339,18 @@ class TestEval:
         assert 0.0 <= metrics["aggregate"]["map50"] <= 1.0
         header = (out / "f1_curve.csv").read_text().splitlines()[0]
         assert header.startswith("confidence,class_")
+
+    def test_empty_detections_file_is_silent(self, scenario_dir, tmp_path, capsys):
+        # no box to tokenize: np.loadtxt would warn "input contained no data"
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        capsys.readouterr()
+        rc = main(["eval", "--manifest", manifest_path(scenario_dir),
+                   "--detections", str(empty), "--out", str(tmp_path / "eval")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert metrics["aggregate"]["map50"] == 0.0
 
     def test_threshold_override(self, scenario_dir, tmp_path):
         fuse_out = tmp_path / "fuse"

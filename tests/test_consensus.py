@@ -327,9 +327,9 @@ class TestWeightedFusion:
             want = oracle_wbf(per_model, (0.5, 0.25, 0.25), PARAMS.iou_threshold)
             assert [tuple(f) for f in fused[iid]] == [row[:7] for row in want]
             for f, row in zip(fused[iid], want):
-                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's own
+                if len(row[7]) == 1:  # (cls, x1, y1, x2, y2, confidence) are the box's
                     b = row[7][0][1]
-                    assert all(x is y for x, y in zip(f[:6], b[:6]))
+                    assert f[:6] == b[:6]
                     reused += 1
         assert reused > 0
 
@@ -532,14 +532,11 @@ class TestSharedScoring:
 
         monkeypatch.setattr(consensus, "_wbf_batch", recording)
         monkeypatch.setattr(consensus, "wbf", counting("wbf", consensus.wbf))
-        monkeypatch.setattr(
-            consensus, "apply_gates", counting("apply_gates", consensus.apply_gates)
-        )
+        monkeypatch.setattr(consensus, "gated", counting("gated", consensus.gated))
         manifest = SimpleNamespace(fusion=params)
         run_consensus(manifest, ens, shapley=True)
-        images = len(ens.target_image_ids)
         assert calls["wbf"] == 1  # the weighted pass, every image at once
-        assert calls["apply_gates"] == 3 * images
+        assert calls["gated"] == 3  # one gate mask per source
 
         # one clustering per distinct non-empty S & P of each (image, class):
         # the boxes of the class group's sources that are in subset S

@@ -1,5 +1,6 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from boxvote import data_io
 from boxvote.consensus import ContributionReport
 from boxvote.errors import ManifestError, ParseError
-from boxvote.evaluation import ClassMetrics, Matches, MetricsReport
+from boxvote.evaluation import ClassMetrics, GroundTruth, Matches, MetricsReport
 from boxvote.fusion import FusedBox, FusionParams, fused_order, wbf
 from boxvote.geometry import Box, DetectionSet, validate_box
 from oracles import random_box
@@ -373,6 +374,180 @@ def test_reader_parses_every_valid_line(fuzz_file, fmt, data):
     assert len(boxes) == len(lines)
     for b in boxes:
         assert validate_box(b) == b
+
+# ---------------------------------------------------------------------------
+# the bulk path (`_bulk_rows`) against the line loop (`_box_lines`)
+
+
+def _line_loop_only(data, field_counts):
+    return None
+
+
+def _outcome(parse, path):
+    """`parse(path)` as hex-exact values, or its ParseError's (message, file, line)."""
+    try:
+        out = parse(path)
+    except ParseError as exc:
+        return "error", str(exc), exc.path, exc.line
+    table = out.entries if isinstance(out, GroundTruth) else out
+    return (table.ids, np.asarray(table.bounds).tolist(), table.cls.tolist(),
+            [[v.hex() for v in row] for row in table.box.tolist()],
+            [v.hex() for v in table.conf.tolist()], table.source.tolist())
+
+
+_SEPARATOR = st.sampled_from([" ", "  ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"])
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# tokens that both readers read the same: ids of 1-300 ASCII characters
+# (`#` only past the first), classes as `int` reads them, numbers in [0, 1]
+_ID = st.one_of(st.sampled_from(["im0", "im1", "im2"]),
+                st.text("abz09_.-#", min_size=1, max_size=300).filter(lambda i: i[0] != "#"))
+_CLASS = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["+5", "005", "1_0", "-0"]))
+_UNIT_TOKEN = st.one_of(_UNIT.map(repr), st.sampled_from([
+    "+0.5", ".5", "5e-1", "0", "1", "-0.0", "1e-400", "0.12345678901234567",
+    "0.1234567890123456789012345"]))
+# tokens that one of them may refuse or read otherwise
+_ODD_ID = st.text("az#\xe9\x00", min_size=1, max_size=3)
+_ODD_CLASS = st.sampled_from(["-1", "1.0", "0x1", str(2**63 - 1), str(2**63), str(2**64)])
+_ODD_VALUE = st.sampled_from(["005", "nan", "-inf", "1e999", "1_0", "-5e-07", "1.0000005",
+                              "1.5", "0x1p-1", "0.5j"])
+
+
+@st.composite
+def _box_line(draw, n_fields, odd):
+    """A box line of `n_fields` fields and odd separators; with `odd`, maybe
+    another field count and a token outside the grammar."""
+    x1, x2, y1, y2, conf = (draw(_UNIT_TOKEN) for _ in range(5))
+    (x1, x2), (y1, y2) = sorted((x1, x2), key=float), sorted((y1, y2), key=float)
+    fields = [draw(_ID), draw(_CLASS), x1, y1, x2, y2, conf, draw(st.integers(1, 9).map(str))]
+    fields = fields[:n_fields]
+    if odd:
+        fields = (fields + ["0.5"])[:n_fields + draw(st.sampled_from([0, 0, 0, -1, 1]))]
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] = draw({0: _ODD_ID, 1: _ODD_CLASS}.get(k, _ODD_VALUE))
+    seps = [draw(_SEPARATOR) for _ in fields]
+    line = "".join(sep + f for sep, f in zip(seps, fields)).lstrip(" ")
+    return line + draw(st.sampled_from(["", " ", "\t "]))
+
+
+@st.composite
+def _box_file(draw, n_fields):
+    """A box file inside the bulk grammar, or, with odd lines, a byte-order
+    mark or a comment, just outside it. Box lines of `n_fields` fields, blank
+    and whitespace-only lines, line ends of every kind."""
+    odd = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["box"] * 6 + ["odd box", "blank", "spaces", "comment"]))
+        if kind in ("box", "odd box"):
+            lines.append(draw(_box_line(n_fields, odd and kind == "odd box")))
+        elif kind == "comment" and odd:  # a box line but for its first character
+            lines.append(draw(st.sampled_from(["#", " #"])) + draw(_box_line(n_fields, False)))
+        elif kind != "comment":
+            lines.append({"blank": "", "spaces": " \t "}[kind])
+    text = "".join(line + draw(_LINE_END) for line in lines)
+    return (draw(st.sampled_from(["", "\ufeff"])) if odd else "") + text
+
+
+@pytest.mark.parametrize("parse,n_fields", [
+    (data_io.parse_detections, 7), (data_io.parse_detections, 8),
+    (data_io.parse_ground_truth, 6)], ids=["detections", "pseudo-labels", "ground truth"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_bulk_path_equals_the_line_loop(fuzz_file, parse, n_fields, data):
+    fuzz_file.write_bytes(data.draw(_box_file(n_fields)).encode("utf-8"))
+    with mock.patch.object(data_io, "_bulk_rows", _line_loop_only):
+        want = _outcome(parse, fuzz_file)
+    assert _outcome(parse, fuzz_file) == want
+
+
+class TestBulkPath:
+    """Which files the bulk path reads, and which it leaves to the line loop."""
+
+    LINES = "im1 3 0.1 0.2 0.5 0.6 0.9\nim0 1 0 0 1 1 1\nim1 2 0.25 0.25 0.75 0.75 0.5\n"
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        """The files that the line loop reads, after each `read`'s reference read."""
+        self.calls = []
+        loop = data_io._box_lines
+
+        def counted(*args):
+            self.calls.append(args[1])
+            return loop(*args)
+
+        monkeypatch.setattr(data_io, "_box_lines", counted)
+        return self.calls
+
+    def read(self, tmp_path, text: bytes, parse=data_io.parse_detections):
+        """`_outcome` of the file `text`, which must equal the line loop's."""
+        p = tmp_path / "boxes.txt"
+        p.write_bytes(text)
+        with mock.patch.object(data_io, "_bulk_rows", _line_loop_only):
+            want = _outcome(parse, p)
+        self.calls.clear()
+        assert _outcome(parse, p) == want
+        return want
+
+    def test_a_file_in_the_grammar_takes_no_line_loop(self, tmp_path, loop_calls):
+        text = (" im1\t3  0.1\x0b0.2\x0c0.5\x1c0.6\x1d0.9 \r\n\r\n  \t\rim0\x1e1\x1f0 +0 1. 1 1e0\r"
+                "im1 2 .25 0.25 0.75 7.5e-1 -0.0\n")
+        got = self.read(tmp_path, text.encode())
+        assert not loop_calls
+        assert got[:3] == (("im1", "im0"), [0, 2, 3], [3, 2, 1])
+
+    def test_ground_truth_and_pseudo_labels_take_no_line_loop(self, tmp_path, loop_calls):
+        self.read(tmp_path, b"im1 3 0.1 0.2 0.5 0.6\nim0 1 0 0 1 1\n", data_io.parse_ground_truth)
+        self.read(tmp_path, b"im1 3 0.1 0.2 0.5 0.6 0.9 2\nim0 1 0 0 1 1 1 1\n")
+        assert not loop_calls
+
+    @pytest.mark.parametrize("parse", [data_io.parse_detections, data_io.parse_ground_truth])
+    @pytest.mark.parametrize("text", ["", "\n \t\r\n"], ids=["empty", "blank lines"])
+    def test_no_box_line_reads_as_no_image(self, tmp_path, loop_calls, parse, text):
+        assert self.read(tmp_path, text.encode(), parse)[0] == ()
+        assert not loop_calls
+
+    def test_a_long_id_or_class_is_never_cut(self, tmp_path, loop_calls):
+        long_id, long_cls = "i" * 300, "0" * 40 + "7"
+        got = self.read(tmp_path, f"a 1 0 0 1 1 1\n{long_id} {long_cls} 0 0 1 1 1\n".encode())
+        assert not loop_calls
+        assert got[0] == ("a", long_id) and got[2] == [1, 7]
+
+    def test_interleaved_images_keep_each_image_s_line_order(self, tmp_path, loop_calls):
+        lines = [f"im{k % 3} {k % 5} 0.1 0.2 0.5 0.6 {k / 1000!r}\n" for k in range(300)]
+        got = self.read(tmp_path, "".join(lines).encode())
+        assert not loop_calls
+        assert got[0] == ("im0", "im1", "im2")
+        # both paths group through `_grouped`, so check the order itself
+        assert got[4] == [(k / 1000).hex() for i in range(3) for k in range(i, 300, 3)]
+
+    def test_one_very_long_line_among_many_takes_the_line_loop(self, tmp_path, loop_calls):
+        # read at the longest line's width, every line's id field would take 40 kB
+        text = "im0 1 0.1 0.2 0.5 0.6 0.9\n" * 2000 + "i" * 20_000 + " 1 0 0 1 1 1\n"
+        got = self.read(tmp_path, text.encode())
+        assert len(loop_calls) == 1
+        assert got[0] == ("im0", "i" * 20_000)
+
+    @pytest.mark.parametrize("text", [
+        "# 1 0.1 0.2 0.5 0.6 0.9\n" + LINES,  # comments with the field count of a box line
+        LINES + "  #im2 1 0.1 0.2 0.5 0.6 0.9\n",
+        LINES + "im2 1 0.1 0.2 0.5 0.6 0.9\r# 1 0.1 0.2 0.5 0.6 0.9\r",  # after a lone CR
+        LINES + "im2 0 0.1 0.1 0.5 0.5 0.9 2\n",  # 7 and 8 fields in one file
+        "\ufeff" + LINES,  # a byte-order mark
+        LINES.replace("im0", "im\xe9"),  # not ASCII
+        LINES.replace("im0", "im\x00"),  # a control character that is not whitespace
+        LINES.replace("0.9", "0.9_0"),  # a number np.loadtxt does not parse, and float does
+        LINES.replace(" 3 ", f" {2**63} "),  # a class past int64
+        LINES.replace("0.9", "1.0000005"),  # clamped within CLAMP_SLOP
+        LINES.replace(" 3 ", " -3 "),  # a negative class: a ParseError
+        LINES.replace("0.9", "nan"),  # a row that fails a rule: a ParseError
+        LINES.replace("0.9\n", "0.9 1 2\n"),  # a field count outside the format: a ParseError
+    ], ids=["comment", "indented comment", "comment after CR", "mixed field counts", "byte-order mark", "non-ASCII",
+            "control character", "underscore", "class past int64", "clamp", "negative class",
+            "NaN", "field count"])
+    def test_a_file_outside_the_grammar_takes_the_line_loop(self, tmp_path, loop_calls, text):
+        self.read(tmp_path, text.encode())
+        assert len(loop_calls) == 1
+
 
 def minimal_manifest(tmp_path, **overrides):
     (tmp_path / "dets.txt").write_text("img1 0 0.1 0.1 0.5 0.5 0.9\n")
